@@ -138,7 +138,10 @@ def _row_from_state(t: float, state: QubitState) -> tuple:
 
 def cmd_simulate(args) -> int:
     _require_format(args, "csv")
-    params = feedback.FeedbackParams(alpha=args.alpha, lam=args.lam, omega=args.omega)
+    try:
+        params = feedback.FeedbackParams(alpha=args.alpha, lam=args.lam, omega=args.omega)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.source in ("analytic", "both") and args.omega != 0.0:
         raise ConfigError("the analytic source requires omega = 0")
     try:

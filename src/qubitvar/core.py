@@ -324,9 +324,3 @@ def random_density_matrix(seed, dim: int) -> GeneralState:
     m = 0.5 * (m + m.conj().T)
     return GeneralState(m)
 
-
-def random_observable(seed, span: float = 5.0) -> PauliObservable:
-    """Random Hermitian observable with coefficients uniform in [-span, span]."""
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-span, span, size=4)
-    return PauliObservable(float(c[0]), float(c[1]), float(c[2]), float(c[3]))

@@ -37,6 +37,10 @@ class CollinearObservables(QubitVarError):
     """Traceless parts of the two observables share a Bloch axis; estimator undefined."""
 
 
+class NonFiniteInput(QubitVarError):
+    """A numeric input is NaN or infinite."""
+
+
 class NegativeTime(QubitVarError):
     """Evolution time must be non-negative."""
 
@@ -56,6 +60,3 @@ class StepTooLarge(QubitVarError):
 class PositivityLost(QubitVarError):
     """Integrated state left the Bloch ball by more than the instability threshold."""
 
-
-class NoUniqueSteadyState(QubitVarError):
-    """Dynamics do not single out one steady state for the given parameters."""

@@ -12,6 +12,11 @@ s- = |0><1|.  For Omega = 0 and a pure initial state
 cos(alpha)|0> + sin(alpha)|1> the solution is closed-form; the excited
 population rho11 relaxes to lam^2/(1 + 2 lam^2).  A fixed-step RK4
 integrator covers the general case and cross-checks the closed form.
+
+master_rhs is the one generator.  It is linear in y = (px, py, pz, 1);
+generator() reads the real 4x4 L off it, and each RK4 step is applied
+exactly as y <- y + D y, D = T4(hL) - I (T4 the 4th-order Taylor
+polynomial).  L's last row is zero, so no renormalisation is needed.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochVector, PAULI_X, QubitState
-from .errors import BlochNormExceeded, NegativeTime, PositivityLost, StepTooLarge
+from .core import BLOCH_NORM_TOL, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState
+from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -49,6 +54,9 @@ class FeedbackParams:
     gamma_eff: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "lam", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.omega < 0:
@@ -103,26 +111,31 @@ def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ op_dag - 0.5 * (op_sq @ rho + rho @ op_sq)
 
 
-def _operators(params: FeedbackParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hamiltonian, jump operator and jump^dag jump for the feedback model."""
-    fb = params.lam * PAULI_X
-    hamiltonian = params.omega * PAULI_X + 0.5 * (SIGMA_PLUS @ fb + fb @ SIGMA_MINUS)
-    jump = SIGMA_MINUS - 1j * fb
-    return hamiltonian, jump, jump.conj().T @ jump
-
-
 def master_rhs(rho: np.ndarray, params: FeedbackParams) -> np.ndarray:
     """Right-hand side of the feedback master equation; traceless by construction.
 
     With lam = 0 this is exactly the undriven-damping generator
     -i[Omega sx, rho] + D(s-) rho.
     """
-    hamiltonian, jump, jump_sq = _operators(params)
+    fb = params.lam * PAULI_X
+    hamiltonian = params.omega * PAULI_X + 0.5 * (SIGMA_PLUS @ fb + fb @ SIGMA_MINUS)
+    jump = SIGMA_MINUS - 1j * fb
+    jump_sq = jump.conj().T @ jump
     return (
         -1j * (hamiltonian @ rho - rho @ hamiltonian)
         + jump @ rho @ jump.conj().T
         - 0.5 * (jump_sq @ rho + rho @ jump_sq)
     )
+
+
+def generator(params: FeedbackParams) -> np.ndarray:
+    """Real 4x4 L with d/dt (p, 1) = L (p, 1): column k holds the Bloch
+    components of master_rhs at sx/2, sy/2, sz/2, I/2; the last row is zero."""
+    gen = np.zeros((4, 4))
+    for k, basis in enumerate((PAULI_X, PAULI_Y, PAULI_Z, IDENTITY)):
+        m = master_rhs(0.5 * basis, params)
+        gen[:3, k] = (2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real)
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -184,55 +197,32 @@ def steady_state(params: FeedbackParams) -> QubitState:
 # fixed-step RK4 integration
 # ---------------------------------------------------------------------------
 
-def _bloch_of(rho: np.ndarray) -> tuple[float, float, float]:
-    return (
-        2.0 * rho[1, 0].real,
-        2.0 * rho[1, 0].imag,
-        (rho[0, 0] - rho[1, 1]).real,
-    )
-
-
 def _check_step(h: float) -> None:
     if not (0.0 < h <= MAX_STEP):
         raise StepTooLarge(f"step must satisfy 0 < h <= {MAX_STEP:g}, got {h}")
 
 
-def _rk4_advance(rho: np.ndarray, rhs, h: float) -> np.ndarray:
-    k1 = rhs(rho)
-    k2 = rhs(rho + 0.5 * h * k1)
-    k3 = rhs(rho + 0.5 * h * k2)
-    k4 = rhs(rho + h * k3)
-    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # hygiene: re-hermitize and renormalize the trace after every step
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+def _increment(gen: np.ndarray, h: float) -> np.ndarray:
+    """T4(hL) - I by Horner, so one RK4 step is y <- y + D @ y."""
+    a = h * gen
+    d = np.eye(4)
+    for k in (4.0, 3.0, 2.0):
+        d = np.eye(4) + (a / k) @ d
+    return a @ d
 
 
-def _state_of(rho: np.ndarray, t: float) -> QubitState:
-    px, py, pz = _bloch_of(rho)
-    norm = math.sqrt(px * px + py * py + pz * pz)
-    try:
-        return QubitState(BlochVector(px, py, pz))
-    except BlochNormExceeded as exc:
-        # any exit from the Bloch ball beyond representation tolerance is
-        # an integration failure; resolved dissipative dynamics never get here
+def _trajectory(times: np.ndarray, ys: np.ndarray) -> Trajectory:
+    """States from stacked (px, py, pz, 1) rows; PositivityLost at the first
+    row outside the Bloch ball beyond representation tolerance, or not finite."""
+    bloch = ys[:, :3]
+    norm_sq = np.einsum("ij,ij->i", bloch, bloch)
+    outside = np.flatnonzero(~(norm_sq <= 1.0 + BLOCH_NORM_TOL))
+    if outside.size:
+        i = outside[0]
         raise PositivityLost(
-            f"min eigenvalue {(1.0 - norm) / 2.0:.3e} at t = {t:g}"
-        ) from exc
-
-
-def _make_rhs(params: FeedbackParams):
-    hamiltonian, jump, jump_sq = _operators(params)
-    jump_dag = jump.conj().T
-
-    def rhs(rho):
-        return (
-            -1j * (hamiltonian @ rho - rho @ hamiltonian)
-            + jump @ rho @ jump_dag
-            - 0.5 * (jump_sq @ rho + rho @ jump_sq)
+            f"min eigenvalue {(1.0 - math.sqrt(norm_sq[i])) / 2.0:.3e} at t = {times[i]:g}"
         )
-
-    return rhs
+    return Trajectory(times=times, states=[QubitState(BlochVector(*p)) for p in bloch.tolist()])
 
 
 def step_times(t_end: float, h: float) -> np.ndarray:
@@ -242,6 +232,8 @@ def step_times(t_end: float, h: float) -> np.ndarray:
     when it is (up to float noise) the last label is snapped to t_end.
     """
     _check_step(h)
+    if not math.isfinite(t_end):
+        raise NonFiniteInput(f"t_end must be finite, got {t_end}")
     if t_end <= 0:
         raise NegativeTime(f"t_end must be > 0, got {t_end}")
     n_full = int(math.floor(t_end / h + 1e-9))
@@ -257,20 +249,20 @@ def integrate(params: FeedbackParams, t_end: float, h: float = 1e-3) -> Trajecto
     """RK4 trajectory from the pure initial state of angle alpha.
 
     Stores the state after every step (plus a shorter final step when
-    t_end is not a multiple of h).  Raises PositivityLost as soon as a
-    step pushes the state out of the Bloch ball beyond representation
+    t_end is not a multiple of h).  Raises PositivityLost if a step
+    pushed the state out of the Bloch ball beyond representation
     tolerance (an eigenvalue below -1e-6 always does), which signals an
     unresolved step.
     """
     times = step_times(t_end, h)
-    rhs = _make_rhs(params)
-    rho = initial_state(params.alpha).matrix.copy()
-    states = [_state_of(rho, 0.0)]
-    for i in range(1, len(times)):
-        step = h if i < len(times) - 1 else float(times[i] - times[i - 1])
-        rho = _rk4_advance(rho, rhs, step)
-        states.append(_state_of(rho, float(times[i])))
-    return Trajectory(times=times, states=states)
+    gen = generator(params)
+    full = _increment(gen, h)
+    last = _increment(gen, float(times[-1] - times[-2]))
+    ys = [np.append(initial_state(params.alpha).bloch.as_array(), 1.0)]
+    for _ in range(len(times) - 2):
+        ys.append(ys[-1] + full @ ys[-1])
+    ys.append(ys[-1] + last @ ys[-1])
+    return _trajectory(times, np.array(ys))
 
 
 def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Trajectory:
@@ -278,27 +270,34 @@ def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Tr
 
     Between consecutive sample times the integrator takes full steps of h
     plus one shorter remainder step, so arbitrary grids are hit without
-    interpolation.  sample_times must be strictly increasing and >= 0.
+    interpolation.  sample_times must be finite, strictly increasing and
+    >= 0.
     """
     _check_step(h)
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
         raise ValueError("sample_times must be non-empty")
+    if not np.isfinite(sample_times).all():
+        raise NonFiniteInput("sample_times must be finite")
     if sample_times[0] < 0:
         raise NegativeTime(f"t = {sample_times[0]}")
     if np.any(np.diff(sample_times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
-    rhs = _make_rhs(params)
-    rho = initial_state(params.alpha).matrix.copy()
+    gen = generator(params)
+    increments = {}
+    y = np.append(initial_state(params.alpha).bloch.as_array(), 1.0)
     t = 0.0
-    states = []
+    ys = []
     for target in sample_times:
         remaining = target - t
         while remaining > 1e-12:
             step = h if remaining >= h else remaining
-            rho = _rk4_advance(rho, rhs, step)
+            d = increments.get(step)
+            if d is None:
+                d = increments[step] = _increment(gen, step)
+            y = y + d @ y
             t += step
             remaining = target - t
         t = target
-        states.append(_state_of(rho, target))
-    return Trajectory(times=sample_times.copy(), states=states)
+        ys.append(y)
+    return _trajectory(sample_times.copy(), np.array(ys))

@@ -284,16 +284,23 @@ def check_bound_chain(samples: int, seed: int) -> CheckResult:
 
 
 def check_remainder_sign(samples: int, seed: int) -> CheckResult:
+    """Mixed-state remainder >= 0; pure-state remainder zero relative to G/8.
+
+    A pure state's remainder is M G / 8 with M = (1 - |p|^2)/2 rounded at
+    ~1e-16, and the Gram determinant G = 16 |a x b|^2 reaches ~1e4 here,
+    so the pure part is measured in units of G/8.
+    """
     rng = _rng(seed, 11)
     p, a, b = _sample_triples(rng, samples)
     pure = random_bloch_vectors(rng, samples, "pure")
+    scale = 2.0 * (np.cross(a[:, :3], b[:, :3]) ** 2).sum(axis=1)  # G/8
     worst = -np.inf
     for i in range(samples):
         oa = PauliObservable(*map(float, a[i]))
         ob = PauliObservable(*map(float, b[i]))
         mixed_rem = relations.equality_remainder(QubitState(BlochVector(*map(float, p[i]))), oa, ob)
         pure_rem = relations.equality_remainder(QubitState(BlochVector(*map(float, pure[i]))), oa, ob)
-        worst = max(worst, -mixed_rem, abs(pure_rem))
+        worst = max(worst, -mixed_rem, abs(pure_rem) / scale[i])
     return CheckResult("remainder_nonnegative_pure_zero", samples, worst, 1e-12, worst <= 1e-12)
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qubitvar.core import BlochVector, PauliObservable, QubitState
+from qubitvar.feedback import master_rhs, step_times
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,6 +34,33 @@ def oracle_expect(rho, obs):
 
 def oracle_variance(rho, obs):
     return oracle_expect(rho, obs @ obs) - oracle_expect(rho, obs) ** 2
+
+
+def oracle_bloch(m):
+    """Bloch components tr(m s_k) of a 2x2 matrix."""
+    return np.array([np.trace(m @ s).real for s in (SX, SY, SZ)])
+
+
+def oracle_rk4_matrices(params, t_end, h):
+    """Dense 2x2 RK4 of master_rhs on the step_times grid, one matrix per time.
+
+    Every step re-hermitizes and renormalizes the trace, as the package's
+    integrator did before it propagated Bloch vectors.
+    """
+    times = step_times(t_end, h)
+    rho = oracle_state(math.sin(2 * params.alpha), 0.0, math.cos(2 * params.alpha))
+    out = [rho]
+    for i in range(1, len(times)):
+        step = h if i < len(times) - 1 else float(times[i] - times[i - 1])
+        k1 = master_rhs(rho, params)
+        k2 = master_rhs(rho + 0.5 * step * k1, params)
+        k3 = master_rhs(rho + 0.5 * step * k2, params)
+        k4 = master_rhs(rho + step * k3, params)
+        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        out.append(rho)
+    return np.array(out)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from qubitvar.cli import main
 
 REPORT_KEYS = [
@@ -126,6 +129,23 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--omega", "0.5"], capsys)
         assert code == 2
         assert "omega" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda", "1e200", "--source", "numeric", "--t-end", "0.01"],
+            ["--t-end", "inf"],
+            ["--t-end", "nan"],
+            ["--lambda", "-1"],
+            ["--alpha", "nan"],
+        ],
+    )
+    def test_out_of_domain_input_exits_two(self, flags, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(["simulate", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_numeric_with_drive_works(self, capsys):
         code, out, _ = run_cli(

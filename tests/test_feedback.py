@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SX
+from conftest import SX, oracle_bloch, oracle_rk4_matrices, oracle_state
 from qubitvar.core import BlochVector, QubitState
-from qubitvar.errors import NegativeTime, PositivityLost, StepTooLarge
+from qubitvar.errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
 from qubitvar.feedback import (
     FeedbackParams,
     SIGMA_MINUS,
@@ -15,6 +15,7 @@ from qubitvar.feedback import (
     analytic_state,
     dissipator,
     evolve_to_times,
+    generator,
     initial_state,
     integrate,
     master_rhs,
@@ -85,6 +86,22 @@ class TestMasterRhs:
             got = master_rhs(rho, FeedbackParams(alpha=0.0, lam=0.0, omega=omega))
             want = -1j * omega * (SX @ rho - rho @ SX) + dissipator(SIGMA_MINUS, rho)
             assert np.abs(got - want).max() <= 1e-12
+
+
+class TestGenerator:
+    def test_matches_master_rhs_bloch_components(self, rng):
+        for _ in range(300):
+            p = rng.normal(size=3)
+            p *= rng.random() / np.linalg.norm(p)
+            params = FeedbackParams(
+                alpha=float(rng.uniform(0, math.pi)),
+                lam=float(rng.uniform(0, 1)),
+                omega=float(rng.uniform(0, 2)),
+            )
+            gen = generator(params)
+            assert gen.dtype == np.float64 and not gen[3].any()
+            want = oracle_bloch(master_rhs(oracle_state(*p), params))
+            assert np.abs(gen[:3] @ np.append(p, 1.0) - want).max() <= 1e-12
 
 
 class TestAnalyticSolution:
@@ -159,6 +176,13 @@ class TestAnalyticSolution:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             FeedbackParams(alpha=0.0, lam=-0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                FeedbackParams(alpha=bad)
+            with pytest.raises(ValueError):
+                FeedbackParams(alpha=0.0, lam=bad)
+            with pytest.raises(ValueError):
+                FeedbackParams(alpha=0.0, omega=bad)
         with pytest.raises(ValueError):
             FeedbackParams(alpha=0.0, gamma_eff=2.0)
 
@@ -242,6 +266,35 @@ class TestIntegrator:
         # of the Bloch ball and must be reported, not silently stored
         with pytest.raises(PositivityLost):
             integrate(FeedbackParams(alpha=0.3, lam=1.0, omega=300.0), t_end=1.0, h=1e-2)
+
+    def test_positivity_lost_on_non_finite_state(self):
+        # lam^2 overflows, the generator holds NaN, and the NaN state must
+        # be reported rather than stored (NaN > 1 is False)
+        params = FeedbackParams(alpha=0.3, lam=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PositivityLost, match="t = 0.001"):
+                integrate(params, t_end=0.01, h=1e-3)
+            with pytest.raises(PositivityLost):
+                evolve_to_times(params, [0.01], h=1e-3)
+
+    def test_non_finite_times_rejected(self):
+        params = FeedbackParams(alpha=0.5, lam=0.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(NonFiniteInput):
+                step_times(bad, 1e-3)
+            with pytest.raises(NonFiniteInput):
+                evolve_to_times(params, [0.1, bad], h=1e-3)
+
+    def test_driven_matches_dense_oracle(self):
+        # omega > 0 has no closed form; the dense RK4 is the reference
+        for params, t_end in (
+            (FeedbackParams(alpha=0.3, lam=1.0, omega=1.5), 1.0),
+            (FeedbackParams(alpha=0.0, lam=0.0, omega=2.0), 0.5),
+            (FeedbackParams(alpha=1.2, lam=0.4, omega=0.7), 0.7005),
+        ):
+            traj = integrate(params, t_end=t_end, h=1e-3)
+            want = oracle_rk4_matrices(params, t_end, 1e-3)
+            assert np.abs(traj.matrices() - want).max() <= 1e-12
 
     def test_omega_drive_supported_numerically(self):
         # Rabi drive moves population out of the ground state

@@ -21,6 +21,7 @@ from qubitvar.core import (
     variance,
 )
 from qubitvar.errors import CollinearObservables, DegenerateSpectrum
+from qubitvar.verify import check_remainder_sign
 from qubitvar.relations import (
     MeasurementCounts,
     check_equality,
@@ -82,6 +83,13 @@ class TestProductBounds:
             state, obs_a, obs_b = random_triple(rng, kind="pure")
             assert abs(equality_remainder(state, obs_a, obs_b)) <= 1e-12
             assert equality_remainder(state, obs_a, obs_a) == pytest.approx(0.0, abs=1e-9)
+
+    def test_remainder_check_scales_with_gram(self):
+        # worst absolute pure-state remainder here is 1.02e-12 at G ~ 1e4;
+        # relative to G/8 it is rounding-sized
+        result = check_remainder_sign(10_000, 1737546428)
+        assert result.passed
+        assert result.worst <= 1e-15
 
     def test_equality_examples(self):
         assert check_equality(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-14)
