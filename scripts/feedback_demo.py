@@ -10,23 +10,23 @@ import sys
 
 import numpy as np
 
-from qubitvar.core import OBS_X, OBS_Z, mixedness
-from qubitvar.feedback import FeedbackParams, analytic_state, integrate, steady_state
+from qubitvar.core import OBS_X, OBS_Z, density_matrices, mixedness
+from qubitvar.feedback import (
+    FeedbackParams, analytic_bloch, analytic_state, integrate, steady_state
+)
 from qubitvar.relations import estimate_mixedness
 
 
 def run():
     params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
     traj = integrate(params, t_end=8.0, h=1e-3)
-    worst = 0.0
-    for t, state in zip(traj.times, traj.states):
-        worst = max(worst, float(np.abs(state.matrix - analytic_state(params, float(t)).matrix).max()))
+    exact = density_matrices(analytic_bloch(params, traj.times))
+    worst = float(np.abs(traj.matrices() - exact).max())
     print(f"RK4 vs closed form over t in [0, 8]: max deviation {worst:.2e}")
 
-    final = traj.states[-1]
     fixed = steady_state(params)
     print(
-        f"excited population at t=8: {0.5 * (1 - final.bloch.pz):.6f} "
+        f"excited population at t=8: {traj.excited_populations()[-1]:.6f} "
         f"(fixed point {0.5 * (1 - fixed.bloch.pz):.6f})"
     )
 

@@ -10,6 +10,7 @@ fixed seed plus fixed flags yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -17,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import feedback, relations, serialize, tightness, verify
-from .core import BlochVector, PauliObservable, QubitState, mixedness
+from .core import (
+    BlochVector, PauliObservable, QubitState, density_matrices, mixedness, mixedness_values
+)
 from .errors import CollinearObservables, DegenerateSpectrum, QubitVarError
 
 EXIT_OK = 0
@@ -29,26 +32,23 @@ class ConfigError(Exception):
     """Invalid flag combination or malformed value; maps to exit code 2."""
 
 
-def _parse_floats(text: str, count: int, flag: str) -> list[float]:
+def _parse(text: str, cls, flag: str):
+    """cls built from comma-separated numbers; malformed or invalid values name the flag."""
     parts = text.split(",")
+    count = len(dataclasses.fields(cls))
     if len(parts) != count:
         raise ConfigError(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
+        return cls(*map(float, parts))
+    except (ValueError, QubitVarError) as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _parse_state(text: str) -> QubitState:
-    px, py, pz = _parse_floats(text, 3, "--bloch")
+def _report_json(fields: dict) -> str:
     try:
-        return QubitState(BlochVector(px, py, pz))
-    except QubitVarError as exc:
-        raise ConfigError(f"--bloch: {exc}") from exc
-
-
-def _parse_obs(text: str, flag: str) -> PauliObservable:
-    return PauliObservable(*_parse_floats(text, 4, flag))
+        return serialize.report_json(fields)
+    except ValueError as exc:  # a moment overflowed for huge coefficients
+        raise ConfigError(f"result is not finite: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -96,34 +96,20 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     _require_format(args, "json")
-    state = _parse_state(args.bloch)
-    obs_a = _parse_obs(args.obs_a, "--obs-a")
-    obs_b = _parse_obs(args.obs_b, "--obs-b")
+    state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
+    obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
+    obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
     try:
         report = relations.compute_report(state, obs_a, obs_b)
     except DegenerateSpectrum as exc:
         raise ConfigError(f"degenerate observable spectrum: {exc}") from exc
-    fields = {
-        "varA": report.varA,
-        "varB": report.varB,
-        "product": report.product,
-        "rur_bound": report.rur_bound,
-        "sur_bound": report.sur_bound,
-        "eq19_bound": report.eq19_bound,
-        "remainder": report.remainder,
-        "equality_residual": report.equality_residual,
-        "sum_lhs": report.sum_lhs,
-        "sum_bound": report.sum_bound,
-        "entropy_sum": report.entropy_sum,
-        "entropy_bound": report.entropy_bound,
-        "mixedness": mixedness(state),
-    }
+    fields = {**dataclasses.asdict(report), "mixedness": mixedness(state)}
     try:
         fields["mixedness_estimate"] = relations.estimate_mixedness(state, obs_a, obs_b)
     except CollinearObservables:
         fields["mixedness_estimate"] = None
         fields["reason"] = "collinear"
-    _emit(serialize.report_json(fields), args.output)
+    _emit(_report_json(fields), args.output)
     return EXIT_OK
 
 
@@ -131,9 +117,10 @@ def cmd_report(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _row_from_state(t: float, state: QubitState) -> tuple:
-    b = state.bloch
-    return (t, 0.5 * (1.0 - b.pz), 0.5 * b.px, 0.5 * b.py, 0.5 * (1.0 - b.norm_sq()))
+def _columns(times: np.ndarray, bloch: np.ndarray) -> list[np.ndarray]:
+    """t, rho11, re rho12, im rho12 and mixedness for stacked Bloch vectors."""
+    return [times, 0.5 * (1.0 - bloch[:, 2]), 0.5 * bloch[:, 0], 0.5 * bloch[:, 1],
+            mixedness_values(bloch)]
 
 
 def cmd_simulate(args) -> int:
@@ -151,23 +138,16 @@ def cmd_simulate(args) -> int:
 
     if args.source == "numeric":
         traj = feedback.integrate(params, args.t_end, args.step)
-        rows = [_row_from_state(float(t), s) for t, s in zip(traj.times, traj.states)]
-        _emit(serialize.simulate_csv(rows, include_numeric=False), args.output)
-        return EXIT_OK
-
-    exact = [feedback.analytic_state(params, float(t)) for t in times]
-    if args.source == "analytic":
-        rows = [_row_from_state(float(t), s) for t, s in zip(times, exact)]
-        _emit(serialize.simulate_csv(rows, include_numeric=False), args.output)
-        return EXIT_OK
-
-    traj = feedback.integrate(params, args.t_end, args.step)
-    rows = []
-    for t, exact_state, numeric_state in zip(times, exact, traj.states):
-        base = _row_from_state(float(t), exact_state)
-        deviation = float(np.abs(exact_state.matrix - numeric_state.matrix).max())
-        rows.append(base + (0.5 * (1.0 - numeric_state.bloch.pz), deviation))
-    _emit(serialize.simulate_csv(rows, include_numeric=True), args.output)
+        columns = _columns(traj.times, traj.bloch)
+    else:
+        exact = feedback.analytic_bloch(params, times)
+        columns = _columns(times, exact)
+        if args.source == "both":
+            traj = feedback.integrate(params, args.t_end, args.step)
+            deviation = np.abs(density_matrices(exact) - traj.matrices()).max(axis=(1, 2))
+            columns += [traj.excited_populations(), deviation]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    _emit(serialize.simulate_csv(rows, include_numeric=args.source == "both"), args.output)
     return EXIT_OK
 
 
@@ -194,8 +174,8 @@ def cmd_sweep(args) -> int:
             alpha_axis=grid.alpha_axis,
             lambda_axis=grid.lambda_axis,
             t_axis=grid.t_axis,
-            obs_a=_parse_obs(args.obs_a, "--obs-a"),
-            obs_b=_parse_obs(args.obs_b, "--obs-b"),
+            obs_a=_parse(args.obs_a, PauliObservable, "--obs-a"),
+            obs_b=_parse(args.obs_b, PauliObservable, "--obs-b"),
         )
         points = tightness.sweep(grid, source=args.source, h=args.step)
     except (ValueError, QubitVarError) as exc:
@@ -213,9 +193,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_estimate(args) -> int:
     _require_format(args, "json")
-    state = _parse_state(args.bloch)
-    obs_a = _parse_obs(args.obs_a, "--obs-a")
-    obs_b = _parse_obs(args.obs_b, "--obs-b")
+    state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
+    obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
+    obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
     try:
@@ -248,7 +228,7 @@ def cmd_estimate(args) -> int:
         "true_mixedness": true_mixedness,
         "z_score": z_score,
     }
-    _emit(serialize.report_json(fields), args.output)
+    _emit(_report_json(fields), args.output)
     return EXIT_OK
 
 

@@ -2,26 +2,25 @@
 
 A qubit density matrix is rho = (I + px*sx + py*sy + pz*sz)/2 with
 px^2 + py^2 + pz^2 <= 1, and any 2x2 Hermitian observable is a real
-combination a1*sx + a2*sy + a3*sz + a4*I.  The Bloch vector is the source
-of truth for states; the dense matrix is derived (and cached) on demand.
+combination a1*sx + a2*sy + a3*sz + a4*I.  Every moment is a closed form
+in these coefficients, evaluated over stacked rows; the per-object
+functions are its n = 1 forms.  Dense matrices serve representation
+changes and, in verify and the tests, as the independent oracle.
 General d-dimensional density matrices appear only for the mixedness
 convexity property.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    BadDimension,
-    BlochNormExceeded,
-    NotHermitian,
-    NotPositive,
-    NumericalInconsistency,
-    TraceNotOne,
+    BadDimension, BlochNormExceeded, NonFiniteInput, NotHermitian, NotPositive,
+    NumericalInconsistency, TraceNotOne
 )
 
 # Pauli matrices in the (|0>, |1>) basis, |0> being the +1 eigenvector of sz.
@@ -39,6 +38,11 @@ POSITIVITY_TOL = 1e-10
 VARIANCE_CLAMP = 1e-12
 
 
+def _require_finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteInput(f"components must be finite, got {values}")
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Real 3-vector (px, py, pz) inside the closed unit ball."""
@@ -48,10 +52,8 @@ class BlochVector:
     pz: float
 
     def __post_init__(self):
-        if self.norm_sq() > 1.0 + BLOCH_NORM_TOL:
-            raise BlochNormExceeded(
-                f"|p|^2 = {self.norm_sq():.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
-            )
+        _require_finite(self.px, self.py, self.pz)
+        bloch_array(self.as_array())
 
     def norm_sq(self) -> float:
         return self.px**2 + self.py**2 + self.pz**2
@@ -72,14 +74,9 @@ class QubitState:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        b = self.bloch
-        m = 0.5 * (IDENTITY + b.px * PAULI_X + b.py * PAULI_Y + b.pz * PAULI_Z)
+        m = density_matrices(self.bloch.as_array())
         m.flags.writeable = False
         return m
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "QubitState":
-        return cls(matrix_to_bloch(matrix))
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,16 @@ class PauliObservable:
     a2: float
     a3: float
     a4: float
+
+    def __post_init__(self):
+        _require_finite(self.a1, self.a2, self.a3, self.a4)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """(a1, a2, a3, a4) as a read-only array, the form the moment functions take."""
+        c = np.array([self.a1, self.a2, self.a3, self.a4])
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -151,6 +158,13 @@ def _require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
 # representation changes
 # ---------------------------------------------------------------------------
 
+def density_matrices(p) -> np.ndarray:
+    """Dense (I + p . sigma)/2 for every Bloch vector along the last axis of p."""
+    p = np.asarray(p, dtype=float)[..., None, None]
+    return 0.5 * (IDENTITY + p[..., 0, :, :] * PAULI_X + p[..., 1, :, :] * PAULI_Y
+                  + p[..., 2, :, :] * PAULI_Z)
+
+
 def bloch_to_matrix(bloch) -> QubitState:
     """Build the state (I + p . sigma)/2 from a Bloch vector (or 3-sequence)."""
     if not isinstance(bloch, BlochVector):
@@ -159,131 +173,153 @@ def bloch_to_matrix(bloch) -> QubitState:
     return QubitState(bloch)
 
 
-def matrix_to_bloch(matrix: np.ndarray) -> BlochVector:
-    """Extract p_k = tr(rho sigma_k) from a valid 2x2 density matrix."""
+def _pauli_traces(matrix: np.ndarray) -> list[float]:
+    """Real parts of tr(m sx), tr(m sy), tr(m sz), tr(m) for a 2x2 matrix m."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         raise BadDimension(f"expected 2x2, got {matrix.shape}")
     _require_hermitian(matrix)
-    tr = np.trace(matrix).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace = {tr:.15g}")
-    eigmin = float(np.linalg.eigvalsh(matrix)[0])
-    if eigmin < -POSITIVITY_TOL:
-        raise NotPositive(f"min eigenvalue = {eigmin:.3e}")
-    px = float(np.trace(matrix @ PAULI_X).real)
-    py = float(np.trace(matrix @ PAULI_Y).real)
-    pz = float(np.trace(matrix @ PAULI_Z).real)
-    return BlochVector(px, py, pz)
+    return [float(np.trace(matrix @ s).real) for s in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY)]
+
+
+def matrix_to_bloch(matrix: np.ndarray) -> BlochVector:
+    """Extract p_k = tr(rho sigma_k) from a valid 2x2 density matrix."""
+    traces = _pauli_traces(matrix)
+    GeneralState(matrix)  # unit trace and positivity
+    return BlochVector(*traces[:3])
 
 
 def decompose_observable(matrix: np.ndarray) -> PauliObservable:
     """Coefficients a_k = tr(m sigma_k)/2, a4 = tr(m)/2 of a Hermitian 2x2 matrix."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise BadDimension(f"expected 2x2, got {matrix.shape}")
-    _require_hermitian(matrix)
-    return PauliObservable(
-        float(np.trace(matrix @ PAULI_X).real) / 2,
-        float(np.trace(matrix @ PAULI_Y).real) / 2,
-        float(np.trace(matrix @ PAULI_Z).real) / 2,
-        float(np.trace(matrix).real) / 2,
-    )
+    return PauliObservable(*(t / 2 for t in _pauli_traces(matrix)))
 
 
 # ---------------------------------------------------------------------------
-# moments
+# moments: Bloch closed forms over arrays
 # ---------------------------------------------------------------------------
+# p holds Bloch vectors along its last axis, a, b, r, s observable
+# coefficients (a1, a2, a3, a4); rows broadcast.  Formulas index the
+# transposed arrays (x[k] is component k), so one row runs in numpy
+# scalars and a stack in columns, bit for bit alike.  Squares are written
+# as products because a numpy scalar's ** 2 goes through libm pow.
 
-def expectation(state: QubitState, obs: PauliObservable) -> float:
-    """tr(rho O).  In Bloch form this is a1*px + a2*py + a3*pz + a4."""
-    return float(np.trace(state.matrix @ obs.matrix).real)
+def _dot(x, y):
+    """x . y over components 0-2 of component-major x and y."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def variance(state: QubitState, obs: PauliObservable) -> float:
-    """<O^2> - <O>^2, clamped at zero against rounding noise.
+def _any(mask) -> bool:
+    """mask.any(), without the reduction machinery for a single row."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+def _coeffs(a) -> np.ndarray:
+    """Component-major view of observable coefficient rows."""
+    return np.asarray(a, dtype=float).T
+
+
+def bloch_array(p) -> np.ndarray:
+    """p as a float array, checked to lie in the Bloch ball: |p|^2 <= 1 + 1e-12.
+
+    NaN and infinite rows fail the check too.
+    """
+    p = np.asarray(p, dtype=float)
+    norm_sq = _dot(p.T, p.T)
+    outside = ~(norm_sq <= 1.0 + BLOCH_NORM_TOL)
+    if _any(outside):
+        raise BlochNormExceeded(
+            f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
+        )
+    return p
+
+
+def expectations(p, a) -> np.ndarray:
+    """tr(rho A) = a.p + a4."""
+    a = _coeffs(a)
+    return _dot(a, bloch_array(p).T) + a[3]
+
+
+def variances(p, a) -> np.ndarray:
+    """<A^2> - <A>^2 = |a|^2 - (a.p)^2, clamped at zero against rounding noise.
 
     A value below -1e-12 cannot come from rounding and raises
     NumericalInconsistency instead of being hidden by the clamp.
     """
-    m = obs.matrix
-    mean = float(np.trace(state.matrix @ m).real)
-    second = float(np.trace(state.matrix @ (m @ m)).real)
-    var = second - mean**2
-    if var < 0.0:
-        if var < -VARIANCE_CLAMP:
-            raise NumericalInconsistency(f"variance = {var:.3e}")
-        var = 0.0
-    return var
+    a = _coeffs(a)
+    mean = _dot(a, bloch_array(p).T)
+    var = _dot(a, a) - mean * mean
+    if _any(var < -VARIANCE_CLAMP):
+        raise NumericalInconsistency(f"variance = {np.min(var):.3e}")
+    return np.maximum(var, 0.0)
+
+
+def commutator_terms(p, a, b) -> np.ndarray:
+    """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
+    a, b, p = _coeffs(a), _coeffs(b), bloch_array(p).T
+    triple = (
+        (a[1] * b[2] - a[2] * b[1]) * p[0]
+        + (a[2] * b[0] - a[0] * b[2]) * p[1]
+        + (a[0] * b[1] - a[1] * b[0]) * p[2]
+    )
+    return triple * triple
+
+
+def anticommutator_terms(p, a, b) -> np.ndarray:
+    """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
+    a, b, p = _coeffs(a), _coeffs(b), bloch_array(p).T
+    covariance = _dot(a, b) - _dot(a, p) * _dot(b, p)
+    return covariance * covariance
+
+
+def xi_values(r, s) -> np.ndarray:
+    """Trace form 2 tr(RS) - tr(R) tr(S) = 4 r.s; identity shifts drop out."""
+    return 4.0 * _dot(_coeffs(r), _coeffs(s))
+
+
+def mixedness_values(p) -> np.ndarray:
+    """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
+    p = bloch_array(p).T
+    return np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0)
+
+
+def symmetrized_products(a, b) -> np.ndarray:
+    """Coefficients of (AB + BA)/2: (a4 b + b4 a, a.b + a4 b4)."""
+    a, b = _coeffs(a), _coeffs(b)
+    return np.stack(
+        [a[3] * b[k] + b[3] * a[k] for k in range(3)] + [_dot(a, b) + a[3] * b[3]], axis=-1
+    )
+
+
+# n = 1 forms over the per-object types
+
+def expectation(state: QubitState, obs: PauliObservable) -> float:
+    return float(expectations(state.bloch.as_array(), obs.coeffs))
+
+
+def variance(state: QubitState, obs: PauliObservable) -> float:
+    return float(variances(state.bloch.as_array(), obs.coeffs))
 
 
 def commutator_term(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """|<[A,B]>/(2i)|^2, evaluated from the dense matrices."""
-    a, b = obs_a.matrix, obs_b.matrix
-    z = np.trace(state.matrix @ (a @ b - b @ a))
-    return float(abs(z)) ** 2 / 4.0
+    return float(commutator_terms(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def anticommutator_term(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 from matrices."""
-    a, b = obs_a.matrix, obs_b.matrix
-    sym = float(np.trace(state.matrix @ (a @ b + b @ a)).real) / 2.0
-    mean_a = float(np.trace(state.matrix @ a).real)
-    mean_b = float(np.trace(state.matrix @ b).real)
-    return (sym - mean_a * mean_b) ** 2
+    return float(anticommutator_terms(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def xi(obs_r: PauliObservable, obs_s: PauliObservable) -> float:
-    """Trace form 2 tr(RS) - tr(R) tr(S); equals 4 r.s on the Pauli parts."""
-    r, s = obs_r.matrix, obs_s.matrix
-    return float((2.0 * np.trace(r @ s) - np.trace(r) * np.trace(s)).real)
+    return float(xi_values(obs_r.coeffs, obs_s.coeffs))
 
 
 def mixedness(state: QubitState) -> float:
-    """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
-    value = 0.5 * (1.0 - state.bloch.norm_sq())
-    return max(value, 0.0)
+    return float(mixedness_values(state.bloch.as_array()))
 
 
 def mixedness_general(state: GeneralState) -> float:
     """1 - tr(rho^2) for a d-dimensional state, in [0, (d-1)/d]."""
     value = 1.0 - float(np.trace(state.matrix @ state.matrix).real)
     return max(value, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Bloch-parameter closed forms
-# ---------------------------------------------------------------------------
-# These reproduce the moments above without touching matrices; the test
-# suite cross-checks the two routes against each other.
-
-def variance_closed_form(state: QubitState, obs: PauliObservable) -> float:
-    """Variance as |a|^2 - (a.p)^2 over the Pauli part."""
-    a = obs.vec()
-    p = state.bloch.as_array()
-    return float(a @ a - (a @ p) ** 2)
-
-
-def commutator_term_closed_form(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> float:
-    """Commutator term as ((a x b) . p)^2."""
-    cross = np.cross(obs_a.vec(), obs_b.vec())
-    return float(cross @ state.bloch.as_array()) ** 2
-
-
-def anticommutator_term_closed_form(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> float:
-    """Squared covariance as (a.b - (a.p)(b.p))^2."""
-    a, b = obs_a.vec(), obs_b.vec()
-    p = state.bloch.as_array()
-    return float(a @ b - (a @ p) * (b @ p)) ** 2
-
-
-def xi_closed_form(obs_r: PauliObservable, obs_s: PauliObservable) -> float:
-    """xi(R, S) as 4 r.s, identity shifts dropping out."""
-    return 4.0 * float(obs_r.vec() @ obs_s.vec())
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import BLOCH_NORM_TOL, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState
+from .core import (
+    BLOCH_NORM_TOL, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState,
+    density_matrices, mixedness_values
+)
 from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -67,32 +71,35 @@ class FeedbackParams:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed sequence of states from one integration run."""
+    """Bloch vectors (one (px, py, pz) row per time) from one integration run."""
 
     times: np.ndarray
-    states: list[QubitState]
+    bloch: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+        if len(self.times) != len(self.bloch):
+            raise ValueError("times and bloch must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
+    @cached_property
+    def states(self) -> list[QubitState]:
+        """The rows as QubitState objects."""
+        return [QubitState(BlochVector(*p)) for p in self.bloch.tolist()]
+
     def excited_populations(self) -> np.ndarray:
         """rho11(t) = (1 - pz)/2 along the trajectory."""
-        return np.array([0.5 * (1.0 - s.bloch.pz) for s in self.states])
+        return 0.5 * (1.0 - self.bloch[:, 2])
 
     def coherences(self) -> np.ndarray:
         """rho12(t) = <1|rho|0> = (px + i py)/2 along the trajectory."""
-        return np.array(
-            [0.5 * (s.bloch.px + 1j * s.bloch.py) for s in self.states]
-        )
+        return 0.5 * (self.bloch[:, 0] + 1j * self.bloch[:, 1])
 
     def mixedness_values(self) -> np.ndarray:
-        return np.array([0.5 * (1.0 - s.bloch.norm_sq()) for s in self.states])
+        return mixedness_values(self.bloch)
 
     def matrices(self) -> np.ndarray:
-        return np.array([s.matrix for s in self.states])
+        return density_matrices(self.bloch)
 
 
 def initial_state(alpha: float) -> QubitState:
@@ -145,6 +152,8 @@ def generator(params: FeedbackParams) -> np.ndarray:
 def _require_analytic(params: FeedbackParams) -> None:
     if params.omega != 0.0:
         raise ValueError("the closed-form solution requires omega = 0")
+    if not math.isfinite(2.0 * params.lam * params.lam):
+        raise NonFiniteInput(f"lam = {params.lam} overflows the decay rate 1 + 2 lam^2")
 
 
 def analytic_excited_population(params: FeedbackParams, t) -> np.ndarray | float:
@@ -170,16 +179,20 @@ def analytic_coherence(params: FeedbackParams, t) -> np.ndarray | complex:
     return envelope * phase / (2.0 * params.lam)
 
 
+def analytic_bloch(params: FeedbackParams, t) -> np.ndarray:
+    """Exact Bloch vector for omega = 0; vectorized over t, shape t.shape + (3,)."""
+    _require_analytic(params)
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise NegativeTime(f"t = {t.min()}")
+    pop = analytic_excited_population(params, t)
+    coh = analytic_coherence(params, t)
+    return np.stack([2.0 * coh.real, 2.0 * coh.imag, 1.0 - 2.0 * pop], axis=-1)
+
+
 def analytic_state(params: FeedbackParams, t: float) -> QubitState:
     """Exact state at time t for omega = 0."""
-    _require_analytic(params)
-    if t < 0:
-        raise NegativeTime(f"t = {t}")
-    pop = float(analytic_excited_population(params, t))
-    coh = complex(analytic_coherence(params, t))
-    return QubitState(
-        BlochVector(2.0 * coh.real, 2.0 * coh.imag, 1.0 - 2.0 * pop)
-    )
+    return QubitState(BlochVector(*analytic_bloch(params, t).tolist()))
 
 
 def steady_state(params: FeedbackParams) -> QubitState:
@@ -212,9 +225,9 @@ def _increment(gen: np.ndarray, h: float) -> np.ndarray:
 
 
 def _trajectory(times: np.ndarray, ys: np.ndarray) -> Trajectory:
-    """States from stacked (px, py, pz, 1) rows; PositivityLost at the first
+    """Trajectory of stacked (px, py, pz, 1) rows; PositivityLost at the first
     row outside the Bloch ball beyond representation tolerance, or not finite."""
-    bloch = ys[:, :3]
+    bloch = np.ascontiguousarray(ys[:, :3])
     norm_sq = np.einsum("ij,ij->i", bloch, bloch)
     outside = np.flatnonzero(~(norm_sq <= 1.0 + BLOCH_NORM_TOL))
     if outside.size:
@@ -222,7 +235,7 @@ def _trajectory(times: np.ndarray, ys: np.ndarray) -> Trajectory:
         raise PositivityLost(
             f"min eigenvalue {(1.0 - math.sqrt(norm_sq[i])) / 2.0:.3e} at t = {times[i]:g}"
         )
-    return Trajectory(times=times, states=[QubitState(BlochVector(*p)) for p in bloch.tolist()])
+    return Trajectory(times=times, bloch=bloch)
 
 
 def step_times(t_end: float, h: float) -> np.ndarray:

@@ -5,6 +5,10 @@ mixedness-weighted bound), the variance-product equality whose remainder
 is (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2], the entropic and sum relations
 used as comparison baselines, and a finite-shot pathway that feeds
 empirical moments into the mixedness formula.
+
+Every relation is an array function over the Bloch closed forms of
+core; the functions taking a QubitState and PauliObservables are their
+n = 1 forms.  Nothing here is computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -15,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PauliObservable,
-    QubitState,
-    anticommutator_term,
-    commutator_term,
-    decompose_observable,
-    mixedness,
-    variance,
-    xi,
+    PauliObservable, QubitState, _any, _coeffs, _dot, anticommutator_term, anticommutator_terms,
+    bloch_array, commutator_term, commutator_terms, mixedness_values, symmetrized_products,
+    variance, variances, xi_values
 )
 from .errors import CollinearObservables, DegenerateSpectrum
 
@@ -92,6 +91,89 @@ class MeasurementCounts:
 # variance-product bounds and the equality
 # ---------------------------------------------------------------------------
 
+def gram_determinants(a, b) -> np.ndarray:
+    """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
+    xi_ab = xi_values(a, b)
+    return xi_values(a, a) * xi_values(b, b) - xi_ab * xi_ab
+
+
+def equality_remainders(p, a, b) -> np.ndarray:
+    """Mixedness-weighted remainder (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2]."""
+    return mixedness_values(p) * gram_determinants(a, b) / 8.0
+
+
+def mixedness_weighted_bounds(p, a, b) -> np.ndarray:
+    """Mixedness-weighted lower bound: commutator term plus the remainder."""
+    return commutator_terms(p, a, b) + equality_remainders(p, a, b)
+
+
+def sum_relations(p, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Variance-sum relation: (varA + varB, var(A+B)/2)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return variances(p, a) + variances(p, b), 0.5 * variances(p, a + b)
+
+
+def _axes(a) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Bloch axes (component-major) and |a|; rejects degenerate spectra."""
+    vec = _coeffs(a)[:3]
+    norm = np.sqrt(_dot(vec, vec))
+    if _any(2.0 * norm <= SPECTRUM_GAP_TOL):
+        raise DegenerateSpectrum(f"eigenvalue gap 2|a| = {2 * np.min(norm):.3e}")
+    return vec / norm, norm
+
+
+def high_outcome_probabilities(p, a) -> np.ndarray:
+    """Probability of the a4 + |a| outcome when A is measured."""
+    axis, _ = _axes(a)
+    overlap = _dot(axis, bloch_array(p).T)
+    return np.minimum(np.maximum(0.5 * (1.0 + overlap), 0.0), 1.0)
+
+
+def measurement_entropies(p, a) -> np.ndarray:
+    """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
+    p_hi = high_outcome_probabilities(p, a)
+    total = 0.0
+    for prob in (p_hi, 1.0 - p_hi):
+        prob = np.where(prob > 0.0, prob, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
+        total = total - prob * np.log2(prob)
+    return total
+
+
+def complementarities(a, b) -> np.ndarray:
+    """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
+    axis_a, _ = _axes(a)
+    axis_b, _ = _axes(b)
+    return 0.5 * (1.0 + np.abs(_dot(axis_a, axis_b)))
+
+
+def eur_values(p, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Entropic relation: (H(A) + H(B), log2(1/c)).
+
+    When the observables share an eigenbasis c = 1 and the bound is zero;
+    downstream ratios must treat that point as undefined rather than divide.
+    """
+    entropy_sum = measurement_entropies(p, a) + measurement_entropies(p, b)
+    return entropy_sum, np.log2(1.0 / complementarities(a, b))
+
+
+def mixedness_estimates(p, a, b) -> np.ndarray:
+    """Mixedness from exact moments of two non-collinear observables.
+
+    8 [varA varB - commutator term - covariance term] divided by the xi
+    Gram determinant; equal to the mixedness for every valid input.
+    """
+    det = gram_determinants(a, b)
+    if _any(det <= COLLINEAR_TOL):
+        raise CollinearObservables(f"gram determinant = {np.min(det):.3e}")
+    numerator = (
+        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
+        - anticommutator_terms(p, a, b)
+    )
+    return 8.0 * numerator / det
+
+
+# n = 1 forms over the per-object types
+
 def rur_bound(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
     """Robertson bound |<[A,B]>/(2i)|^2."""
     return commutator_term(state, obs_a, obs_b)
@@ -103,13 +185,11 @@ def sur_bound(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable)
 
 
 def gram_determinant(obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
-    return xi(obs_a, obs_a) * xi(obs_b, obs_b) - xi(obs_a, obs_b) ** 2
+    return float(gram_determinants(obs_a.coeffs, obs_b.coeffs))
 
 
 def equality_remainder(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Mixedness-weighted remainder (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2]."""
-    return mixedness(state) * gram_determinant(obs_a, obs_b) / 8.0
+    return float(equality_remainders(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def check_equality(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
@@ -125,104 +205,57 @@ def check_equality(state: QubitState, obs_a: PauliObservable, obs_b: PauliObserv
 def mixedness_weighted_bound(
     state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
 ) -> float:
-    """Mixedness-weighted lower bound: commutator term plus the remainder."""
-    return rur_bound(state, obs_a, obs_b) + equality_remainder(state, obs_a, obs_b)
+    return float(mixedness_weighted_bounds(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def sum_relation(
     state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
 ) -> tuple[float, float]:
-    """Variance-sum relation: (varA + varB, var(A+B)/2)."""
-    lhs = variance(state, obs_a) + variance(state, obs_b)
-    bound = 0.5 * variance(state, obs_a + obs_b)
-    return lhs, bound
-
-
-# ---------------------------------------------------------------------------
-# entropic relation
-# ---------------------------------------------------------------------------
-
-def _bloch_axis(obs: PauliObservable) -> tuple[np.ndarray, float]:
-    """Unit Bloch axis and |a| of the Pauli part; rejects degenerate spectra."""
-    vec = obs.vec()
-    norm = float(np.linalg.norm(vec))
-    if 2.0 * norm <= SPECTRUM_GAP_TOL:
-        raise DegenerateSpectrum(f"eigenvalue gap 2|a| = {2 * norm:.3e}")
-    return vec / norm, norm
+    lhs, bound = sum_relations(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
+    return float(lhs), float(bound)
 
 
 def outcome_probabilities(state: QubitState, obs: PauliObservable) -> tuple[float, float]:
     """Probabilities of the (a4 + |a|, a4 - |a|) outcomes when obs is measured."""
-    axis, _ = _bloch_axis(obs)
-    overlap = float(axis @ state.bloch.as_array())
-    p_hi = min(max(0.5 * (1.0 + overlap), 0.0), 1.0)
+    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     return p_hi, 1.0 - p_hi
 
 
 def entropy_of_measurement(state: QubitState, obs: PauliObservable) -> float:
-    """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
-    total = 0.0
-    for p in outcome_probabilities(state, obs):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    return float(measurement_entropies(state.bloch.as_array(), obs.coeffs))
 
 
 def complementarity_c(obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
-    axis_a, _ = _bloch_axis(obs_a)
-    axis_b, _ = _bloch_axis(obs_b)
-    return 0.5 * (1.0 + abs(float(axis_a @ axis_b)))
+    return float(complementarities(obs_a.coeffs, obs_b.coeffs))
 
 
 def eur_check(
     state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
 ) -> tuple[float, float]:
-    """Entropic relation: (H(A) + H(B), log2(1/c)).
+    entropy_sum, bound = eur_values(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
+    return float(entropy_sum), float(bound)
 
-    When the observables share an eigenbasis c = 1 and the bound is zero;
-    downstream ratios must treat that point as undefined rather than divide.
-    """
-    entropy_sum = entropy_of_measurement(state, obs_a) + entropy_of_measurement(state, obs_b)
-    c = complementarity_c(obs_a, obs_b)
-    return entropy_sum, math.log2(1.0 / c)
-
-
-# ---------------------------------------------------------------------------
-# mixedness estimator
-# ---------------------------------------------------------------------------
 
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Mixedness from exact moments of two non-collinear observables.
+    return float(mixedness_estimates(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
-    8 [varA varB - commutator term - covariance term] divided by the xi
-    Gram determinant; equal to mixedness(state) for every valid input.
-    """
-    det = gram_determinant(obs_a, obs_b)
-    if det <= COLLINEAR_TOL:
-        raise CollinearObservables(f"gram determinant = {det:.3e}")
-    numerator = (
-        variance(state, obs_a) * variance(state, obs_b)
-        - commutator_term(state, obs_a, obs_b)
-        - anticommutator_term(state, obs_a, obs_b)
-    )
-    return 8.0 * numerator / det
 
+# ---------------------------------------------------------------------------
+# finite-shot estimator
+# ---------------------------------------------------------------------------
 
 def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> PauliObservable:
     """Observable (AB + BA)/2, Hermitian by construction."""
-    a, b = obs_a.matrix, obs_b.matrix
-    return decompose_observable(0.5 * (a @ b + b @ a))
+    return PauliObservable(*symmetrized_products(obs_a.coeffs, obs_b.coeffs).tolist())
 
 
 def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> MeasurementCounts:
     """Draw i.i.d. projective outcomes; deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    axis, norm = _bloch_axis(obs)
+    norm = float(_axes(obs.coeffs)[1])
     p_hi, _ = outcome_probabilities(state, obs)
-    rng = np.random.default_rng(seed)
-    n_hi = int(rng.binomial(shots, p_hi))
+    n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))
     return MeasurementCounts(
         observable=obs,
         eigenvalues=(obs.a4 + norm, obs.a4 - norm),
@@ -308,14 +341,14 @@ def compute_report(
     estimate is not part of the report because it can fail (collinear
     observables) while every bound here is always defined.
     """
-    var_a = variance(state, obs_a)
-    var_b = variance(state, obs_b)
+    p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
+    var_a, var_b = float(variances(p, a)), float(variances(p, b))
     product = var_a * var_b
-    rur = rur_bound(state, obs_a, obs_b)
-    sur = sur_bound(state, obs_a, obs_b)
-    remainder = equality_remainder(state, obs_a, obs_b)
-    sum_lhs, sum_bnd = sum_relation(state, obs_a, obs_b)
-    entropy_sum, entropy_bnd = eur_check(state, obs_a, obs_b)
+    rur = float(commutator_terms(p, a, b))
+    sur = rur + float(anticommutator_terms(p, a, b))
+    remainder = float(equality_remainders(p, a, b))
+    sum_lhs, sum_bnd = sum_relations(p, a, b)
+    entropy_sum, entropy_bnd = eur_values(p, a, b)
     return RelationReport(
         varA=var_a,
         varB=var_b,
@@ -325,8 +358,8 @@ def compute_report(
         eq19_bound=rur + remainder,
         remainder=remainder,
         equality_residual=product - sur - remainder,
-        sum_lhs=sum_lhs,
-        sum_bound=sum_bnd,
-        entropy_sum=entropy_sum,
-        entropy_bound=entropy_bnd,
+        sum_lhs=float(sum_lhs),
+        sum_bound=float(sum_bnd),
+        entropy_sum=float(entropy_sum),
+        entropy_bound=float(entropy_bnd),
     )

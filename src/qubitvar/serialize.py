@@ -60,4 +60,5 @@ def simulate_csv(rows: list[tuple], include_numeric: bool) -> str:
 
 
 def report_json(fields: dict) -> str:
-    return json.dumps(fields, indent=2) + "\n"
+    """Standard JSON only: a NaN or infinite field raises ValueError."""
+    return json.dumps(fields, indent=2, allow_nan=False) + "\n"

@@ -3,9 +3,12 @@
 Each ratio divides a relation's left side by its own lower bound, so 1
 means saturation.  ti1 uses the mixedness-weighted variance bound, ti2
 the entropic bound, ti3 the variance-sum bound.  Points where a bound
-vanishes are undefined and carried as None, never raised.  Sweeps walk
-an (alpha, lambda, t) product grid in row-major order over states of the
-feedback model, either from the closed-form solution or the integrator.
+vanishes are undefined and carried as None (NaN in arrays), never
+raised.  ratios() evaluates all three over a stack of Bloch vectors;
+ti1/ti2/ti3 are its n = 1 forms.  Sweeps walk an (alpha, lambda, t)
+product grid in row-major order over states of the feedback model,
+either from the closed-form solution or the integrator, and evaluate
+the whole grid in one ratios() call.
 """
 
 from __future__ import annotations
@@ -15,18 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, QubitState
+from .core import OBS_X, OBS_Z, PauliObservable, QubitState, _coeffs, _dot, bloch_array, variances
 from .errors import NonPositiveLambda, NonPositiveTime
-from .feedback import FeedbackParams, analytic_state, evolve_to_times
-from .relations import (
-    complementarity_c,
-    eur_check,
-    mixedness_weighted_bound,
-    sum_relation,
-    variance,
-)
+from .feedback import FeedbackParams, analytic_bloch, evolve_to_times
+from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
 
-# A bound at or below this is treated as vanished and the ratio undefined.
+# A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
+# |a + b|^2 for ti3), is treated as vanished and the ratio undefined; so
+# whether a ratio is defined does not depend on the observables' scale.
 BOUND_FLOOR = 1e-12
 # ti2 is undefined when the eigenbases coincide (c -> 1, bound -> 0).
 C_ONE_TOL = 1e-12
@@ -121,28 +120,61 @@ def fig3_grid(steps: int = 50, alpha: float = math.pi / 4, t_max: float = 3.0) -
 # ratios
 # ---------------------------------------------------------------------------
 
+def _ratio(lhs: np.ndarray, bound: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """lhs / bound where defined, NaN elsewhere."""
+    return np.where(defined, lhs / np.where(defined, bound, 1.0), np.nan)
+
+
+def _ti1(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Variance product over the mixedness-weighted bound."""
+    a_t, b_t = _coeffs(a), _coeffs(b)
+    bound = mixedness_weighted_bounds(p, a, b)
+    floor = BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)
+    return _ratio(variances(p, a) * variances(p, b), bound, bound > floor)
+
+
+def _ti2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entropy sum over log2(1/c); undefined where the eigenbases coincide (c = 1)."""
+    distinct_bases = complementarities(a, b) < 1.0 - C_ONE_TOL
+    return _ratio(*eur_values(p, a, b), distinct_bases)
+
+
+def _ti3(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Variance sum over var(A+B)/2."""
+    lhs, bound = sum_relations(p, a, b)
+    ab = _coeffs(a) + _coeffs(b)
+    return _ratio(lhs, bound, bound > BOUND_FLOOR * _dot(ab, ab))
+
+
+def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ti1, ti2, ti3 for each Bloch vector along the last axis of p; NaN = undefined.
+
+    a and b are observable coefficient rows (a1, a2, a3, a4), one pair for
+    all states or one per state.  Raises DegenerateSpectrum like ti2.
+    """
+    p = bloch_array(p)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _ti1(p, a, b), _ti2(p, a, b), _ti3(p, a, b)
+
+
+def _optional(value: np.ndarray) -> float | None:
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
 def ti1(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
     """Variance product over the mixedness-weighted bound; None if the bound vanishes."""
-    bound = mixedness_weighted_bound(state, obs_a, obs_b)
-    if bound <= BOUND_FLOOR:
-        return None
-    return variance(state, obs_a) * variance(state, obs_b) / bound
+    return _optional(_ti1(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def ti2(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
     """Entropy sum over log2(1/c); None when the eigenbases coincide (c = 1)."""
-    if complementarity_c(obs_a, obs_b) >= 1.0 - C_ONE_TOL:
-        return None
-    entropy_sum, bound = eur_check(state, obs_a, obs_b)
-    return entropy_sum / bound
+    return _optional(_ti2(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 def ti3(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
     """Variance sum over var(A+B)/2; None if that bound vanishes."""
-    lhs, bound = sum_relation(state, obs_a, obs_b)
-    if bound <= BOUND_FLOOR:
-        return None
-    return lhs / bound
+    return _optional(_ti3(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -200,33 +232,27 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[Ti
     Iteration order is alpha (outer), lambda, t (inner), so output order
     is deterministic regardless of how points are evaluated.  source
     selects the closed-form feedback solution or the RK4 integrator with
-    step h; both run at omega = 0.  Undefined ratios become None.
+    step h; both run at omega = 0.  The Bloch vectors of every (alpha,
+    lambda) row are stacked and the ratios computed in one call.
+    Undefined ratios become None.
     """
     if source not in ("analytic", "numeric"):
         raise ValueError(f"source must be 'analytic' or 'numeric', got {source!r}")
-    alphas = grid.alpha_axis.values()
-    lams = grid.lambda_axis.values()
     ts = grid.t_axis.values()
-    points: list[TightnessPoint] = []
-    for alpha in alphas:
-        for lam in lams:
-            params = FeedbackParams(alpha=float(alpha), lam=float(lam))
-            if source == "analytic":
-                states = [analytic_state(params, float(t)) for t in ts]
-            else:
-                states = evolve_to_times(params, ts, h=h).states
-            for t, state in zip(ts, states):
-                points.append(
-                    TightnessPoint(
-                        alpha=float(alpha),
-                        t=float(t),
-                        lam=float(lam),
-                        ti1=ti1(state, grid.obs_a, grid.obs_b),
-                        ti2=ti2(state, grid.obs_a, grid.obs_b),
-                        ti3=ti3(state, grid.obs_a, grid.obs_b),
-                    )
-                )
-    return points
+    rows = [
+        FeedbackParams(alpha=alpha, lam=lam)
+        for alpha in grid.alpha_axis.values().tolist() for lam in grid.lambda_axis.values().tolist()
+    ]
+    if source == "analytic":
+        bloch = [analytic_bloch(params, ts) for params in rows]
+    else:
+        bloch = [evolve_to_times(params, ts, h=h).bloch for params in rows]
+    values = np.column_stack(ratios(np.concatenate(bloch), grid.obs_a.coeffs, grid.obs_b.coeffs))
+    coords = [(params.alpha, t, params.lam) for params in rows for t in ts.tolist()]
+    return [
+        TightnessPoint(*point, *(None if math.isnan(r) else r for r in ratio_row))
+        for point, ratio_row in zip(coords, values.tolist())
+    ]
 
 
 def count_ordering_violations(
@@ -237,19 +263,9 @@ def count_ordering_violations(
     Only points with all three ratios defined participate, matching the
     comparison the sweep sidecar reports.
     """
-    ti1_gt_ti2 = 0
-    ti1_gt_ti3 = 0
-    defined = 0
-    for p in points:
-        if p.ti1 is None or p.ti2 is None or p.ti3 is None:
-            continue
-        defined += 1
-        if p.ti1 > p.ti2 + tol:
-            ti1_gt_ti2 += 1
-        if p.ti1 > p.ti3 + tol:
-            ti1_gt_ti3 += 1
+    defined = [p for p in points if None not in (p.ti1, p.ti2, p.ti3)]
     return {
-        "points_all_defined": defined,
-        "ti1_gt_ti2": ti1_gt_ti2,
-        "ti1_gt_ti3": ti1_gt_ti3,
+        "points_all_defined": len(defined),
+        "ti1_gt_ti2": sum(p.ti1 > p.ti2 + tol for p in defined),
+        "ti1_gt_ti3": sum(p.ti1 > p.ti3 + tol for p in defined),
     }

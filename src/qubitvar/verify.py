@@ -2,45 +2,27 @@
 
 Every invariant promised by the library has one entry here: a seeded,
 sample-count-configurable check returning its worst observed residual.
-Bulk checks run vectorized over stacked 2x2 matrices (an independent
-computation route) and additionally push a slice of the samples through
-the public per-object operations, so both the math and the API surface
-are exercised.
+Bulk checks run vectorized over stacked dense 2x2 matrices, an oracle
+independent of the Bloch closed forms the library computes with, and
+additionally push a slice of the samples through the public per-object
+operations, so both the math and the API surface are exercised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import feedback, relations, tightness
 from .core import (
-    BlochVector,
-    GeneralState,
-    IDENTITY,
-    OBS_X,
-    OBS_Z,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PauliObservable,
-    QubitState,
-    anticommutator_term,
-    anticommutator_term_closed_form,
-    bloch_to_matrix,
-    commutator_term,
-    commutator_term_closed_form,
-    decompose_observable,
-    matrix_to_bloch,
-    mixedness,
-    mixedness_general,
-    random_bloch_vectors,
-    variance,
-    variance_closed_form,
-    xi,
-    xi_closed_form,
+    BlochVector, GeneralState, IDENTITY, OBS_X, OBS_Z, PAULI_X, PAULI_Y, PAULI_Z,
+    PauliObservable, QubitState, anticommutator_term, anticommutator_terms, bloch_to_matrix,
+    commutator_term, commutator_terms, decompose_observable, density_matrices, matrix_to_bloch,
+    mixedness_general, mixedness_values, random_bloch_vectors, variance, variances, xi,
+    xi_values
 )
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z, IDENTITY])
@@ -68,18 +50,6 @@ class CheckResult:
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
-
-
-def _states_from(vectors: np.ndarray) -> list[QubitState]:
-    return [QubitState(BlochVector(*map(float, p))) for p in vectors]
-
-
-def _observables_from(coeffs: np.ndarray) -> list[PauliObservable]:
-    return [PauliObservable(*map(float, c)) for c in coeffs]
-
-
-def _batch_states(vectors: np.ndarray) -> np.ndarray:
-    return 0.5 * (IDENTITY[None] + np.einsum("nk,kij->nij", vectors, _PAULIS[:3]))
 
 
 def _batch_obs(coeffs: np.ndarray) -> np.ndarray:
@@ -149,21 +119,16 @@ def check_observable_roundtrip(samples: int, seed: int) -> CheckResult:
 def check_variance_shift_invariance(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 3)
     p, a, _ = _sample_triples(rng, samples)
-    shifts = rng.uniform(-10, 10, size=samples)
-    worst = 0.0
-    for pi, ai, c in zip(_states_from(p), _observables_from(a), shifts):
-        shifted = ai + PauliObservable(0.0, 0.0, 0.0, float(c))
-        worst = max(worst, abs(variance(pi, shifted) - variance(pi, ai)))
+    shifted = a + np.outer(rng.uniform(-10, 10, size=samples), [0.0, 0.0, 0.0, 1.0])
+    worst = float(np.abs(variances(p, shifted) - variances(p, a)).max())
     return CheckResult("variance_shift_invariance", samples, worst, 1e-12, worst <= 1e-12)
 
 
 def check_mixedness_definition(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 4)
     vectors = random_bloch_vectors(rng, samples, "mixed")
-    worst = 0.0
-    for state in _states_from(vectors):
-        trace_sq = float(np.trace(state.matrix @ state.matrix).real)
-        worst = max(worst, abs(mixedness(state) - (1.0 - trace_sq)))
+    rho = density_matrices(vectors)
+    worst = float(np.abs(mixedness_values(vectors) - (1.0 - _btr(rho @ rho))).max())
     return CheckResult("mixedness_trace_definition", samples, worst, 1e-12, worst <= 1e-12)
 
 
@@ -172,16 +137,20 @@ def check_closed_forms(samples: int, seed: int) -> CheckResult:
     # span 2 keeps the squared terms at O(10), where a 1e-12 absolute
     # agreement floor is above double-precision noise
     p, a, b = _sample_triples(rng, samples, span=2.0)
-    worst = 0.0
-    for state, oa, ob in zip(_states_from(p), _observables_from(a), _observables_from(b)):
+    oracle = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
+    worst = max(
+        float(np.abs(variances(p, a) - oracle["var_a"]).max()),
+        float(np.abs(commutator_terms(p, a, b) - oracle["comm"]).max()),
+        float(np.abs(anticommutator_terms(p, a, b) - oracle["anti"]).max()),
+    )
+    for i in range(min(samples, 2000)):
+        state = QubitState(BlochVector(*map(float, p[i])))
+        oa, ob = PauliObservable(*map(float, a[i])), PauliObservable(*map(float, b[i]))
         worst = max(
             worst,
-            abs(variance(state, oa) - variance_closed_form(state, oa)),
-            abs(commutator_term(state, oa, ob) - commutator_term_closed_form(state, oa, ob)),
-            abs(
-                anticommutator_term(state, oa, ob)
-                - anticommutator_term_closed_form(state, oa, ob)
-            ),
+            abs(variance(state, oa) - oracle["var_a"][i]),
+            abs(commutator_term(state, oa, ob) - oracle["comm"][i]),
+            abs(anticommutator_term(state, oa, ob) - oracle["anti"][i]),
         )
     return CheckResult("bloch_closed_forms_vs_matrices", samples, worst, 1e-12, worst <= 1e-12)
 
@@ -189,21 +158,19 @@ def check_closed_forms(samples: int, seed: int) -> CheckResult:
 def check_trace_identities(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 6)
     _, a, b = _sample_triples(rng, samples)
-    worst = 0.0
-    for oa, ob in zip(_observables_from(a), _observables_from(b)):
-        am, bm = oa.matrix, ob.matrix
-        coeffs_a, coeffs_b = np.array([oa.a1, oa.a2, oa.a3, oa.a4]), np.array(
-            [ob.a1, ob.a2, ob.a3, ob.a4]
-        )
-        worst = max(
-            worst,
-            abs(np.trace(am @ am).real - 2.0 * coeffs_a @ coeffs_a),
-            abs(np.trace(bm @ bm).real - 2.0 * coeffs_b @ coeffs_b),
-            abs(np.trace(am).real - 2.0 * oa.a4),
-            abs(np.trace(bm).real - 2.0 * ob.a4),
-            abs(np.trace(am @ bm).real - 2.0 * coeffs_a @ coeffs_b),
-            abs(xi(oa, ob) - xi_closed_form(oa, ob)),
-        )
+    am, bm = _batch_obs(a), _batch_obs(b)
+    dense_xi = 2.0 * _btr(am @ bm) - _btr(am) * _btr(bm)
+    worst = max(
+        float(np.abs(_btr(am @ am) - 2.0 * (a * a).sum(axis=1)).max()),
+        float(np.abs(_btr(bm @ bm) - 2.0 * (b * b).sum(axis=1)).max()),
+        float(np.abs(_btr(am) - 2.0 * a[:, 3]).max()),
+        float(np.abs(_btr(bm) - 2.0 * b[:, 3]).max()),
+        float(np.abs(_btr(am @ bm) - 2.0 * (a * b).sum(axis=1)).max()),
+        float(np.abs(xi_values(a, b) - dense_xi).max()),
+    )
+    for i in range(min(samples, 2000)):
+        oa, ob = PauliObservable(*map(float, a[i])), PauliObservable(*map(float, b[i]))
+        worst = max(worst, abs(xi(oa, ob) - dense_xi[i]))
     return CheckResult("observable_trace_identities", samples, worst, 1e-12, worst <= 1e-12)
 
 
@@ -243,9 +210,7 @@ def _ginibre(rng, dim: int) -> np.ndarray:
 def check_xi_gram_nonnegative(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 8)
     _, a, b = _sample_triples(rng, samples)
-    worst = -np.inf
-    for oa, ob in zip(_observables_from(a), _observables_from(b)):
-        worst = max(worst, -(xi(oa, oa) * xi(ob, ob) - xi(oa, ob) ** 2))
+    worst = float((-relations.gram_determinants(a, b)).max())
     return CheckResult("xi_gram_nonnegative", samples, worst, 1e-12, worst <= 1e-12)
 
 
@@ -256,7 +221,7 @@ def check_xi_gram_nonnegative(samples: int, seed: int) -> CheckResult:
 def check_equality_residual(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 9)
     p, a, b = _sample_triples(rng, samples)
-    terms = _batch_terms(_batch_states(p), _batch_obs(a), _batch_obs(b))
+    terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
     residual = (
         terms["var_a"] * terms["var_b"]
         - terms["comm"]
@@ -276,7 +241,7 @@ def check_equality_residual(samples: int, seed: int) -> CheckResult:
 def check_bound_chain(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 10)
     p, a, b = _sample_triples(rng, samples)
-    terms = _batch_terms(_batch_states(p), _batch_obs(a), _batch_obs(b))
+    terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
     product = terms["var_a"] * terms["var_b"]
     sur = terms["comm"] + terms["anti"]
     worst = float(max((sur - product).max(), (terms["comm"] - sur).max()))
@@ -294,13 +259,10 @@ def check_remainder_sign(samples: int, seed: int) -> CheckResult:
     p, a, b = _sample_triples(rng, samples)
     pure = random_bloch_vectors(rng, samples, "pure")
     scale = 2.0 * (np.cross(a[:, :3], b[:, :3]) ** 2).sum(axis=1)  # G/8
-    worst = -np.inf
-    for i in range(samples):
-        oa = PauliObservable(*map(float, a[i]))
-        ob = PauliObservable(*map(float, b[i]))
-        mixed_rem = relations.equality_remainder(QubitState(BlochVector(*map(float, p[i]))), oa, ob)
-        pure_rem = relations.equality_remainder(QubitState(BlochVector(*map(float, pure[i]))), oa, ob)
-        worst = max(worst, -mixed_rem, abs(pure_rem) / scale[i])
+    worst = float(max(
+        (-relations.equality_remainders(p, a, b)).max(),
+        (np.abs(relations.equality_remainders(pure, a, b)) / scale).max(),
+    ))
     return CheckResult("remainder_nonnegative_pure_zero", samples, worst, 1e-12, worst <= 1e-12)
 
 
@@ -309,7 +271,7 @@ def check_pure_sur_saturation(samples: int, seed: int) -> CheckResult:
     p = random_bloch_vectors(rng, samples, "pure")
     a = rng.uniform(-5, 5, size=(samples, 4))
     b = rng.uniform(-5, 5, size=(samples, 4))
-    terms = _batch_terms(_batch_states(p), _batch_obs(a), _batch_obs(b))
+    terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
     gap = terms["var_a"] * terms["var_b"] - (terms["comm"] + terms["anti"])
     worst = float(np.abs(gap).max())
     return CheckResult("pure_state_sur_saturation", samples, worst, 1e-10, worst <= 1e-10)
@@ -318,23 +280,20 @@ def check_pure_sur_saturation(samples: int, seed: int) -> CheckResult:
 def check_estimator_pair_independence(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 13)
     p = random_bloch_vectors(rng, samples, "mixed")
-    worst = 0.0
-    for i in range(samples):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        pair = [_random_noncollinear_pair(rng) for _ in range(2)]
-        first = relations.estimate_mixedness(state, *pair[0])
-        second = relations.estimate_mixedness(state, *pair[1])
-        worst = max(worst, abs(first - second), abs(first - mixedness(state)))
+    first = relations.mixedness_estimates(p, *_noncollinear_pairs(rng, samples))
+    second = relations.mixedness_estimates(p, *_noncollinear_pairs(rng, samples))
+    worst = float(max(np.abs(first - second).max(), np.abs(first - mixedness_values(p)).max()))
     return CheckResult("estimator_pair_independence", samples, worst, 1e-10, worst <= 1e-10)
 
 
-def _random_noncollinear_pair(rng) -> tuple[PauliObservable, PauliObservable]:
-    while True:
-        c = rng.uniform(-2, 2, size=(2, 4))
-        oa = PauliObservable(*map(float, c[0]))
-        ob = PauliObservable(*map(float, c[1]))
-        if relations.gram_determinant(oa, ob) > 1.0:
-            return oa, ob
+def _noncollinear_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n coefficient pairs uniform on [-2, 2]^4, redrawn until the Gram determinant exceeds 1."""
+    pairs = rng.uniform(-2, 2, size=(n, 2, 4))
+    redraw = relations.gram_determinants(pairs[:, 0], pairs[:, 1]) <= 1.0
+    while redraw.any():
+        pairs[redraw] = rng.uniform(-2, 2, size=(int(redraw.sum()), 2, 4))
+        redraw = relations.gram_determinants(pairs[:, 0], pairs[:, 1]) <= 1.0
+    return pairs[:, 0], pairs[:, 1]
 
 
 def check_estimator_shot_scaling(samples: int, seed: int) -> CheckResult:
@@ -366,29 +325,16 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> CheckResult:
 def check_eur_sigma_xz(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 15)
     p = random_bloch_vectors(rng, samples, "mixed")
-    worst = -np.inf
-    for state in _states_from(p):
-        entropy_sum, bound = relations.eur_check(state, OBS_X, OBS_Z)
-        worst = max(worst, bound - entropy_sum)
+    entropy_sum, bound = relations.eur_values(p, OBS_X.coeffs, OBS_Z.coeffs)
+    worst = float((bound - entropy_sum).max())
     return CheckResult("eur_sigma_x_sigma_z", samples, worst, 1e-10, worst <= 1e-10)
 
 
 def check_sum_relation(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 16)
     p, a, b = _sample_triples(rng, samples)
-    ap = np.einsum("nk,nk->n", a[:, :3], p)
-    bp = np.einsum("nk,nk->n", b[:, :3], p)
-    var_a = np.einsum("nk,nk->n", a[:, :3], a[:, :3]) - ap**2
-    var_b = np.einsum("nk,nk->n", b[:, :3], b[:, :3]) - bp**2
-    ab = a[:, :3] + b[:, :3]
-    var_sum = np.einsum("nk,nk->n", ab, ab) - (ap + bp) ** 2
-    worst = float((0.5 * var_sum - (var_a + var_b)).max())
-    for i in range(min(samples, 2000)):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        lhs, bound = relations.sum_relation(
-            state, PauliObservable(*map(float, a[i])), PauliObservable(*map(float, b[i]))
-        )
-        worst = max(worst, bound - lhs)
+    lhs, bound = relations.sum_relations(p, a, b)
+    worst = float((bound - lhs).max())
     return CheckResult("sum_relation_holds", samples, worst, 1e-10, worst <= 1e-10)
 
 
@@ -451,7 +397,7 @@ def _grid_deviation(h: float, pairs) -> float:
     for alpha, lam in pairs:
         params = feedback.FeedbackParams(alpha=alpha, lam=lam)
         traj = feedback.integrate(params, t_end=2.0, h=h)
-        exact = np.array([feedback.analytic_state(params, float(t)).matrix for t in traj.times])
+        exact = density_matrices(feedback.analytic_bloch(params, traj.times))
         worst = max(worst, float(np.abs(traj.matrices() - exact).max()))
     return worst
 
@@ -480,7 +426,7 @@ def check_trajectory_positivity(samples: int, seed: int) -> CheckResult:
             traj = feedback.integrate(
                 feedback.FeedbackParams(alpha=float(alpha), lam=lam), t_end=5.0, h=5e-3
             )
-            norms = np.array([math.sqrt(s.bloch.norm_sq()) for s in traj.states])
+            norms = np.sqrt((traj.bloch**2).sum(axis=1))
             worst = max(worst, float(((norms - 1.0) / 2.0).max()))
             runs += 1
     return CheckResult(
@@ -509,58 +455,38 @@ def check_trajectory_starts_pure(samples: int, seed: int) -> CheckResult:
 def check_ti1_identity(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 23)
     p, a, b = _sample_triples(rng, samples)
-    worst = 0.0
-    used = 0
-    for i in range(samples):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        oa = PauliObservable(*map(float, a[i]))
-        ob = PauliObservable(*map(float, b[i]))
-        bound = relations.mixedness_weighted_bound(state, oa, ob)
-        value = tightness.ti1(state, oa, ob)
-        if value is None:
-            continue
-        used += 1
-        identity = 1.0 + anticommutator_term(state, oa, ob) / bound
-        worst = max(worst, abs(value - identity))
-    return CheckResult("ti1_equality_identity", used, worst, 1e-10, worst <= 1e-10)
+    value = tightness.ratios(p, a, b)[0]
+    defined = ~np.isnan(value)
+    bound = relations.mixedness_weighted_bounds(p, a, b)
+    identity = 1.0 + anticommutator_terms(p, a, b) / bound
+    worst = float(np.abs(value - identity)[defined].max(initial=0.0))
+    return CheckResult("ti1_equality_identity", int(defined.sum()), worst, 1e-10, worst <= 1e-10)
 
 
 def check_ti_at_least_one(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 24)
     p = random_bloch_vectors(rng, samples, "mixed")
-    worst = -np.inf
-    for i in range(samples):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        oa, ob = _random_noncollinear_pair(rng)
-        for value in (
-            tightness.ti1(state, oa, ob),
-            tightness.ti2(state, oa, ob),
-            tightness.ti3(state, oa, ob),
-        ):
-            if value is not None:
-                worst = max(worst, 1.0 - value)
+    values = np.stack(tightness.ratios(p, *_noncollinear_pairs(rng, samples)))
+    worst = float(np.nanmax(1.0 - values))
     return CheckResult("tightness_ratios_at_least_one", samples, worst, 1e-9, worst <= 1e-9)
 
 
 def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> CheckResult:
     steps = max(5, min(50, int(round(math.sqrt(samples)))))
-    worst = 0.0
-    alphas = np.linspace(0.0, math.pi, steps + 2)[1:-1]
-    lams = np.linspace(0.0, 1.0, steps + 1)[1:]
+    alphas = np.linspace(0.0, math.pi, steps + 2)[1:-1].tolist()
+    lams = np.linspace(0.0, 1.0, steps + 1)[1:].tolist()
     ts = np.linspace(0.0, 3.0, steps + 1)[1:]
-    for alpha in alphas:
-        params = feedback.FeedbackParams(alpha=float(alpha), lam=1.0)
-        for t in ts:
-            pipeline = tightness.ti1(feedback.analytic_state(params, float(t)), OBS_X, OBS_Z)
-            worst = max(worst, abs(pipeline - tightness.ti1_analytic_lambda1(float(alpha), float(t))))
-    for lam in lams:
-        params = feedback.FeedbackParams(alpha=math.pi / 4, lam=float(lam))
-        for t in ts:
-            pipeline = tightness.ti1(feedback.analytic_state(params, float(t)), OBS_X, OBS_Z)
-            worst = max(worst, abs(pipeline - tightness.ti1_analytic_alpha_pi4(float(lam), float(t))))
+
+    def deviation(alpha: float, lam: float, closed_form) -> float:
+        bloch = feedback.analytic_bloch(feedback.FeedbackParams(alpha=alpha, lam=lam), ts)
+        pipeline = tightness.ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0]
+        return float(np.abs(pipeline - [closed_form(t) for t in ts.tolist()]).max())
+
     worst = max(
-        worst,
-        abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0) - tightness.ti1_analytic_alpha_pi4(1.0, 1.0)),
+        [deviation(a, 1.0, partial(tightness.ti1_analytic_lambda1, a)) for a in alphas]
+        + [deviation(math.pi / 4, m, partial(tightness.ti1_analytic_alpha_pi4, m)) for m in lams]
+        + [abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0)
+               - tightness.ti1_analytic_alpha_pi4(1.0, 1.0))]
     )
     return CheckResult(
         "closed_form_ti1_vs_pipeline", 2 * steps * steps, worst, 1e-9, worst <= 1e-9
@@ -570,26 +496,18 @@ def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> CheckResult:
 def check_ti1_scale_shift_invariance(samples: int, seed: int) -> CheckResult:
     rng = _rng(seed, 26)
     p = random_bloch_vectors(rng, samples, "mixed")
+    a, b = _noncollinear_pairs(rng, samples)
+    scale = rng.uniform(0.2, 3.0, size=samples) * rng.choice([-1.0, 1.0], size=samples)
+    shift = np.outer(rng.uniform(-5.0, 5.0, size=samples), [0.0, 0.0, 0.0, 1.0])
+    base = tightness.ratios(p, a, b)[0]
+    defined = ~np.isnan(base)
+    # relative to the ratio's size: ti1 is unbounded near vanishing
+    # bounds and a flat absolute floor would sit below float noise
     worst = 0.0
-    used = 0
-    for i in range(samples):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        oa, ob = _random_noncollinear_pair(rng)
-        base = tightness.ti1(state, oa, ob)
-        if base is None:
-            continue
-        used += 1
-        scale = float(rng.uniform(0.2, 3.0)) * float(rng.choice([-1.0, 1.0]))
-        shift = float(rng.uniform(-5.0, 5.0))
-        scaled = tightness.ti1(state, scale * oa, ob)
-        shifted = tightness.ti1(state, oa + PauliObservable(0, 0, 0, shift), ob)
-        # relative to the ratio's size: ti1 is unbounded near vanishing
-        # bounds and a flat absolute floor would sit below float noise
-        worst = max(
-            worst,
-            abs(scaled - base) / max(1.0, base),
-            abs(shifted - base) / max(1.0, base),
-        )
+    for moved_a in (scale[:, None] * a, a + shift):
+        change = np.abs(tightness.ratios(p, moved_a, b)[0] - base) / np.maximum(1.0, base)
+        worst = max(worst, float(change[defined].max(initial=0.0)))
+    used = int(defined.sum())
     return CheckResult("ti1_scale_shift_invariance", used, worst, 1e-10, worst <= 1e-10)
 
 

@@ -5,13 +5,25 @@ do not lean on the package's own constants.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qubitvar
 from qubitvar.core import BlochVector, PauliObservable, QubitState
 from qubitvar.feedback import master_rhs, step_times
+
+# Environment for `python -m qubitvar` subprocesses: they import the same
+# package as the tests, also when pytest found it through its pythonpath.
+CLI_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(qubitvar.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -34,6 +46,22 @@ def oracle_expect(rho, obs):
 
 def oracle_variance(rho, obs):
     return oracle_expect(rho, obs @ obs) - oracle_expect(rho, obs) ** 2
+
+
+def oracle_commutator_term(rho, a, b):
+    """|<[A,B]>/(2i)|^2 from dense traces."""
+    return abs(np.trace(rho @ (a @ b - b @ a))) ** 2 / 4.0
+
+
+def oracle_anticommutator_term(rho, a, b):
+    """(<AB+BA>/2 - <A><B>)^2 from dense traces."""
+    sym = oracle_expect(rho, a @ b + b @ a) / 2.0
+    return (sym - oracle_expect(rho, a) * oracle_expect(rho, b)) ** 2
+
+
+def oracle_xi(r, s):
+    """2 tr(RS) - tr(R) tr(S)."""
+    return (2.0 * np.trace(r @ s) - np.trace(r) * np.trace(s)).real
 
 
 def oracle_bloch(m):

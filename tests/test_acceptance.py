@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import CLI_ENV
 from qubitvar.core import (
     BlochVector,
     OBS_X,
@@ -318,7 +319,7 @@ def test_criterion_10_fig3_tightness_level():
 
 def _cli_bytes(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "qubitvar", *args], capture_output=True, check=False
+        [sys.executable, "-m", "qubitvar", *args], capture_output=True, check=False, env=CLI_ENV
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
@@ -341,6 +342,7 @@ def test_criterion_11_cli_determinism(tmp_path):
              "--seed", "2", "--output", str(out_file)],
             capture_output=True,
             check=False,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         blobs.append(

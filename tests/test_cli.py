@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import CLI_ENV
 from qubitvar.cli import main
 
 REPORT_KEYS = [
@@ -76,6 +77,28 @@ class TestReport:
         )
         assert code == 2
 
+    def test_non_finite_bloch_is_config_error(self, capsys):
+        code, out, err = run_cli(["report", "--bloch", "nan,0,0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --bloch")
+
+    def test_non_finite_observable_is_config_error(self, capsys):
+        code, out, err = run_cli(["report", "--bloch", "0,0,0", "--obs-a", "nan,0,0,0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --obs-a")
+
+    def test_overflowing_moments_are_config_error(self, capsys):
+        # finite input whose variance overflows: never emitted as bare NaN/Infinity
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                ["report", "--bloch", "0.5,0,0", "--obs-a", "1e200,0,0,0"], capsys
+            )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestSimulate:
     def test_header_exact(self, capsys):
@@ -143,6 +166,14 @@ class TestSimulate:
     def test_out_of_domain_input_exits_two(self, flags, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code, out, err = run_cli(["simulate", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("source", ["analytic", "both"])
+    def test_overflowing_lambda_exits_two(self, source, capsys):
+        # lam^2 overflows the closed form's decay rate
+        code, out, err = run_cli(["simulate", "--lambda", "1e200", "--source", source], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
@@ -227,6 +258,15 @@ class TestSweep:
             assert cells[4] == ""
             assert cells[5] != ""
 
+    def test_overflowing_lambda_exits_two(self, tmp_path, capsys):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["sweep", "--fig2", "--lambda", "1e200", "--output", str(out_file)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_file.exists()
+
     def test_invalid_ranges(self, capsys, tmp_path):
         code, _, _ = run_cli(
             ["sweep", "--fig2", "--steps", "1", "--output", str(tmp_path / "x.csv")],
@@ -308,6 +348,7 @@ class TestDeterminism:
             [sys.executable, "-m", "qubitvar", *args],
             capture_output=True,
             check=False,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
@@ -336,6 +377,7 @@ class TestDeterminism:
                 ],
                 capture_output=True,
                 check=False,
+                env=CLI_ENV,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             sidecar = out_file.with_suffix(".meta.json")

@@ -14,8 +14,12 @@ from conftest import (
     SZ,
     bloch_vectors,
     observables,
+    oracle_anticommutator_term,
+    oracle_commutator_term,
     oracle_obs,
     oracle_state,
+    oracle_variance,
+    oracle_xi,
     qubit_states,
 )
 from qubitvar.core import (
@@ -28,28 +32,34 @@ from qubitvar.core import (
     PauliObservable,
     QubitState,
     anticommutator_term,
-    anticommutator_term_closed_form,
+    anticommutator_terms,
+    bloch_array,
     bloch_to_matrix,
     commutator_term,
-    commutator_term_closed_form,
+    commutator_terms,
     decompose_observable,
     expectation,
+    expectations,
     matrix_to_bloch,
     mixedness,
     mixedness_general,
+    mixedness_values,
     random_bloch_vectors,
     random_density_matrix,
     random_qubit_state,
+    symmetrized_products,
     variance,
-    variance_closed_form,
+    variances,
     xi,
-    xi_closed_form,
+    xi_values,
 )
 from qubitvar.errors import (
     BadDimension,
     BlochNormExceeded,
+    NonFiniteInput,
     NotHermitian,
     NotPositive,
+    NumericalInconsistency,
     TraceNotOne,
 )
 
@@ -184,16 +194,20 @@ class TestMoments:
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
     def test_closed_forms_match_matrix_route(self, state, obs_a, obs_b):
+        b = state.bloch
+        rho = oracle_state(b.px, b.py, b.pz)
+        a_mat = oracle_obs(obs_a.a1, obs_a.a2, obs_a.a3, obs_a.a4)
+        b_mat = oracle_obs(obs_b.a1, obs_b.a2, obs_b.a3, obs_b.a4)
         assert variance(state, obs_a) == pytest.approx(
-            variance_closed_form(state, obs_a), abs=1e-12
+            max(oracle_variance(rho, a_mat), 0.0), abs=1e-12
         )
         assert commutator_term(state, obs_a, obs_b) == pytest.approx(
-            commutator_term_closed_form(state, obs_a, obs_b), rel=1e-10, abs=1e-11
+            oracle_commutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
         assert anticommutator_term(state, obs_a, obs_b) == pytest.approx(
-            anticommutator_term_closed_form(state, obs_a, obs_b), rel=1e-10, abs=1e-11
+            oracle_anticommutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
-        assert xi(obs_a, obs_b) == pytest.approx(xi_closed_form(obs_a, obs_b), abs=1e-12)
+        assert xi(obs_a, obs_b) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
 
     def test_linear_covariance_form_needs_outer_square(self):
         # the linear Bloch expression for the covariance term equals
@@ -237,6 +251,59 @@ class TestMoments:
         product = xi(obs_a, obs_a) * xi(obs_b, obs_b)
         gram = product - xi(obs_a, obs_b) ** 2
         assert gram >= -1e-12 * max(1.0, abs(product))
+
+
+class TestArrayMoments:
+    def test_non_finite_components_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteInput):
+                BlochVector(bad, 0.0, 0.0)
+            with pytest.raises(NonFiniteInput):
+                PauliObservable(0.0, 0.0, bad, 0.0)
+
+    def test_bloch_array_rejects_rows_outside_ball_and_nan(self):
+        assert bloch_array([[0.0, 0.0, 1.0], [0.1, 0.2, 0.3]]).shape == (2, 3)
+        with pytest.raises(BlochNormExceeded):
+            bloch_array([[0.0, 0.0, 0.5], [1.0, 0.1, 0.0]])
+        with pytest.raises(BlochNormExceeded):
+            variances([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0]], OBS_X.coeffs)
+
+    def test_variance_clamp_raises_on_any_row(self):
+        # |p|^2 = 1 + 8e-13 passes the ball check, but a large observable
+        # turns the excess into a variance of -8e-7, which must raise
+        ok = variances([[0.0, 0.0, 1.0]], OBS_Z.coeffs)
+        assert ok.tolist() == [0.0]
+        with pytest.raises(NumericalInconsistency):
+            variances([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 4e-13]], [0.0, 0.0, 1e3, 0.0])
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(bloch_vectors(), min_size=1, max_size=8), observables(), observables())
+    def test_stacked_rows_match_scalar_forms(self, vectors, obs_a, obs_b):
+        p = np.array([v.as_array() for v in vectors])
+        a, b = obs_a.coeffs, obs_b.coeffs
+        stacked = {
+            "expectation": expectations(p, a),
+            "variance": variances(p, a),
+            "commutator": commutator_terms(p, a, b),
+            "anticommutator": anticommutator_terms(p, a, b),
+            "mixedness": mixedness_values(p),
+        }
+        for i, vector in enumerate(vectors):
+            state = QubitState(vector)
+            assert stacked["expectation"][i] == expectation(state, obs_a)
+            assert stacked["variance"][i] == variance(state, obs_a)
+            assert stacked["commutator"][i] == commutator_term(state, obs_a, obs_b)
+            assert stacked["anticommutator"][i] == anticommutator_term(state, obs_a, obs_b)
+            assert stacked["mixedness"][i] == mixedness(state)
+        assert float(xi_values(a, b)) == xi(obs_a, obs_b)
+
+    def test_symmetrized_products_against_dense(self, rng):
+        a = rng.uniform(-3, 3, size=(50, 4))
+        b = rng.uniform(-3, 3, size=(50, 4))
+        c = symmetrized_products(a, b)
+        for ai, bi, ci in zip(a, b, c):
+            am, bm = oracle_obs(*ai), oracle_obs(*bi)
+            assert np.abs(oracle_obs(*ci) - 0.5 * (am @ bm + bm @ am)).max() <= 1e-12
 
 
 class TestMixedness:

@@ -11,6 +11,8 @@ from qubitvar.errors import NegativeTime, NonFiniteInput, PositivityLost, StepTo
 from qubitvar.feedback import (
     FeedbackParams,
     SIGMA_MINUS,
+    Trajectory,
+    analytic_bloch,
     analytic_coherence,
     analytic_state,
     dissipator,
@@ -173,6 +175,25 @@ class TestAnalyticSolution:
         with pytest.raises(ValueError):
             analytic_state(FeedbackParams(alpha=0.5, lam=0.5, omega=1.0), 1.0)
 
+    def test_analytic_bloch_vectorized_over_t(self):
+        params = FeedbackParams(alpha=0.9, lam=0.6)
+        ts = np.linspace(0.0, 4.0, 9)
+        stacked = analytic_bloch(params, ts)
+        assert stacked.shape == (9, 3)
+        for t, row in zip(ts, stacked):
+            state = analytic_state(params, float(t))
+            assert row == pytest.approx(state.bloch.as_array(), abs=1e-15)
+        with pytest.raises(NegativeTime):
+            analytic_bloch(params, [0.5, -0.1])
+
+    def test_overflowing_decay_rate_rejected(self):
+        # lam^2 overflows: the closed form raises a typed error, never OverflowError
+        params = FeedbackParams(alpha=0.3, lam=1e200)
+        with pytest.raises(NonFiniteInput):
+            analytic_state(params, 1.0)
+        with pytest.raises(NonFiniteInput):
+            steady_state(params)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             FeedbackParams(alpha=0.0, lam=-0.1)
@@ -327,6 +348,18 @@ class TestIntegrator:
         assert traj.coherences()[-1] == pytest.approx(
             0.5 * (state.bloch.px + 1j * state.bloch.py), abs=0
         )
+
+    def test_trajectory_stores_bloch_array(self):
+        params = FeedbackParams(alpha=0.4, lam=0.7)
+        traj = integrate(params, t_end=0.05, h=1e-2)
+        assert traj.bloch.shape == (len(traj.times), 3)
+        assert [s.bloch.as_array().tolist() for s in traj.states] == traj.bloch.tolist()
+        mixedness = 0.5 * (1.0 - (traj.bloch**2).sum(axis=1))
+        assert traj.mixedness_values() == pytest.approx(mixedness.clip(0), abs=1e-16)
+        dense = np.array([oracle_state(*p) for p in traj.bloch])
+        assert np.abs(traj.matrices() - dense).max() <= 1e-15
+        with pytest.raises(ValueError):
+            Trajectory(times=np.array([0.0, 1.0]), bloch=np.zeros((3, 3)))
 
     def test_initial_state_projector(self):
         state = initial_state(0.7)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import bloch_vectors, observables
 from qubitvar.core import (
     BlochVector,
     OBS_I,
@@ -16,7 +19,7 @@ from qubitvar.core import (
     anticommutator_term,
     random_bloch_vectors,
 )
-from qubitvar.errors import NonPositiveLambda, NonPositiveTime
+from qubitvar.errors import DegenerateSpectrum, NonPositiveLambda, NonPositiveTime
 from qubitvar.feedback import FeedbackParams, analytic_state
 from qubitvar.relations import gram_determinant, mixedness_weighted_bound
 from qubitvar.tightness import (
@@ -25,6 +28,7 @@ from qubitvar.tightness import (
     count_ordering_violations,
     fig2_grid,
     fig3_grid,
+    ratios,
     sweep,
     ti1,
     ti1_analytic_alpha_pi4,
@@ -110,6 +114,52 @@ class TestRatios:
             assert ti1(state, obs_a + shift * OBS_I, obs_b) == pytest.approx(
                 base, rel=1e-10, abs=1e-10
             )
+
+
+class TestArrayRatios:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(bloch_vectors(), min_size=1, max_size=12), observables(), observables())
+    def test_batch_equals_scalar_point_by_point(self, vectors, obs_a, obs_b):
+        p = np.array([v.as_array() for v in vectors])
+        scalar = (ti1, ti2, ti3)
+        try:
+            batch = ratios(p, obs_a.coeffs, obs_b.coeffs)
+        except DegenerateSpectrum:
+            with pytest.raises(DegenerateSpectrum):
+                ti2(QubitState(vectors[0]), obs_a, obs_b)
+            return
+        for i, vector in enumerate(vectors):
+            state = QubitState(vector)
+            for fn, values in zip(scalar, batch):
+                expected = fn(state, obs_a, obs_b)
+                if expected is None:
+                    assert math.isnan(values[i])
+                else:
+                    # same operations; SIMD and scalar libm paths may differ by an ulp
+                    assert values[i] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_per_row_observables_broadcast(self, rng):
+        p = random_bloch_vectors(rng, 20)
+        a = rng.uniform(-2, 2, size=(20, 4))
+        b = rng.uniform(-2, 2, size=(20, 4))
+        batch = np.column_stack(ratios(p, a, b))
+        for i in range(20):
+            state = QubitState(BlochVector(*map(float, p[i])))
+            obs_a, obs_b = PauliObservable(*a[i]), PauliObservable(*b[i])
+            row = [ti1(state, obs_a, obs_b), ti2(state, obs_a, obs_b), ti3(state, obs_a, obs_b)]
+            assert batch[i].tolist() == pytest.approx(row, rel=1e-12, abs=0)
+
+    def test_definedness_is_unit_free(self):
+        # a vanishing bound is judged in the bound's own units, so scaling both
+        # observables leaves every ratio (and whether it is defined) unchanged
+        state = QubitState(BlochVector(0.2, 0.3, -0.1))
+        base = [fn(state, OBS_X, OBS_Z) for fn in (ti1, ti2, ti3)]
+        assert None not in base
+        assert base[0] == pytest.approx(1.000421, abs=1e-6)
+        for scale in (1e-3, 1e-7):
+            scaled = [fn(state, scale * OBS_X, scale * OBS_Z) for fn in (ti1, ti2, ti3)]
+            for value, want in zip(scaled, base):
+                assert value == pytest.approx(want, rel=1e-10, abs=0)
 
 
 class TestClosedFormExpressions:
@@ -266,6 +316,33 @@ class TestSweep:
         assert counts["points_all_defined"] == sum(
             1 for p in points if None not in (p.ti1, p.ti2, p.ti3)
         )
+
+    @pytest.mark.parametrize("source", ["analytic", "numeric"])
+    @pytest.mark.parametrize(
+        "obs_a, obs_b, defined",
+        [
+            (OBS_Z, OBS_Z + OBS_I, (False, False, True)),  # commuting, shared axis
+            (OBS_X, -1.0 * OBS_X, (False, False, False)),  # B = -A: A + B = 0
+        ],
+    )
+    def test_shared_axis_cells_stay_undefined(self, source, obs_a, obs_b, defined):
+        grid = SweepGrid(
+            alpha_axis=GridAxis(0.3, 1.2, 3),
+            lambda_axis=GridAxis(0.5, 1.0, 2),
+            t_axis=GridAxis(0.0, 1.0, 3, include_lo=False),
+            obs_a=obs_a,
+            obs_b=obs_b,
+        )
+        points = sweep(grid, source=source, h=1e-2)
+        assert len(points) == 18
+        for p in points:
+            assert [v is not None for v in (p.ti1, p.ti2, p.ti3)] == list(defined)
+        # the grid path agrees with the per-point ratios
+        for p in sweep(grid, source="analytic")[:6]:
+            state = analytic_state(FeedbackParams(alpha=p.alpha, lam=p.lam), p.t)
+            for got, fn in zip((p.ti1, p.ti2, p.ti3), (ti1, ti2, ti3)):
+                want = fn(state, obs_a, obs_b)
+                assert got == (None if want is None else pytest.approx(want, rel=1e-12))
 
     def test_undefined_points_marked_not_raised(self):
         # commuting pair: ti2 undefined everywhere, sweep still completes
