@@ -158,6 +158,7 @@ def _require_analytic(params: FeedbackParams) -> None:
 
 def analytic_excited_population(params: FeedbackParams, t) -> np.ndarray | float:
     """rho11(t) for omega = 0; vectorized over t."""
+    _require_analytic(params)
     decay = 1.0 + 2.0 * params.lam**2
     expfac = np.exp(-np.asarray(t, dtype=float) * decay)
     return (expfac * (1.0 - decay * math.cos(2 * params.alpha)) + 2.0 * params.lam**2) / (
@@ -171,6 +172,7 @@ def analytic_coherence(params: FeedbackParams, t) -> np.ndarray | complex:
     The general expression divides by lam; for lam <= 1e-6 the removable
     limit exp(-t/2) sin(2 alpha)/2 is used instead.
     """
+    _require_analytic(params)
     t = np.asarray(t, dtype=float)
     envelope = np.exp(-t / 2.0) * math.sin(2 * params.alpha)
     if params.lam <= LAMBDA_LIMIT:
@@ -181,7 +183,6 @@ def analytic_coherence(params: FeedbackParams, t) -> np.ndarray | complex:
 
 def analytic_bloch(params: FeedbackParams, t) -> np.ndarray:
     """Exact Bloch vector for omega = 0; vectorized over t, shape t.shape + (3,)."""
-    _require_analytic(params)
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
         raise NegativeTime(f"t = {t.min()}")

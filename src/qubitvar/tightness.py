@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OBS_X, OBS_Z, PauliObservable, QubitState, _coeffs, _dot, bloch_array, variances
-from .errors import NonPositiveLambda, NonPositiveTime
+from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime
 from .feedback import FeedbackParams, analytic_bloch, evolve_to_times
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
 
@@ -182,44 +182,40 @@ def ti3(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> fl
 # ---------------------------------------------------------------------------
 
 def ti1_analytic_lambda1(alpha: float, t: float) -> float:
-    """ti1 at feedback strength 1 as a function of the initial angle and time."""
+    """ti1 at feedback strength 1 as a function of the initial angle and time.
+
+    The published ratio of exp(6t)- and exp(7t)-sized terms, divided
+    through by exp(7t) so no exponential grows with t; the denominator's
+    cancellation as t -> 0 is carried by expm1 terms.
+    """
     if t <= 0:
         raise NonPositiveTime(f"t = {t}")
     cos2a = math.cos(2 * alpha)
     sin2a_sq = math.sin(2 * alpha) ** 2
-    num = (-1.0 + math.exp(3 * t) + 3.0 * cos2a) ** 2 * sin2a_sq
-    den = (
-        8.0 * math.exp(7 * t)
-        - math.exp(t) * (1.0 - 3.0 * cos2a) ** 2
-        - 2.0 * math.exp(4 * t) * (3.0 * cos2a - 1.0)
-        - 9.0 * math.exp(6 * t) * sin2a_sq
-    )
+    w = 3.0 * cos2a - 1.0
+    x = math.exp(-3.0 * t)
+    num = math.exp(-t) * (1.0 + x * w) ** 2 * sin2a_sq
+    den = -9.0 * sin2a_sq * math.expm1(-t) - w * math.expm1(-3.0 * t) * (3.0 * cos2a + 1.0 + x * w)
     return 1.0 + num / den
 
 
 def ti1_analytic_alpha_pi4(lam: float, t: float) -> float:
-    """ti1 for the equal-superposition initial state as a function of (lambda, t)."""
+    """ti1 for the equal-superposition initial state as a function of (lambda, t).
+
+    With q = 1 - exp(-t), g = 1 + 2 lam^2 and r = (1 - exp(-g t))/g this
+    is q (1 - r^2)/(q - r^2): the published ratio with its dominant
+    exponential exp(2 g t) divided out.
+    """
     if t <= 0:
         raise NonPositiveTime(f"t = {t}")
     if lam <= 0:
         raise NonPositiveLambda(f"lam = {lam}")
-    lam_sq = lam**2
-    big = math.exp(t + 2 * t * lam_sq)
-    num = (
-        (1.0 - math.exp(-t))
-        * (1.0 + 2.0 * big * lam_sq)
-        * (2.0 * big * (1.0 + lam_sq) - 1.0)
-    )
-    den = (
-        big
-        * (
-            2.0
-            + math.exp(2 * t * lam_sq)
-            * (4.0 * lam_sq * (math.exp(t) - 1.0) * (lam_sq + 1.0) - 1.0)
-        )
-        - 1.0
-    )
-    return num / den
+    g = 1.0 + 2.0 * lam * lam
+    if not math.isfinite(g):
+        raise NonFiniteInput(f"lam = {lam} overflows the decay rate 1 + 2 lam^2")
+    q = -math.expm1(-t)
+    r = -math.expm1(-g * t) / g
+    return q * (1.0 - r * r) / (q - r * r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Named invariant checks behind the `verify` CLI command.
 
-Every invariant promised by the library has one entry here: a seeded,
-sample-count-configurable check returning its worst observed residual.
-Bulk checks run vectorized over stacked dense 2x2 matrices, an oracle
-independent of the Bloch closed forms the library computes with, and
-additionally push a slice of the samples through the public per-object
-operations, so both the math and the API surface are exercised.
+CHECKS is the one registry of the library's invariants: each entry is a
+seeded, sample-count-configurable check returning its worst observed
+residual, and the test suite runs every entry at its default sample
+count with seed 0.  Every check evaluates package code, through the
+array route wherever one exists; none checks the dense oracle alone.
+Oracles are built from stacked dense 2x2 matrices, independent of the
+Bloch closed forms the library computes with, and several checks also
+push a slice of the samples through the public per-object operations,
+so both the math and the API surface are exercised.
 """
 
 from __future__ import annotations
@@ -228,7 +231,11 @@ def check_equality_residual(samples: int, seed: int) -> CheckResult:
         - terms["anti"]
         - terms["mixedness"] * terms["gram"] / 8.0
     )
-    worst = float(np.abs(residual).max())
+    array_residual = (
+        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
+        - anticommutator_terms(p, a, b) - relations.equality_remainders(p, a, b)
+    )
+    worst = float(max(np.abs(residual).max(), np.abs(array_residual).max()))
     for i in range(min(samples, 2000)):
         state = QubitState(BlochVector(*map(float, p[i])))
         res = relations.check_equality(
@@ -239,12 +246,14 @@ def check_equality_residual(samples: int, seed: int) -> CheckResult:
 
 
 def check_bound_chain(samples: int, seed: int) -> CheckResult:
+    """product >= SUR >= RUR, and the mixedness-weighted bound <= product."""
     rng = _rng(seed, 10)
     p, a, b = _sample_triples(rng, samples)
-    terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
-    product = terms["var_a"] * terms["var_b"]
-    sur = terms["comm"] + terms["anti"]
-    worst = float(max((sur - product).max(), (terms["comm"] - sur).max()))
+    product = variances(p, a) * variances(p, b)
+    rur = commutator_terms(p, a, b)
+    sur = rur + anticommutator_terms(p, a, b)
+    eq19 = relations.mixedness_weighted_bounds(p, a, b)
+    worst = float(max((sur - product).max(), (rur - sur).max(), (eq19 - product).max()))
     return CheckResult("bound_chain_product_sur_rur", samples, worst, 1e-10, worst <= 1e-10)
 
 
@@ -267,13 +276,9 @@ def check_remainder_sign(samples: int, seed: int) -> CheckResult:
 
 
 def check_pure_sur_saturation(samples: int, seed: int) -> CheckResult:
-    rng = _rng(seed, 12)
-    p = random_bloch_vectors(rng, samples, "pure")
-    a = rng.uniform(-5, 5, size=(samples, 4))
-    b = rng.uniform(-5, 5, size=(samples, 4))
-    terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
-    gap = terms["var_a"] * terms["var_b"] - (terms["comm"] + terms["anti"])
-    worst = float(np.abs(gap).max())
+    p, a, b = _sample_triples(_rng(seed, 12), samples, kind="pure")
+    sur = commutator_terms(p, a, b) + anticommutator_terms(p, a, b)
+    worst = float(np.abs(variances(p, a) * variances(p, b) - sur).max())
     return CheckResult("pure_state_sur_saturation", samples, worst, 1e-10, worst <= 1e-10)
 
 

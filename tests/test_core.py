@@ -236,13 +236,6 @@ class TestMoments:
         shifted = obs + PauliObservable(0.0, 0.0, 0.0, shift)
         assert variance(state, shifted) == pytest.approx(variance(state, obs), abs=1e-12)
 
-    def test_xi_gram_nonnegative_random_ensemble(self):
-        rng = np.random.default_rng(99)
-        for _ in range(2000):
-            obs_a = PauliObservable(*rng.uniform(-5, 5, 4))
-            obs_b = PauliObservable(*rng.uniform(-5, 5, 4))
-            assert xi(obs_a, obs_a) * xi(obs_b, obs_b) - xi(obs_a, obs_b) ** 2 >= -1e-12
-
     @settings(deadline=None)
     @given(observables(), observables())
     def test_xi_gram_nonnegative_adversarial(self, obs_a, obs_b):

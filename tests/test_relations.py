@@ -68,12 +68,6 @@ class TestProductBounds:
             variance(state, obs) ** 2, abs=1e-10
         )
 
-    def test_pure_states_saturate_sur(self, rng):
-        for _ in range(2000):
-            state, obs_a, obs_b = random_triple(rng, kind="pure")
-            product = variance(state, obs_a) * variance(state, obs_b)
-            assert abs(product - sur_bound(state, obs_a, obs_b)) <= 1e-10
-
     def test_remainder_maximally_mixed(self):
         # (1/8) * (1/2) * (4*4 - 0) = 1, term by term from the traces
         assert equality_remainder(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-14)
@@ -94,13 +88,6 @@ class TestProductBounds:
     def test_equality_examples(self):
         assert check_equality(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-14)
         assert check_equality(GROUND, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-14)
-
-    def test_equality_residual_random(self, rng):
-        worst = 0.0
-        for _ in range(3000):
-            state, obs_a, obs_b = random_triple(rng)
-            worst = max(worst, abs(check_equality(state, obs_a, obs_b)))
-        assert worst < 1e-10
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
@@ -193,13 +180,6 @@ class TestEntropic:
         assert bound == 0.0
         entropy_sum, bound = eur_check(GROUND, OBS_X, OBS_Z)
         assert (entropy_sum, bound) == pytest.approx((1.0, 1.0), abs=1e-12)
-
-    def test_eur_holds_for_xz(self, rng):
-        p = random_bloch_vectors(rng, 2000, "mixed")
-        for row in p:
-            state = QubitState(BlochVector(*map(float, row)))
-            entropy_sum, bound = eur_check(state, OBS_X, OBS_Z)
-            assert entropy_sum >= bound - 1e-10
 
 
 class TestEstimator:
