@@ -170,10 +170,8 @@ def cmd_sweep(args) -> int:
             grid = tightness.fig2_grid(steps=args.steps, lam=args.lam, t_max=args.t_end)
         else:
             grid = tightness.fig3_grid(steps=args.steps, alpha=args.alpha, t_max=args.t_end)
-        grid = tightness.SweepGrid(
-            alpha_axis=grid.alpha_axis,
-            lambda_axis=grid.lambda_axis,
-            t_axis=grid.t_axis,
+        grid = dataclasses.replace(
+            grid,
             obs_a=_parse(args.obs_a, PauliObservable, "--obs-a"),
             obs_b=_parse(args.obs_b, PauliObservable, "--obs-b"),
         )
@@ -310,10 +308,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except QubitVarError as exc:
+    except (ConfigError, QubitVarError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -218,14 +218,19 @@ def _coeffs(a) -> np.ndarray:
     return np.asarray(a, dtype=float).T
 
 
+def _outside_ball(p):
+    """|p|^2 per row, and where it exceeds 1 + 1e-12 or is not finite."""
+    norm_sq = _dot(p.T, p.T)
+    return norm_sq, ~(norm_sq <= 1.0 + BLOCH_NORM_TOL)
+
+
 def bloch_array(p) -> np.ndarray:
     """p as a float array, checked to lie in the Bloch ball: |p|^2 <= 1 + 1e-12.
 
     NaN and infinite rows fail the check too.
     """
     p = np.asarray(p, dtype=float)
-    norm_sq = _dot(p.T, p.T)
-    outside = ~(norm_sq <= 1.0 + BLOCH_NORM_TOL)
+    norm_sq, outside = _outside_ball(p)
     if _any(outside):
         raise BlochNormExceeded(
             f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"

@@ -17,6 +17,11 @@ master_rhs is the one generator.  It is linear in y = (px, py, pz, 1);
 generator() reads the real 4x4 L off it, and each RK4 step is applied
 exactly as y <- y + D y, D = T4(hL) - I (T4 the 4th-order Taylor
 polynomial).  L's last row is zero, so no renormalisation is needed.
+
+One propagator steps every trajectory: between stored times it takes
+floor(span/h + 1e-9) steps of h (the rule step_times lays its grid by),
+then a remainder step if more than 1e-12 is left.  So integrate(p,
+t_end, h) is exactly evolve_to_times(p, step_times(t_end, h), h).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    BLOCH_NORM_TOL, IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState,
+    IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState, _outside_ball,
     density_matrices, mixedness_values
 )
 from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
@@ -126,13 +131,8 @@ def master_rhs(rho: np.ndarray, params: FeedbackParams) -> np.ndarray:
     """
     fb = params.lam * PAULI_X
     hamiltonian = params.omega * PAULI_X + 0.5 * (SIGMA_PLUS @ fb + fb @ SIGMA_MINUS)
-    jump = SIGMA_MINUS - 1j * fb
-    jump_sq = jump.conj().T @ jump
-    return (
-        -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        + jump @ rho @ jump.conj().T
-        - 0.5 * (jump_sq @ rho + rho @ jump_sq)
-    )
+    commutator = hamiltonian @ rho - rho @ hamiltonian
+    return -1j * commutator + dissipator(SIGMA_MINUS - 1j * fb, rho)
 
 
 def generator(params: FeedbackParams) -> np.ndarray:
@@ -225,18 +225,9 @@ def _increment(gen: np.ndarray, h: float) -> np.ndarray:
     return a @ d
 
 
-def _trajectory(times: np.ndarray, ys: np.ndarray) -> Trajectory:
-    """Trajectory of stacked (px, py, pz, 1) rows; PositivityLost at the first
-    row outside the Bloch ball beyond representation tolerance, or not finite."""
-    bloch = np.ascontiguousarray(ys[:, :3])
-    norm_sq = np.einsum("ij,ij->i", bloch, bloch)
-    outside = np.flatnonzero(~(norm_sq <= 1.0 + BLOCH_NORM_TOL))
-    if outside.size:
-        i = outside[0]
-        raise PositivityLost(
-            f"min eigenvalue {(1.0 - math.sqrt(norm_sq[i])) / 2.0:.3e} at t = {times[i]:g}"
-        )
-    return Trajectory(times=times, bloch=bloch)
+def _full_steps(span, h: float):
+    """Whole steps of h in span, forgiving float noise: the one step rule."""
+    return np.floor(span / h + 1e-9)
 
 
 def step_times(t_end: float, h: float) -> np.ndarray:
@@ -250,7 +241,7 @@ def step_times(t_end: float, h: float) -> np.ndarray:
         raise NonFiniteInput(f"t_end must be finite, got {t_end}")
     if t_end <= 0:
         raise NegativeTime(f"t_end must be > 0, got {t_end}")
-    n_full = int(math.floor(t_end / h + 1e-9))
+    n_full = int(_full_steps(t_end, h))
     times = [i * h for i in range(n_full + 1)]
     if t_end - n_full * h > 1e-9:
         times.append(t_end)
@@ -268,15 +259,7 @@ def integrate(params: FeedbackParams, t_end: float, h: float = 1e-3) -> Trajecto
     tolerance (an eigenvalue below -1e-6 always does), which signals an
     unresolved step.
     """
-    times = step_times(t_end, h)
-    gen = generator(params)
-    full = _increment(gen, h)
-    last = _increment(gen, float(times[-1] - times[-2]))
-    ys = [np.append(initial_state(params.alpha).bloch.as_array(), 1.0)]
-    for _ in range(len(times) - 2):
-        ys.append(ys[-1] + full @ ys[-1])
-    ys.append(ys[-1] + last @ ys[-1])
-    return _trajectory(times, np.array(ys))
+    return _propagate(params, step_times(t_end, h), h)
 
 
 def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Trajectory:
@@ -297,21 +280,32 @@ def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Tr
         raise NegativeTime(f"t = {sample_times[0]}")
     if np.any(np.diff(sample_times) <= 0):
         raise ValueError("sample_times must be strictly increasing")
+    return _propagate(params, sample_times.copy(), h)
+
+
+def _propagate(params: FeedbackParams, times: np.ndarray, h: float) -> Trajectory:
+    """The one RK4 loop, from the initial state at t = 0 to each of times;
+    PositivityLost at the first stored row outside the Bloch ball."""
     gen = generator(params)
-    increments = {}
+    full = _increment(gen, h)
+    spans = np.diff(times, prepend=0.0)
+    counts = _full_steps(spans, h)
+    rests = spans - counts * h
     y = np.append(initial_state(params.alpha).bloch.as_array(), 1.0)
-    t = 0.0
     ys = []
-    for target in sample_times:
-        remaining = target - t
-        while remaining > 1e-12:
-            step = h if remaining >= h else remaining
-            d = increments.get(step)
-            if d is None:
-                d = increments[step] = _increment(gen, step)
-            y = y + d @ y
-            t += step
-            remaining = target - t
-        t = target
+    for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
+        while count:
+            y = y + full @ y
+            count -= 1
+        if rest > 1e-12:
+            y = y + _increment(gen, rest) @ y
         ys.append(y)
-    return _trajectory(sample_times.copy(), np.array(ys))
+    bloch = np.ascontiguousarray(np.array(ys)[:, :3])
+    with np.errstate(over="ignore"):  # |p|^2 of a blown-up state is the failure reported
+        norm_sq, outside = _outside_ball(bloch)
+    if outside.any():
+        i = np.flatnonzero(outside)[0]
+        raise PositivityLost(
+            f"min eigenvalue {(1.0 - math.sqrt(norm_sq[i])) / 2.0:.3e} at t = {times[i]:g}"
+        )
+    return Trajectory(times=times, bloch=bloch)

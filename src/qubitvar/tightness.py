@@ -188,6 +188,8 @@ def ti1_analytic_lambda1(alpha: float, t: float) -> float:
     through by exp(7t) so no exponential grows with t; the denominator's
     cancellation as t -> 0 is carried by expm1 terms.
     """
+    if not (math.isfinite(alpha) and math.isfinite(t)):
+        raise NonFiniteInput(f"alpha and t must be finite, got {alpha}, {t}")
     if t <= 0:
         raise NonPositiveTime(f"t = {t}")
     cos2a = math.cos(2 * alpha)
@@ -206,6 +208,8 @@ def ti1_analytic_alpha_pi4(lam: float, t: float) -> float:
     is q (1 - r^2)/(q - r^2): the published ratio with its dominant
     exponential exp(2 g t) divided out.
     """
+    if not (math.isfinite(lam) and math.isfinite(t)):
+        raise NonFiniteInput(f"lam and t must be finite, got {lam}, {t}")
     if t <= 0:
         raise NonPositiveTime(f"t = {t}")
     if lam <= 0:

@@ -24,8 +24,8 @@ from .core import (
     BlochVector, GeneralState, IDENTITY, OBS_X, OBS_Z, PAULI_X, PAULI_Y, PAULI_Z,
     PauliObservable, QubitState, anticommutator_term, anticommutator_terms, bloch_to_matrix,
     commutator_term, commutator_terms, decompose_observable, density_matrices, matrix_to_bloch,
-    mixedness_general, mixedness_values, random_bloch_vectors, variance, variances, xi,
-    xi_values
+    mixedness_general, mixedness_values, random_bloch_vectors, random_density_matrix, variance,
+    variances, xi, xi_values
 )
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z, IDENTITY])
@@ -194,20 +194,13 @@ def check_mixedness_convexity(samples: int, seed: int) -> CheckResult:
         worst = max(worst, float(violation.max()))
     # exercise the public ops on a small slice
     for k in range(min(samples, 50)):
-        sa = GeneralState(_ginibre(rng, 3))
-        sb = GeneralState(_ginibre(rng, 3))
+        sa = random_density_matrix(rng, 3)
+        sb = random_density_matrix(rng, 3)
         w = rng.random()
         combo = GeneralState(w * sa.matrix + (1 - w) * sb.matrix)
         violation = w * mixedness_general(sa) + (1 - w) * mixedness_general(sb) - mixedness_general(combo)
         worst = max(worst, violation)
     return CheckResult("mixedness_convexity", samples, worst, 1e-12, worst <= 1e-12)
-
-
-def _ginibre(rng, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return 0.5 * (m + m.conj().T)
 
 
 def check_xi_gram_nonnegative(samples: int, seed: int) -> CheckResult:

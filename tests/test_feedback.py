@@ -1,6 +1,8 @@
 """Feedback master equation, closed-form solution and RK4 integrator."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +291,18 @@ class TestIntegrator:
             exact = analytic_state(params, float(t)).matrix
             assert np.abs(state.matrix - exact).max() <= 1e-7
 
+    def test_integrate_is_evolve_to_times_on_step_grid(self):
+        # one propagator and one step rule: the same grid gives the same bits
+        for params, t_end, h in (
+            (FeedbackParams(alpha=1.2, lam=0.4, omega=0.7), 0.7005, 1e-3),
+            (FeedbackParams(alpha=0.9, lam=0.6), 5.0, 1e-3),
+            (FeedbackParams(alpha=0.3, lam=1.0, omega=1.5), 0.0537, 2e-3),
+        ):
+            traj = integrate(params, t_end, h)
+            sampled = evolve_to_times(params, step_times(t_end, h), h)
+            assert np.array_equal(traj.times, sampled.times)
+            assert np.array_equal(traj.bloch, sampled.bloch)
+
     def test_trajectory_helpers(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
         traj = integrate(params, t_end=0.5, h=1e-3)
@@ -316,3 +330,8 @@ class TestIntegrator:
         state = initial_state(0.7)
         psi = np.array([math.cos(0.7), math.sin(0.7)])
         assert np.abs(state.matrix - np.outer(psi, psi)).max() <= 1e-15
+
+
+def test_feedback_demo_runs():
+    demo = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "feedback_demo.py"))
+    assert demo["run"]() == 0

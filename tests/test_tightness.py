@@ -178,6 +178,13 @@ class TestClosedFormExpressions:
             ti1_analytic_alpha_pi4(0.0, 1.0)
         with pytest.raises(NonFiniteInput):
             ti1_analytic_alpha_pi4(1e200, 1.0)
+        # non-finite input is rejected before the domain checks
+        for args in ((0.3, math.nan), (math.nan, 1.0), (0.3, math.inf), (0.3, -math.inf)):
+            with pytest.raises(NonFiniteInput):
+                ti1_analytic_lambda1(*args)
+        for args in ((0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf)):
+            with pytest.raises(NonFiniteInput, match="must be finite"):
+                ti1_analytic_alpha_pi4(*args)
 
 
 class TestGrid:
