@@ -19,27 +19,22 @@ from .core import (
     OBS_Z,
     PauliObservable,
     QubitState,
-    bloch_to_matrix,
     decompose_observable,
-    expectation,
     matrix_to_bloch,
     mixedness,
     mixedness_general,
     random_density_matrix,
-    random_qubit_state,
-    variance,
 )
 from .feedback import FeedbackParams, Trajectory, analytic_state, integrate, steady_state
 from .relations import (
     MeasurementCounts,
     RelationReport,
-    check_equality,
     compute_report,
     estimate_mixedness,
     estimate_mixedness_from_counts,
     simulate_shots,
 )
-from .tightness import SweepGrid, TightnessPoint, sweep, ti1, ti2, ti3
+from .tightness import SweepGrid, TightnessPoint, sweep
 
 __all__ = [
     "BlochVector",
@@ -57,26 +52,18 @@ __all__ = [
     "TightnessPoint",
     "Trajectory",
     "analytic_state",
-    "bloch_to_matrix",
-    "check_equality",
     "compute_report",
     "decompose_observable",
     "estimate_mixedness",
     "estimate_mixedness_from_counts",
-    "expectation",
     "integrate",
     "matrix_to_bloch",
     "mixedness",
     "mixedness_general",
     "random_density_matrix",
-    "random_qubit_state",
     "simulate_shots",
     "steady_state",
     "sweep",
-    "ti1",
-    "ti2",
-    "ti3",
-    "variance",
 ]
 
 __version__ = "0.1.0"

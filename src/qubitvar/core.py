@@ -3,9 +3,10 @@
 A qubit density matrix is rho = (I + px*sx + py*sy + pz*sz)/2 with
 px^2 + py^2 + pz^2 <= 1, and any 2x2 Hermitian observable is a real
 combination a1*sx + a2*sy + a3*sz + a4*I.  Every moment is a closed form
-in these coefficients, evaluated over stacked rows; the per-object
-functions are its n = 1 forms.  Dense matrices serve representation
-changes and, in verify and the tests, as the independent oracle.
+in these coefficients, evaluated over stacked rows; one row is a stack
+of one.  The representation changes map stacks of Bloch vectors or
+coefficients to stacks of dense matrices and back; dense matrices
+otherwise serve, in verify and the tests, as the independent oracle.
 General d-dimensional density matrices appear only for the mixedness
 convexity property.
 """
@@ -54,9 +55,6 @@ class BlochVector:
     def __post_init__(self):
         _require_finite(self.px, self.py, self.pz)
         bloch_array(self.as_array())
-
-    def norm_sq(self) -> float:
-        return self.px**2 + self.py**2 + self.pz**2
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.pz])
@@ -109,10 +107,6 @@ class PauliObservable:
         m.flags.writeable = False
         return m
 
-    def vec(self) -> np.ndarray:
-        """Traceless (Pauli) part as a real 3-vector."""
-        return np.array([self.a1, self.a2, self.a3])
-
     def __add__(self, other: "PauliObservable") -> "PauliObservable":
         return PauliObservable(
             self.a1 + other.a1, self.a2 + other.a2, self.a3 + other.a3, self.a4 + other.a4
@@ -138,25 +132,41 @@ class GeneralState:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise BadDimension(f"expected a square matrix, got shape {matrix.shape}")
         _require_hermitian(matrix)
-        tr = np.trace(matrix).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"trace = {tr:.15g}")
-        eigmin = float(np.linalg.eigvalsh(matrix)[0])
-        if eigmin < -POSITIVITY_TOL:
-            raise NotPositive(f"min eigenvalue = {eigmin:.3e}")
+        _require_state(matrix)
         self.matrix = matrix
         self.dim = matrix.shape[0]
 
 
+# Validation rules over (..., d, d) stacks; each error names the first
+# offending matrix (the largest deviation for Hermiticity).
+
 def _require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    dev = np.abs(matrix - matrix.conj().T).max()
+    """Finite entries and max |m - m^dag| <= tol."""
+    if not np.isfinite(matrix).all():
+        raise NonFiniteInput("matrix entries must be finite")
+    dev = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(initial=0.0)
     if dev > tol:
         raise NotHermitian(f"max |m - m^dag| = {dev:.3e}")
+
+
+def _require_state(matrix: np.ndarray) -> None:
+    """Unit trace and eigenvalues >= -1e-10 for every matrix of a Hermitian stack."""
+    tr = np.trace(matrix, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if _any(off):
+        raise TraceNotOne(f"trace = {np.extract(off, tr)[0]:.15g}")
+    eigmin = np.linalg.eigvalsh(matrix)[..., 0]
+    negative = eigmin < -POSITIVITY_TOL
+    if _any(negative):
+        raise NotPositive(f"min eigenvalue = {np.extract(negative, eigmin)[0]:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # representation changes
 # ---------------------------------------------------------------------------
+
+_PAULI_BASIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z, IDENTITY])
+
 
 def density_matrices(p) -> np.ndarray:
     """Dense (I + p . sigma)/2 for every Bloch vector along the last axis of p."""
@@ -165,33 +175,34 @@ def density_matrices(p) -> np.ndarray:
                   + p[..., 2, :, :] * PAULI_Z)
 
 
-def bloch_to_matrix(bloch) -> QubitState:
-    """Build the state (I + p . sigma)/2 from a Bloch vector (or 3-sequence)."""
-    if not isinstance(bloch, BlochVector):
-        px, py, pz = (float(c) for c in bloch)
-        bloch = BlochVector(px, py, pz)
-    return QubitState(bloch)
-
-
-def _pauli_traces(matrix: np.ndarray) -> list[float]:
-    """Real parts of tr(m sx), tr(m sy), tr(m sz), tr(m) for a 2x2 matrix m."""
+def _hermitian_2x2(matrix) -> np.ndarray:
+    """matrix as a complex (..., 2, 2) stack, checked finite and Hermitian."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise BadDimension(f"expected 2x2, got {matrix.shape}")
+    if matrix.shape[-2:] != (2, 2):
+        raise BadDimension(f"expected (..., 2, 2), got {matrix.shape}")
     _require_hermitian(matrix)
-    return [float(np.trace(matrix @ s).real) for s in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY)]
+    return matrix
 
 
-def matrix_to_bloch(matrix: np.ndarray) -> BlochVector:
-    """Extract p_k = tr(rho sigma_k) from a valid 2x2 density matrix."""
-    traces = _pauli_traces(matrix)
-    GeneralState(matrix)  # unit trace and positivity
-    return BlochVector(*traces[:3])
+def _pauli_traces(matrix: np.ndarray) -> np.ndarray:
+    """Real parts of tr(m sx), tr(m sy), tr(m sz), tr(m) along a new last axis."""
+    return np.einsum("...ij,kji->...k", matrix, _PAULI_BASIS).real
 
 
-def decompose_observable(matrix: np.ndarray) -> PauliObservable:
-    """Coefficients a_k = tr(m sigma_k)/2, a4 = tr(m)/2 of a Hermitian 2x2 matrix."""
-    return PauliObservable(*(t / 2 for t in _pauli_traces(matrix)))
+def matrix_to_bloch(matrix) -> np.ndarray:
+    """p_k = tr(rho sigma_k) for a (..., 2, 2) stack of density matrices, shape (..., 3).
+
+    The inverse of density_matrices; every matrix must be a valid state.
+    """
+    matrix = _hermitian_2x2(matrix)
+    _require_state(matrix)
+    return bloch_array(_pauli_traces(matrix)[..., :3])
+
+
+def decompose_observable(matrix) -> np.ndarray:
+    """Coefficients (a1, a2, a3, a4), a_k = tr(m sigma_k)/2 and a4 = tr(m)/2, of a
+    Hermitian (..., 2, 2) stack, shape (..., 4): the rows the moment functions take."""
+    return _pauli_traces(_hermitian_2x2(matrix)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +247,6 @@ def bloch_array(p) -> np.ndarray:
             f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
         )
     return p
-
-
-def expectations(p, a) -> np.ndarray:
-    """tr(rho A) = a.p + a4."""
-    a = _coeffs(a)
-    return _dot(a, bloch_array(p).T) + a[3]
 
 
 def variances(p, a) -> np.ndarray:
@@ -295,28 +300,6 @@ def symmetrized_products(a, b) -> np.ndarray:
     )
 
 
-# n = 1 forms over the per-object types
-
-def expectation(state: QubitState, obs: PauliObservable) -> float:
-    return float(expectations(state.bloch.as_array(), obs.coeffs))
-
-
-def variance(state: QubitState, obs: PauliObservable) -> float:
-    return float(variances(state.bloch.as_array(), obs.coeffs))
-
-
-def commutator_term(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    return float(commutator_terms(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def anticommutator_term(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    return float(anticommutator_terms(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def xi(obs_r: PauliObservable, obs_s: PauliObservable) -> float:
-    return float(xi_values(obs_r.coeffs, obs_s.coeffs))
-
-
 def mixedness(state: QubitState) -> float:
     return float(mixedness_values(state.bloch.as_array()))
 
@@ -346,12 +329,6 @@ def random_bloch_vectors(seed, n: int, kind: str = "mixed") -> np.ndarray:
         radius = rng.random(n) ** (1.0 / 3.0)
         return direction * radius[:, None]
     raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
-
-
-def random_qubit_state(seed, kind: str = "mixed") -> QubitState:
-    """One random qubit state; see random_bloch_vectors for the ensembles."""
-    p = random_bloch_vectors(seed, 1, kind)[0]
-    return QubitState(BlochVector(float(p[0]), float(p[1]), float(p[2])))
 
 
 def random_density_matrix(seed, dim: int) -> GeneralState:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,18 +86,9 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    @cached_property
-    def states(self) -> list[QubitState]:
-        """The rows as QubitState objects."""
-        return [QubitState(BlochVector(*p)) for p in self.bloch.tolist()]
-
     def excited_populations(self) -> np.ndarray:
         """rho11(t) = (1 - pz)/2 along the trajectory."""
         return 0.5 * (1.0 - self.bloch[:, 2])
-
-    def coherences(self) -> np.ndarray:
-        """rho12(t) = <1|rho|0> = (px + i py)/2 along the trajectory."""
-        return 0.5 * (self.bloch[:, 0] + 1j * self.bloch[:, 1])
 
     def mixedness_values(self) -> np.ndarray:
         return mixedness_values(self.bloch)
@@ -285,23 +275,28 @@ def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Tr
 
 def _propagate(params: FeedbackParams, times: np.ndarray, h: float) -> Trajectory:
     """The one RK4 loop, from the initial state at t = 0 to each of times;
-    PositivityLost at the first stored row outside the Bloch ball."""
-    gen = generator(params)
-    full = _increment(gen, h)
-    spans = np.diff(times, prepend=0.0)
-    counts = _full_steps(spans, h)
-    rests = spans - counts * h
-    y = np.append(initial_state(params.alpha).bloch.as_array(), 1.0)
-    ys = []
-    for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
-        while count:
-            y = y + full @ y
-            count -= 1
-        if rest > 1e-12:
-            y = y + _increment(gen, rest) @ y
-        ys.append(y)
-    bloch = np.ascontiguousarray(np.array(ys)[:, :3])
-    with np.errstate(over="ignore"):  # |p|^2 of a blown-up state is the failure reported
+    PositivityLost at the first stored row outside the Bloch ball.
+
+    A generator that overflows, or a step too large for the drive, can
+    carry the state to inf or NaN.  Such rows fail the ball check, so
+    the floating-point warnings on the way there are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = generator(params)
+        full = _increment(gen, h)
+        spans = np.diff(times, prepend=0.0)
+        counts = _full_steps(spans, h)
+        rests = spans - counts * h
+        y = np.append(initial_state(params.alpha).bloch.as_array(), 1.0)
+        ys = []
+        for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
+            while count:
+                y = y + full @ y
+                count -= 1
+            if rest > 1e-12:
+                y = y + _increment(gen, rest) @ y
+            ys.append(y)
+        bloch = np.ascontiguousarray(np.array(ys)[:, :3])
         norm_sq, outside = _outside_ball(bloch)
     if outside.any():
         i = np.flatnonzero(outside)[0]

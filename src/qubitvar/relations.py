@@ -7,8 +7,10 @@ used as comparison baselines, and a finite-shot pathway that feeds
 empirical moments into the mixedness formula.
 
 Every relation is an array function over the Bloch closed forms of
-core; the functions taking a QubitState and PauliObservables are their
-n = 1 forms.  Nothing here is computed through dense matrices.
+core.  The per-object entry points left (compute_report,
+estimate_mixedness and the finite-shot pathway) serve the CLI and the
+meter, one (state, A, B) triple at a time.  Nothing here is computed
+through dense matrices.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PauliObservable, QubitState, _any, _coeffs, _dot, anticommutator_term, anticommutator_terms,
-    bloch_array, commutator_term, commutator_terms, mixedness_values, symmetrized_products,
-    variance, variances, xi_values
+    PauliObservable, QubitState, _any, _coeffs, _dot, anticommutator_terms, bloch_array,
+    commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
 )
 from .errors import CollinearObservables, DegenerateSpectrum
 
@@ -113,11 +114,20 @@ def sum_relations(p, a, b) -> tuple[np.ndarray, np.ndarray]:
     return variances(p, a) + variances(p, b), 0.5 * variances(p, a + b)
 
 
+def _degenerate(norm) -> bool:
+    """The one degeneracy rule: some eigenvalue gap 2|a| <= SPECTRUM_GAP_TOL,
+    i.e. some A is proportional to I."""
+    return _any(2.0 * norm <= SPECTRUM_GAP_TOL)
+
+
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
-    """Unit Bloch axes (component-major) and |a|; rejects degenerate spectra."""
+    """Unit Bloch axes (component-major) and |a|.
+
+    DegenerateSpectrum, before any other work, when _degenerate(|a|).
+    """
     vec = _coeffs(a)[:3]
     norm = np.sqrt(_dot(vec, vec))
-    if _any(2.0 * norm <= SPECTRUM_GAP_TOL):
+    if _degenerate(norm):
         raise DegenerateSpectrum(f"eigenvalue gap 2|a| = {2 * np.min(norm):.3e}")
     return vec / norm, norm
 
@@ -172,70 +182,6 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     return 8.0 * numerator / det
 
 
-# n = 1 forms over the per-object types
-
-def rur_bound(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Robertson bound |<[A,B]>/(2i)|^2."""
-    return commutator_term(state, obs_a, obs_b)
-
-
-def sur_bound(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Schrodinger bound: commutator term plus squared symmetrized covariance."""
-    return commutator_term(state, obs_a, obs_b) + anticommutator_term(state, obs_a, obs_b)
-
-
-def gram_determinant(obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    return float(gram_determinants(obs_a.coeffs, obs_b.coeffs))
-
-
-def equality_remainder(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    return float(equality_remainders(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def check_equality(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """Residual of the variance-product equality.
-
-    Returns varA*varB - sur_bound - remainder, which is zero (to rounding)
-    for every valid qubit state and observable pair.
-    """
-    product = variance(state, obs_a) * variance(state, obs_b)
-    return product - sur_bound(state, obs_a, obs_b) - equality_remainder(state, obs_a, obs_b)
-
-
-def mixedness_weighted_bound(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> float:
-    return float(mixedness_weighted_bounds(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def sum_relation(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> tuple[float, float]:
-    lhs, bound = sum_relations(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
-    return float(lhs), float(bound)
-
-
-def outcome_probabilities(state: QubitState, obs: PauliObservable) -> tuple[float, float]:
-    """Probabilities of the (a4 + |a|, a4 - |a|) outcomes when obs is measured."""
-    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
-    return p_hi, 1.0 - p_hi
-
-
-def entropy_of_measurement(state: QubitState, obs: PauliObservable) -> float:
-    return float(measurement_entropies(state.bloch.as_array(), obs.coeffs))
-
-
-def complementarity_c(obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    return float(complementarities(obs_a.coeffs, obs_b.coeffs))
-
-
-def eur_check(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> tuple[float, float]:
-    entropy_sum, bound = eur_values(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
-    return float(entropy_sum), float(bound)
-
-
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
     return float(mixedness_estimates(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
@@ -254,7 +200,7 @@ def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) ->
     if shots < 1:
         raise ValueError("shots must be >= 1")
     norm = float(_axes(obs.coeffs)[1])
-    p_hi, _ = outcome_probabilities(state, obs)
+    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))
     return MeasurementCounts(
         observable=obs,
@@ -286,20 +232,17 @@ def estimate_mixedness_from_counts(
     otherwise.  Standard errors come from first-order propagation of the
     binomial outcome-frequency variances.
     """
-    det = gram_determinant(obs_a, obs_b)
+    det = float(gram_determinants(obs_a.coeffs, obs_b.coeffs))
     if det <= COLLINEAR_TOL:
         raise CollinearObservables(f"gram determinant = {det:.3e}")
 
-    obs_c = symmetrized_product(obs_a, obs_b)
-    c_norm = float(np.linalg.norm(obs_c.vec()))
-    if counts_c is None:
-        if 2.0 * c_norm > SPECTRUM_GAP_TOL:
-            raise ValueError(
-                "counts_c may be omitted only when (AB+BA)/2 is proportional to I"
-            )
-        mean_c = obs_c.a4
-    else:
+    if counts_c is not None:
         mean_c = counts_c.mean()
+    else:
+        obs_c = symmetrized_product(obs_a, obs_b)
+        if not _degenerate(np.sqrt(_dot(obs_c.coeffs, obs_c.coeffs))):
+            raise ValueError("counts_c may be omitted only when (AB+BA)/2 is proportional to I")
+        mean_c = obs_c.a4  # C = c4 I: its moment is exact
 
     mean_a, var_a = counts_a.mean(), counts_a.variance()
     mean_b, var_b = counts_b.mean(), counts_b.variance()

@@ -4,8 +4,8 @@ Each ratio divides a relation's left side by its own lower bound, so 1
 means saturation.  ti1 uses the mixedness-weighted variance bound, ti2
 the entropic bound, ti3 the variance-sum bound.  Points where a bound
 vanishes are undefined and carried as None (NaN in arrays), never
-raised.  ratios() evaluates all three over a stack of Bloch vectors;
-ti1/ti2/ti3 are its n = 1 forms.  Sweeps walk an (alpha, lambda, t)
+raised.  ratios() evaluates all three over a stack of Bloch vectors,
+one state being a stack of one.  Sweeps walk an (alpha, lambda, t)
 product grid in row-major order over states of the feedback model,
 either from the closed-form solution or the integrator, and evaluate
 the whole grid in one ratios() call.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, QubitState, _coeffs, _dot, bloch_array, variances
+from .core import OBS_X, OBS_Z, PauliObservable, _coeffs, _dot, bloch_array, variances
 from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime
 from .feedback import FeedbackParams, analytic_bloch, evolve_to_times
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
@@ -150,31 +150,12 @@ def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ti1, ti2, ti3 for each Bloch vector along the last axis of p; NaN = undefined.
 
     a and b are observable coefficient rows (a1, a2, a3, a4), one pair for
-    all states or one per state.  Raises DegenerateSpectrum like ti2.
+    all states or one per state.  Raises DegenerateSpectrum when A or B
+    has a degenerate spectrum (ti2 needs both eigenbases).
     """
     p = bloch_array(p)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _ti1(p, a, b), _ti2(p, a, b), _ti3(p, a, b)
-
-
-def _optional(value: np.ndarray) -> float | None:
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
-def ti1(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
-    """Variance product over the mixedness-weighted bound; None if the bound vanishes."""
-    return _optional(_ti1(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def ti2(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
-    """Entropy sum over log2(1/c); None when the eigenbases coincide (c = 1)."""
-    return _optional(_ti2(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
-
-
-def ti3(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float | None:
-    """Variance sum over var(A+B)/2; None if that bound vanishes."""
-    return _optional(_ti3(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 ID = np.eye(2, dtype=complex)
 
+# Inputs for the array functions: Bloch vectors and coefficient rows.
+ORIGIN = [0.0, 0.0, 0.0]  # Bloch vector of the maximally mixed state
+Z_POLE = [0.0, 0.0, 1.0]  # |0><0|
+X, Y, Z, I = np.eye(4)  # coefficient rows of sx, sy, sz and the identity
+
 
 def oracle_state(px, py, pz):
     """Density matrix from literal 2x2 arithmetic."""

@@ -19,32 +19,42 @@ import pytest
 from conftest import CLI_ENV
 from qubitvar.core import (
     BlochVector,
+    GeneralState,
     OBS_X,
     OBS_Z,
     PauliObservable,
     QubitState,
+    anticommutator_terms,
+    commutator_terms,
     mixedness,
     mixedness_general,
     random_bloch_vectors,
     random_density_matrix,
-    variance,
+    variances,
 )
 from qubitvar.errors import CollinearObservables
-from qubitvar.feedback import FeedbackParams, analytic_state, integrate, steady_state
+from qubitvar.feedback import (
+    FeedbackParams,
+    analytic_bloch,
+    analytic_coherence,
+    analytic_excited_population,
+    analytic_state,
+    integrate,
+    steady_state,
+)
 from qubitvar.relations import (
-    check_equality,
+    compute_report,
     estimate_mixedness,
     estimate_mixedness_from_counts,
-    gram_determinant,
+    gram_determinants,
     simulate_shots,
-    sur_bound,
 )
 from qubitvar.tightness import (
     count_ordering_violations,
     fig2_grid,
     fig3_grid,
+    ratios,
     sweep,
-    ti1,
     ti1_analytic_alpha_pi4,
     ti1_analytic_lambda1,
 )
@@ -93,11 +103,12 @@ def test_criterion_01_equality_reproduction():
     worst = float(np.abs(batch_residuals(p, a, b)).max())
     # push a slice through the public per-triple operation as well
     for i in range(10_000):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        residual = check_equality(
-            state, PauliObservable(*map(float, a[i])), PauliObservable(*map(float, b[i]))
+        report_i = compute_report(
+            QubitState(BlochVector(*map(float, p[i]))),
+            PauliObservable(*map(float, a[i])),
+            PauliObservable(*map(float, b[i])),
         )
-        worst = max(worst, abs(residual))
+        worst = max(worst, abs(report_i.equality_residual))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -109,13 +120,9 @@ def test_criterion_02_pure_state_degenerates_to_sur():
     p = random_bloch_vectors(rng, 10_000, "pure")
     a = rng.uniform(-5, 5, size=(10_000, 4))
     b = rng.uniform(-5, 5, size=(10_000, 4))
-    worst = 0.0
-    for i in range(10_000):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        obs_a = PauliObservable(*map(float, a[i]))
-        obs_b = PauliObservable(*map(float, b[i]))
-        product = variance(state, obs_a) * variance(state, obs_b)
-        worst = max(worst, abs(product - sur_bound(state, obs_a, obs_b)))
+    product = variances(p, a) * variances(p, b)
+    sur = commutator_terms(p, a, b) + anticommutator_terms(p, a, b)
+    worst = float(np.abs(product - sur).max())
     assert worst < 1e-10
     report(2, "pure states saturate SUR", f"max |product - sur| {worst:.2e} over 1e4 pure states")
 
@@ -129,10 +136,9 @@ def test_criterion_03_estimator_exactness():
         worst = max(worst, abs(estimate_mixedness(state, OBS_X, OBS_Z) - mixedness(state)))
     pairs = []
     while len(pairs) < 10:
-        obs_a = PauliObservable(*rng.uniform(-2, 2, 4))
-        obs_b = PauliObservable(*rng.uniform(-2, 2, 4))
-        if gram_determinant(obs_a, obs_b) > 1.0:
-            pairs.append((obs_a, obs_b))
+        a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
+        if gram_determinants(a, b) > 1.0:
+            pairs.append((PauliObservable(*a), PauliObservable(*b)))
     extra = random_bloch_vectors(rng, 1000, "mixed")
     for obs_a, obs_b in pairs:
         for row in extra:
@@ -171,8 +177,6 @@ def test_criterion_05_mixedness_convexity():
             state_a = random_density_matrix(rng, dim)
             state_b = random_density_matrix(rng, dim)
             weight = float(rng.random())
-            from qubitvar.core import GeneralState
-
             combo = GeneralState(weight * state_a.matrix + (1 - weight) * state_b.matrix)
             gap = (
                 weight * mixedness_general(state_a)
@@ -192,10 +196,8 @@ def _grid_max_deviation(h):
         for lam in np.linspace(0.2, 1.0, 5):
             params = FeedbackParams(alpha=float(alpha), lam=float(lam))
             traj = integrate(params, t_end=5.0, h=h)
-            pops = np.array([0.5 * (1.0 - s.bloch.pz) for s in traj.states])
-            cohs = np.array([0.5 * (s.bloch.px + 1j * s.bloch.py) for s in traj.states])
-            from qubitvar.feedback import analytic_coherence, analytic_excited_population
-
+            pops = traj.excited_populations()
+            cohs = 0.5 * (traj.bloch[:, 0] + 1j * traj.bloch[:, 1])
             exact_pops = analytic_excited_population(params, traj.times)
             exact_cohs = np.asarray(analytic_coherence(params, traj.times))
             worst = max(
@@ -224,7 +226,7 @@ def test_criterion_07_steady_state():
         params = FeedbackParams(alpha=math.pi / 4, lam=lam)
         analytic_pop = 0.5 * (1.0 - analytic_state(params, 20.0).bloch.pz)
         fixed_point_pop = 0.5 * (1.0 - steady_state(params).bloch.pz)
-        numeric_pop = 0.5 * (1.0 - integrate(params, t_end=20.0, h=1e-2).states[-1].bloch.pz)
+        numeric_pop = integrate(params, t_end=20.0, h=1e-2).excited_populations()[-1]
         assert abs(analytic_pop - want) < 1e-6
         assert abs(fixed_point_pop - want) < 1e-12
         assert abs(numeric_pop - want) < 1e-6
@@ -234,17 +236,19 @@ def test_criterion_07_steady_state():
 def test_criterion_08_closed_form_ti1_cross_validation():
     worst_a = 0.0
     ts = np.linspace(0.0, 3.0, 51)[1:]
-    for alpha in np.linspace(0.0, math.pi, 52)[1:-1]:
-        params = FeedbackParams(alpha=float(alpha), lam=1.0)
-        for t in ts:
-            pipeline = ti1(analytic_state(params, float(t)), OBS_X, OBS_Z)
-            worst_a = max(worst_a, abs(pipeline - ti1_analytic_lambda1(float(alpha), float(t))))
+    for alpha in np.linspace(0.0, math.pi, 52)[1:-1].tolist():
+        params = FeedbackParams(alpha=alpha, lam=1.0)
+        pipeline = ratios(analytic_bloch(params, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
+        assert np.isfinite(pipeline).all(), f"undefined ti1 at alpha={alpha}"
+        closed = [ti1_analytic_lambda1(alpha, t) for t in ts.tolist()]
+        worst_a = max(worst_a, float(np.abs(pipeline - closed).max()))
     worst_b = 0.0
-    for lam in np.linspace(0.0, 1.0, 51)[1:]:
-        params = FeedbackParams(alpha=math.pi / 4, lam=float(lam))
-        for t in ts:
-            pipeline = ti1(analytic_state(params, float(t)), OBS_X, OBS_Z)
-            worst_b = max(worst_b, abs(pipeline - ti1_analytic_alpha_pi4(float(lam), float(t))))
+    for lam in np.linspace(0.0, 1.0, 51)[1:].tolist():
+        params = FeedbackParams(alpha=math.pi / 4, lam=lam)
+        pipeline = ratios(analytic_bloch(params, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
+        assert np.isfinite(pipeline).all(), f"undefined ti1 at lam={lam}"
+        closed = [ti1_analytic_alpha_pi4(lam, t) for t in ts.tolist()]
+        worst_b = max(worst_b, float(np.abs(pipeline - closed).max()))
     cross = abs(ti1_analytic_lambda1(math.pi / 4, 1.0) - ti1_analytic_alpha_pi4(1.0, 1.0))
     assert worst_a <= 1e-9
     assert worst_b <= 1e-9
@@ -306,7 +310,8 @@ def test_criterion_10_fig3_tightness_level():
     worst_limit = 0.0
     for lam in np.linspace(0.0, 1.0, 51)[1:]:
         params = FeedbackParams(alpha=math.pi / 4, lam=float(lam))
-        value = ti1(analytic_state(params, 1e-6), OBS_X, OBS_Z)
+        value = ratios(analytic_bloch(params, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
+        assert math.isfinite(value), f"undefined ti1 at lam={lam}"
         worst_limit = max(worst_limit, abs(value - 1.0))
         worst_limit = max(worst_limit, abs(ti1_analytic_alpha_pi4(float(lam), 1e-6) - 1.0))
     assert worst_limit < 1e-3

@@ -158,6 +158,9 @@ class TestSimulate:
         "flags",
         [
             ["--lambda", "1e200", "--source", "numeric", "--t-end", "0.01"],
+            # a step far too large for the drive: the state leaves the ball
+            ["--source", "numeric", "--omega", "300", "--lambda", "1", "--step", "1e-2",
+             "--t-end", "10"],
             ["--t-end", "inf"],
             ["--t-end", "nan"],
             ["--lambda", "-1"],
@@ -165,11 +168,11 @@ class TestSimulate:
         ],
     )
     def test_out_of_domain_input_exits_two(self, flags, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(["simulate", *flags], capsys)
+        code, out, err = run_cli(["simulate", *flags], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        # the error line alone: no floating-point warning printed before it
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("source", ["analytic", "both"])
     def test_overflowing_lambda_exits_two(self, source, capsys):

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     ID,
+    ORIGIN,
     SX,
     SY,
     SZ,
+    Z_POLE,
+    I,
+    X,
+    Y,
+    Z,
     bloch_vectors,
     observables,
     oracle_anticommutator_term,
@@ -27,30 +33,21 @@ from qubitvar.core import (
     GeneralState,
     OBS_I,
     OBS_X,
-    OBS_Y,
-    OBS_Z,
     PauliObservable,
     QubitState,
-    anticommutator_term,
     anticommutator_terms,
     bloch_array,
-    bloch_to_matrix,
-    commutator_term,
     commutator_terms,
     decompose_observable,
-    expectation,
-    expectations,
+    density_matrices,
     matrix_to_bloch,
     mixedness,
     mixedness_general,
     mixedness_values,
     random_bloch_vectors,
     random_density_matrix,
-    random_qubit_state,
     symmetrized_products,
-    variance,
     variances,
-    xi,
     xi_values,
 )
 from qubitvar.errors import (
@@ -62,6 +59,7 @@ from qubitvar.errors import (
     NumericalInconsistency,
     TraceNotOne,
 )
+from qubitvar.relations import high_outcome_probabilities
 
 MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 GROUND = QubitState(BlochVector(0.0, 0.0, 1.0))  # |0><0|
@@ -77,65 +75,82 @@ class TestRepresentations:
         assert np.array_equal(IDENTITY, ID)
 
     def test_zero_vector_gives_maximally_mixed(self):
-        state = bloch_to_matrix((0.0, 0.0, 0.0))
-        assert np.allclose(state.matrix, ID / 2, atol=0)
+        assert np.allclose(density_matrices(ORIGIN), ID / 2, atol=0)
+        assert np.allclose(MAXMIXED.matrix, ID / 2, atol=0)
 
     def test_z_pole_gives_ground_projector(self):
-        state = bloch_to_matrix((0.0, 0.0, 1.0))
-        assert np.allclose(state.matrix, np.diag([1.0, 0.0]), atol=0)
+        assert np.allclose(density_matrices(Z_POLE), np.diag([1.0, 0.0]), atol=0)
 
     def test_x_axis_state_hand_expanded(self):
         # (I + 0.6 sx)/2 = [[0.5, 0.3], [0.3, 0.5]]
-        state = bloch_to_matrix((0.6, 0.0, 0.0))
-        assert np.allclose(state.matrix, [[0.5, 0.3], [0.3, 0.5]], atol=1e-15)
+        rho = density_matrices([0.6, 0.0, 0.0])
+        assert np.allclose(rho, [[0.5, 0.3], [0.3, 0.5]], atol=1e-15)
 
     def test_matrix_to_bloch_trivial_cases(self):
-        assert matrix_to_bloch(ID / 2).as_array() == pytest.approx([0, 0, 0], abs=1e-15)
-        assert matrix_to_bloch(np.diag([1.0, 0.0])).as_array() == pytest.approx(
-            [0, 0, 1], abs=1e-15
-        )
+        assert matrix_to_bloch(ID / 2) == pytest.approx([0, 0, 0], abs=1e-15)
+        assert matrix_to_bloch(np.diag([1.0, 0.0])) == pytest.approx([0, 0, 1], abs=1e-15)
 
     def test_matrix_to_bloch_roundtrip(self):
-        back = matrix_to_bloch(bloch_to_matrix((0.6, 0.0, 0.0)).matrix)
-        assert back.as_array() == pytest.approx([0.6, 0.0, 0.0], abs=1e-12)
+        back = matrix_to_bloch(density_matrices([0.6, 0.0, 0.0]))
+        assert back.shape == (3,)
+        assert back == pytest.approx([0.6, 0.0, 0.0], abs=1e-12)
+        # a stack keeps its leading shape: (2, 3, 2, 2) -> (2, 3, 3)
+        p = random_bloch_vectors(4, 6).reshape(2, 3, 3)
+        back = matrix_to_bloch(density_matrices(p))
+        assert back.shape == (2, 3, 3)
+        assert np.abs(back - p).max() <= 1e-12
 
     def test_bloch_norm_exceeded(self):
         with pytest.raises(BlochNormExceeded):
             BlochVector(1.0, 0.1, 0.0)
 
     def test_matrix_validation_errors(self):
-        with pytest.raises(NotHermitian):
-            matrix_to_bloch(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
-        with pytest.raises(TraceNotOne):
-            matrix_to_bloch(0.8 * ID)
-        with pytest.raises(NotPositive):
-            matrix_to_bloch(np.diag([1.5, -0.5]).astype(complex))
+        valid = ID / 2
+        bad = {
+            NotHermitian: np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex),
+            TraceNotOne: 0.8 * ID,
+            NotPositive: np.diag([1.5, -0.5]).astype(complex),
+            NonFiniteInput: np.diag([math.nan, 0.5]).astype(complex),
+        }
+        for error, matrix in bad.items():
+            with pytest.raises(error):
+                matrix_to_bloch(matrix)
+            # every matrix of a stack is checked, not only the first
+            with pytest.raises(error):
+                matrix_to_bloch(np.stack([valid, valid, matrix]))
+        with pytest.raises(BadDimension):
+            matrix_to_bloch(np.eye(3) / 3)
+        with pytest.raises(BadDimension):
+            decompose_observable(np.ones(4))
 
     @settings(deadline=None)
     @given(bloch_vectors())
     def test_roundtrip_property(self, b):
         back = matrix_to_bloch(QubitState(b).matrix)
-        assert np.abs(back.as_array() - b.as_array()).max() <= 1e-12
+        assert np.abs(back - b.as_array()).max() <= 1e-12
 
 
 class TestObservables:
     def test_decompose_sigma_x(self):
-        obs = decompose_observable(SX)
-        assert (obs.a1, obs.a2, obs.a3, obs.a4) == (1.0, 0.0, 0.0, 0.0)
+        assert decompose_observable(SX).tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_decompose_identity(self):
-        obs = decompose_observable(ID)
-        assert (obs.a1, obs.a2, obs.a3, obs.a4) == (0.0, 0.0, 0.0, 1.0)
+        assert decompose_observable(ID).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_decompose_mixed_matrix(self):
         # [[2, 1], [1, 0]] = sx + sz + I
-        obs = decompose_observable(np.array([[2, 1], [1, 0]], dtype=complex))
-        assert (obs.a1, obs.a2, obs.a3, obs.a4) == (1.0, 0.0, 1.0, 1.0)
-        assert np.allclose(obs.matrix, oracle_obs(1, 0, 1, 1), atol=0)
+        coeffs = decompose_observable(np.array([[2, 1], [1, 0]], dtype=complex))
+        assert coeffs.tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert np.allclose(PauliObservable(*coeffs).matrix, oracle_obs(1, 0, 1, 1), atol=0)
+        # a stack decomposes row by row
+        stacked = decompose_observable(np.stack([SX, ID, SY, SZ]))
+        assert stacked.tolist() == np.eye(4)[[0, 3, 1, 2]].tolist()
 
     def test_decompose_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             decompose_observable(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(NotHermitian):
+            decompose_observable(np.stack([SX, np.array([[0, 1], [0, 0]], dtype=complex)]))
 
     def test_observable_arithmetic(self):
         combo = 2.0 * OBS_X + OBS_I
@@ -144,36 +159,41 @@ class TestObservables:
     @settings(deadline=None)
     @given(observables())
     def test_decompose_reconstruct_roundtrip(self, obs):
-        back = decompose_observable(obs.matrix)
+        back = PauliObservable(*decompose_observable(obs.matrix))
         assert np.abs(back.matrix - obs.matrix).max() <= 1e-12
 
 
 class TestMoments:
     def test_expectation_examples(self):
-        assert expectation(MAXMIXED, OBS_Z) == 0.0
-        assert expectation(GROUND, OBS_Z) == pytest.approx(1.0, abs=1e-15)
-        state = bloch_to_matrix((0.6, 0.0, 0.0))
-        assert expectation(state, OBS_X + 2.0 * OBS_I) == pytest.approx(2.6, abs=1e-12)
+        # <A> = a4 + |a| (2 p_hi - 1) from the outcome probabilities is tr(rho A)
+        def mean(p, a):
+            return a[3] + math.sqrt(a[0] ** 2 + a[1] ** 2 + a[2] ** 2) * (
+                2.0 * high_outcome_probabilities(p, a) - 1.0
+            )
+
+        assert mean(ORIGIN, Z) == 0.0
+        assert mean(Z_POLE, Z) == pytest.approx(1.0, abs=1e-15)
+        assert mean([0.6, 0.0, 0.0], X + 2.0 * I) == pytest.approx(2.6, abs=1e-12)
 
     def test_variance_examples(self):
-        assert variance(GROUND, OBS_Z) == 0.0
-        assert variance(GROUND, OBS_X) == pytest.approx(1.0, abs=1e-15)
+        assert variances(Z_POLE, Z) == 0.0
+        assert variances(Z_POLE, X) == pytest.approx(1.0, abs=1e-15)
         # identity shifts leave the variance unchanged
-        assert variance(GROUND, OBS_X + 2.0 * OBS_I) == pytest.approx(1.0, abs=1e-12)
+        assert variances(Z_POLE, X + 2.0 * I) == pytest.approx(1.0, abs=1e-12)
 
     def test_commutator_term_examples(self):
-        assert commutator_term(MAXMIXED, OBS_X, OBS_Z) == 0.0
+        assert commutator_terms(ORIGIN, X, Z) == 0.0
         # [sx, sy] = 2i sz and <sz> = 1 on |0><0|
-        assert commutator_term(GROUND, OBS_X, OBS_Y) == pytest.approx(1.0, abs=1e-12)
-        obs = PauliObservable(0.3, -1.2, 0.7, 0.1)
-        assert commutator_term(GROUND, obs, obs) == 0.0
+        assert commutator_terms(Z_POLE, X, Y) == pytest.approx(1.0, abs=1e-12)
+        obs = [0.3, -1.2, 0.7, 0.1]
+        assert commutator_terms(Z_POLE, obs, obs) == 0.0
 
     def test_anticommutator_term_examples(self):
-        assert anticommutator_term(MAXMIXED, OBS_X, OBS_Z) == 0.0
-        obs = PauliObservable(1.5, 0.0, -0.5, 2.0)
-        state = bloch_to_matrix((0.2, -0.4, 0.1))
-        assert anticommutator_term(state, obs, obs) == pytest.approx(
-            variance(state, obs) ** 2, abs=1e-10
+        assert anticommutator_terms(ORIGIN, X, Z) == 0.0
+        obs = [1.5, 0.0, -0.5, 2.0]
+        p = [0.2, -0.4, 0.1]
+        assert anticommutator_terms(p, obs, obs) == pytest.approx(
+            variances(p, obs) ** 2, abs=1e-10
         )
 
     def test_anticommutator_term_against_matrix_oracle(self):
@@ -182,32 +202,32 @@ class TestMoments:
         b = oracle_obs(1, 0, 1, 0)
         sym = np.trace(rho @ (a @ b + b @ a)).real / 2
         want = (sym - np.trace(rho @ a).real * np.trace(rho @ b).real) ** 2
-        state = bloch_to_matrix((0.6, 0.0, 0.0))
-        got = anticommutator_term(state, OBS_X, OBS_X + OBS_Z)
+        got = anticommutator_terms([0.6, 0.0, 0.0], X, X + Z)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_xi_examples(self):
-        assert xi(OBS_X, OBS_X) == pytest.approx(4.0, abs=1e-15)
-        assert xi(OBS_X, OBS_Z) == 0.0
-        assert xi(OBS_I, OBS_I) == 0.0
+        assert xi_values(X, X) == pytest.approx(4.0, abs=1e-15)
+        assert xi_values(X, Z) == 0.0
+        assert xi_values(I, I) == 0.0
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
     def test_closed_forms_match_matrix_route(self, state, obs_a, obs_b):
         b = state.bloch
+        p, a_c, b_c = b.as_array(), obs_a.coeffs, obs_b.coeffs
         rho = oracle_state(b.px, b.py, b.pz)
         a_mat = oracle_obs(obs_a.a1, obs_a.a2, obs_a.a3, obs_a.a4)
         b_mat = oracle_obs(obs_b.a1, obs_b.a2, obs_b.a3, obs_b.a4)
-        assert variance(state, obs_a) == pytest.approx(
+        assert variances(p, a_c) == pytest.approx(
             max(oracle_variance(rho, a_mat), 0.0), abs=1e-12
         )
-        assert commutator_term(state, obs_a, obs_b) == pytest.approx(
+        assert commutator_terms(p, a_c, b_c) == pytest.approx(
             oracle_commutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
-        assert anticommutator_term(state, obs_a, obs_b) == pytest.approx(
+        assert anticommutator_terms(p, a_c, b_c) == pytest.approx(
             oracle_anticommutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
-        assert xi(obs_a, obs_b) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
+        assert xi_values(a_c, b_c) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
 
     def test_linear_covariance_form_needs_outer_square(self):
         # the linear Bloch expression for the covariance term equals
@@ -217,8 +237,6 @@ class TestMoments:
             p = random_bloch_vectors(rng, 1)[0]
             a = rng.uniform(-5, 5, 4)
             b = rng.uniform(-5, 5, 4)
-            state = bloch_to_matrix(p)
-            obs_a, obs_b = PauliObservable(*a), PauliObservable(*b)
             linear = sum(
                 (
                     ((p[0] ** 2 - 1) * a[0] + p[0] * (p[1] * a[1] + p[2] * a[2])) * b[0],
@@ -226,23 +244,23 @@ class TestMoments:
                     (p[0] * p[2] * a[0] + p[1] * p[2] * a[1] + (p[2] ** 2 - 1) * a[2]) * b[2],
                 )
             )
-            assert anticommutator_term(state, obs_a, obs_b) == pytest.approx(
-                linear**2, abs=1e-10
-            )
+            assert anticommutator_terms(p, a, b) == pytest.approx(linear**2, abs=1e-10)
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), st.floats(-10, 10, allow_nan=False))
     def test_variance_shift_invariance(self, state, obs, shift):
+        p = state.bloch.as_array()
         shifted = obs + PauliObservable(0.0, 0.0, 0.0, shift)
-        assert variance(state, shifted) == pytest.approx(variance(state, obs), abs=1e-12)
+        assert variances(p, shifted.coeffs) == pytest.approx(variances(p, obs.coeffs), abs=1e-12)
 
     @settings(deadline=None)
     @given(observables(), observables())
     def test_xi_gram_nonnegative_adversarial(self, obs_a, obs_b):
         # parallel pairs can round a hair below zero; scale the floor with
         # the product magnitude (the exact value is >= 0 by Cauchy-Schwarz)
-        product = xi(obs_a, obs_a) * xi(obs_b, obs_b)
-        gram = product - xi(obs_a, obs_b) ** 2
+        a, b = obs_a.coeffs, obs_b.coeffs
+        product = xi_values(a, a) * xi_values(b, b)
+        gram = product - xi_values(a, b) ** 2
         assert gram >= -1e-12 * max(1.0, abs(product))
 
 
@@ -259,12 +277,12 @@ class TestArrayMoments:
         with pytest.raises(BlochNormExceeded):
             bloch_array([[0.0, 0.0, 0.5], [1.0, 0.1, 0.0]])
         with pytest.raises(BlochNormExceeded):
-            variances([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0]], OBS_X.coeffs)
+            variances([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0]], X)
 
     def test_variance_clamp_raises_on_any_row(self):
         # |p|^2 = 1 + 8e-13 passes the ball check, but a large observable
         # turns the excess into a variance of -8e-7, which must raise
-        ok = variances([[0.0, 0.0, 1.0]], OBS_Z.coeffs)
+        ok = variances([[0.0, 0.0, 1.0]], Z)
         assert ok.tolist() == [0.0]
         with pytest.raises(NumericalInconsistency):
             variances([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 4e-13]], [0.0, 0.0, 1e3, 0.0])
@@ -272,23 +290,25 @@ class TestArrayMoments:
     @settings(deadline=None, max_examples=50)
     @given(st.lists(bloch_vectors(), min_size=1, max_size=8), observables(), observables())
     def test_stacked_rows_match_scalar_forms(self, vectors, obs_a, obs_b):
+        # one row through a function equals that row of the stacked call, bit for bit
         p = np.array([v.as_array() for v in vectors])
         a, b = obs_a.coeffs, obs_b.coeffs
-        stacked = {
-            "expectation": expectations(p, a),
-            "variance": variances(p, a),
-            "commutator": commutator_terms(p, a, b),
-            "anticommutator": anticommutator_terms(p, a, b),
-            "mixedness": mixedness_values(p),
+        rows_a = np.stack([a + k for k in range(len(vectors))])  # one observable per row
+        functions = {
+            "variance": lambda p, a, b: variances(p, a),
+            "commutator": commutator_terms,
+            "anticommutator": anticommutator_terms,
+            "mixedness": lambda p, a, b: mixedness_values(p),
         }
+        for name, fn in functions.items():
+            for a_in in (a, rows_a):
+                stacked = fn(p, a_in, b)
+                for i in range(len(vectors)):
+                    one = fn(p[i], a_in if a_in.ndim == 1 else a_in[i], b)
+                    assert one.shape == () and one == stacked[i], (name, i)
         for i, vector in enumerate(vectors):
-            state = QubitState(vector)
-            assert stacked["expectation"][i] == expectation(state, obs_a)
-            assert stacked["variance"][i] == variance(state, obs_a)
-            assert stacked["commutator"][i] == commutator_term(state, obs_a, obs_b)
-            assert stacked["anticommutator"][i] == anticommutator_term(state, obs_a, obs_b)
-            assert stacked["mixedness"][i] == mixedness(state)
-        assert float(xi_values(a, b)) == xi(obs_a, obs_b)
+            assert mixedness(QubitState(vector)) == mixedness_values(p)[i]
+        assert xi_values(rows_a, b)[-1] == xi_values(rows_a[-1], b)
 
     def test_symmetrized_products_against_dense(self, rng):
         a = rng.uniform(-3, 3, size=(50, 4))
@@ -303,7 +323,7 @@ class TestMixedness:
     def test_qubit_examples(self):
         assert mixedness(MAXMIXED) == 0.5
         assert mixedness(GROUND) == pytest.approx(0.0, abs=1e-15)
-        state = bloch_to_matrix((0.6, 0.0, 0.0))
+        state = QubitState(BlochVector(0.6, 0.0, 0.0))
         rho = oracle_state(0.6, 0, 0)
         assert mixedness(state) == pytest.approx(1 - np.trace(rho @ rho).real, abs=1e-12)
         assert mixedness(state) == pytest.approx(0.32, abs=1e-12)
@@ -317,6 +337,9 @@ class TestMixedness:
         assert mixedness_general(GeneralState(pure)) == 0.0
         half_half = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         assert mixedness_general(GeneralState(half_half)) == pytest.approx(0.5, abs=1e-12)
+        # NaN passes every comparison-based rule, so it is rejected by name
+        with pytest.raises(NonFiniteInput):
+            GeneralState(np.diag([math.nan, 0.5, 0.5]))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -335,7 +358,7 @@ class TestMixedness:
 
 class TestSampling:
     def test_fixed_seed_reproducible(self):
-        assert random_qubit_state(42, "mixed") == random_qubit_state(42, "mixed")
+        assert np.array_equal(random_bloch_vectors(42, 5), random_bloch_vectors(42, 5))
         first = random_density_matrix(7, 3)
         second = random_density_matrix(7, 3)
         assert np.array_equal(first.matrix, second.matrix)
@@ -353,8 +376,10 @@ class TestSampling:
         assert abs(r3.mean() - 0.5) < 3 * sigma
 
     def test_single_state_matches_batch_ensemble(self):
-        state = random_qubit_state(11, "pure")
-        assert state.bloch.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        # a batch of one is the first row of a larger batch, on the sphere
+        one = random_bloch_vectors(11, 1, "pure")
+        assert np.array_equal(one[0], random_bloch_vectors(11, 5, "pure")[0])
+        assert float(one[0] @ one[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_ginibre_outputs_are_valid(self):
         for dim in (2, 3, 5):
@@ -369,3 +394,14 @@ class TestSampling:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             random_bloch_vectors(0, 3, "thermal")
+
+
+def test_package_all_resolves():
+    import qubitvar
+
+    assert len(set(qubitvar.__all__)) == len(qubitvar.__all__)
+    missing = [name for name in qubitvar.__all__ if not hasattr(qubitvar, name)]
+    assert missing == []
+    namespace = {}
+    exec("from qubitvar import *", namespace)
+    assert set(qubitvar.__all__) <= set(namespace)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import observables, oracle_obs, qubit_states
+from conftest import ORIGIN, Z_POLE, I, X, Y, Z, observables, oracle_obs, qubit_states
 from qubitvar.core import (
     BlochVector,
     OBS_I,
@@ -15,68 +15,75 @@ from qubitvar.core import (
     OBS_Z,
     PauliObservable,
     QubitState,
-    bloch_to_matrix,
+    anticommutator_terms,
+    commutator_terms,
     mixedness,
     random_bloch_vectors,
-    variance,
+    variances,
 )
 from qubitvar.errors import CollinearObservables, DegenerateSpectrum
-from qubitvar.verify import check_remainder_sign
 from qubitvar.relations import (
     MeasurementCounts,
-    check_equality,
-    complementarity_c,
+    complementarities,
     compute_report,
-    entropy_of_measurement,
-    equality_remainder,
+    equality_remainders,
     estimate_mixedness,
     estimate_mixedness_from_counts,
-    eur_check,
-    gram_determinant,
-    mixedness_weighted_bound,
-    rur_bound,
+    eur_values,
+    gram_determinants,
+    high_outcome_probabilities,
+    measurement_entropies,
+    mixedness_weighted_bounds,
     simulate_shots,
-    sum_relation,
-    sur_bound,
+    sum_relations,
     symmetrized_product,
 )
+from qubitvar.verify import check_remainder_sign
 
 MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
 GROUND = QubitState(BlochVector(0.0, 0.0, 1.0))
 
 
 def random_triple(rng, span=5.0, kind="mixed"):
+    """One Bloch vector and two coefficient rows."""
     p = random_bloch_vectors(rng, 1, kind)[0]
-    state = QubitState(BlochVector(*map(float, p)))
-    obs_a = PauliObservable(*rng.uniform(-span, span, 4))
-    obs_b = PauliObservable(*rng.uniform(-span, span, 4))
-    return state, obs_a, obs_b
+    return p, rng.uniform(-span, span, 4), rng.uniform(-span, span, 4)
+
+
+def residual(p, a, b):
+    """varA varB - SUR - remainder: zero by the equality."""
+    return (
+        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
+        - anticommutator_terms(p, a, b) - equality_remainders(p, a, b)
+    )
 
 
 class TestProductBounds:
     def test_rur_examples(self):
-        assert rur_bound(MAXMIXED, OBS_X, OBS_Z) == 0.0
-        assert rur_bound(GROUND, OBS_X, OBS_Y) == pytest.approx(1.0, abs=1e-12)
-        obs = PauliObservable(0.4, 1.0, -0.3, 0.2)
-        assert rur_bound(MAXMIXED, obs, obs) == 0.0
+        # the Robertson bound is the commutator term
+        assert commutator_terms(ORIGIN, X, Z) == 0.0
+        assert commutator_terms(Z_POLE, X, Y) == pytest.approx(1.0, abs=1e-12)
+        obs = [0.4, 1.0, -0.3, 0.2]
+        assert commutator_terms(ORIGIN, obs, obs) == 0.0
+        assert compute_report(GROUND, OBS_X, OBS_Y).rur_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_sur_trivial_examples(self):
-        assert sur_bound(MAXMIXED, OBS_X, OBS_Z) == 0.0
-        state = bloch_to_matrix((0.3, -0.2, 0.4))
+        assert compute_report(MAXMIXED, OBS_X, OBS_Z).sur_bound == 0.0
+        state = QubitState(BlochVector(0.3, -0.2, 0.4))
         obs = PauliObservable(1.2, 0.0, -0.7, 0.5)
-        assert sur_bound(state, obs, obs) == pytest.approx(
-            variance(state, obs) ** 2, abs=1e-10
+        assert compute_report(state, obs, obs).sur_bound == pytest.approx(
+            variances(state.bloch.as_array(), obs.coeffs) ** 2, abs=1e-10
         )
 
     def test_remainder_maximally_mixed(self):
         # (1/8) * (1/2) * (4*4 - 0) = 1, term by term from the traces
-        assert equality_remainder(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-14)
+        assert equality_remainders(ORIGIN, X, Z) == pytest.approx(1.0, abs=1e-14)
 
     def test_remainder_trivial_cases(self, rng):
         for _ in range(200):
-            state, obs_a, obs_b = random_triple(rng, kind="pure")
-            assert abs(equality_remainder(state, obs_a, obs_b)) <= 1e-12
-            assert equality_remainder(state, obs_a, obs_a) == pytest.approx(0.0, abs=1e-9)
+            p, a, b = random_triple(rng, kind="pure")
+            assert abs(equality_remainders(p, a, b)) <= 1e-12
+            assert equality_remainders(p, a, a) == pytest.approx(0.0, abs=1e-9)
 
     def test_remainder_check_scales_with_gram(self):
         # worst absolute pure-state remainder here is 1.02e-12 at G ~ 1e4;
@@ -86,99 +93,96 @@ class TestProductBounds:
         assert result.worst <= 1e-15
 
     def test_equality_examples(self):
-        assert check_equality(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-14)
-        assert check_equality(GROUND, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-14)
+        for state in (MAXMIXED, GROUND):
+            report = compute_report(state, OBS_X, OBS_Z)
+            assert report.equality_residual == pytest.approx(0.0, abs=1e-14)
+            assert residual(state.bloch.as_array(), X, Z) == pytest.approx(0.0, abs=1e-14)
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
     def test_equality_residual_property(self, state, obs_a, obs_b):
-        assert abs(check_equality(state, obs_a, obs_b)) <= 1e-10
+        assert abs(residual(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)) <= 1e-10
 
     def test_mixedness_weighted_bound_examples(self):
-        assert mixedness_weighted_bound(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-14)
-        product = variance(MAXMIXED, OBS_X) * variance(MAXMIXED, OBS_Z)
-        assert product == pytest.approx(
-            mixedness_weighted_bound(MAXMIXED, OBS_X, OBS_Z), abs=1e-14
-        )
+        assert mixedness_weighted_bounds(ORIGIN, X, Z) == pytest.approx(1.0, abs=1e-14)
+        product = variances(ORIGIN, X) * variances(ORIGIN, Z)
+        assert product == pytest.approx(mixedness_weighted_bounds(ORIGIN, X, Z), abs=1e-14)
         # pure eigenstate of A with vanishing commutator expectation
-        assert mixedness_weighted_bound(GROUND, OBS_Z, OBS_X) == pytest.approx(0.0, abs=1e-14)
+        assert mixedness_weighted_bounds(Z_POLE, Z, X) == pytest.approx(0.0, abs=1e-14)
 
     def test_mixedness_weighted_bound_never_exceeds_product(self, rng):
         for _ in range(2000):
-            state, obs_a, obs_b = random_triple(rng)
-            product = variance(state, obs_a) * variance(state, obs_b)
-            assert mixedness_weighted_bound(state, obs_a, obs_b) <= product + 1e-10
+            p, a, b = random_triple(rng)
+            product = variances(p, a) * variances(p, b)
+            assert mixedness_weighted_bounds(p, a, b) <= product + 1e-10
 
     def test_bound_chain(self, rng):
         for _ in range(2000):
-            state, obs_a, obs_b = random_triple(rng)
-            product = variance(state, obs_a) * variance(state, obs_b)
-            sur = sur_bound(state, obs_a, obs_b)
+            p, a, b = random_triple(rng)
+            product = variances(p, a) * variances(p, b)
+            rur = commutator_terms(p, a, b)
+            sur = rur + anticommutator_terms(p, a, b)
             assert product >= sur - 1e-10
-            assert sur >= rur_bound(state, obs_a, obs_b) - 1e-10
+            assert sur >= rur - 1e-10
 
 
 class TestSumRelation:
     def test_examples(self):
-        assert sum_relation(MAXMIXED, OBS_X, OBS_Z) == pytest.approx((2.0, 1.0), abs=1e-14)
-        assert sum_relation(GROUND, OBS_X, OBS_Y) == pytest.approx((2.0, 1.0), abs=1e-14)
-        state = bloch_to_matrix((0.3, 0.1, -0.5))
-        obs = PauliObservable(0.7, -0.2, 1.1, 0.4)
-        lhs, bound = sum_relation(state, obs, obs)
-        assert lhs == pytest.approx(2 * variance(state, obs), abs=1e-12)
-        assert bound == pytest.approx(2 * variance(state, obs), abs=1e-12)
+        assert sum_relations(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-14)
+        assert sum_relations(Z_POLE, X, Y) == pytest.approx((2.0, 1.0), abs=1e-14)
+        p = [0.3, 0.1, -0.5]
+        obs = [0.7, -0.2, 1.1, 0.4]
+        lhs, bound = sum_relations(p, obs, obs)
+        assert lhs == pytest.approx(2 * variances(p, obs), abs=1e-12)
+        assert bound == pytest.approx(2 * variances(p, obs), abs=1e-12)
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
     def test_holds_always(self, state, obs_a, obs_b):
-        lhs, bound = sum_relation(state, obs_a, obs_b)
+        lhs, bound = sum_relations(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
         assert lhs >= bound - 1e-10
 
 
 class TestEntropic:
     def test_entropy_examples(self):
-        assert entropy_of_measurement(GROUND, OBS_Z) == 0.0
-        assert entropy_of_measurement(MAXMIXED, OBS_Z) == pytest.approx(1.0, abs=1e-15)
-        assert entropy_of_measurement(GROUND, OBS_X) == pytest.approx(1.0, abs=1e-15)
+        assert measurement_entropies(Z_POLE, Z) == 0.0
+        assert measurement_entropies(ORIGIN, Z) == pytest.approx(1.0, abs=1e-15)
+        assert measurement_entropies(Z_POLE, X) == pytest.approx(1.0, abs=1e-15)
 
     def test_entropy_range(self, rng):
         for _ in range(500):
-            state, obs_a, _ = random_triple(rng)
-            if np.linalg.norm(obs_a.vec()) < 1e-6:
+            p, a, _ = random_triple(rng)
+            if np.linalg.norm(a[:3]) < 1e-6:
                 continue
-            assert 0.0 <= entropy_of_measurement(state, obs_a) <= 1.0
+            assert 0.0 <= measurement_entropies(p, a) <= 1.0
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrum):
-            entropy_of_measurement(MAXMIXED, OBS_I)
+            measurement_entropies(ORIGIN, I)
         with pytest.raises(DegenerateSpectrum):
-            complementarity_c(OBS_I, OBS_X)
+            complementarities(I, X)
 
     def test_complementarity_examples(self):
-        assert complementarity_c(OBS_X, OBS_Z) == pytest.approx(0.5, abs=1e-15)
-        assert complementarity_c(OBS_Z, OBS_Z + 3.0 * OBS_I) == pytest.approx(1.0, abs=1e-15)
-        tilted = PauliObservable(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0)
-        assert complementarity_c(OBS_Z, tilted) == pytest.approx(
-            math.cos(math.pi / 8) ** 2, abs=1e-12
-        )
+        assert complementarities(X, Z) == pytest.approx(0.5, abs=1e-15)
+        assert complementarities(Z, Z + 3.0 * I) == pytest.approx(1.0, abs=1e-15)
+        tilted = [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0]
+        assert complementarities(Z, tilted) == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
 
     def test_complementarity_against_eigenvector_overlap(self, rng):
         for _ in range(300):
-            _, obs_a, obs_b = random_triple(rng, span=2.0)
-            if min(np.linalg.norm(obs_a.vec()), np.linalg.norm(obs_b.vec())) < 1e-3:
+            _, a, b = random_triple(rng, span=2.0)
+            if min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) < 1e-3:
                 continue
-            _, vecs_a = np.linalg.eigh(obs_a.matrix)
-            _, vecs_b = np.linalg.eigh(obs_b.matrix)
+            _, vecs_a = np.linalg.eigh(oracle_obs(*a))
+            _, vecs_b = np.linalg.eigh(oracle_obs(*b))
             overlap = np.abs(vecs_a.conj().T @ vecs_b) ** 2
-            assert complementarity_c(obs_a, obs_b) == pytest.approx(
-                float(overlap.max()), abs=1e-10
-            )
+            assert complementarities(a, b) == pytest.approx(float(overlap.max()), abs=1e-10)
 
     def test_eur_examples(self):
-        assert eur_check(MAXMIXED, OBS_X, OBS_Z) == pytest.approx((2.0, 1.0), abs=1e-12)
-        entropy_sum, bound = eur_check(GROUND, OBS_Z, OBS_Z + OBS_I)
+        assert eur_values(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-12)
+        entropy_sum, bound = eur_values(Z_POLE, Z, Z + I)
         assert bound == 0.0
-        entropy_sum, bound = eur_check(GROUND, OBS_X, OBS_Z)
+        entropy_sum, bound = eur_values(Z_POLE, X, Z)
         assert (entropy_sum, bound) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
@@ -191,9 +195,11 @@ class TestEstimator:
 
     def test_matches_mixedness_for_any_pair(self, rng):
         for _ in range(1000):
-            state, obs_a, obs_b = random_triple(rng, span=2.0)
-            if gram_determinant(obs_a, obs_b) <= 1.0:
+            p, a, b = random_triple(rng, span=2.0)
+            if gram_determinants(a, b) <= 1.0:
                 continue
+            state = QubitState(BlochVector(*p.tolist()))
+            obs_a, obs_b = PauliObservable(*a), PauliObservable(*b)
             assert estimate_mixedness(state, obs_a, obs_b) == pytest.approx(
                 mixedness(state), abs=1e-10
             )
@@ -204,7 +210,7 @@ class TestEstimator:
         for _ in range(20):
             obs_a = PauliObservable(*rng.uniform(-2, 2, 4))
             obs_b = PauliObservable(*rng.uniform(-2, 2, 4))
-            if gram_determinant(obs_a, obs_b) <= 1.0:
+            if gram_determinants(obs_a.coeffs, obs_b.coeffs) <= 1.0:
                 continue
             values.append(estimate_mixedness(state, obs_a, obs_b))
         assert max(values) - min(values) <= 1e-10
@@ -221,14 +227,9 @@ class TestSymmetrizedProduct:
 
     def test_against_trace_oracle(self, rng):
         for _ in range(200):
-            _, obs_a, obs_b = random_triple(rng)
-            got = symmetrized_product(obs_a, obs_b).matrix
-            want = 0.5 * (
-                oracle_obs(obs_a.a1, obs_a.a2, obs_a.a3, obs_a.a4)
-                @ oracle_obs(obs_b.a1, obs_b.a2, obs_b.a3, obs_b.a4)
-                + oracle_obs(obs_b.a1, obs_b.a2, obs_b.a3, obs_b.a4)
-                @ oracle_obs(obs_a.a1, obs_a.a2, obs_a.a3, obs_a.a4)
-            )
+            _, a, b = random_triple(rng)
+            got = symmetrized_product(PauliObservable(*a), PauliObservable(*b)).matrix
+            want = 0.5 * (oracle_obs(*a) @ oracle_obs(*b) + oracle_obs(*b) @ oracle_obs(*a))
             assert np.abs(got - want).max() <= 1e-12
 
 
@@ -260,10 +261,8 @@ class TestShots:
 
 def exact_counts(state, obs, shots):
     """Counts proportional to the exact outcome probabilities."""
-    from qubitvar.relations import outcome_probabilities
-
-    p_hi, _ = outcome_probabilities(state, obs)
-    norm = float(np.linalg.norm(obs.vec()))
+    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
+    norm = float(np.linalg.norm(obs.coeffs[:3]))
     n_hi = round(p_hi * shots)
     return MeasurementCounts(
         obs, (obs.a4 + norm, obs.a4 - norm), (n_hi, shots - n_hi), shots
@@ -355,9 +354,11 @@ class TestEstimateFromCounts:
 class TestReport:
     def test_report_fields_consistent(self, rng):
         for _ in range(100):
-            state, obs_a, obs_b = random_triple(rng, span=2.0)
-            if min(np.linalg.norm(obs_a.vec()), np.linalg.norm(obs_b.vec())) < 1e-3:
+            p, a, b = random_triple(rng, span=2.0)
+            if min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) < 1e-3:
                 continue
+            state = QubitState(BlochVector(*p.tolist()))
+            obs_a, obs_b = PauliObservable(*a), PauliObservable(*b)
             report = compute_report(state, obs_a, obs_b)
             assert report.product == pytest.approx(report.varA * report.varB, abs=1e-12)
             assert report.product >= report.rur_bound - 1e-10

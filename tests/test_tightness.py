@@ -8,19 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bloch_vectors, observables
-from qubitvar.core import (
-    BlochVector,
-    OBS_I,
-    OBS_X,
-    OBS_Y,
-    OBS_Z,
-    PauliObservable,
-    QubitState,
-    random_bloch_vectors,
-)
+from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
+from qubitvar.core import OBS_I, OBS_X, OBS_Z, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, NonFiniteInput, NonPositiveLambda, NonPositiveTime
-from qubitvar.feedback import FeedbackParams, analytic_bloch, analytic_state
+from qubitvar.feedback import FeedbackParams, analytic_bloch
 from qubitvar.tightness import (
     GridAxis,
     SweepGrid,
@@ -29,86 +20,77 @@ from qubitvar.tightness import (
     fig3_grid,
     ratios,
     sweep,
-    ti1,
     ti1_analytic_alpha_pi4,
     ti1_analytic_lambda1,
-    ti2,
-    ti3,
 )
 
-MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
-GROUND = QubitState(BlochVector(0.0, 0.0, 1.0))
 
 
 class TestRatios:
     def test_ti1_examples(self):
-        assert ti1(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-12)
+        assert ratios(ORIGIN, X, Z)[0] == pytest.approx(1.0, abs=1e-12)
         # vanishing covariance with a positive bound saturates ti1
-        state = QubitState(BlochVector(0.0, 0.0, 0.5))
-        assert ti1(state, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-12)
+        assert ratios([0.0, 0.0, 0.5], X, Z)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ti1_undefined_when_bound_vanishes(self):
         # pure eigenstate of B with commuting-free pair: bound = 0
-        assert ti1(GROUND, OBS_Z, OBS_X) is None
+        assert math.isnan(ratios(Z_POLE, Z, X)[0])
 
     def test_ti1_matches_closed_form_on_feedback_state(self):
-        state = analytic_state(FeedbackParams(alpha=math.pi / 4, lam=1.0), 1.0)
-        assert ti1(state, OBS_X, OBS_Z) == pytest.approx(
+        p = analytic_bloch(FeedbackParams(alpha=math.pi / 4, lam=1.0), 1.0)
+        assert ratios(p, X, Z)[0] == pytest.approx(
             ti1_analytic_lambda1(math.pi / 4, 1.0), abs=1e-9
         )
 
     def test_ti2_examples(self):
-        assert ti2(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(2.0, abs=1e-12)
-        assert ti2(GROUND, OBS_X, OBS_Z) == pytest.approx(1.0, abs=1e-12)
-        assert ti2(MAXMIXED, OBS_Z, OBS_Z + OBS_I) is None
+        assert ratios(ORIGIN, X, Z)[1] == pytest.approx(2.0, abs=1e-12)
+        assert ratios(Z_POLE, X, Z)[1] == pytest.approx(1.0, abs=1e-12)
+        assert math.isnan(ratios(ORIGIN, Z, Z + I)[1])
 
     def test_ti3_examples(self):
-        assert ti3(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(2.0, abs=1e-12)
-        assert ti3(GROUND, OBS_X, OBS_Y) == pytest.approx(2.0, abs=1e-12)
-        obs = PauliObservable(0.8, -0.1, 0.4, 1.2)
-        state = QubitState(BlochVector(0.2, 0.3, -0.1))
-        assert ti3(state, obs, obs) == pytest.approx(1.0, abs=1e-12)
+        assert ratios(ORIGIN, X, Z)[2] == pytest.approx(2.0, abs=1e-12)
+        assert ratios(Z_POLE, X, Y)[2] == pytest.approx(2.0, abs=1e-12)
+        obs = [0.8, -0.1, 0.4, 1.2]
+        assert ratios([0.2, 0.3, -0.1], obs, obs)[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_ti1_scale_and_shift_invariance(self, rng):
         for _ in range(500):
             p = random_bloch_vectors(rng, 1)[0]
-            state = QubitState(BlochVector(*map(float, p)))
-            obs_a = PauliObservable(*rng.uniform(-3, 3, 4))
-            obs_b = PauliObservable(*rng.uniform(-3, 3, 4))
-            base = ti1(state, obs_a, obs_b)
-            if base is None:
+            a = rng.uniform(-3, 3, 4)
+            b = rng.uniform(-3, 3, 4)
+            base = ratios(p, a, b)[0]
+            if math.isnan(base):
                 continue
             scale = float(rng.uniform(0.3, 2.5)) * float(rng.choice([-1.0, 1.0]))
             shift = float(rng.uniform(-4, 4))
-            assert ti1(state, scale * obs_a, obs_b) == pytest.approx(
-                base, rel=1e-10, abs=1e-10
-            )
-            assert ti1(state, obs_a + shift * OBS_I, obs_b) == pytest.approx(
-                base, rel=1e-10, abs=1e-10
-            )
+            assert ratios(p, scale * a, b)[0] == pytest.approx(base, rel=1e-10, abs=1e-10)
+            assert ratios(p, a + shift * I, b)[0] == pytest.approx(base, rel=1e-10, abs=1e-10)
+
+
+def same_ratio(one, stacked) -> bool:
+    """Both undefined, or equal up to an ulp (SIMD and scalar libm paths may differ)."""
+    if math.isnan(one):
+        return math.isnan(stacked)
+    return stacked == pytest.approx(one, rel=1e-12, abs=0)
 
 
 class TestArrayRatios:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(bloch_vectors(), min_size=1, max_size=12), observables(), observables())
     def test_batch_equals_scalar_point_by_point(self, vectors, obs_a, obs_b):
+        # one row through ratios() equals that row of the stacked call
         p = np.array([v.as_array() for v in vectors])
-        scalar = (ti1, ti2, ti3)
+        a, b = obs_a.coeffs, obs_b.coeffs
         try:
-            batch = ratios(p, obs_a.coeffs, obs_b.coeffs)
+            batch = ratios(p, a, b)
         except DegenerateSpectrum:
             with pytest.raises(DegenerateSpectrum):
-                ti2(QubitState(vectors[0]), obs_a, obs_b)
+                ratios(p[0], a, b)
             return
-        for i, vector in enumerate(vectors):
-            state = QubitState(vector)
-            for fn, values in zip(scalar, batch):
-                expected = fn(state, obs_a, obs_b)
-                if expected is None:
-                    assert math.isnan(values[i])
-                else:
-                    # same operations; SIMD and scalar libm paths may differ by an ulp
-                    assert values[i] == pytest.approx(expected, rel=1e-12, abs=0)
+        for i in range(len(vectors)):
+            for one, values in zip(ratios(p[i], a, b), batch):
+                assert one.shape == ()
+                assert same_ratio(one, values[i])
 
     def test_per_row_observables_broadcast(self, rng):
         p = random_bloch_vectors(rng, 20)
@@ -116,20 +98,18 @@ class TestArrayRatios:
         b = rng.uniform(-2, 2, size=(20, 4))
         batch = np.column_stack(ratios(p, a, b))
         for i in range(20):
-            state = QubitState(BlochVector(*map(float, p[i])))
-            obs_a, obs_b = PauliObservable(*a[i]), PauliObservable(*b[i])
-            row = [ti1(state, obs_a, obs_b), ti2(state, obs_a, obs_b), ti3(state, obs_a, obs_b)]
-            assert batch[i].tolist() == pytest.approx(row, rel=1e-12, abs=0)
+            row = ratios(p[i], a[i], b[i])
+            assert all(same_ratio(one, stacked) for one, stacked in zip(row, batch[i]))
 
     def test_definedness_is_unit_free(self):
         # a vanishing bound is judged in the bound's own units, so scaling both
         # observables leaves every ratio (and whether it is defined) unchanged
-        state = QubitState(BlochVector(0.2, 0.3, -0.1))
-        base = [fn(state, OBS_X, OBS_Z) for fn in (ti1, ti2, ti3)]
-        assert None not in base
+        p = [0.2, 0.3, -0.1]
+        base = ratios(p, X, Z)
+        assert not np.isnan(base).any()
         assert base[0] == pytest.approx(1.000421, abs=1e-6)
         for scale in (1e-3, 1e-7):
-            scaled = [fn(state, scale * OBS_X, scale * OBS_Z) for fn in (ti1, ti2, ti3)]
+            scaled = ratios(p, scale * X, scale * Z)
             for value, want in zip(scaled, base):
                 assert value == pytest.approx(want, rel=1e-10, abs=0)
 
@@ -155,7 +135,7 @@ class TestClosedFormExpressions:
 
     def test_alpha_pi4_long_time_matches_pipeline(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        pipeline = ti1(analytic_state(params, 20.0), OBS_X, OBS_Z)
+        pipeline = ratios(analytic_bloch(params, 20.0), X, Z)[0]
         assert ti1_analytic_alpha_pi4(1.0, 20.0) == pytest.approx(pipeline, abs=1e-9)
 
     def test_large_t_matches_pipeline(self):
@@ -166,7 +146,7 @@ class TestClosedFormExpressions:
             (math.pi / 4, partial(ti1_analytic_alpha_pi4, 1.0)),
         ):
             bloch = analytic_bloch(FeedbackParams(alpha=alpha, lam=1.0), ts)
-            pipeline = ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0]
+            pipeline = ratios(bloch, X, Z)[0]
             assert [closed_form(t) for t in ts] == pytest.approx(pipeline, abs=1e-9)
 
     def test_domain_errors(self):
@@ -316,10 +296,9 @@ class TestSweep:
             assert [v is not None for v in (p.ti1, p.ti2, p.ti3)] == list(defined)
         # the grid path agrees with the per-point ratios
         for p in sweep(grid, source="analytic")[:6]:
-            state = analytic_state(FeedbackParams(alpha=p.alpha, lam=p.lam), p.t)
-            for got, fn in zip((p.ti1, p.ti2, p.ti3), (ti1, ti2, ti3)):
-                want = fn(state, obs_a, obs_b)
-                assert got == (None if want is None else pytest.approx(want, rel=1e-12))
+            bloch = analytic_bloch(FeedbackParams(alpha=p.alpha, lam=p.lam), p.t)
+            for got, want in zip((p.ti1, p.ti2, p.ti3), ratios(bloch, obs_a.coeffs, obs_b.coeffs)):
+                assert got == (None if math.isnan(want) else pytest.approx(want, rel=1e-12))
 
     def test_undefined_points_marked_not_raised(self):
         # commuting pair: ti2 undefined everywhere, sweep still completes
