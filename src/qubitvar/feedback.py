@@ -13,10 +13,10 @@ cos(alpha)|0> + sin(alpha)|1> the solution is closed-form; the excited
 population rho11 relaxes to lam^2/(1 + 2 lam^2).  A fixed-step RK4
 integrator covers the general case and cross-checks the closed form.
 
-master_rhs is the one generator.  It is linear in y = (px, py, pz, 1);
-generator() reads the real 4x4 L off it, and each RK4 step is applied
-exactly as y <- y + D y, D = T4(hL) - I (T4 the 4th-order Taylor
-polynomial).  L's last row is zero, so no renormalisation is needed.
+generator() writes the equation, linear in y = (px, py, pz, 1), as a real
+4x4 L in closed form over parameter arrays; verify keeps the dense form as
+an oracle.  Each RK4 step is exactly y <- y + D y with D = T4(hL) - I (the
+4th-order Taylor polynomial); L's last row is zero: no renormalisation.
 
 One propagator steps every trajectory: between stored times it takes
 floor(span/h + 1e-9) steps of h (the rule step_times lays its grid by),
@@ -31,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    IDENTITY, PAULI_X, PAULI_Y, PAULI_Z, BlochVector, QubitState, _outside_ball,
-    density_matrices, mixedness_values
-)
+from .core import BlochVector, QubitState, _outside_ball, density_matrices, mixedness_values
 from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
-
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 MAX_STEP = 1e-2
 
@@ -53,13 +47,12 @@ class FeedbackParams:
 
     alpha is the initial superposition angle, lam the feedback strength
     (the model of interest uses lam in [0, 1]), omega the Rabi frequency
-    of an optional drive.  gamma_eff is fixed to 1 by the normalization.
+    of an optional drive.
     """
 
     alpha: float
     lam: float = 0.0
     omega: float = 0.0
-    gamma_eff: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "lam", "omega"):
@@ -69,8 +62,6 @@ class FeedbackParams:
             raise ValueError("lam must be >= 0")
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
-        if self.gamma_eff != 1.0:
-            raise ValueError("gamma_eff is fixed to 1 (time is measured in 1/gamma)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,32 +97,21 @@ def initial_state(alpha: float) -> QubitState:
 # generator
 # ---------------------------------------------------------------------------
 
-def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D(O)rho = O rho O^dag - (O^dag O rho + rho O^dag O)/2."""
-    op_dag = op.conj().T
-    op_sq = op_dag @ op
-    return op @ rho @ op_dag - 0.5 * (op_sq @ rho + rho @ op_sq)
+def generator(lam, omega=0.0) -> np.ndarray:
+    """Real L with d/dt (p, 1) = L (p, 1), shape broadcast(lam, omega) + (4, 4).
 
-
-def master_rhs(rho: np.ndarray, params: FeedbackParams) -> np.ndarray:
-    """Right-hand side of the feedback master equation; traceless by construction.
-
-    With lam = 0 this is exactly the undriven-damping generator
-    -i[Omega sx, rho] + D(s-) rho.
+    Up to a multiple of I the Hamiltonian is omega sx - (lam/2) sz: it
+    rotates (py, pz) at 2 omega and (px, py) at lam.  The jump operator
+    s- - i lam sx damps px at 1/2, py at 1/2 + 2 lam^2 and pz at
+    1 + 2 lam^2 towards 1; its cross term turns the rotation's (px, py)
+    coupling into px -> py at -2 lam alone.  So pz settles at 1/(1 + 2 lam^2).
     """
-    fb = params.lam * PAULI_X
-    hamiltonian = params.omega * PAULI_X + 0.5 * (SIGMA_PLUS @ fb + fb @ SIGMA_MINUS)
-    commutator = hamiltonian @ rho - rho @ hamiltonian
-    return -1j * commutator + dissipator(SIGMA_MINUS - 1j * fb, rho)
-
-
-def generator(params: FeedbackParams) -> np.ndarray:
-    """Real 4x4 L with d/dt (p, 1) = L (p, 1): column k holds the Bloch
-    components of master_rhs at sx/2, sy/2, sz/2, I/2; the last row is zero."""
-    gen = np.zeros((4, 4))
-    for k, basis in enumerate((PAULI_X, PAULI_Y, PAULI_Z, IDENTITY)):
-        m = master_rhs(0.5 * basis, params)
-        gen[:3, k] = (2.0 * m[1, 0].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real)
+    lam, omega = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
+    heat = 2.0 * lam * lam
+    gen = np.zeros(lam.shape + (4, 4))
+    gen[..., 0, 0] = -0.5
+    gen[..., 1, :3] = np.stack([-2.0 * lam, -(0.5 + heat), -2.0 * omega], axis=-1)
+    gen[..., 2, 1:] = np.stack([2.0 * omega, -(1.0 + heat), np.ones_like(lam)], axis=-1)
     return gen
 
 
@@ -282,7 +262,7 @@ def _propagate(params: FeedbackParams, times: np.ndarray, h: float) -> Trajector
     the floating-point warnings on the way there are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = generator(params)
+        gen = generator(params.lam, params.omega)
         full = _increment(gen, h)
         spans = np.diff(times, prepend=0.0)
         counts = _full_steps(spans, h)

@@ -49,7 +49,7 @@ def sweep_sidecar_json(
         "seed": seed,
         "violations": violations,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def simulate_csv(rows: list[tuple], include_numeric: bool) -> str:

@@ -61,6 +61,8 @@ class GridAxis:
     include_hi: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise NonFiniteInput(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.steps == 1:

@@ -1,11 +1,13 @@
 """Shared fixtures, strategies and independent oracle helpers.
 
 Oracle matrices are built here from literal Pauli entries so the tests
-do not lean on the package's own constants.
+do not lean on the package's own constants.  The dense master equation
+is verify's oracle, the one copy in the repository.
 """
 
 import math
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import qubitvar
 from qubitvar.core import BlochVector, PauliObservable, QubitState
-from qubitvar.feedback import master_rhs, step_times
+from qubitvar.feedback import step_times
+from qubitvar.verify import master_rhs
 
 # Environment for `python -m qubitvar` subprocesses: they import the same
 # package as the tests, also when pytest found it through its pythonpath.
@@ -69,11 +72,6 @@ def oracle_xi(r, s):
     return (2.0 * np.trace(r @ s) - np.trace(r) * np.trace(s)).real
 
 
-def oracle_bloch(m):
-    """Bloch components tr(m s_k) of a 2x2 matrix."""
-    return np.array([np.trace(m @ s).real for s in (SX, SY, SZ)])
-
-
 def oracle_rk4_matrices(params, t_end, h):
     """Dense 2x2 RK4 of master_rhs on the step_times grid, one matrix per time.
 
@@ -82,13 +80,14 @@ def oracle_rk4_matrices(params, t_end, h):
     """
     times = step_times(t_end, h)
     rho = oracle_state(math.sin(2 * params.alpha), 0.0, math.cos(2 * params.alpha))
+    rhs = partial(master_rhs, lam=params.lam, omega=params.omega)
     out = [rho]
     for i in range(1, len(times)):
         step = h if i < len(times) - 1 else float(times[i] - times[i - 1])
-        k1 = master_rhs(rho, params)
-        k2 = master_rhs(rho + 0.5 * step * k1, params)
-        k3 = master_rhs(rho + 0.5 * step * k2, params)
-        k4 = master_rhs(rho + step * k3, params)
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * step * k1)
+        k3 = rhs(rho + 0.5 * step * k2)
+        k4 = rhs(rho + step * k3)
         rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real

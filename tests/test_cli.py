@@ -272,16 +272,12 @@ class TestSweep:
         assert not out_file.exists()
 
     def test_invalid_ranges(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            ["sweep", "--fig2", "--steps", "1", "--output", str(tmp_path / "x.csv")],
-            capsys,
-        )
-        assert code == 2
-        code, _, _ = run_cli(
-            ["sweep", "--fig2", "--t-end", "-1", "--output", str(tmp_path / "x.csv")],
-            capsys,
-        )
-        assert code == 2
+        out_file = tmp_path / "x.csv"
+        for bad in (["--steps", "1"], ["--t-end", "-1"], ["--t-end", "inf"]):
+            code, _, err = run_cli(["sweep", "--fig2", *bad, "--output", str(out_file)], capsys)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert not out_file.exists()
 
 
 class TestEstimate:

@@ -1,7 +1,9 @@
 """Tightness ratios, the closed-form ti1 expressions and grid sweeps."""
 
+import importlib.util
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,8 @@ class TestGrid:
             GridAxis(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             GridAxis(0.0, 1.0, 0)
+        with pytest.raises(NonFiniteInput):
+            GridAxis(0.0, math.inf, 10)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -312,3 +316,16 @@ class TestSweep:
         points = sweep(grid, source="analytic")
         assert all(p.ti2 is None for p in points)
         assert all(p.ti3 is not None for p in points)
+
+
+@pytest.mark.parametrize("name", ["reproduce_fig2", "reproduce_fig3"])
+def test_figure_script_writes_paper_grid(name, monkeypatch, tmp_path):
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    assert script.run() == 0
+    (csv,) = tmp_path.glob("*.csv")
+    assert len(csv.read_text().splitlines()) == 2501
+    assert csv.with_suffix(".meta.json").is_file()
