@@ -14,6 +14,7 @@ convexity property.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +38,10 @@ TRACE_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 VARIANCE_CLAMP = 1e-12
+# Largest observable coefficient accepted.  The closed forms multiply at
+# most four coefficients, e.g. the Gram determinant's 16 |a|^2 |b|^2 <=
+# 144 c^4; c^4 a factor 1e4 below the largest float keeps them all finite.
+COEFF_MAX = (sys.float_info.max / 1e4) ** 0.25
 
 
 def _require_finite(*values: float) -> None:
@@ -88,6 +93,8 @@ class PauliObservable:
 
     def __post_init__(self):
         _require_finite(self.a1, self.a2, self.a3, self.a4)
+        if max(map(abs, (self.a1, self.a2, self.a3, self.a4))) > COEFF_MAX:
+            raise NonFiniteInput(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
 
     @cached_property
     def coeffs(self) -> np.ndarray:

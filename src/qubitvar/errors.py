@@ -60,3 +60,6 @@ class StepTooLarge(QubitVarError):
 class PositivityLost(QubitVarError):
     """Integrated state left the Bloch ball by more than the instability threshold."""
 
+
+class TooMuchWork(QubitVarError):
+    """A request needs more grid points or integrator steps than the package allows."""

@@ -18,10 +18,10 @@ generator() writes the equation, linear in y = (px, py, pz, 1), as a real
 an oracle.  Each RK4 step is exactly y <- y + D y with D = T4(hL) - I (the
 4th-order Taylor polynomial); L's last row is zero: no renormalisation.
 
-One propagator steps every trajectory: between stored times it takes
-floor(span/h + 1e-9) steps of h (the rule step_times lays its grid by),
-then a remainder step if more than 1e-12 is left.  So integrate(p,
-t_end, h) is exactly evolve_to_times(p, step_times(t_end, h), h).
+evolve() holds the one RK4 loop and steps a stack of parameter sets
+together by one rule: floor(span/h + 1e-9) steps of h between stored
+times (the rule step_times lays its grid by), then a remainder step if
+more than 1e-12 is left.  integrate() runs a stack of one.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlochVector, QubitState, _outside_ball, density_matrices, mixedness_values
-from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
+from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
 
 MAX_STEP = 1e-2
+# Steps one trajectory may take: 200 times the default simulate run.
+MAX_STEPS = 10**6
 
 # Below this the closed-form coherence switches to its lam -> 0 limit
 # (the general expression divides by lam).
@@ -86,11 +88,6 @@ class Trajectory:
 
     def matrices(self) -> np.ndarray:
         return density_matrices(self.bloch)
-
-
-def initial_state(alpha: float) -> QubitState:
-    """Projector onto cos(alpha)|0> + sin(alpha)|1>."""
-    return QubitState(BlochVector(math.sin(2 * alpha), 0.0, math.cos(2 * alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +178,12 @@ def steady_state(params: FeedbackParams) -> QubitState:
 # fixed-step RK4 integration
 # ---------------------------------------------------------------------------
 
-def _check_step(h: float) -> None:
+def _check_steps(t_end: float, h: float) -> None:
+    """h within (0, MAX_STEP], and at most MAX_STEPS of it to a finite t_end."""
     if not (0.0 < h <= MAX_STEP):
         raise StepTooLarge(f"step must satisfy 0 < h <= {MAX_STEP:g}, got {h}")
+    if _full_steps(float(t_end), h) > MAX_STEPS:
+        raise TooMuchWork(f"t = {t_end:g} at step {h:g} needs more than {MAX_STEPS} steps")
 
 
 def _increment(gen: np.ndarray, h: float) -> np.ndarray:
@@ -206,11 +206,11 @@ def step_times(t_end: float, h: float) -> np.ndarray:
     When t_end is not a multiple of h a shorter final interval is added;
     when it is (up to float noise) the last label is snapped to t_end.
     """
-    _check_step(h)
     if not math.isfinite(t_end):
         raise NonFiniteInput(f"t_end must be finite, got {t_end}")
     if t_end <= 0:
         raise NegativeTime(f"t_end must be > 0, got {t_end}")
+    _check_steps(t_end, h)
     n_full = int(_full_steps(t_end, h))
     times = [i * h for i in range(n_full + 1)]
     if t_end - n_full * h > 1e-9:
@@ -224,50 +224,40 @@ def integrate(params: FeedbackParams, t_end: float, h: float = 1e-3) -> Trajecto
     """RK4 trajectory from the pure initial state of angle alpha.
 
     Stores the state after every step (plus a shorter final step when
-    t_end is not a multiple of h).  Raises PositivityLost if a step
-    pushed the state out of the Bloch ball beyond representation
-    tolerance (an eigenvalue below -1e-6 always does), which signals an
-    unresolved step.
+    t_end is not a multiple of h); raises PositivityLost as evolve does.
     """
-    return _propagate(params, step_times(t_end, h), h)
+    times = step_times(t_end, h)
+    return Trajectory(times=times, bloch=evolve([params], times, h)[0])
 
 
-def evolve_to_times(params: FeedbackParams, sample_times, h: float = 1e-3) -> Trajectory:
-    """Integrate from t = 0 landing exactly on each requested time.
+def evolve(params: list[FeedbackParams], sample_times, h: float = 1e-3) -> np.ndarray:
+    """Bloch vectors of each parameter set at each sample time, (len(params), T, 3).
 
-    Between consecutive sample times the integrator takes full steps of h
-    plus one shorter remainder step, so arbitrary grids are hit without
-    interpolation.  sample_times must be finite, strictly increasing and
-    >= 0.
+    All sets start from cos(alpha)|0> + sin(alpha)|1> at t = 0 and step
+    together, with full steps of h and a shorter remainder step between
+    consecutive sample times (finite, strictly increasing, >= 0), so any
+    grid is hit without interpolation.  Raises PositivityLost at the
+    earliest stored time at which a state lies outside the Bloch ball
+    beyond representation tolerance (an eigenvalue below -1e-6 always
+    does), the sign of an unresolved step.  An overflowing generator
+    carries states to inf or NaN, so the warnings on the way are silenced.
     """
-    _check_step(h)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size == 0:
-        raise ValueError("sample_times must be non-empty")
-    if not np.isfinite(sample_times).all():
+    times = np.array(sample_times, dtype=float)
+    if not np.isfinite(times).all():
         raise NonFiniteInput("sample_times must be finite")
-    if sample_times[0] < 0:
-        raise NegativeTime(f"t = {sample_times[0]}")
-    if np.any(np.diff(sample_times) <= 0):
-        raise ValueError("sample_times must be strictly increasing")
-    return _propagate(params, sample_times.copy(), h)
-
-
-def _propagate(params: FeedbackParams, times: np.ndarray, h: float) -> Trajectory:
-    """The one RK4 loop, from the initial state at t = 0 to each of times;
-    PositivityLost at the first stored row outside the Bloch ball.
-
-    A generator that overflows, or a step too large for the drive, can
-    carry the state to inf or NaN.  Such rows fail the ball check, so
-    the floating-point warnings on the way there are silenced.
-    """
+    if times.size == 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("sample_times must be non-empty and strictly increasing")
+    if times[0] < 0:
+        raise NegativeTime(f"t = {times[0]}")
+    _check_steps(times[-1], h)
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = generator(params.lam, params.omega)
+        gen = generator([p.lam for p in params], [p.omega for p in params])
         full = _increment(gen, h)
         spans = np.diff(times, prepend=0.0)
         counts = _full_steps(spans, h)
         rests = spans - counts * h
-        y = np.append(initial_state(params.alpha).bloch.as_array(), 1.0)
+        y = np.array([[[math.sin(2 * p.alpha)], [0.0], [math.cos(2 * p.alpha)], [1.0]]
+                      for p in params])
         ys = []
         for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
             while count:
@@ -276,11 +266,11 @@ def _propagate(params: FeedbackParams, times: np.ndarray, h: float) -> Trajector
             if rest > 1e-12:
                 y = y + _increment(gen, rest) @ y
             ys.append(y)
-        bloch = np.ascontiguousarray(np.array(ys)[:, :3])
+        bloch = np.ascontiguousarray(np.stack(ys, axis=1)[:, :, :3, 0])
         norm_sq, outside = _outside_ball(bloch)
     if outside.any():
-        i = np.flatnonzero(outside)[0]
-        raise PositivityLost(
-            f"min eigenvalue {(1.0 - math.sqrt(norm_sq[i])) / 2.0:.3e} at t = {times[i]:g}"
-        )
-    return Trajectory(times=times, bloch=bloch)
+        i, k = np.argwhere(outside)[0]  # outside is (T, n): earliest time first
+        where = f" for {params[k]}" if len(params) > 1 else ""
+        eigenvalue = (1.0 - math.sqrt(norm_sq[i, k])) / 2.0
+        raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[i]:g}{where}")
+    return bloch

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OBS_X, OBS_Z, PauliObservable, _coeffs, _dot, bloch_array, variances
-from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime
-from .feedback import FeedbackParams, analytic_bloch, evolve_to_times
+from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
+from .feedback import FeedbackParams, analytic_bloch, evolve
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
 
 # A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
@@ -31,6 +31,8 @@ BOUND_FLOOR = 1e-12
 C_ONE_TOL = 1e-12
 # Ordering-violation tolerance used by sweep sidecars.
 ORDERING_TOL = 1e-9
+# Points one sweep may evaluate: 400 times the 50 x 50 paper grid.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,9 @@ class SweepGrid:
     obs_b: PauliObservable = OBS_Z
 
     def __post_init__(self):
+        points = self.alpha_axis.steps * self.lambda_axis.steps * self.t_axis.steps
+        if points > MAX_GRID_POINTS:
+            raise TooMuchWork(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
         if self.t_axis.lo < 0:
             raise ValueError("t axis must start at >= 0")
         if self.lambda_axis.values().min() < 0:
@@ -215,8 +220,8 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[Ti
     Iteration order is alpha (outer), lambda, t (inner), so output order
     is deterministic regardless of how points are evaluated.  source
     selects the closed-form feedback solution or the RK4 integrator with
-    step h; both run at omega = 0.  The Bloch vectors of every (alpha,
-    lambda) row are stacked and the ratios computed in one call.
+    step h, which steps every (alpha, lambda) row in one call; both run
+    at omega = 0.  The ratios of the whole grid come from one call.
     Undefined ratios become None.
     """
     if source not in ("analytic", "numeric"):
@@ -227,10 +232,10 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[Ti
         for alpha in grid.alpha_axis.values().tolist() for lam in grid.lambda_axis.values().tolist()
     ]
     if source == "analytic":
-        bloch = [analytic_bloch(params, ts) for params in rows]
+        bloch = np.concatenate([analytic_bloch(params, ts) for params in rows])
     else:
-        bloch = [evolve_to_times(params, ts, h=h).bloch for params in rows]
-    values = np.column_stack(ratios(np.concatenate(bloch), grid.obs_a.coeffs, grid.obs_b.coeffs))
+        bloch = evolve(rows, ts, h=h).reshape(-1, 3)
+    values = np.column_stack(ratios(bloch, grid.obs_a.coeffs, grid.obs_b.coeffs))
     coords = [(params.alpha, t, params.lam) for params in rows for t in ts.tolist()]
     return [
         TightnessPoint(*point, *(None if math.isnan(r) else r for r in ratio_row))

@@ -379,13 +379,11 @@ def check_lambda0_reduction(samples: int, seed: int) -> CheckResult:
 
 
 def _grid_deviation(h: float, pairs) -> float:
-    worst = 0.0
-    for alpha, lam in pairs:
-        params = feedback.FeedbackParams(alpha=alpha, lam=lam)
-        traj = feedback.integrate(params, t_end=2.0, h=h)
-        exact = density_matrices(feedback.analytic_bloch(params, traj.times))
-        worst = max(worst, float(np.abs(traj.matrices() - exact).max()))
-    return worst
+    params = [feedback.FeedbackParams(alpha=alpha, lam=lam) for alpha, lam in pairs]
+    times = feedback.step_times(2.0, h)
+    exact = np.stack([feedback.analytic_bloch(p, times) for p in params])
+    bloch = feedback.evolve(params, times, h)
+    return float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
 
 
 def check_rk4_order(samples: int, seed: int) -> CheckResult:
@@ -404,34 +402,28 @@ def check_rk4_order(samples: int, seed: int) -> CheckResult:
     )
 
 
+def _trajectories(alphas, lams, t_end: float) -> np.ndarray:
+    """Bloch vectors on the step grid to t_end at h = 5e-3, one row per (alpha, lam)."""
+    params = [
+        feedback.FeedbackParams(alpha=float(alpha), lam=lam) for alpha in alphas for lam in lams
+    ]
+    return feedback.evolve(params, feedback.step_times(t_end, 5e-3), 5e-3)
+
+
 def check_trajectory_positivity(samples: int, seed: int) -> CheckResult:
-    worst = -np.inf
-    runs = 0
-    for alpha in np.linspace(0.0, math.pi / 2, 3):
-        for lam in (0.2, 0.6, 1.0):
-            traj = feedback.integrate(
-                feedback.FeedbackParams(alpha=float(alpha), lam=lam), t_end=5.0, h=5e-3
-            )
-            norms = np.sqrt((traj.bloch**2).sum(axis=1))
-            worst = max(worst, float(((norms - 1.0) / 2.0).max()))
-            runs += 1
+    bloch = _trajectories(np.linspace(0.0, math.pi / 2, 3), (0.2, 0.6, 1.0), 5.0)
+    norms = np.sqrt((bloch**2).sum(axis=-1))
+    worst = float(((norms - 1.0) / 2.0).max())
     return CheckResult(
-        "trajectory_positivity", runs, worst, 1e-8, worst <= 1e-8,
+        "trajectory_positivity", len(bloch), worst, 1e-8, worst <= 1e-8,
         note="worst -lambda_min along integrated trajectories",
     )
 
 
 def check_trajectory_starts_pure(samples: int, seed: int) -> CheckResult:
-    worst = 0.0
-    runs = 0
-    for alpha in np.linspace(0.0, math.pi, 5):
-        for lam in (0.0, 0.5, 1.0):
-            traj = feedback.integrate(
-                feedback.FeedbackParams(alpha=float(alpha), lam=lam), t_end=0.05, h=5e-3
-            )
-            worst = max(worst, float(traj.mixedness_values()[0]))
-            runs += 1
-    return CheckResult("trajectory_starts_pure", runs, worst, 1e-12, worst <= 1e-12)
+    bloch = _trajectories(np.linspace(0.0, math.pi, 5), (0.0, 0.5, 1.0), 0.05)
+    worst = float(mixedness_values(bloch[:, 0]).max())
+    return CheckResult("trajectory_starts_pure", len(bloch), worst, 1e-12, worst <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ from qubitvar.feedback import step_times
 from qubitvar.verify import master_rhs
 
 # Environment for `python -m qubitvar` subprocesses: they import the same
-# package as the tests, also when pytest found it through its pythonpath.
+# package as the tests, also when pytest found it through its pythonpath,
+# and fail on a floating-point warning as the tests themselves do.
 CLI_ENV = dict(
     os.environ,
     PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(qubitvar.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     ),
+    PYTHONWARNINGS="error::RuntimeWarning",
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

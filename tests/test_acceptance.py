@@ -39,8 +39,10 @@ from qubitvar.feedback import (
     analytic_coherence,
     analytic_excited_population,
     analytic_state,
+    evolve,
     integrate,
     steady_state,
+    step_times,
 )
 from qubitvar.relations import (
     compute_report,
@@ -191,21 +193,17 @@ def test_criterion_05_mixedness_convexity():
 
 
 def _grid_max_deviation(h):
-    worst = 0.0
-    for alpha in np.linspace(0.0, math.pi / 2, 5):
-        for lam in np.linspace(0.2, 1.0, 5):
-            params = FeedbackParams(alpha=float(alpha), lam=float(lam))
-            traj = integrate(params, t_end=5.0, h=h)
-            pops = traj.excited_populations()
-            cohs = 0.5 * (traj.bloch[:, 0] + 1j * traj.bloch[:, 1])
-            exact_pops = analytic_excited_population(params, traj.times)
-            exact_cohs = np.asarray(analytic_coherence(params, traj.times))
-            worst = max(
-                worst,
-                float(np.abs(pops - exact_pops).max()),
-                float(np.abs(cohs - exact_cohs).max()),
-            )
-    return worst
+    params = [
+        FeedbackParams(alpha=float(alpha), lam=float(lam))
+        for alpha in np.linspace(0.0, math.pi / 2, 5) for lam in np.linspace(0.2, 1.0, 5)
+    ]
+    times = step_times(5.0, h)
+    bloch = evolve(params, times, h)
+    pops = 0.5 * (1.0 - bloch[..., 2])
+    cohs = 0.5 * (bloch[..., 0] + 1j * bloch[..., 1])
+    exact_pops = np.stack([analytic_excited_population(p, times) for p in params])
+    exact_cohs = np.stack([analytic_coherence(p, times) for p in params])
+    return max(float(np.abs(pops - exact_pops).max()), float(np.abs(cohs - exact_cohs).max()))
 
 
 def test_criterion_06_analytic_vs_numeric_dynamics():
@@ -327,6 +325,7 @@ def _cli_bytes(args):
         [sys.executable, "-m", "qubitvar", *args], capture_output=True, check=False, env=CLI_ENV
     )
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     return proc.stdout
 
 
@@ -350,6 +349,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
         blobs.append(
             (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
         )

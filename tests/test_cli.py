@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from conftest import CLI_ENV
@@ -90,15 +89,20 @@ class TestReport:
         assert out == ""
         assert err.startswith("error: --obs-a")
 
-    def test_overflowing_moments_are_config_error(self, capsys):
-        # finite input whose variance overflows: never emitted as bare NaN/Infinity
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(
-                ["report", "--bloch", "0.5,0,0", "--obs-a", "1e200,0,0,0"], capsys
-            )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+    def test_overflowing_moments_are_config_error(self, capsys, tmp_path):
+        # finite coefficients whose moments would overflow are rejected
+        # before any arithmetic: the error line alone, no warning before it
+        out_file = tmp_path / "x.csv"
+        for args in (
+            ["report", "--bloch", "0.5,0,0", "--obs-a", "1e200,0,0,0"],
+            ["sweep", "--fig2", "--steps", "4", "--obs-a", "1e200,0,0,0",
+             "--output", str(out_file)],
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --obs-a") and err.count("\n") == 1
+            assert not out_file.exists()
 
 
 class TestSimulate:
@@ -165,6 +169,8 @@ class TestSimulate:
             ["--t-end", "nan"],
             ["--lambda", "-1"],
             ["--alpha", "nan"],
+            # more steps than the integrator takes: refused before the first
+            ["--source", "numeric", "--t-end", "1e12"],
         ],
     )
     def test_out_of_domain_input_exits_two(self, flags, capsys):
@@ -273,7 +279,11 @@ class TestSweep:
 
     def test_invalid_ranges(self, capsys, tmp_path):
         out_file = tmp_path / "x.csv"
-        for bad in (["--steps", "1"], ["--t-end", "-1"], ["--t-end", "inf"]):
+        for bad in (
+            ["--steps", "1"], ["--t-end", "-1"], ["--t-end", "inf"],
+            # work caps, checked before any array is built or step taken
+            ["--steps", "100000000000"], ["--source", "numeric", "--t-end", "1e12"],
+        ):
             code, _, err = run_cli(["sweep", "--fig2", *bad, "--output", str(out_file)], capsys)
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -352,6 +362,7 @@ class TestDeterminism:
             env=CLI_ENV,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
         return proc.stdout
 
     def test_report_bytes_stable(self):
@@ -381,6 +392,7 @@ class TestDeterminism:
                 env=CLI_ENV,
             )
             assert proc.returncode == 0, proc.stderr.decode()
+            assert proc.stderr == b""
             sidecar = out_file.with_suffix(".meta.json")
             blobs.append((out_file.read_bytes(), sidecar.read_bytes()))
         assert blobs[0] == blobs[1]

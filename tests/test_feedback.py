@@ -9,7 +9,9 @@ import pytest
 
 from conftest import oracle_rk4_matrices, oracle_state
 from qubitvar.core import density_matrices
-from qubitvar.errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge
+from qubitvar.errors import (
+    NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
+)
 from qubitvar.feedback import (
     FeedbackParams,
     Trajectory,
@@ -17,9 +19,8 @@ from qubitvar.feedback import (
     analytic_coherence,
     analytic_excited_population,
     analytic_state,
-    evolve_to_times,
+    evolve,
     generator,
-    initial_state,
     integrate,
     steady_state,
     step_times,
@@ -201,6 +202,10 @@ class TestIntegrator:
             integrate(params, t_end=1.0, h=0.0)
         with pytest.raises(NegativeTime):
             integrate(params, t_end=0.0)
+        with pytest.raises(TooMuchWork):
+            integrate(params, t_end=1e12)
+        with pytest.raises(TooMuchWork):
+            evolve([params], [1.0, 1e12])
 
     def test_positivity_lost_on_unresolved_step(self):
         # a drive far above the step's stability limit blows the state out
@@ -215,7 +220,11 @@ class TestIntegrator:
         with pytest.raises(PositivityLost, match="t = 0.001"):
             integrate(params, t_end=0.01, h=1e-3)
         with pytest.raises(PositivityLost):
-            evolve_to_times(params, [0.01], h=1e-3)
+            evolve([params], [0.01], h=1e-3)
+        # in a stack, the message names the set that left the ball
+        stack = [FeedbackParams(alpha=0.3, lam=0.5), params]
+        with pytest.raises(PositivityLost, match=r"t = 0\.001 for .*lam=1e\+200"):
+            evolve(stack, step_times(0.05, 1e-3), h=1e-3)
 
     def test_non_finite_times_rejected(self):
         params = FeedbackParams(alpha=0.5, lam=0.5)
@@ -223,7 +232,7 @@ class TestIntegrator:
             with pytest.raises(NonFiniteInput):
                 step_times(bad, 1e-3)
             with pytest.raises(NonFiniteInput):
-                evolve_to_times(params, [0.1, bad], h=1e-3)
+                evolve([params], [0.1, bad], h=1e-3)
 
     def test_driven_matches_dense_oracle(self):
         # omega > 0 has no closed form; the dense RK4 is the reference
@@ -249,14 +258,15 @@ class TestIntegrator:
         assert len(times) == 5001
         assert times[-1] == 5.0
 
-    def test_evolve_to_times_matches_integrate(self):
+    def test_evolve_matches_analytic_on_arbitrary_grid(self):
         params = FeedbackParams(alpha=0.9, lam=0.6)
         grid = np.array([0.013, 0.4, 1.1, 2.07])
-        sampled = evolve_to_times(params, grid, h=1e-3)
-        exact = density_matrices(analytic_bloch(params, sampled.times))
-        assert np.abs(sampled.matrices() - exact).max() <= 1e-7
+        sampled = evolve([params], grid, h=1e-3)
+        assert sampled.shape == (1, 4, 3)
+        exact = density_matrices(analytic_bloch(params, grid))
+        assert np.abs(density_matrices(sampled[0]) - exact).max() <= 1e-7
 
-    def test_integrate_is_evolve_to_times_on_step_grid(self):
+    def test_integrate_is_evolve_on_step_grid(self):
         # one propagator and one step rule: the same grid gives the same bits
         for params, t_end, h in (
             (FeedbackParams(alpha=1.2, lam=0.4, omega=0.7), 0.7005, 1e-3),
@@ -264,9 +274,27 @@ class TestIntegrator:
             (FeedbackParams(alpha=0.3, lam=1.0, omega=1.5), 0.0537, 2e-3),
         ):
             traj = integrate(params, t_end, h)
-            sampled = evolve_to_times(params, step_times(t_end, h), h)
-            assert np.array_equal(traj.times, sampled.times)
-            assert np.array_equal(traj.bloch, sampled.bloch)
+            times = step_times(t_end, h)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.bloch, evolve([params], times, h)[0])
+
+    def test_stacked_rows_are_single_runs(self):
+        # each row of a stack carries the bits of its own run, drive and
+        # remainder steps included
+        stack = [
+            FeedbackParams(alpha=1.2, lam=0.4, omega=0.7),
+            FeedbackParams(alpha=0.0, lam=0.0, omega=2.0),
+            FeedbackParams(alpha=0.9, lam=0.6),
+            FeedbackParams(alpha=2.5, lam=1.0, omega=1.5),
+        ]
+        for times, h in (
+            (step_times(0.7005, 1e-3), 1e-3),
+            (np.array([0.0, 0.0137, 0.4, 1.1, 2.37]), 2e-3),
+        ):
+            stacked = evolve(stack, times, h)
+            assert stacked.shape == (len(stack), len(times), 3)
+            for i, params in enumerate(stack):
+                assert np.array_equal(stacked[i], evolve([params], times, h)[0])
 
     def test_trajectory_helpers(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
@@ -288,10 +316,10 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0]), bloch=np.zeros((3, 3)))
 
-    def test_initial_state_projector(self):
-        state = initial_state(0.7)
+    def test_evolve_starts_at_projector(self):
+        bloch = evolve([FeedbackParams(alpha=0.7, lam=0.5)], [0.0, 0.1])[0, 0]
         psi = np.array([math.cos(0.7), math.sin(0.7)])
-        assert np.abs(state.matrix - np.outer(psi, psi)).max() <= 1e-15
+        assert np.abs(density_matrices(bloch) - np.outer(psi, psi)).max() <= 1e-15
 
 
 def test_feedback_demo_runs():
