@@ -20,7 +20,7 @@ from qubitvar.relations import estimate_mixedness
 def run():
     params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
     traj = integrate(params, t_end=8.0, h=1e-3)
-    exact = density_matrices(analytic_bloch(params, traj.times))
+    exact = density_matrices(analytic_bloch([params], traj.times)[0])
     worst = float(np.abs(traj.matrices() - exact).max())
     print(f"RK4 vs closed form over t in [0, 8]: max deviation {worst:.2e}")
 

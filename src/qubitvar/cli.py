@@ -58,22 +58,9 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-def _add_common(parser: argparse.ArgumentParser, fmt: str | None = None) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
-    if fmt is not None:
-        parser.add_argument(
-            "--format", dest="fmt", choices=("csv", "json"), default=fmt,
-            help=f"output format (this command emits {fmt})",
-        )
-
-
-def _require_format(args, expected: str) -> None:
-    if args.fmt != expected:
-        raise ConfigError(
-            f"this command emits {expected} (grids and trajectories are CSV, "
-            "scalar reports are JSON)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +82,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    _require_format(args, "json")
     state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
     obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
     obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
@@ -124,7 +110,6 @@ def _columns(times: np.ndarray, bloch: np.ndarray) -> list[np.ndarray]:
 
 
 def cmd_simulate(args) -> int:
-    _require_format(args, "csv")
     try:
         params = feedback.FeedbackParams(alpha=args.alpha, lam=args.lam, omega=args.omega)
     except ValueError as exc:
@@ -137,15 +122,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     if args.source == "numeric":
-        traj = feedback.integrate(params, args.t_end, args.step)
-        columns = _columns(traj.times, traj.bloch)
+        columns = _columns(times, feedback.evolve([params], times, args.step)[0])
     else:
-        exact = feedback.analytic_bloch(params, times)
+        exact = feedback.analytic_bloch([params], times)[0]
         columns = _columns(times, exact)
         if args.source == "both":
-            traj = feedback.integrate(params, args.t_end, args.step)
-            deviation = np.abs(density_matrices(exact) - traj.matrices()).max(axis=(1, 2))
-            columns += [traj.excited_populations(), deviation]
+            numeric = feedback.evolve([params], times, args.step)[0]
+            gap = density_matrices(exact) - density_matrices(numeric)
+            columns += [0.5 * (1.0 - numeric[:, 2]), np.abs(gap).max(axis=(1, 2))]
     rows = list(zip(*(c.tolist() for c in columns)))
     _emit(serialize.simulate_csv(rows, include_numeric=args.source == "both"), args.output)
     return EXIT_OK
@@ -156,7 +140,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    _require_format(args, "csv")
     if args.fig2 == args.fig3:
         raise ConfigError("choose exactly one of --fig2 / --fig3")
     if args.steps < 2:
@@ -190,7 +173,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    _require_format(args, "json")
     state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
     obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
     obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
@@ -252,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bloch", required=True, help="state Bloch vector px,py,pz")
     p.add_argument("--obs-a", default="1,0,0,0", help="A coefficients a1,a2,a3,a4")
     p.add_argument("--obs-b", default="0,0,1,0", help="B coefficients b1,b2,b3,b4")
-    _add_common(p, fmt="json")
+    _add_common(p)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("simulate", help="feedback-model trajectory CSV")
@@ -265,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=1e-3, help="integrator step")
     p.add_argument("--source", choices=("analytic", "numeric", "both"),
                    default="analytic")
-    _add_common(p, fmt="csv")
+    _add_common(p)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="tightness grid CSV plus JSON sidecar")
@@ -284,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integrator step for --source numeric")
     p.add_argument("--obs-a", default="1,0,0,0", help="A coefficients")
     p.add_argument("--obs-b", default="0,0,1,0", help="B coefficients")
-    _add_common(p, fmt="csv")
+    _add_common(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("estimate", help="shot-based mixedness estimate JSON")
@@ -293,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-b", default="0,0,1,0", help="B coefficients")
     p.add_argument("--shots", type=int, default=1_000_000,
                    help="shots per measured observable")
-    _add_common(p, fmt="json")
+    _add_common(p)
     p.set_defaults(fn=cmd_estimate)
 
     return parser

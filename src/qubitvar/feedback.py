@@ -10,8 +10,10 @@ The master equation is
 with D(O)rho = O rho O^dag - (O^dag O rho + rho O^dag O)/2 and
 s- = |0><1|.  For Omega = 0 and a pure initial state
 cos(alpha)|0> + sin(alpha)|1> the solution is closed-form; the excited
-population rho11 relaxes to lam^2/(1 + 2 lam^2).  A fixed-step RK4
-integrator covers the general case and cross-checks the closed form.
+population rho11 relaxes to lam^2/(1 + 2 lam^2).  analytic_bloch()
+evaluates it in real Bloch components over a stack of parameter sets,
+one expression exact for every lam >= 0.  A fixed-step RK4 integrator
+covers the general case and cross-checks the closed form.
 
 generator() writes the equation, linear in y = (px, py, pz, 1), as a real
 4x4 L in closed form over parameter arrays; verify keeps the dense form as
@@ -27,6 +29,7 @@ more than 1e-12 is left.  integrate() runs a stack of one.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +40,6 @@ from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, 
 MAX_STEP = 1e-2
 # Steps one trajectory may take: 200 times the default simulate run.
 MAX_STEPS = 10**6
-
-# Below this the closed-form coherence switches to its lam -> 0 limit
-# (the general expression divides by lam).
-LAMBDA_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,44 +122,45 @@ def _require_analytic(params: FeedbackParams) -> None:
         raise NonFiniteInput(f"lam = {params.lam} overflows the decay rate 1 + 2 lam^2")
 
 
-def analytic_excited_population(params: FeedbackParams, t) -> np.ndarray | float:
-    """rho11(t) for omega = 0; vectorized over t."""
-    _require_analytic(params)
-    decay = 1.0 + 2.0 * params.lam**2
-    expfac = np.exp(-np.asarray(t, dtype=float) * decay)
-    return (expfac * (1.0 - decay * math.cos(2 * params.alpha)) + 2.0 * params.lam**2) / (
-        2.0 * decay
-    )
+def analytic_bloch(params: Sequence[FeedbackParams], t) -> np.ndarray:
+    """Exact Bloch vectors for omega = 0, shape (len(params),) + shape(t) + (3,).
 
+    With g = 1 + 2 lam^2 the solution from cos(alpha)|0> + sin(alpha)|1> is
 
-def analytic_coherence(params: FeedbackParams, t) -> np.ndarray | complex:
-    """rho12(t) = <1|rho|0> for omega = 0; vectorized over t.
+        px = sin(2 alpha) exp(-t/2),
+        py = px expm1(-2 lam^2 t) / lam     (exactly 0 where lam t = 0),
+        pz = cos(2 alpha) exp(-g t) - expm1(-g t) / g
+           = cos(2 alpha) + (cos(2 alpha) - 1/g) expm1(-g t),
 
-    The general expression divides by lam; for lam <= 1e-6 the removable
-    limit exp(-t/2) sin(2 alpha)/2 is used instead.
+    exact for every lam >= 0.  expm1 keeps the small-lam and small-t
+    differences to full relative precision, and the second form of pz
+    keeps the dark ground state (alpha = 0, lam = 0) at exactly pz = 1.
     """
-    _require_analytic(params)
     t = np.asarray(t, dtype=float)
-    envelope = np.exp(-t / 2.0) * math.sin(2 * params.alpha)
-    if params.lam <= LAMBDA_LIMIT:
-        return envelope / 2.0
-    phase = -1j + 1j * np.exp(-2.0 * t * params.lam**2) + params.lam
-    return envelope * phase / (2.0 * params.lam)
-
-
-def analytic_bloch(params: FeedbackParams, t) -> np.ndarray:
-    """Exact Bloch vector for omega = 0; vectorized over t, shape t.shape + (3,)."""
-    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise NonFiniteInput("t must be finite")
     if (t < 0).any():
         raise NegativeTime(f"t = {t.min()}")
-    pop = analytic_excited_population(params, t)
-    coh = analytic_coherence(params, t)
-    return np.stack([2.0 * coh.real, 2.0 * coh.imag, 1.0 - 2.0 * pop], axis=-1)
+    for p in params:
+        _require_analytic(p)
+    column = (-1,) + (1,) * t.ndim
+    lam = np.array([p.lam for p in params]).reshape(column)
+    sin2a = np.array([math.sin(2 * p.alpha) for p in params]).reshape(column)
+    cos2a = np.array([math.cos(2 * p.alpha) for p in params]).reshape(column)
+    heat = 2.0 * lam * lam
+    g = 1.0 + heat
+    px = np.exp(-t / 2.0) * sin2a
+    # -g t may overflow to -inf, whose exponentials are the right limits;
+    # where lam t = 0 (the 0/0 at lam = 0 among them) py is an unsigned 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        py = np.where(lam * t > 0.0, px * np.expm1(-heat * t) / lam, 0.0)
+        pz = cos2a + (cos2a - 1.0 / g) * np.expm1(-g * t)
+    return np.stack([px, py, pz], axis=-1)
 
 
 def analytic_state(params: FeedbackParams, t: float) -> QubitState:
     """Exact state at time t for omega = 0."""
-    return QubitState(BlochVector(*analytic_bloch(params, t).tolist()))
+    return QubitState(BlochVector(*analytic_bloch([params], t)[0].tolist()))
 
 
 def steady_state(params: FeedbackParams) -> QubitState:
@@ -230,7 +230,7 @@ def integrate(params: FeedbackParams, t_end: float, h: float = 1e-3) -> Trajecto
     return Trajectory(times=times, bloch=evolve([params], times, h)[0])
 
 
-def evolve(params: list[FeedbackParams], sample_times, h: float = 1e-3) -> np.ndarray:
+def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> np.ndarray:
     """Bloch vectors of each parameter set at each sample time, (len(params), T, 3).
 
     All sets start from cos(alpha)|0> + sin(alpha)|1> at t = 0 and step

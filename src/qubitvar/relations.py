@@ -24,7 +24,7 @@ from .core import (
     PauliObservable, QubitState, _any, _coeffs, _dot, anticommutator_terms, bloch_array,
     commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
 )
-from .errors import CollinearObservables, DegenerateSpectrum
+from .errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
 
 # An observable's two outcomes are distinguishable only if the eigenvalue
 # gap 2|a| clears this; below it the spectrum counts as degenerate.
@@ -33,6 +33,10 @@ SPECTRUM_GAP_TOL = 1e-9
 # Threshold on xi(A,A) xi(B,B) - xi(A,B)^2 separating genuine collinearity
 # of the Pauli parts from rounding.
 COLLINEAR_TOL = 1e-9
+
+# Shots one simulated measurement may take.  Counts and their frequencies
+# are computed as floats, which hold every integer only up to 2^53.
+MAX_SHOTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,8 @@ def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) ->
     """Draw i.i.d. projective outcomes; deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise TooMuchWork(f"{shots} shots are more than {MAX_SHOTS}")
     norm = float(_axes(obs.coeffs)[1])
     p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))

@@ -220,8 +220,8 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[Ti
     Iteration order is alpha (outer), lambda, t (inner), so output order
     is deterministic regardless of how points are evaluated.  source
     selects the closed-form feedback solution or the RK4 integrator with
-    step h, which steps every (alpha, lambda) row in one call; both run
-    at omega = 0.  The ratios of the whole grid come from one call.
+    step h; either takes every (alpha, lambda) row in one call, at
+    omega = 0.  The ratios of the whole grid come from one call.
     Undefined ratios become None.
     """
     if source not in ("analytic", "numeric"):
@@ -231,11 +231,8 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[Ti
         FeedbackParams(alpha=alpha, lam=lam)
         for alpha in grid.alpha_axis.values().tolist() for lam in grid.lambda_axis.values().tolist()
     ]
-    if source == "analytic":
-        bloch = np.concatenate([analytic_bloch(params, ts) for params in rows])
-    else:
-        bloch = evolve(rows, ts, h=h).reshape(-1, 3)
-    values = np.column_stack(ratios(bloch, grid.obs_a.coeffs, grid.obs_b.coeffs))
+    bloch = analytic_bloch(rows, ts) if source == "analytic" else evolve(rows, ts, h)
+    values = np.column_stack(ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs))
     coords = [(params.alpha, t, params.lam) for params in rows for t in ts.tolist()]
     return [
         TightnessPoint(*point, *(None if math.isnan(r) else r for r in ratio_row))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     matrix_to_bloch, mixedness_general, mixedness_values, random_bloch_vectors,
     random_density_matrix, variances, xi_values
 )
+from .errors import TooMuchWork
 
 
 @dataclass
@@ -354,15 +354,15 @@ def check_analytic_satisfies_master(samples: int, seed: int) -> CheckResult:
     per_axis = max(3, min(12, int(round(samples ** (1.0 / 3.0)))))
     delta = 1e-6
     ts = np.linspace(delta, 5.0, per_axis)
-    worst = 0.0
-    for alpha in np.linspace(0.0, math.pi, per_axis).tolist():
-        for lam in np.linspace(0.1, 1.0, per_axis).tolist():
-            params = feedback.FeedbackParams(alpha=alpha, lam=lam)
-            plus, minus, now = (
-                feedback.analytic_bloch(params, t) for t in (ts + delta, ts - delta, ts)
-            )
-            derivative = (plus - minus) / (2 * delta)
-            worst = max(worst, float(np.abs(derivative - _flow(now, lam)[:, :3]).max()))
+    lams = np.linspace(0.1, 1.0, per_axis)
+    params = [
+        feedback.FeedbackParams(alpha=alpha, lam=lam)
+        for alpha in np.linspace(0.0, math.pi, per_axis).tolist() for lam in lams.tolist()
+    ]
+    plus, minus, now = (feedback.analytic_bloch(params, t) for t in (ts + delta, ts - delta, ts))
+    derivative = (plus - minus) / (2 * delta)
+    flow = _flow(now, np.tile(lams, per_axis)[:, None])[..., :3]
+    worst = float(np.abs(derivative - flow).max())
     count = per_axis**3
     return CheckResult("analytic_solution_satisfies_master", count, worst, 1e-5, worst <= 1e-5)
 
@@ -381,7 +381,7 @@ def check_lambda0_reduction(samples: int, seed: int) -> CheckResult:
 def _grid_deviation(h: float, pairs) -> float:
     params = [feedback.FeedbackParams(alpha=alpha, lam=lam) for alpha, lam in pairs]
     times = feedback.step_times(2.0, h)
-    exact = np.stack([feedback.analytic_bloch(p, times) for p in params])
+    exact = feedback.analytic_bloch(params, times)
     bloch = feedback.evolve(params, times, h)
     return float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
 
@@ -455,16 +455,20 @@ def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> CheckResult:
     lams = np.linspace(0.0, 1.0, steps + 1)[1:].tolist()
     ts = np.linspace(0.0, 3.0, steps + 1)[1:]
 
-    def deviation(alpha: float, lam: float, closed_form) -> float:
-        bloch = feedback.analytic_bloch(feedback.FeedbackParams(alpha=alpha, lam=lam), ts)
+    def deviation(pairs, closed: list[float]) -> float:
+        """Pipeline ti1 on the (alpha, lam) rows times ts against closed, row-major."""
+        params = [feedback.FeedbackParams(alpha=alpha, lam=lam) for alpha, lam in pairs]
+        bloch = feedback.analytic_bloch(params, ts).reshape(-1, 3)
         pipeline = tightness.ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0]
-        return float(np.abs(pipeline - [closed_form(t) for t in ts.tolist()]).max())
+        return float(np.abs(pipeline - closed).max())
 
     worst = max(
-        [deviation(a, 1.0, partial(tightness.ti1_analytic_lambda1, a)) for a in alphas]
-        + [deviation(math.pi / 4, m, partial(tightness.ti1_analytic_alpha_pi4, m)) for m in lams]
-        + [abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0)
-               - tightness.ti1_analytic_alpha_pi4(1.0, 1.0))]
+        deviation([(a, 1.0) for a in alphas],
+                  [tightness.ti1_analytic_lambda1(a, t) for a in alphas for t in ts.tolist()]),
+        deviation([(math.pi / 4, m) for m in lams],
+                  [tightness.ti1_analytic_alpha_pi4(m, t) for m in lams for t in ts.tolist()]),
+        abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0)
+            - tightness.ti1_analytic_alpha_pi4(1.0, 1.0)),
     )
     return CheckResult(
         "closed_form_ti1_vs_pipeline", 2 * steps * steps, worst, 1e-9, worst <= 1e-9
@@ -509,6 +513,9 @@ def check_serialization_determinism(samples: int, seed: int) -> CheckResult:
     )
 
 
+# Samples per check run_all accepts: ten times the largest default count.
+MAX_SAMPLES = 10**6
+
 # name -> (function, default sample count)
 CHECKS = [
     (check_bloch_matrix_roundtrip, 10_000),
@@ -545,8 +552,11 @@ def run_all(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every registered invariant check.
 
     samples, when given, replaces each check's default sample count
-    (grid-style checks derive their grid size from it).
+    (grid-style checks derive their grid size from it); above MAX_SAMPLES
+    it raises TooMuchWork before any check draws.
     """
+    if samples is not None and samples > MAX_SAMPLES:
+        raise TooMuchWork(f"{samples} samples per check are more than {MAX_SAMPLES}")
     results = []
     for fn, default in CHECKS:
         n = default if samples is None else max(2, samples)

@@ -36,8 +36,6 @@ from qubitvar.errors import CollinearObservables
 from qubitvar.feedback import (
     FeedbackParams,
     analytic_bloch,
-    analytic_coherence,
-    analytic_excited_population,
     analytic_state,
     evolve,
     integrate,
@@ -198,12 +196,10 @@ def _grid_max_deviation(h):
         for alpha in np.linspace(0.0, math.pi / 2, 5) for lam in np.linspace(0.2, 1.0, 5)
     ]
     times = step_times(5.0, h)
-    bloch = evolve(params, times, h)
-    pops = 0.5 * (1.0 - bloch[..., 2])
-    cohs = 0.5 * (bloch[..., 0] + 1j * bloch[..., 1])
-    exact_pops = np.stack([analytic_excited_population(p, times) for p in params])
-    exact_cohs = np.stack([analytic_coherence(p, times) for p in params])
-    return max(float(np.abs(pops - exact_pops).max()), float(np.abs(cohs - exact_cohs).max()))
+    diff = evolve(params, times, h) - analytic_bloch(params, times)
+    # rho11 = (1 - pz)/2 and rho12 = (px + i py)/2
+    coherence = np.hypot(diff[..., 0], diff[..., 1])
+    return 0.5 * max(float(np.abs(diff[..., 2]).max()), float(coherence.max()))
 
 
 def test_criterion_06_analytic_vs_numeric_dynamics():
@@ -232,21 +228,22 @@ def test_criterion_07_steady_state():
 
 
 def test_criterion_08_closed_form_ti1_cross_validation():
-    worst_a = 0.0
     ts = np.linspace(0.0, 3.0, 51)[1:]
-    for alpha in np.linspace(0.0, math.pi, 52)[1:-1].tolist():
-        params = FeedbackParams(alpha=alpha, lam=1.0)
-        pipeline = ratios(analytic_bloch(params, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
-        assert np.isfinite(pipeline).all(), f"undefined ti1 at alpha={alpha}"
-        closed = [ti1_analytic_lambda1(alpha, t) for t in ts.tolist()]
-        worst_a = max(worst_a, float(np.abs(pipeline - closed).max()))
-    worst_b = 0.0
-    for lam in np.linspace(0.0, 1.0, 51)[1:].tolist():
-        params = FeedbackParams(alpha=math.pi / 4, lam=lam)
-        pipeline = ratios(analytic_bloch(params, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
-        assert np.isfinite(pipeline).all(), f"undefined ti1 at lam={lam}"
-        closed = [ti1_analytic_alpha_pi4(lam, t) for t in ts.tolist()]
-        worst_b = max(worst_b, float(np.abs(pipeline - closed).max()))
+    alphas = np.linspace(0.0, math.pi, 52)[1:-1].tolist()
+    lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
+
+    def pipeline(params):
+        bloch = analytic_bloch(params, ts).reshape(-1, 3)
+        values = ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0].reshape(len(params), -1)
+        assert np.isfinite(values).all(), "undefined ti1 on the grid"
+        return values
+
+    closed_a = [[ti1_analytic_lambda1(alpha, t) for t in ts.tolist()] for alpha in alphas]
+    pipeline_a = pipeline([FeedbackParams(alpha=alpha, lam=1.0) for alpha in alphas])
+    worst_a = float(np.abs(pipeline_a - closed_a).max())
+    closed_b = [[ti1_analytic_alpha_pi4(lam, t) for t in ts.tolist()] for lam in lams]
+    pipeline_b = pipeline([FeedbackParams(alpha=math.pi / 4, lam=lam) for lam in lams])
+    worst_b = float(np.abs(pipeline_b - closed_b).max())
     cross = abs(ti1_analytic_lambda1(math.pi / 4, 1.0) - ti1_analytic_alpha_pi4(1.0, 1.0))
     assert worst_a <= 1e-9
     assert worst_b <= 1e-9
@@ -305,13 +302,12 @@ def test_criterion_10_fig3_tightness_level():
     floor = min(p.ti1 for p in points if p.ti1 is not None)
     assert all(p.ti1 is not None for p in points)
     assert floor >= 1.0 - 1e-9
-    worst_limit = 0.0
-    for lam in np.linspace(0.0, 1.0, 51)[1:]:
-        params = FeedbackParams(alpha=math.pi / 4, lam=float(lam))
-        value = ratios(analytic_bloch(params, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
-        assert math.isfinite(value), f"undefined ti1 at lam={lam}"
-        worst_limit = max(worst_limit, abs(value - 1.0))
-        worst_limit = max(worst_limit, abs(ti1_analytic_alpha_pi4(float(lam), 1e-6) - 1.0))
+    lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
+    params = [FeedbackParams(alpha=math.pi / 4, lam=lam) for lam in lams]
+    values = ratios(analytic_bloch(params, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
+    assert np.isfinite(values).all(), "undefined ti1 at t = 1e-6"
+    closed = [ti1_analytic_alpha_pi4(lam, 1e-6) for lam in lams]
+    worst_limit = float(np.abs(np.append(values, closed) - 1.0).max())
     assert worst_limit < 1e-3
     report(
         10,

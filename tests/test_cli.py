@@ -321,6 +321,14 @@ class TestEstimate:
         code, _, _ = run_cli(["estimate", "--bloch", "0,0,0", "--shots", "0"], capsys)
         assert code == 2
 
+    def test_too_many_shots_exits_two(self, capsys):
+        # beyond numpy's binomial, which would raise OverflowError
+        code, out, err = run_cli(
+            ["estimate", "--bloch", "0,0,0", "--shots", "100000000000000000000000"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_smoke_mode_passes(self, capsys):
@@ -331,6 +339,16 @@ class TestVerifyCommand:
         assert f"{count}/{count} checks passed" in out
         assert out.count("PASS") == count
 
+    def test_too_many_samples_exits_two(self, capsys, monkeypatch):
+        def must_not_run(samples, seed):
+            raise AssertionError("a check ran above the sample cap")
+
+        monkeypatch.setattr(verify, "CHECKS", [(must_not_run, 1)])
+        samples = str(verify.MAX_SAMPLES + 1)
+        code, out, err = run_cli(["verify", "--samples", samples], capsys)
+        assert code == 2 and out == ""
+        assert err.count("error:") == 1 and err.startswith("error:")
+
 
 class TestExitCodes:
     def test_unknown_flag_exits_two(self, capsys):
@@ -340,9 +358,6 @@ class TestExitCodes:
         assert main(["report", "--bloch", "0,0,0", "--format", "csv"]) == 2
         assert main(["simulate", "--format", "json"]) == 2
         assert main(["estimate", "--bloch", "0,0,0", "--format", "csv"]) == 2
-
-    def test_matching_format_accepted(self, capsys):
-        assert main(["report", "--bloch", "0,0,0", "--format", "json"]) == 0
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2

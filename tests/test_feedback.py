@@ -16,8 +16,6 @@ from qubitvar.feedback import (
     FeedbackParams,
     Trajectory,
     analytic_bloch,
-    analytic_coherence,
-    analytic_excited_population,
     analytic_state,
     evolve,
     generator,
@@ -96,17 +94,22 @@ class TestAnalyticSolution:
             state = analytic_state(params, t)
             assert state.bloch.pz == pytest.approx(1.0, abs=1e-15)
 
-    def test_small_lambda_routes_to_limit(self):
-        # lam below the threshold must agree with the lam -> 0 limit and
-        # connect continuously to lam slightly above it
-        params_tiny = FeedbackParams(alpha=0.6, lam=1e-7)
-        params_small = FeedbackParams(alpha=0.6, lam=1e-5)
-        for t in (0.1, 1.0, 3.0):
-            tiny = complex(analytic_coherence(params_tiny, t))
-            small = complex(analytic_coherence(params_small, t))
-            limit = math.exp(-t / 2) * math.sin(1.2) / 2
-            assert tiny == pytest.approx(limit, abs=1e-12)
-            assert small == pytest.approx(limit, abs=1e-4)
+    def test_lambda_zero_has_no_py(self):
+        # the lam -> 0 limit of px expm1(-2 lam^2 t)/lam is taken exactly,
+        # and py starts at an unsigned 0 for every lam
+        ps = [FeedbackParams(alpha=alpha, lam=0.0) for alpha in (0.3, 1.2, 2.5)]
+        py = analytic_bloch(ps, np.linspace(0.0, 5.0, 11))[..., 1]
+        assert not py.any() and not np.signbit(py).any()
+        ps = [FeedbackParams(alpha=alpha, lam=0.7) for alpha in (0.3, 1.2, 2.5)]
+        py = analytic_bloch(ps, 0.0)[:, 1]
+        assert not py.any() and not np.signbit(py).any()
+
+    def test_small_lambda_matches_integrator(self):
+        # one expression for every lam: no switch to the lam -> 0 limit,
+        # whose dropped term 2 lam t exp(-t/2) sin(2 alpha) is ~1e-6 here
+        ps = [FeedbackParams(alpha=0.6, lam=lam) for lam in (1e-7, 1e-6, 1.0001e-6, 1e-5)]
+        times = step_times(2.0, 1e-3)
+        assert np.abs(analytic_bloch(ps, times) - evolve(ps, times, 1e-3)).max() <= 1e-12
 
     def test_rejects_bad_inputs(self):
         params = FeedbackParams(alpha=0.5, lam=0.5)
@@ -114,24 +117,48 @@ class TestAnalyticSolution:
             analytic_state(params, -0.1)
         with pytest.raises(ValueError):
             analytic_state(FeedbackParams(alpha=0.5, lam=0.5, omega=1.0), 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteInput):
+                analytic_bloch([params], bad)
+            with pytest.raises(NonFiniteInput):
+                analytic_bloch([params], [0.5, bad])
 
     def test_analytic_bloch_vectorized_over_t(self):
         params = FeedbackParams(alpha=0.9, lam=0.6)
         ts = np.linspace(0.0, 4.0, 9)
-        stacked = analytic_bloch(params, ts)
-        assert stacked.shape == (9, 3)
-        for t, row in zip(ts, stacked):
+        stacked = analytic_bloch([params], ts)
+        assert stacked.shape == (1, 9, 3)
+        for t, row in zip(ts, stacked[0]):
             state = analytic_state(params, float(t))
             assert row == pytest.approx(state.bloch.as_array(), abs=1e-15)
         with pytest.raises(NegativeTime):
-            analytic_bloch(params, [0.5, -0.1])
+            analytic_bloch([params], [0.5, -0.1])
+
+    def test_stacked_rows_are_single_calls(self):
+        # each row of a stack carries the bits of its own call
+        ps = [
+            FeedbackParams(alpha=alpha, lam=lam)
+            for alpha in (0.0, 0.4, 1.9, 3.0) for lam in (0.0, 1e-7, 0.3, 1.0, 2.5)
+        ]
+        for t in (np.linspace(0.0, 7.0, 29), np.array([[0.1, 2.0], [3.0, 0.0]]), 1.3, 0.0):
+            stacked = analytic_bloch(ps, t)
+            assert stacked.shape == (len(ps),) + np.shape(t) + (3,)
+            for i, params in enumerate(ps):
+                assert np.array_equal(stacked[i], analytic_bloch([params], t)[0])
+
+    def test_overflowing_product_reaches_steady_state(self):
+        # -g t overflows to -inf, whose exponentials are the right limits
+        params = FeedbackParams(alpha=0.3, lam=1e150)
+        want = steady_state(params).bloch.as_array()
+        assert analytic_bloch([params], 1e10)[0] == pytest.approx(want, abs=1e-15)
 
     def test_overflowing_decay_rate_rejected(self):
         # lam^2 overflows: the closed form raises a typed error, never OverflowError
         params = FeedbackParams(alpha=0.3, lam=1e200)
-        for closed_form in (analytic_state, analytic_excited_population, analytic_coherence):
-            with pytest.raises(NonFiniteInput):
-                closed_form(params, 1.0)
+        with pytest.raises(NonFiniteInput):
+            analytic_state(params, 1.0)
+        with pytest.raises(NonFiniteInput):
+            analytic_bloch([FeedbackParams(alpha=0.3, lam=0.5), params], [0.0, 1.0])
         with pytest.raises(NonFiniteInput):
             steady_state(params)
 
@@ -170,7 +197,7 @@ class TestIntegrator:
     def test_matches_analytic_solution(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
         traj = integrate(params, t_end=5.0, h=1e-3)
-        exact = density_matrices(analytic_bloch(params, traj.times))
+        exact = density_matrices(analytic_bloch([params], traj.times)[0])
         assert np.abs(traj.matrices() - exact).max() <= 1e-6
 
     def test_pure_exponential_decay(self):
@@ -263,7 +290,7 @@ class TestIntegrator:
         grid = np.array([0.013, 0.4, 1.1, 2.07])
         sampled = evolve([params], grid, h=1e-3)
         assert sampled.shape == (1, 4, 3)
-        exact = density_matrices(analytic_bloch(params, grid))
+        exact = density_matrices(analytic_bloch([params], grid)[0])
         assert np.abs(density_matrices(sampled[0]) - exact).max() <= 1e-7
 
     def test_integrate_is_evolve_on_step_grid(self):
@@ -301,7 +328,7 @@ class TestIntegrator:
         traj = integrate(params, t_end=0.5, h=1e-3)
         assert traj.excited_populations().tolist() == (0.5 * (1 - traj.bloch[:, 2])).tolist()
         assert traj.excited_populations()[-1] == pytest.approx(
-            analytic_excited_population(params, 0.5), abs=1e-9
+            0.5 * (1.0 - analytic_state(params, 0.5).bloch.pz), abs=1e-9
         )
 
     def test_trajectory_stores_bloch_array(self):

@@ -21,8 +21,9 @@ from qubitvar.core import (
     random_bloch_vectors,
     variances,
 )
-from qubitvar.errors import CollinearObservables, DegenerateSpectrum
+from qubitvar.errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
 from qubitvar.relations import (
+    MAX_SHOTS,
     MeasurementCounts,
     complementarities,
     compute_report,
@@ -251,6 +252,13 @@ class TestShots:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrum):
             simulate_shots(MAXMIXED, OBS_I, 10, seed=0)
+
+    def test_shot_cap(self):
+        # counts up to 2^53 stay exact as floats; one more is refused before any draw
+        counts = simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS, seed=3)
+        assert sum(counts.counts) == MAX_SHOTS == 2**53
+        with pytest.raises(TooMuchWork):
+            simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS + 1, seed=3)
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):

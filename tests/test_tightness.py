@@ -39,7 +39,7 @@ class TestRatios:
         assert math.isnan(ratios(Z_POLE, Z, X)[0])
 
     def test_ti1_matches_closed_form_on_feedback_state(self):
-        p = analytic_bloch(FeedbackParams(alpha=math.pi / 4, lam=1.0), 1.0)
+        p = analytic_bloch([FeedbackParams(alpha=math.pi / 4, lam=1.0)], 1.0)[0]
         assert ratios(p, X, Z)[0] == pytest.approx(
             ti1_analytic_lambda1(math.pi / 4, 1.0), abs=1e-9
         )
@@ -137,7 +137,7 @@ class TestClosedFormExpressions:
 
     def test_alpha_pi4_long_time_matches_pipeline(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        pipeline = ratios(analytic_bloch(params, 20.0), X, Z)[0]
+        pipeline = ratios(analytic_bloch([params], 20.0)[0], X, Z)[0]
         assert ti1_analytic_alpha_pi4(1.0, 20.0) == pytest.approx(pipeline, abs=1e-9)
 
     def test_large_t_matches_pipeline(self):
@@ -147,7 +147,7 @@ class TestClosedFormExpressions:
             (0.3, partial(ti1_analytic_lambda1, 0.3)),
             (math.pi / 4, partial(ti1_analytic_alpha_pi4, 1.0)),
         ):
-            bloch = analytic_bloch(FeedbackParams(alpha=alpha, lam=1.0), ts)
+            bloch = analytic_bloch([FeedbackParams(alpha=alpha, lam=1.0)], ts)[0]
             pipeline = ratios(bloch, X, Z)[0]
             assert [closed_form(t) for t in ts] == pytest.approx(pipeline, abs=1e-9)
 
@@ -300,7 +300,7 @@ class TestSweep:
             assert [v is not None for v in (p.ti1, p.ti2, p.ti3)] == list(defined)
         # the grid path agrees with the per-point ratios
         for p in sweep(grid, source="analytic")[:6]:
-            bloch = analytic_bloch(FeedbackParams(alpha=p.alpha, lam=p.lam), p.t)
+            bloch = analytic_bloch([FeedbackParams(alpha=p.alpha, lam=p.lam)], p.t)[0]
             for got, want in zip((p.ti1, p.ti2, p.ti3), ratios(bloch, obs_a.coeffs, obs_b.coeffs)):
                 assert got == (None if math.isnan(want) else pytest.approx(want, rel=1e-12))
 
