@@ -10,33 +10,31 @@ import sys
 
 import numpy as np
 
-from qubitvar.core import OBS_X, OBS_Z, density_matrices, mixedness
-from qubitvar.feedback import (
-    FeedbackParams, analytic_bloch, analytic_state, integrate, steady_state
-)
-from qubitvar.relations import estimate_mixedness
+from qubitvar.core import OBS_X, OBS_Z, density_matrices, mixedness_values
+from qubitvar.feedback import FeedbackParams, analytic_bloch, evolve, steady_state, step_times
+from qubitvar.relations import mixedness_estimates
 
 
 def run():
     params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-    traj = integrate(params, t_end=8.0, h=1e-3)
-    exact = density_matrices(analytic_bloch([params], traj.times)[0])
-    worst = float(np.abs(traj.matrices() - exact).max())
+    times = step_times(8.0, 1e-3)
+    bloch = evolve([params], times, 1e-3)[0]
+    exact = analytic_bloch([params], times)[0]
+    worst = float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
     print(f"RK4 vs closed form over t in [0, 8]: max deviation {worst:.2e}")
 
     fixed = steady_state(params)
     print(
-        f"excited population at t=8: {traj.excited_populations()[-1]:.6f} "
+        f"excited population at t=8: {0.5 * (1 - bloch[-1, 2]):.6f} "
         f"(fixed point {0.5 * (1 - fixed.bloch.pz):.6f})"
     )
 
-    for t in (0.0, 0.5, 2.0, 8.0):
-        state = analytic_state(params, t)
-        metered = estimate_mixedness(state, OBS_X, OBS_Z)
-        print(
-            f"t={t:4.1f}: mixedness {mixedness(state):.6f}, "
-            f"variance-metered {metered:.6f}"
-        )
+    meter_times = [0.0, 0.5, 2.0, 8.0]
+    states = analytic_bloch([params], meter_times)[0]
+    mixed = mixedness_values(states)
+    metered = mixedness_estimates(states, OBS_X.coeffs, OBS_Z.coeffs)
+    for t, value, estimate in zip(meter_times, mixed.tolist(), metered.tolist()):
+        print(f"t={t:4.1f}: mixedness {value:.6f}, variance-metered {estimate:.6f}")
     return 0
 
 

@@ -12,7 +12,6 @@ reproducible reports, trajectories and grids.
 
 from .core import (
     BlochVector,
-    GeneralState,
     OBS_I,
     OBS_X,
     OBS_Y,
@@ -25,7 +24,7 @@ from .core import (
     mixedness_general,
     random_density_matrix,
 )
-from .feedback import FeedbackParams, Trajectory, analytic_state, integrate, steady_state
+from .feedback import FeedbackParams, analytic_bloch, evolve, steady_state, step_times
 from .relations import (
     MeasurementCounts,
     RelationReport,
@@ -34,12 +33,11 @@ from .relations import (
     estimate_mixedness_from_counts,
     simulate_shots,
 )
-from .tightness import SweepGrid, TightnessPoint, sweep
+from .tightness import SweepGrid, sweep
 
 __all__ = [
     "BlochVector",
     "FeedbackParams",
-    "GeneralState",
     "MeasurementCounts",
     "OBS_I",
     "OBS_X",
@@ -49,20 +47,19 @@ __all__ = [
     "QubitState",
     "RelationReport",
     "SweepGrid",
-    "TightnessPoint",
-    "Trajectory",
-    "analytic_state",
+    "analytic_bloch",
     "compute_report",
     "decompose_observable",
     "estimate_mixedness",
     "estimate_mixedness_from_counts",
-    "integrate",
+    "evolve",
     "matrix_to_bloch",
     "mixedness",
     "mixedness_general",
     "random_density_matrix",
     "simulate_shots",
     "steady_state",
+    "step_times",
     "sweep",
 ]
 

@@ -68,6 +68,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 2:
+        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     results = verify.run_all(samples=args.samples, seed=args.seed)
     lines = [f"invariant checks: {len(results)}"]
     lines += [r.line() for r in results]
@@ -289,6 +291,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ConfigError, QubitVarError) as exc:
         sys.stderr.write(f"error: {exc}\n")

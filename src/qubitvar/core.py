@@ -8,7 +8,7 @@ of one.  The representation changes map stacks of Bloch vectors or
 coefficients to stacks of dense matrices and back; dense matrices
 otherwise serve, in verify and the tests, as the independent oracle.
 General d-dimensional density matrices appear only for the mixedness
-convexity property.
+convexity property, as (..., d, d) stacks.
 """
 
 from __future__ import annotations
@@ -67,19 +67,9 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class QubitState:
-    """Qubit density matrix, stored as a Bloch vector.
-
-    The dense 2x2 matrix is derived lazily and cached; the two
-    representations agree elementwise by construction.
-    """
+    """Qubit density matrix, stored as a Bloch vector."""
 
     bloch: BlochVector
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = density_matrices(self.bloch.as_array())
-        m.flags.writeable = False
-        return m
 
 
 @dataclass(frozen=True)
@@ -103,17 +93,6 @@ class PauliObservable:
         c.flags.writeable = False
         return c
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = (
-            self.a1 * PAULI_X
-            + self.a2 * PAULI_Y
-            + self.a3 * PAULI_Z
-            + self.a4 * IDENTITY
-        )
-        m.flags.writeable = False
-        return m
-
     def __add__(self, other: "PauliObservable") -> "PauliObservable":
         return PauliObservable(
             self.a1 + other.a1, self.a2 + other.a2, self.a3 + other.a3, self.a4 + other.a4
@@ -129,19 +108,6 @@ OBS_X = PauliObservable(1.0, 0.0, 0.0, 0.0)
 OBS_Y = PauliObservable(0.0, 1.0, 0.0, 0.0)
 OBS_Z = PauliObservable(0.0, 0.0, 1.0, 0.0)
 OBS_I = PauliObservable(0.0, 0.0, 0.0, 1.0)
-
-
-class GeneralState:
-    """d-dimensional density matrix (Hermitian, unit trace, positive)."""
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise BadDimension(f"expected a square matrix, got shape {matrix.shape}")
-        _require_hermitian(matrix)
-        _require_state(matrix)
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
 
 
 # Validation rules over (..., d, d) stacks; each error names the first
@@ -217,9 +183,10 @@ def decompose_observable(matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # p holds Bloch vectors along its last axis, a, b, r, s observable
 # coefficients (a1, a2, a3, a4); rows broadcast.  Formulas index the
-# transposed arrays (x[k] is component k), so one row runs in numpy
-# scalars and a stack in columns, bit for bit alike.  Squares are written
-# as products because a numpy scalar's ** 2 goes through libm pow.
+# component-major arrays (x[k] is component k, the leading axes kept in
+# order), so one row runs in numpy scalars and a stack in columns, bit
+# for bit alike.  Squares are written as products because a numpy
+# scalar's ** 2 goes through libm pow.
 
 def _dot(x, y):
     """x . y over components 0-2 of component-major x and y."""
@@ -231,15 +198,32 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
-def _coeffs(a) -> np.ndarray:
-    """Component-major view of observable coefficient rows."""
-    return np.asarray(a, dtype=float).T
+def _components(x) -> np.ndarray:
+    """Component-major view of rows along the last axis of x: shape (k,) + x.shape[:-1].
+
+    np.moveaxis(x, -1, 0) without its Python-level axis checks, which cost
+    microseconds a call; most calls are on one row or an (n, k) stack,
+    where the plain transpose is the cheapest spelling.
+    """
+    x = np.asarray(x, dtype=float)
+    return x.T if x.ndim <= 2 else x.transpose((-1, *range(x.ndim - 1)))
 
 
 def _outside_ball(p):
-    """|p|^2 per row, and where it exceeds 1 + 1e-12 or is not finite."""
-    norm_sq = _dot(p.T, p.T)
+    """|p|^2 per row of component-major p, and where it exceeds 1 + 1e-12 or is not finite."""
+    norm_sq = _dot(p, p)
     return norm_sq, ~(norm_sq <= 1.0 + BLOCH_NORM_TOL)
+
+
+def _ball_components(p) -> np.ndarray:
+    """Component-major view of Bloch vectors p, checked to lie in the Bloch ball."""
+    p = _components(p)
+    norm_sq, outside = _outside_ball(p)
+    if _any(outside):
+        raise BlochNormExceeded(
+            f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
+        )
+    return p
 
 
 def bloch_array(p) -> np.ndarray:
@@ -248,11 +232,7 @@ def bloch_array(p) -> np.ndarray:
     NaN and infinite rows fail the check too.
     """
     p = np.asarray(p, dtype=float)
-    norm_sq, outside = _outside_ball(p)
-    if _any(outside):
-        raise BlochNormExceeded(
-            f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
-        )
+    _ball_components(p)
     return p
 
 
@@ -262,8 +242,8 @@ def variances(p, a) -> np.ndarray:
     A value below -1e-12 cannot come from rounding and raises
     NumericalInconsistency instead of being hidden by the clamp.
     """
-    a = _coeffs(a)
-    mean = _dot(a, bloch_array(p).T)
+    a = _components(a)
+    mean = _dot(a, _ball_components(p))
     var = _dot(a, a) - mean * mean
     if _any(var < -VARIANCE_CLAMP):
         raise NumericalInconsistency(f"variance = {np.min(var):.3e}")
@@ -272,7 +252,7 @@ def variances(p, a) -> np.ndarray:
 
 def commutator_terms(p, a, b) -> np.ndarray:
     """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
-    a, b, p = _coeffs(a), _coeffs(b), bloch_array(p).T
+    a, b, p = _components(a), _components(b), _ball_components(p)
     triple = (
         (a[1] * b[2] - a[2] * b[1]) * p[0]
         + (a[2] * b[0] - a[0] * b[2]) * p[1]
@@ -283,25 +263,25 @@ def commutator_terms(p, a, b) -> np.ndarray:
 
 def anticommutator_terms(p, a, b) -> np.ndarray:
     """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
-    a, b, p = _coeffs(a), _coeffs(b), bloch_array(p).T
+    a, b, p = _components(a), _components(b), _ball_components(p)
     covariance = _dot(a, b) - _dot(a, p) * _dot(b, p)
     return covariance * covariance
 
 
 def xi_values(r, s) -> np.ndarray:
     """Trace form 2 tr(RS) - tr(R) tr(S) = 4 r.s; identity shifts drop out."""
-    return 4.0 * _dot(_coeffs(r), _coeffs(s))
+    return 4.0 * _dot(_components(r), _components(s))
 
 
 def mixedness_values(p) -> np.ndarray:
     """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
-    p = bloch_array(p).T
+    p = _ball_components(p)
     return np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0)
 
 
 def symmetrized_products(a, b) -> np.ndarray:
     """Coefficients of (AB + BA)/2: (a4 b + b4 a, a.b + a4 b4)."""
-    a, b = _coeffs(a), _coeffs(b)
+    a, b = _components(a), _components(b)
     return np.stack(
         [a[3] * b[k] + b[3] * a[k] for k in range(3)] + [_dot(a, b) + a[3] * b[3]], axis=-1
     )
@@ -311,10 +291,17 @@ def mixedness(state: QubitState) -> float:
     return float(mixedness_values(state.bloch.as_array()))
 
 
-def mixedness_general(state: GeneralState) -> float:
-    """1 - tr(rho^2) for a d-dimensional state, in [0, (d-1)/d]."""
-    value = 1.0 - float(np.trace(state.matrix @ state.matrix).real)
-    return max(value, 0.0)
+def mixedness_general(rho) -> np.ndarray:
+    """1 - tr(rho^2) for each d-dimensional state of a (..., d, d) stack, in [0, (d-1)/d].
+
+    Every matrix must be a valid state: finite, Hermitian, unit trace, positive.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise BadDimension(f"expected (..., d, d), got shape {rho.shape}")
+    _require_hermitian(rho)
+    _require_state(rho)
+    return np.maximum(1.0 - np.einsum("...ij,...ji->...", rho, rho).real, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +325,7 @@ def random_bloch_vectors(seed, n: int, kind: str = "mixed") -> np.ndarray:
     raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
 
 
-def random_density_matrix(seed, dim: int) -> GeneralState:
+def random_density_matrix(seed, dim: int) -> np.ndarray:
     """Ginibre-ensemble state G G^dag / tr(G G^dag) in dimension dim >= 2."""
     if dim < 2:
         raise BadDimension(f"dim must be >= 2, got {dim}")
@@ -346,6 +333,5 @@ def random_density_matrix(seed, dim: int) -> GeneralState:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
-    return GeneralState(m)
+    return 0.5 * (m + m.conj().T)
 

@@ -23,7 +23,8 @@ an oracle.  Each RK4 step is exactly y <- y + D y with D = T4(hL) - I (the
 evolve() holds the one RK4 loop and steps a stack of parameter sets
 together by one rule: floor(span/h + 1e-9) steps of h between stored
 times (the rule step_times lays its grid by), then a remainder step if
-more than 1e-12 is left.  integrate() runs a stack of one.
+more than 1e-12 is left.  A single run is a stack of one on the
+step_times grid: evolve([p], step_times(t_end, h), h)[0].
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochVector, QubitState, _outside_ball, density_matrices, mixedness_values
+from .core import BlochVector, QubitState, _components, _outside_ball
 from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
 
 MAX_STEP = 1e-2
@@ -63,30 +64,6 @@ class FeedbackParams:
             raise ValueError("lam must be >= 0")
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Bloch vectors (one (px, py, pz) row per time) from one integration run."""
-
-    times: np.ndarray
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.bloch):
-            raise ValueError("times and bloch must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    def excited_populations(self) -> np.ndarray:
-        """rho11(t) = (1 - pz)/2 along the trajectory."""
-        return 0.5 * (1.0 - self.bloch[:, 2])
-
-    def mixedness_values(self) -> np.ndarray:
-        return mixedness_values(self.bloch)
-
-    def matrices(self) -> np.ndarray:
-        return density_matrices(self.bloch)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +135,6 @@ def analytic_bloch(params: Sequence[FeedbackParams], t) -> np.ndarray:
     return np.stack([px, py, pz], axis=-1)
 
 
-def analytic_state(params: FeedbackParams, t: float) -> QubitState:
-    """Exact state at time t for omega = 0."""
-    return QubitState(BlochVector(*analytic_bloch([params], t)[0].tolist()))
-
-
 def steady_state(params: FeedbackParams) -> QubitState:
     """Diagonal fixed point with excited population lam^2/(1 + 2 lam^2).
 
@@ -220,16 +192,6 @@ def step_times(t_end: float, h: float) -> np.ndarray:
     return np.array(times)
 
 
-def integrate(params: FeedbackParams, t_end: float, h: float = 1e-3) -> Trajectory:
-    """RK4 trajectory from the pure initial state of angle alpha.
-
-    Stores the state after every step (plus a shorter final step when
-    t_end is not a multiple of h); raises PositivityLost as evolve does.
-    """
-    times = step_times(t_end, h)
-    return Trajectory(times=times, bloch=evolve([params], times, h)[0])
-
-
 def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> np.ndarray:
     """Bloch vectors of each parameter set at each sample time, (len(params), T, 3).
 
@@ -267,10 +229,11 @@ def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> n
                 y = y + _increment(gen, rest) @ y
             ys.append(y)
         bloch = np.ascontiguousarray(np.stack(ys, axis=1)[:, :, :3, 0])
-        norm_sq, outside = _outside_ball(bloch)
+        norm_sq, outside = _outside_ball(_components(bloch))
     if outside.any():
-        i, k = np.argwhere(outside)[0]  # outside is (T, n): earliest time first
+        i = int(np.argmax(outside.any(axis=0)))  # outside is (n, T): earliest time
+        k = int(np.argmax(outside[:, i]))
         where = f" for {params[k]}" if len(params) > 1 else ""
-        eigenvalue = (1.0 - math.sqrt(norm_sq[i, k])) / 2.0
+        eigenvalue = (1.0 - math.sqrt(norm_sq[k, i])) / 2.0
         raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[i]:g}{where}")
     return bloch

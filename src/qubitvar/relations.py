@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PauliObservable, QubitState, _any, _coeffs, _dot, anticommutator_terms, bloch_array,
+    PauliObservable, QubitState, _any, _ball_components, _components, _dot, anticommutator_terms,
     commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
 )
 from .errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
@@ -129,7 +129,7 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
 
     DegenerateSpectrum, before any other work, when _degenerate(|a|).
     """
-    vec = _coeffs(a)[:3]
+    vec = _components(a)[:3]
     norm = np.sqrt(_dot(vec, vec))
     if _degenerate(norm):
         raise DegenerateSpectrum(f"eigenvalue gap 2|a| = {2 * np.min(norm):.3e}")
@@ -139,7 +139,7 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
 def high_outcome_probabilities(p, a) -> np.ndarray:
     """Probability of the a4 + |a| outcome when A is measured."""
     axis, _ = _axes(a)
-    overlap = _dot(axis, bloch_array(p).T)
+    overlap = _dot(axis, _ball_components(p))
     return np.minimum(np.maximum(0.5 * (1.0 + overlap), 0.0), 1.0)
 
 

@@ -9,24 +9,19 @@ from __future__ import annotations
 
 import json
 
-from .tightness import SweepGrid, TightnessPoint
+import numpy as np
+
+from .tightness import SweepGrid
 
 SWEEP_HEADER = "alpha,lambda,t,ti1,ti2,ti3"
 SIMULATE_HEADER = "t,rho11,re_rho12,im_rho12,mixedness"
 SIMULATE_HEADER_BOTH = SIMULATE_HEADER + ",rho11_numeric,max_abs_dev"
 
 
-def fmt(value: float | None) -> str:
-    """One CSV cell: repr for floats, empty for undefined."""
-    return "" if value is None else repr(float(value))
-
-
-def sweep_csv(points: list[TightnessPoint]) -> str:
+def sweep_csv(table: np.ndarray) -> str:
+    """A sweep table's rows under SWEEP_HEADER; NaN (undefined) cells stay empty."""
     lines = [SWEEP_HEADER]
-    for p in points:
-        lines.append(
-            f"{fmt(p.alpha)},{fmt(p.lam)},{fmt(p.t)},{fmt(p.ti1)},{fmt(p.ti2)},{fmt(p.ti3)}"
-        )
+    lines += [",".join("" if v != v else repr(v) for v in row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -55,7 +50,7 @@ def sweep_sidecar_json(
 def simulate_csv(rows: list[tuple], include_numeric: bool) -> str:
     lines = [SIMULATE_HEADER_BOTH if include_numeric else SIMULATE_HEADER]
     for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

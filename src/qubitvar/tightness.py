@@ -3,12 +3,12 @@
 Each ratio divides a relation's left side by its own lower bound, so 1
 means saturation.  ti1 uses the mixedness-weighted variance bound, ti2
 the entropic bound, ti3 the variance-sum bound.  Points where a bound
-vanishes are undefined and carried as None (NaN in arrays), never
-raised.  ratios() evaluates all three over a stack of Bloch vectors,
-one state being a stack of one.  Sweeps walk an (alpha, lambda, t)
-product grid in row-major order over states of the feedback model,
-either from the closed-form solution or the integrator, and evaluate
-the whole grid in one ratios() call.
+vanishes are undefined and carried as NaN, never raised.  ratios()
+evaluates all three over a stack of Bloch vectors, one state being a
+stack of one.  Sweeps walk an (alpha, lambda, t) product grid in
+row-major order over states of the feedback model, either from the
+closed-form solution or the integrator, evaluate the whole grid in one
+ratios() call and return it as one table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, _coeffs, _dot, bloch_array, variances
+from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, bloch_array, variances
 from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
 from .feedback import FeedbackParams, analytic_bloch, evolve
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
@@ -33,18 +33,6 @@ C_ONE_TOL = 1e-12
 ORDERING_TOL = 1e-9
 # Points one sweep may evaluate: 400 times the 50 x 50 paper grid.
 MAX_GRID_POINTS = 10**6
-
-
-@dataclass(frozen=True)
-class TightnessPoint:
-    """Tightness values at one (alpha, t, lambda) grid point; None = undefined."""
-
-    alpha: float
-    t: float
-    lam: float
-    ti1: float | None
-    ti2: float | None
-    ti3: float | None
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray, defined: np.ndarray) -> np.ndarra
 
 def _ti1(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Variance product over the mixedness-weighted bound."""
-    a_t, b_t = _coeffs(a), _coeffs(b)
+    a_t, b_t = _components(a), _components(b)
     bound = mixedness_weighted_bounds(p, a, b)
     floor = BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)
     return _ratio(variances(p, a) * variances(p, b), bound, bound > floor)
@@ -149,7 +137,7 @@ def _ti2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _ti3(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Variance sum over var(A+B)/2."""
     lhs, bound = sum_relations(p, a, b)
-    ab = _coeffs(a) + _coeffs(b)
+    ab = _components(a) + _components(b)
     return _ratio(lhs, bound, bound > BOUND_FLOOR * _dot(ab, ab))
 
 
@@ -214,43 +202,40 @@ def ti1_analytic_alpha_pi4(lam: float, t: float) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> list[TightnessPoint]:
-    """Evaluate the three ratios at every grid point, row-major.
+def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndarray:
+    """The three ratios at every grid point: a (points, 6) table, one row
+    (alpha, lambda, t, ti1, ti2, ti3) per point, the sweep CSV's columns.
 
-    Iteration order is alpha (outer), lambda, t (inner), so output order
-    is deterministic regardless of how points are evaluated.  source
+    Rows run alpha (outer), lambda, t (inner), so output order is
+    deterministic regardless of how points are evaluated.  source
     selects the closed-form feedback solution or the RK4 integrator with
     step h; either takes every (alpha, lambda) row in one call, at
     omega = 0.  The ratios of the whole grid come from one call.
-    Undefined ratios become None.
+    Undefined ratios are NaN.
     """
     if source not in ("analytic", "numeric"):
         raise ValueError(f"source must be 'analytic' or 'numeric', got {source!r}")
-    ts = grid.t_axis.values()
+    alphas, lams, ts = (axis.values() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis))
     rows = [
-        FeedbackParams(alpha=alpha, lam=lam)
-        for alpha in grid.alpha_axis.values().tolist() for lam in grid.lambda_axis.values().tolist()
+        FeedbackParams(alpha=alpha, lam=lam) for alpha in alphas.tolist() for lam in lams.tolist()
     ]
     bloch = analytic_bloch(rows, ts) if source == "analytic" else evolve(rows, ts, h)
-    values = np.column_stack(ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs))
-    coords = [(params.alpha, t, params.lam) for params in rows for t in ts.tolist()]
-    return [
-        TightnessPoint(*point, *(None if math.isnan(r) else r for r in ratio_row))
-        for point, ratio_row in zip(coords, values.tolist())
-    ]
+    # the table is flat, so the ratios take the states flat: the same bits
+    # as the (rows, T, 3) stack without its per-call multi-axis overhead
+    coords = [c.ravel() for c in np.meshgrid(alphas, lams, ts, indexing="ij")]
+    values = ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs)
+    return np.column_stack(coords + list(values))
 
 
-def count_ordering_violations(
-    points: list[TightnessPoint], tol: float = ORDERING_TOL
-) -> dict[str, int]:
-    """Count grid points where ti1 exceeds ti2 or ti3 beyond tol.
+def count_ordering_violations(table: np.ndarray) -> dict[str, int]:
+    """Count sweep rows where ti1 exceeds ti2 or ti3 by more than ORDERING_TOL.
 
-    Only points with all three ratios defined participate, matching the
+    Only rows with all three ratios defined participate, matching the
     comparison the sweep sidecar reports.
     """
-    defined = [p for p in points if None not in (p.ti1, p.ti2, p.ti3)]
+    ti1, ti2, ti3 = table[~np.isnan(table[:, 3:]).any(axis=1), 3:].T
     return {
-        "points_all_defined": len(defined),
-        "ti1_gt_ti2": sum(p.ti1 > p.ti2 + tol for p in defined),
-        "ti1_gt_ti3": sum(p.ti1 > p.ti3 + tol for p in defined),
+        "points_all_defined": len(ti1),
+        "ti1_gt_ti2": int((ti1 > ti2 + ORDERING_TOL).sum()),
+        "ti1_gt_ti3": int((ti1 > ti3 + ORDERING_TOL).sum()),
     }

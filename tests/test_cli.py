@@ -365,6 +365,28 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--bloch", "0.1,0,0", "--shots", "10", "--seed", "-3"],
+            ["verify", "--seed", "-1"],
+            ["verify", "--samples", "-5"],
+            ["verify", "--samples", "1"],
+            ["sweep", "--fig2", "--steps", "2", "--seed", "-3"],
+        ],
+    )
+    def test_out_of_domain_integer_flag_exits_two(self, args, capsys, monkeypatch, tmp_path):
+        # refused before any work: no check runs and no file is written
+        def must_not_run(samples, seed):
+            raise AssertionError("a check ran for a refused flag")
+
+        monkeypatch.setattr(verify, "CHECKS", [(must_not_run, 2)])
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(args + ["--output", str(out_file)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
 
 class TestDeterminism:
     """Fixed seed + fixed flags must give byte-identical output."""

@@ -30,7 +30,6 @@ from conftest import (
 )
 from qubitvar.core import (
     BlochVector,
-    GeneralState,
     OBS_I,
     OBS_X,
     PauliObservable,
@@ -76,7 +75,7 @@ class TestRepresentations:
 
     def test_zero_vector_gives_maximally_mixed(self):
         assert np.allclose(density_matrices(ORIGIN), ID / 2, atol=0)
-        assert np.allclose(MAXMIXED.matrix, ID / 2, atol=0)
+        assert np.allclose(density_matrices(MAXMIXED.bloch.as_array()), ID / 2, atol=0)
 
     def test_z_pole_gives_ground_projector(self):
         assert np.allclose(density_matrices(Z_POLE), np.diag([1.0, 0.0]), atol=0)
@@ -126,7 +125,7 @@ class TestRepresentations:
     @settings(deadline=None)
     @given(bloch_vectors())
     def test_roundtrip_property(self, b):
-        back = matrix_to_bloch(QubitState(b).matrix)
+        back = matrix_to_bloch(density_matrices(b.as_array()))
         assert np.abs(back - b.as_array()).max() <= 1e-12
 
 
@@ -141,7 +140,6 @@ class TestObservables:
         # [[2, 1], [1, 0]] = sx + sz + I
         coeffs = decompose_observable(np.array([[2, 1], [1, 0]], dtype=complex))
         assert coeffs.tolist() == [1.0, 0.0, 1.0, 1.0]
-        assert np.allclose(PauliObservable(*coeffs).matrix, oracle_obs(1, 0, 1, 1), atol=0)
         # a stack decomposes row by row
         stacked = decompose_observable(np.stack([SX, ID, SY, SZ]))
         assert stacked.tolist() == np.eye(4)[[0, 3, 1, 2]].tolist()
@@ -159,8 +157,9 @@ class TestObservables:
     @settings(deadline=None)
     @given(observables())
     def test_decompose_reconstruct_roundtrip(self, obs):
-        back = PauliObservable(*decompose_observable(obs.matrix))
-        assert np.abs(back.matrix - obs.matrix).max() <= 1e-12
+        matrix = oracle_obs(*obs.coeffs)
+        back = decompose_observable(matrix)
+        assert np.abs(oracle_obs(*back) - matrix).max() <= 1e-12
 
 
 class TestMoments:
@@ -329,17 +328,38 @@ class TestMixedness:
         assert mixedness(state) == pytest.approx(0.32, abs=1e-12)
 
     def test_general_dimension_examples(self):
-        assert mixedness_general(GeneralState(np.eye(3) / 3)) == pytest.approx(
-            2 / 3, abs=1e-12
-        )
+        assert mixedness_general(np.eye(3) / 3) == pytest.approx(2 / 3, abs=1e-12)
         pure = np.zeros((5, 5), dtype=complex)
         pure[2, 2] = 1.0
-        assert mixedness_general(GeneralState(pure)) == 0.0
+        assert mixedness_general(pure) == 0.0
         half_half = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        assert mixedness_general(GeneralState(half_half)) == pytest.approx(0.5, abs=1e-12)
-        # NaN passes every comparison-based rule, so it is rejected by name
-        with pytest.raises(NonFiniteInput):
-            GeneralState(np.diag([math.nan, 0.5, 0.5]))
+        assert mixedness_general(half_half) == pytest.approx(0.5, abs=1e-12)
+
+    def test_general_stack_rows_are_single_calls(self):
+        stack = np.stack([random_density_matrix([9, k], 3) for k in range(6)]).reshape(2, 3, 3, 3)
+        values = mixedness_general(stack)
+        assert values.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert values[i, j] == mixedness_general(stack[i, j])
+
+    def test_general_validation(self):
+        valid = np.eye(3, dtype=complex) / 3
+        bad = {
+            # NaN passes every comparison-based rule, so it is rejected by name
+            NonFiniteInput: np.diag([math.nan, 0.5, 0.5]),
+            NotHermitian: valid + np.triu(np.full((3, 3), 0.1), 1),
+            TraceNotOne: 0.8 * valid,
+            NotPositive: np.diag([1.5, -0.5, 0.0]),
+        }
+        for error, matrix in bad.items():
+            with pytest.raises(error):
+                mixedness_general(matrix)
+            # every matrix of a stack is checked, not only the first
+            with pytest.raises(error):
+                mixedness_general(np.stack([valid, valid, matrix]))
+        for shape in ((3, 2), (3,), (2, 3, 4)):
+            with pytest.raises(BadDimension):
+                mixedness_general(np.zeros(shape))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -348,12 +368,11 @@ class TestMixedness:
         st.integers(0, 2**31 - 1),
     )
     def test_mixedness_convexity(self, dim, weight, seed):
-        state_a = random_density_matrix([seed, 0], dim)
-        state_b = random_density_matrix([seed, 1], dim)
-        combo = GeneralState(weight * state_a.matrix + (1 - weight) * state_b.matrix)
-        lhs = mixedness_general(combo)
-        rhs = weight * mixedness_general(state_a) + (1 - weight) * mixedness_general(state_b)
-        assert lhs >= rhs - 1e-12
+        rho_a = random_density_matrix([seed, 0], dim)
+        rho_b = random_density_matrix([seed, 1], dim)
+        combo = weight * rho_a + (1 - weight) * rho_b
+        mix_a, mix_b, mix_combo = mixedness_general(np.stack([rho_a, rho_b, combo]))
+        assert mix_combo >= weight * mix_a + (1 - weight) * mix_b - 1e-12
 
 
 class TestSampling:
@@ -361,7 +380,7 @@ class TestSampling:
         assert np.array_equal(random_bloch_vectors(42, 5), random_bloch_vectors(42, 5))
         first = random_density_matrix(7, 3)
         second = random_density_matrix(7, 3)
-        assert np.array_equal(first.matrix, second.matrix)
+        assert np.array_equal(first, second)
 
     def test_pure_samples_have_zero_mixedness(self):
         vectors = random_bloch_vectors(3, 100_000, "pure")
@@ -383,9 +402,10 @@ class TestSampling:
 
     def test_ginibre_outputs_are_valid(self):
         for dim in (2, 3, 5):
-            state = random_density_matrix([0, dim], dim)
-            assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(state.matrix)[0] >= -1e-10
+            rho = random_density_matrix([0, dim], dim)
+            assert rho.shape == (dim, dim)
+            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     def test_bad_dimension(self):
         with pytest.raises(BadDimension):

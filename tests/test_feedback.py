@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import oracle_rk4_matrices, oracle_state
-from qubitvar.core import density_matrices
+from qubitvar.core import density_matrices, mixedness_values
 from qubitvar.errors import (
     NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
 )
 from qubitvar.feedback import (
     FeedbackParams,
-    Trajectory,
     analytic_bloch,
-    analytic_state,
     evolve,
     generator,
-    integrate,
     steady_state,
     step_times,
 )
@@ -63,18 +60,17 @@ class TestAnalyticSolution:
         # rho11(0) = sin^2(alpha), rho12(0) = sin(2 alpha)/2
         for alpha in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
             for lam in (0.0, 0.4, 1.0):
-                params = FeedbackParams(alpha=alpha, lam=lam)
-                state = analytic_state(params, 0.0)
-                rho11 = 0.5 * (1.0 - state.bloch.pz)
-                rho12 = 0.5 * (state.bloch.px + 1j * state.bloch.py)
+                px, py, pz = analytic_bloch([FeedbackParams(alpha=alpha, lam=lam)], 0.0)[0]
+                rho11 = 0.5 * (1.0 - pz)
+                rho12 = 0.5 * (px + 1j * py)
                 assert rho11 == pytest.approx(math.sin(alpha) ** 2, abs=1e-12)
                 assert rho12 == pytest.approx(math.sin(2 * alpha) / 2, abs=1e-12)
 
     def test_long_time_limit_lambda_one(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        state = analytic_state(params, 40.0)
-        assert 0.5 * (1.0 - state.bloch.pz) == pytest.approx(1 / 3, abs=1e-12)
-        assert abs(state.bloch.px) + abs(state.bloch.py) <= 1e-8
+        px, py, pz = analytic_bloch([params], 40.0)[0]
+        assert 0.5 * (1.0 - pz) == pytest.approx(1 / 3, abs=1e-12)
+        assert abs(px) + abs(py) <= 1e-8
 
     def test_alpha_zero_heats_toward_steady_population(self):
         # with feedback on, the ground state is not dark: the jump operator
@@ -84,15 +80,14 @@ class TestAnalyticSolution:
             decay = 1.0 + 2.0 * lam**2
             for t in (0.0, 0.5, 2.0):
                 want = lam**2 * (1.0 - math.exp(-t * decay)) / decay
-                state = analytic_state(params, t)
-                assert 0.5 * (1.0 - state.bloch.pz) == pytest.approx(want, abs=1e-12)
-                assert state.bloch.px == pytest.approx(0.0, abs=1e-15)
+                px, _, pz = analytic_bloch([params], t)[0]
+                assert 0.5 * (1.0 - pz) == pytest.approx(want, abs=1e-12)
+                assert px == pytest.approx(0.0, abs=1e-15)
 
     def test_alpha_zero_without_feedback_stays_ground(self):
         params = FeedbackParams(alpha=0.0, lam=0.0)
         for t in (0.0, 1.0, 10.0):
-            state = analytic_state(params, t)
-            assert state.bloch.pz == pytest.approx(1.0, abs=1e-15)
+            assert analytic_bloch([params], t)[0, 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_lambda_zero_has_no_py(self):
         # the lam -> 0 limit of px expm1(-2 lam^2 t)/lam is taken exactly,
@@ -114,9 +109,9 @@ class TestAnalyticSolution:
     def test_rejects_bad_inputs(self):
         params = FeedbackParams(alpha=0.5, lam=0.5)
         with pytest.raises(NegativeTime):
-            analytic_state(params, -0.1)
+            analytic_bloch([params], -0.1)
         with pytest.raises(ValueError):
-            analytic_state(FeedbackParams(alpha=0.5, lam=0.5, omega=1.0), 1.0)
+            analytic_bloch([FeedbackParams(alpha=0.5, lam=0.5, omega=1.0)], 1.0)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(NonFiniteInput):
                 analytic_bloch([params], bad)
@@ -129,8 +124,7 @@ class TestAnalyticSolution:
         stacked = analytic_bloch([params], ts)
         assert stacked.shape == (1, 9, 3)
         for t, row in zip(ts, stacked[0]):
-            state = analytic_state(params, float(t))
-            assert row == pytest.approx(state.bloch.as_array(), abs=1e-15)
+            assert row == pytest.approx(analytic_bloch([params], float(t))[0], abs=1e-15)
         with pytest.raises(NegativeTime):
             analytic_bloch([params], [0.5, -0.1])
 
@@ -156,7 +150,7 @@ class TestAnalyticSolution:
         # lam^2 overflows: the closed form raises a typed error, never OverflowError
         params = FeedbackParams(alpha=0.3, lam=1e200)
         with pytest.raises(NonFiniteInput):
-            analytic_state(params, 1.0)
+            analytic_bloch([params], 1.0)
         with pytest.raises(NonFiniteInput):
             analytic_bloch([FeedbackParams(alpha=0.3, lam=0.5), params], [0.0, 1.0])
         with pytest.raises(NonFiniteInput):
@@ -187,50 +181,52 @@ class TestSteadyState:
 
     def test_cross_checked_by_long_integration(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1 / math.sqrt(2))
-        traj = integrate(params, t_end=20.0, h=1e-2)
-        want = steady_state(params)
-        assert abs(traj.bloch[-1, 2] - want.bloch.pz) <= 1e-6
-        assert traj.excited_populations()[-1] == pytest.approx(0.25, abs=1e-6)
+        pz = evolve([params], step_times(20.0, 1e-2), 1e-2)[0, -1, 2]
+        assert abs(pz - steady_state(params).bloch.pz) <= 1e-6
+        assert 0.5 * (1.0 - pz) == pytest.approx(0.25, abs=1e-6)
 
 
 class TestIntegrator:
     def test_matches_analytic_solution(self):
         params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        traj = integrate(params, t_end=5.0, h=1e-3)
-        exact = density_matrices(analytic_bloch([params], traj.times)[0])
-        assert np.abs(traj.matrices() - exact).max() <= 1e-6
+        times = step_times(5.0, 1e-3)
+        exact = density_matrices(analytic_bloch([params], times)[0])
+        assert np.abs(density_matrices(evolve([params], times, 1e-3)[0]) - exact).max() <= 1e-6
 
     def test_pure_exponential_decay(self):
         # lam = 0, initial excited state: rho11(t) = e^{-t}
         params = FeedbackParams(alpha=math.pi / 2, lam=0.0)
-        traj = integrate(params, t_end=3.0, h=1e-3)
-        want = np.exp(-traj.times)
-        assert np.abs(traj.excited_populations() - want).max() <= 1e-9
+        times = step_times(3.0, 1e-3)
+        rho11 = 0.5 * (1.0 - evolve([params], times, 1e-3)[0, :, 2])
+        assert np.abs(rho11 - np.exp(-times)).max() <= 1e-9
 
     def test_trace_preserved_every_step(self):
         params = FeedbackParams(alpha=1.0, lam=0.7, omega=1.5)
-        traj = integrate(params, t_end=2.0, h=1e-3)
-        traces = np.einsum("nii->n", traj.matrices()).real
+        bloch = evolve([params], step_times(2.0, 1e-3), 1e-3)[0]
+        traces = np.einsum("nii->n", density_matrices(bloch)).real
         assert np.abs(traces - 1.0).max() <= 1e-9
 
     def test_starts_pure_and_stays_positive(self):
         for alpha in (0.0, 0.7, math.pi / 2):
             for lam in (0.0, 0.5, 1.0):
-                traj = integrate(FeedbackParams(alpha=alpha, lam=lam), t_end=4.0, h=5e-3)
-                assert traj.mixedness_values()[0] <= 1e-12
-                norms = np.sqrt((traj.bloch**2).sum(axis=1))
+                params = FeedbackParams(alpha=alpha, lam=lam)
+                bloch = evolve([params], step_times(4.0, 5e-3), 5e-3)[0]
+                assert mixedness_values(bloch)[0] <= 1e-12
+                norms = np.sqrt((bloch**2).sum(axis=1))
                 assert ((norms - 1.0) / 2.0).max() <= 1e-8
 
     def test_step_validation(self):
         params = FeedbackParams(alpha=0.5, lam=0.5)
         with pytest.raises(StepTooLarge):
-            integrate(params, t_end=1.0, h=0.02)
+            step_times(1.0, 0.02)
         with pytest.raises(StepTooLarge):
-            integrate(params, t_end=1.0, h=0.0)
+            step_times(1.0, 0.0)
+        with pytest.raises(StepTooLarge):
+            evolve([params], [1.0], h=0.02)
         with pytest.raises(NegativeTime):
-            integrate(params, t_end=0.0)
+            step_times(0.0, 1e-3)
         with pytest.raises(TooMuchWork):
-            integrate(params, t_end=1e12)
+            step_times(1e12, 1e-3)
         with pytest.raises(TooMuchWork):
             evolve([params], [1.0, 1e12])
 
@@ -238,19 +234,31 @@ class TestIntegrator:
         # a drive far above the step's stability limit blows the state out
         # of the Bloch ball and must be reported, not silently stored
         with pytest.raises(PositivityLost):
-            integrate(FeedbackParams(alpha=0.3, lam=1.0, omega=300.0), t_end=1.0, h=1e-2)
+            evolve([FeedbackParams(alpha=0.3, lam=1.0, omega=300.0)], step_times(1.0, 1e-2), 1e-2)
 
     def test_positivity_lost_on_non_finite_state(self):
         # lam^2 overflows, the generator holds NaN, and the NaN state must
         # be reported rather than stored (NaN > 1 is False)
         params = FeedbackParams(alpha=0.3, lam=1e200)
         with pytest.raises(PositivityLost, match="t = 0.001"):
-            integrate(params, t_end=0.01, h=1e-3)
+            evolve([params], step_times(0.01, 1e-3), 1e-3)
         with pytest.raises(PositivityLost):
             evolve([params], [0.01], h=1e-3)
         # in a stack, the message names the set that left the ball
         stack = [FeedbackParams(alpha=0.3, lam=0.5), params]
         with pytest.raises(PositivityLost, match=r"t = 0\.001 for .*lam=1e\+200"):
+            evolve(stack, step_times(0.05, 1e-3), h=1e-3)
+
+    def test_positivity_lost_names_earliest_time_across_sets(self):
+        # the first set leaves the ball at t = 0.015, the second already at
+        # t = 0.001: the error reports the earlier time and the set it hit
+        stack = [
+            FeedbackParams(alpha=math.pi / 4, lam=0.0, omega=1500.0),
+            FeedbackParams(alpha=0.3, lam=1.0, omega=1450.0),
+        ]
+        with pytest.raises(PositivityLost, match=r"t = 0\.015$"):
+            evolve(stack[:1], step_times(0.05, 1e-3), h=1e-3)
+        with pytest.raises(PositivityLost, match=r"t = 0\.001 for .*omega=1450\.0"):
             evolve(stack, step_times(0.05, 1e-3), h=1e-3)
 
     def test_non_finite_times_rejected(self):
@@ -268,15 +276,15 @@ class TestIntegrator:
             (FeedbackParams(alpha=0.0, lam=0.0, omega=2.0), 0.5),
             (FeedbackParams(alpha=1.2, lam=0.4, omega=0.7), 0.7005),
         ):
-            traj = integrate(params, t_end=t_end, h=1e-3)
+            bloch = evolve([params], step_times(t_end, 1e-3), 1e-3)[0]
             want = oracle_rk4_matrices(params, t_end, 1e-3)
-            assert np.abs(traj.matrices() - want).max() <= 1e-12
+            assert np.abs(density_matrices(bloch) - want).max() <= 1e-12
 
     def test_omega_drive_supported_numerically(self):
         # Rabi drive moves population out of the ground state
         params = FeedbackParams(alpha=0.0, lam=0.0, omega=2.0)
-        traj = integrate(params, t_end=1.0, h=1e-3)
-        assert traj.excited_populations().max() > 0.1
+        pz = evolve([params], step_times(1.0, 1e-3), 1e-3)[0, :, 2]
+        assert (0.5 * (1.0 - pz)).max() > 0.1
 
     def test_step_grid_handles_non_multiple_end(self):
         times = step_times(0.0035, 1e-3)
@@ -292,18 +300,6 @@ class TestIntegrator:
         assert sampled.shape == (1, 4, 3)
         exact = density_matrices(analytic_bloch([params], grid)[0])
         assert np.abs(density_matrices(sampled[0]) - exact).max() <= 1e-7
-
-    def test_integrate_is_evolve_on_step_grid(self):
-        # one propagator and one step rule: the same grid gives the same bits
-        for params, t_end, h in (
-            (FeedbackParams(alpha=1.2, lam=0.4, omega=0.7), 0.7005, 1e-3),
-            (FeedbackParams(alpha=0.9, lam=0.6), 5.0, 1e-3),
-            (FeedbackParams(alpha=0.3, lam=1.0, omega=1.5), 0.0537, 2e-3),
-        ):
-            traj = integrate(params, t_end, h)
-            times = step_times(t_end, h)
-            assert np.array_equal(traj.times, times)
-            assert np.array_equal(traj.bloch, evolve([params], times, h)[0])
 
     def test_stacked_rows_are_single_runs(self):
         # each row of a stack carries the bits of its own run, drive and
@@ -323,25 +319,17 @@ class TestIntegrator:
             for i, params in enumerate(stack):
                 assert np.array_equal(stacked[i], evolve([params], times, h)[0])
 
-    def test_trajectory_helpers(self):
-        params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        traj = integrate(params, t_end=0.5, h=1e-3)
-        assert traj.excited_populations().tolist() == (0.5 * (1 - traj.bloch[:, 2])).tolist()
-        assert traj.excited_populations()[-1] == pytest.approx(
-            0.5 * (1.0 - analytic_state(params, 0.5).bloch.pz), abs=1e-9
-        )
-
     def test_trajectory_stores_bloch_array(self):
+        # one run is row 0 of a stack of one: a (T, 3) float array
         params = FeedbackParams(alpha=0.4, lam=0.7)
-        traj = integrate(params, t_end=0.05, h=1e-2)
-        assert traj.bloch.shape == (len(traj.times), 3)
-        assert traj.bloch.dtype == np.float64 and traj.bloch.flags.c_contiguous
-        mixedness = 0.5 * (1.0 - (traj.bloch**2).sum(axis=1))
-        assert traj.mixedness_values() == pytest.approx(mixedness.clip(0), abs=1e-16)
-        dense = np.array([oracle_state(*p) for p in traj.bloch])
-        assert np.abs(traj.matrices() - dense).max() <= 1e-15
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), bloch=np.zeros((3, 3)))
+        times = step_times(0.05, 1e-2)
+        bloch = evolve([params], times, 1e-2)[0]
+        assert bloch.shape == (len(times), 3)
+        assert bloch.dtype == np.float64 and bloch.flags.c_contiguous
+        mixedness = 0.5 * (1.0 - (bloch**2).sum(axis=1))
+        assert mixedness_values(bloch) == pytest.approx(mixedness.clip(0), abs=1e-16)
+        dense = np.array([oracle_state(*p) for p in bloch])
+        assert np.abs(density_matrices(bloch) - dense).max() <= 1e-15
 
     def test_evolve_starts_at_projector(self):
         bloch = evolve([FeedbackParams(alpha=0.7, lam=0.5)], [0.0, 0.1])[0, 0]

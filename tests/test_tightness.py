@@ -94,6 +94,16 @@ class TestArrayRatios:
                 assert one.shape == ()
                 assert same_ratio(one, values[i])
 
+    def test_stack_of_trajectories_keeps_its_shape(self, rng):
+        # (n, T, 3) Bloch stacks give (n, T) ratios, bit for bit the flat call
+        ps = [FeedbackParams(alpha=alpha, lam=lam) for alpha in (0.3, 1.1) for lam in (0.0, 0.5)]
+        bloch = analytic_bloch(ps, np.linspace(0.0, 3.0, 7))
+        a, b = rng.uniform(-2, 2, size=(2, 4))
+        flat = ratios(bloch.reshape(-1, 3), a, b)
+        for stacked, one in zip(ratios(bloch, a, b), flat):
+            assert stacked.shape == (4, 7)
+            assert np.array_equal(stacked, one.reshape(4, 7), equal_nan=True)
+
     def test_per_row_observables_broadcast(self, rng):
         p = random_bloch_vectors(rng, 20)
         a = rng.uniform(-2, 2, size=(20, 4))
@@ -216,10 +226,10 @@ class TestSweep:
             lambda_axis=GridAxis(1.0, 1.0, 1),
             t_axis=GridAxis(1.0, 2.0, 2),
         )
-        points = sweep(grid, source="analytic")
-        assert len(points) == 2
-        assert [p.t for p in points] == [1.0, 2.0]
-        assert points == sweep(grid, source="analytic")
+        table = sweep(grid, source="analytic")
+        assert table.shape == (2, 6)
+        assert table[:, 2].tolist() == [1.0, 2.0]
+        assert np.array_equal(table, sweep(grid, source="analytic"), equal_nan=True)
 
     def test_row_major_ordering(self):
         grid = SweepGrid(
@@ -227,12 +237,12 @@ class TestSweep:
             lambda_axis=GridAxis(1.0, 1.0, 1),
             t_axis=GridAxis(1.0, 2.0, 2),
         )
-        points = sweep(grid, source="analytic")
-        assert [(p.alpha, p.t) for p in points] == [
-            (0.3, 1.0),
-            (0.3, 2.0),
-            (0.9, 1.0),
-            (0.9, 2.0),
+        table = sweep(grid, source="analytic")
+        assert table[:, :3].tolist() == [
+            [0.3, 1.0, 1.0],
+            [0.3, 1.0, 2.0],
+            [0.9, 1.0, 1.0],
+            [0.9, 1.0, 2.0],
         ]
 
     def test_numeric_source_agrees_with_analytic(self):
@@ -243,40 +253,27 @@ class TestSweep:
         )
         exact = sweep(grid, source="analytic")
         numeric = sweep(grid, source="numeric", h=1e-3)
-        for a, b in zip(exact, numeric):
-            assert b.ti1 == pytest.approx(a.ti1, abs=1e-6)
-            assert b.ti2 == pytest.approx(a.ti2, abs=1e-6)
-            assert b.ti3 == pytest.approx(a.ti3, abs=1e-6)
+        assert np.array_equal(numeric[:, :3], exact[:, :3])
+        assert numeric[:, 3:] == pytest.approx(exact[:, 3:], abs=1e-6, nan_ok=True)
 
     def test_invalid_source(self):
         with pytest.raises(ValueError):
             sweep(fig2_grid(steps=2), source="magic")
 
     def test_fig3_ti1_defined_and_above_one(self):
-        points = sweep(fig3_grid(steps=12), source="analytic")
-        assert len(points) == 144
-        for p in points:
-            assert p.ti1 is not None
-            assert p.ti1 >= 1.0 - 1e-9
+        ti1 = sweep(fig3_grid(steps=12), source="analytic")[:, 3]
+        assert len(ti1) == 144
+        assert not np.isnan(ti1).any()
+        assert (ti1 >= 1.0 - 1e-9).all()
 
     def test_violation_counter_matches_recount(self):
-        points = sweep(fig2_grid(steps=12), source="analytic")
-        counts = count_ordering_violations(points)
-        manual2 = sum(
-            1
-            for p in points
-            if None not in (p.ti1, p.ti2, p.ti3) and p.ti1 > p.ti2 + 1e-9
-        )
-        manual3 = sum(
-            1
-            for p in points
-            if None not in (p.ti1, p.ti2, p.ti3) and p.ti1 > p.ti3 + 1e-9
-        )
-        assert counts["ti1_gt_ti2"] == manual2
-        assert counts["ti1_gt_ti3"] == manual3
-        assert counts["points_all_defined"] == sum(
-            1 for p in points if None not in (p.ti1, p.ti2, p.ti3)
-        )
+        table = sweep(fig2_grid(steps=12), source="analytic")
+        counts = count_ordering_violations(table)
+        defined = [row for row in table.tolist() if not any(map(math.isnan, row[3:]))]
+        assert counts["ti1_gt_ti2"] == sum(1 for row in defined if row[3] > row[4] + 1e-9)
+        assert counts["ti1_gt_ti3"] == sum(1 for row in defined if row[3] > row[5] + 1e-9)
+        assert counts["points_all_defined"] == len(defined)
+        assert all(type(v) is int for v in counts.values())
 
     @pytest.mark.parametrize("source", ["analytic", "numeric"])
     @pytest.mark.parametrize(
@@ -294,15 +291,14 @@ class TestSweep:
             obs_a=obs_a,
             obs_b=obs_b,
         )
-        points = sweep(grid, source=source, h=1e-2)
-        assert len(points) == 18
-        for p in points:
-            assert [v is not None for v in (p.ti1, p.ti2, p.ti3)] == list(defined)
+        table = sweep(grid, source=source, h=1e-2)
+        assert table.shape == (18, 6)
+        assert (~np.isnan(table[:, 3:]) == defined).all()
         # the grid path agrees with the per-point ratios
-        for p in sweep(grid, source="analytic")[:6]:
-            bloch = analytic_bloch([FeedbackParams(alpha=p.alpha, lam=p.lam)], p.t)[0]
-            for got, want in zip((p.ti1, p.ti2, p.ti3), ratios(bloch, obs_a.coeffs, obs_b.coeffs)):
-                assert got == (None if math.isnan(want) else pytest.approx(want, rel=1e-12))
+        for alpha, lam, t, *got in sweep(grid, source="analytic")[:6].tolist():
+            bloch = analytic_bloch([FeedbackParams(alpha=alpha, lam=lam)], t)[0]
+            want = [float(r) for r in ratios(bloch, obs_a.coeffs, obs_b.coeffs)]
+            assert got == pytest.approx(want, rel=1e-12, nan_ok=True)
 
     def test_undefined_points_marked_not_raised(self):
         # commuting pair: ti2 undefined everywhere, sweep still completes
@@ -313,9 +309,9 @@ class TestSweep:
             obs_a=OBS_Z,
             obs_b=OBS_Z + OBS_I,
         )
-        points = sweep(grid, source="analytic")
-        assert all(p.ti2 is None for p in points)
-        assert all(p.ti3 is not None for p in points)
+        table = sweep(grid, source="analytic")
+        assert np.isnan(table[:, 4]).all()
+        assert not np.isnan(table[:, 5]).any()
 
 
 @pytest.mark.parametrize("name", ["reproduce_fig2", "reproduce_fig3"])
