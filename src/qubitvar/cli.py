@@ -19,7 +19,7 @@ import numpy as np
 
 from . import feedback, relations, serialize, tightness, verify
 from .core import (
-    BlochVector, PauliObservable, QubitState, density_matrices, mixedness, mixedness_values
+    BlochVector, PauliObservable, QubitState, mixedness, mixedness_values
 )
 from .errors import CollinearObservables, DegenerateSpectrum, QubitVarError
 
@@ -130,10 +130,11 @@ def cmd_simulate(args) -> int:
         columns = _columns(times, exact)
         if args.source == "both":
             numeric = feedback.evolve([params], times, args.step)[0]
-            gap = density_matrices(exact) - density_matrices(numeric)
-            columns += [0.5 * (1.0 - numeric[:, 2]), np.abs(gap).max(axis=(1, 2))]
-    rows = list(zip(*(c.tolist() for c in columns)))
-    _emit(serialize.simulate_csv(rows, include_numeric=args.source == "both"), args.output)
+            # the density-matrix gap (d . sigma)/2 has entries +-dz/2 and (dx -+ i dy)/2
+            d = exact - numeric
+            dev = 0.5 * np.maximum(np.abs(d[:, 2]), np.hypot(d[:, 0], d[:, 1]))
+            columns += [0.5 * (1.0 - numeric[:, 2]), dev]
+    _emit(serialize.simulate_csv(columns), args.output)
     return EXIT_OK
 
 

@@ -93,16 +93,6 @@ class PauliObservable:
         c.flags.writeable = False
         return c
 
-    def __add__(self, other: "PauliObservable") -> "PauliObservable":
-        return PauliObservable(
-            self.a1 + other.a1, self.a2 + other.a2, self.a3 + other.a3, self.a4 + other.a4
-        )
-
-    def __mul__(self, scale: float) -> "PauliObservable":
-        return PauliObservable(scale * self.a1, scale * self.a2, scale * self.a3, scale * self.a4)
-
-    __rmul__ = __mul__
-
 
 OBS_X = PauliObservable(1.0, 0.0, 0.0, 0.0)
 OBS_Y = PauliObservable(0.0, 1.0, 0.0, 0.0)

@@ -47,10 +47,10 @@ def sweep_sidecar_json(
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def simulate_csv(rows: list[tuple], include_numeric: bool) -> str:
-    lines = [SIMULATE_HEADER_BOTH if include_numeric else SIMULATE_HEADER]
-    for row in rows:
-        lines.append(",".join(map(repr, row)))
+def simulate_csv(columns: list[np.ndarray]) -> str:
+    """Rows of the column arrays; seven columns add rho11_numeric and max_abs_dev."""
+    lines = [SIMULATE_HEADER_BOTH if len(columns) == 7 else SIMULATE_HEADER]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 

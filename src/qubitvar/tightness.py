@@ -222,7 +222,9 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndar
     bloch = analytic_bloch(rows, ts) if source == "analytic" else evolve(rows, ts, h)
     # the table is flat, so the ratios take the states flat: the same bits
     # as the (rows, T, 3) stack without its per-call multi-axis overhead
-    coords = [c.ravel() for c in np.meshgrid(alphas, lams, ts, indexing="ij")]
+    per_alpha = len(lams) * len(ts)
+    coords = [np.repeat(alphas, per_alpha), np.tile(np.repeat(lams, len(ts)), len(alphas)),
+              np.tile(ts, len(alphas) * len(lams))]
     values = ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs)
     return np.column_stack(coords + list(values))
 
@@ -233,7 +235,9 @@ def count_ordering_violations(table: np.ndarray) -> dict[str, int]:
     Only rows with all three ratios defined participate, matching the
     comparison the sweep sidecar reports.
     """
-    ti1, ti2, ti3 = table[~np.isnan(table[:, 3:]).any(axis=1), 3:].T
+    ti1, ti2, ti3 = table[:, 3:].T
+    defined = ~np.isnan(ti1 + ti2 + ti3)
+    ti1, ti2, ti3 = ti1[defined], ti2[defined], ti3[defined]
     return {
         "points_all_defined": len(ti1),
         "ti1_gt_ti2": int((ti1 > ti2 + ORDERING_TOL).sum()),

@@ -2,16 +2,18 @@
 
 CHECKS is the one registry of the library's invariants: each entry is a
 seeded, sample-count-configurable check returning its worst observed
-residual, and the test suite runs every entry at its default sample
-count with seed 0.  Every check evaluates package code through its
-array functions, all samples in one call wherever the function takes a
-stack; none checks the dense oracle alone.  Oracles (moment traces, and
-master_rhs for the feedback model) are built from stacked dense 2x2
-matrices, independent of the Bloch closed forms the library computes with.
+residual, registered by the @_check line above its body, and the test
+suite runs every entry at its default sample count with seed 0.  Every
+check evaluates package code through its array functions, all samples
+in one call wherever the function takes a stack; none checks the dense
+oracle alone.  Oracles (moment traces, and master_rhs for the feedback
+model) are built from stacked dense 2x2 matrices, independent of the
+Bloch closed forms the library computes with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,19 +60,25 @@ def _btr(mats: np.ndarray) -> np.ndarray:
     return np.einsum("nii->n", mats).real
 
 
+def _tr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(x y) over stacks, without forming the product x y."""
+    return np.einsum("nij,nji->n", x, y)
+
+
 def _batch_terms(rho: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray) -> dict[str, np.ndarray]:
     """All equality ingredients from stacked matrices (oracle route)."""
-    mean_a = _btr(rho @ a_mat)
-    mean_b = _btr(rho @ b_mat)
-    var_a = _btr(rho @ (a_mat @ a_mat)) - mean_a**2
-    var_b = _btr(rho @ (b_mat @ b_mat)) - mean_b**2
-    comm = np.abs(np.einsum("nii->n", rho @ (a_mat @ b_mat - b_mat @ a_mat))) ** 2 / 4.0
-    anti = (_btr(rho @ (a_mat @ b_mat + b_mat @ a_mat)) / 2.0 - mean_a * mean_b) ** 2
+    ab, ba = a_mat @ b_mat, b_mat @ a_mat
+    mean_a = _tr(rho, a_mat).real
+    mean_b = _tr(rho, b_mat).real
+    var_a = _tr(rho, a_mat @ a_mat).real - mean_a**2
+    var_b = _tr(rho, b_mat @ b_mat).real - mean_b**2
+    comm = np.abs(_tr(rho, ab - ba)) ** 2 / 4.0
+    anti = (_tr(rho, ab + ba).real / 2.0 - mean_a * mean_b) ** 2
     tr_a, tr_b = _btr(a_mat), _btr(b_mat)
-    xi_aa = 2.0 * _btr(a_mat @ a_mat) - tr_a**2
-    xi_bb = 2.0 * _btr(b_mat @ b_mat) - tr_b**2
-    xi_ab = 2.0 * _btr(a_mat @ b_mat) - tr_a * tr_b
-    mixed = 1.0 - _btr(rho @ rho)
+    xi_aa = 2.0 * _tr(a_mat, a_mat).real - tr_a**2
+    xi_bb = 2.0 * _tr(b_mat, b_mat).real - tr_b**2
+    xi_ab = 2.0 * _tr(a_mat, b_mat).real - tr_a * tr_b
+    mixed = 1.0 - _tr(rho, rho).real
     return {
         "var_a": var_a,
         "var_b": var_b,
@@ -112,62 +120,84 @@ def _sample_triples(rng, n: int, span: float = 5.0, kind: str = "mixed"):
     return p, a, b
 
 
+# (check, default sample count) in definition order, filled by _check
+CHECKS: list = []
+
+
+def _check(name: str, default: int, threshold: float, low: float = -math.inf, note: str = ""):
+    """Register fn(samples, seed) as the check `name`, run at `default` samples unless
+    overridden and passing when low <= worst <= threshold.  fn returns its worst value,
+    or (worst, samples used[, note]) when the count it ran or its note is computed."""
+    def register(fn):
+        @functools.wraps(fn)
+        def check(samples: int, seed: int) -> CheckResult:
+            out = fn(samples, seed)
+            worst, used, *computed = out if isinstance(out, tuple) else (out, samples)
+            text = computed[0] if computed else note
+            # a NaN worst fails: every comparison with NaN is False
+            return CheckResult(name, used, worst, threshold, low <= worst <= threshold, text)
+        CHECKS.append((check, default))
+        return check
+    return register
+
+
 # ---------------------------------------------------------------------------
 # qubit_core invariants
 # ---------------------------------------------------------------------------
 
-def check_bloch_matrix_roundtrip(samples: int, seed: int) -> CheckResult:
+@_check("bloch_matrix_roundtrip", 10_000, 1e-12)
+def check_bloch_matrix_roundtrip(samples: int, seed: int) -> float:
     rng = _rng(seed, 1)
     vectors = random_bloch_vectors(rng, samples, "mixed")
-    worst = float(np.abs(matrix_to_bloch(density_matrices(vectors)) - vectors).max())
-    return CheckResult("bloch_matrix_roundtrip", samples, worst, 1e-12, worst <= 1e-12)
+    return float(np.abs(matrix_to_bloch(density_matrices(vectors)) - vectors).max())
 
 
-def check_observable_roundtrip(samples: int, seed: int) -> CheckResult:
+@_check("observable_decompose_roundtrip", 10_000, 1e-12)
+def check_observable_roundtrip(samples: int, seed: int) -> float:
     # one (2, 2) real and one (2, 2) imaginary draw per sample, in draw order
     parts = _rng(seed, 2).normal(size=(samples, 2, 2, 2))
     g = parts[:, 0] + 1j * parts[:, 1]
     herm = (g + np.swapaxes(g.conj(), 1, 2)) * 2.5
-    worst = float(np.abs(_batch_obs(decompose_observable(herm)) - herm).max())
-    return CheckResult("observable_decompose_roundtrip", samples, worst, 1e-12, worst <= 1e-12)
+    return float(np.abs(_batch_obs(decompose_observable(herm)) - herm).max())
 
 
-def check_variance_shift_invariance(samples: int, seed: int) -> CheckResult:
+@_check("variance_shift_invariance", 10_000, 1e-12)
+def check_variance_shift_invariance(samples: int, seed: int) -> float:
     rng = _rng(seed, 3)
     p, a, _ = _sample_triples(rng, samples)
     shifted = a + np.outer(rng.uniform(-10, 10, size=samples), [0.0, 0.0, 0.0, 1.0])
-    worst = float(np.abs(variances(p, shifted) - variances(p, a)).max())
-    return CheckResult("variance_shift_invariance", samples, worst, 1e-12, worst <= 1e-12)
+    return float(np.abs(variances(p, shifted) - variances(p, a)).max())
 
 
-def check_mixedness_definition(samples: int, seed: int) -> CheckResult:
+@_check("mixedness_trace_definition", 10_000, 1e-12)
+def check_mixedness_definition(samples: int, seed: int) -> float:
     rng = _rng(seed, 4)
     vectors = random_bloch_vectors(rng, samples, "mixed")
     rho = density_matrices(vectors)
-    worst = float(np.abs(mixedness_values(vectors) - (1.0 - _btr(rho @ rho))).max())
-    return CheckResult("mixedness_trace_definition", samples, worst, 1e-12, worst <= 1e-12)
+    return float(np.abs(mixedness_values(vectors) - (1.0 - _btr(rho @ rho))).max())
 
 
-def check_closed_forms(samples: int, seed: int) -> CheckResult:
+@_check("bloch_closed_forms_vs_matrices", 10_000, 1e-12)
+def check_closed_forms(samples: int, seed: int) -> float:
     rng = _rng(seed, 5)
     # span 2 keeps the squared terms at O(10), where a 1e-12 absolute
     # agreement floor is above double-precision noise
     p, a, b = _sample_triples(rng, samples, span=2.0)
     oracle = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
-    worst = max(
+    return max(
         float(np.abs(variances(p, a) - oracle["var_a"]).max()),
         float(np.abs(commutator_terms(p, a, b) - oracle["comm"]).max()),
         float(np.abs(anticommutator_terms(p, a, b) - oracle["anti"]).max()),
     )
-    return CheckResult("bloch_closed_forms_vs_matrices", samples, worst, 1e-12, worst <= 1e-12)
 
 
-def check_trace_identities(samples: int, seed: int) -> CheckResult:
+@_check("observable_trace_identities", 10_000, 1e-12)
+def check_trace_identities(samples: int, seed: int) -> float:
     rng = _rng(seed, 6)
     _, a, b = _sample_triples(rng, samples)
     am, bm = _batch_obs(a), _batch_obs(b)
     dense_xi = 2.0 * _btr(am @ bm) - _btr(am) * _btr(bm)
-    worst = max(
+    return max(
         float(np.abs(_btr(am @ am) - 2.0 * (a * a).sum(axis=1)).max()),
         float(np.abs(_btr(bm @ bm) - 2.0 * (b * b).sum(axis=1)).max()),
         float(np.abs(_btr(am) - 2.0 * a[:, 3]).max()),
@@ -175,10 +205,10 @@ def check_trace_identities(samples: int, seed: int) -> CheckResult:
         float(np.abs(_btr(am @ bm) - 2.0 * (a * b).sum(axis=1)).max()),
         float(np.abs(xi_values(a, b) - dense_xi).max()),
     )
-    return CheckResult("observable_trace_identities", samples, worst, 1e-12, worst <= 1e-12)
 
 
-def check_mixedness_convexity(samples: int, seed: int) -> CheckResult:
+@_check("mixedness_convexity", 10_000, 1e-12)
+def check_mixedness_convexity(samples: int, seed: int) -> float:
     rng = _rng(seed, 7)
     worst = -np.inf
     for dim in (2, 3, 4):
@@ -192,21 +222,22 @@ def check_mixedness_convexity(samples: int, seed: int) -> CheckResult:
         mix_a, mix_b, mix_combo = mixedness_general(np.stack([rho[:, 0], rho[:, 1], combo]))
         violation = (weight * mix_a + (1 - weight) * mix_b) - mix_combo
         worst = max(worst, float(violation.max()))
-    return CheckResult("mixedness_convexity", samples, worst, 1e-12, worst <= 1e-12)
+    return worst
 
 
-def check_xi_gram_nonnegative(samples: int, seed: int) -> CheckResult:
+@_check("xi_gram_nonnegative", 10_000, 1e-12)
+def check_xi_gram_nonnegative(samples: int, seed: int) -> float:
     rng = _rng(seed, 8)
     _, a, b = _sample_triples(rng, samples)
-    worst = float((-relations.gram_determinants(a, b)).max())
-    return CheckResult("xi_gram_nonnegative", samples, worst, 1e-12, worst <= 1e-12)
+    return float((-relations.gram_determinants(a, b)).max())
 
 
 # ---------------------------------------------------------------------------
 # relations invariants
 # ---------------------------------------------------------------------------
 
-def check_equality_residual(samples: int, seed: int) -> CheckResult:
+@_check("equality_residual", 100_000, 1e-10)
+def check_equality_residual(samples: int, seed: int) -> float:
     rng = _rng(seed, 9)
     p, a, b = _sample_triples(rng, samples)
     terms = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
@@ -220,11 +251,11 @@ def check_equality_residual(samples: int, seed: int) -> CheckResult:
         variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
         - anticommutator_terms(p, a, b) - relations.equality_remainders(p, a, b)
     )
-    worst = float(max(np.abs(residual).max(), np.abs(array_residual).max()))
-    return CheckResult("equality_residual", samples, worst, 1e-10, worst <= 1e-10)
+    return float(max(np.abs(residual).max(), np.abs(array_residual).max()))
 
 
-def check_bound_chain(samples: int, seed: int) -> CheckResult:
+@_check("bound_chain_product_sur_rur", 10_000, 1e-10)
+def check_bound_chain(samples: int, seed: int) -> float:
     """product >= SUR >= RUR, and the mixedness-weighted bound <= product."""
     rng = _rng(seed, 10)
     p, a, b = _sample_triples(rng, samples)
@@ -232,11 +263,11 @@ def check_bound_chain(samples: int, seed: int) -> CheckResult:
     rur = commutator_terms(p, a, b)
     sur = rur + anticommutator_terms(p, a, b)
     eq19 = relations.mixedness_weighted_bounds(p, a, b)
-    worst = float(max((sur - product).max(), (rur - sur).max(), (eq19 - product).max()))
-    return CheckResult("bound_chain_product_sur_rur", samples, worst, 1e-10, worst <= 1e-10)
+    return float(max((sur - product).max(), (rur - sur).max(), (eq19 - product).max()))
 
 
-def check_remainder_sign(samples: int, seed: int) -> CheckResult:
+@_check("remainder_nonnegative_pure_zero", 10_000, 1e-12)
+def check_remainder_sign(samples: int, seed: int) -> float:
     """Mixed-state remainder >= 0; pure-state remainder zero relative to G/8.
 
     A pure state's remainder is M G / 8 with M = (1 - |p|^2)/2 rounded at
@@ -247,27 +278,26 @@ def check_remainder_sign(samples: int, seed: int) -> CheckResult:
     p, a, b = _sample_triples(rng, samples)
     pure = random_bloch_vectors(rng, samples, "pure")
     scale = 2.0 * (np.cross(a[:, :3], b[:, :3]) ** 2).sum(axis=1)  # G/8
-    worst = float(max(
+    return float(max(
         (-relations.equality_remainders(p, a, b)).max(),
         (np.abs(relations.equality_remainders(pure, a, b)) / scale).max(),
     ))
-    return CheckResult("remainder_nonnegative_pure_zero", samples, worst, 1e-12, worst <= 1e-12)
 
 
-def check_pure_sur_saturation(samples: int, seed: int) -> CheckResult:
+@_check("pure_state_sur_saturation", 10_000, 1e-10)
+def check_pure_sur_saturation(samples: int, seed: int) -> float:
     p, a, b = _sample_triples(_rng(seed, 12), samples, kind="pure")
     sur = commutator_terms(p, a, b) + anticommutator_terms(p, a, b)
-    worst = float(np.abs(variances(p, a) * variances(p, b) - sur).max())
-    return CheckResult("pure_state_sur_saturation", samples, worst, 1e-10, worst <= 1e-10)
+    return float(np.abs(variances(p, a) * variances(p, b) - sur).max())
 
 
-def check_estimator_pair_independence(samples: int, seed: int) -> CheckResult:
+@_check("estimator_pair_independence", 10_000, 1e-10)
+def check_estimator_pair_independence(samples: int, seed: int) -> float:
     rng = _rng(seed, 13)
     p = random_bloch_vectors(rng, samples, "mixed")
     first = relations.mixedness_estimates(p, *_noncollinear_pairs(rng, samples))
     second = relations.mixedness_estimates(p, *_noncollinear_pairs(rng, samples))
-    worst = float(max(np.abs(first - second).max(), np.abs(first - mixedness_values(p)).max()))
-    return CheckResult("estimator_pair_independence", samples, worst, 1e-10, worst <= 1e-10)
+    return float(max(np.abs(first - second).max(), np.abs(first - mixedness_values(p)).max()))
 
 
 def _noncollinear_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +310,9 @@ def _noncollinear_pairs(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
-def check_estimator_shot_scaling(samples: int, seed: int) -> CheckResult:
+@_check("estimator_shot_error_scaling", 20, 20.0, low=5.0,
+        note="mean SE ratio across shots 1e4/1e6, sqrt scaling predicts 10")
+def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
     seeds = max(5, min(samples, 50))
     # generic in-plane state: at the maximally mixed point the first-order
     # delta-method term vanishes and the error scales as 1/shots instead
@@ -294,53 +326,45 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> CheckResult:
             _, se = relations.estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
             values.append(se)
         ses[shots] = float(np.mean(values))
-    ratio = ses[10_000] / ses[1_000_000]
-    passed = 5.0 <= ratio <= 20.0
-    return CheckResult(
-        "estimator_shot_error_scaling",
-        seeds,
-        ratio,
-        20.0,
-        passed,
-        note="mean SE ratio across shots 1e4/1e6, sqrt scaling predicts 10",
-    )
+    return ses[10_000] / ses[1_000_000], seeds
 
 
-def check_eur_sigma_xz(samples: int, seed: int) -> CheckResult:
+@_check("eur_sigma_x_sigma_z", 10_000, 1e-10)
+def check_eur_sigma_xz(samples: int, seed: int) -> float:
     rng = _rng(seed, 15)
     p = random_bloch_vectors(rng, samples, "mixed")
     entropy_sum, bound = relations.eur_values(p, OBS_X.coeffs, OBS_Z.coeffs)
-    worst = float((bound - entropy_sum).max())
-    return CheckResult("eur_sigma_x_sigma_z", samples, worst, 1e-10, worst <= 1e-10)
+    return float((bound - entropy_sum).max())
 
 
-def check_sum_relation(samples: int, seed: int) -> CheckResult:
+@_check("sum_relation_holds", 100_000, 1e-10)
+def check_sum_relation(samples: int, seed: int) -> float:
     rng = _rng(seed, 16)
     p, a, b = _sample_triples(rng, samples)
     lhs, bound = relations.sum_relations(p, a, b)
-    worst = float((bound - lhs).max())
-    return CheckResult("sum_relation_holds", samples, worst, 1e-10, worst <= 1e-10)
+    return float((bound - lhs).max())
 
 
 # ---------------------------------------------------------------------------
 # feedback invariants
 # ---------------------------------------------------------------------------
 
-def check_master_rhs_traceless(samples: int, seed: int) -> CheckResult:
+@_check("master_rhs_traceless", 10_000, 1e-12)
+def check_master_rhs_traceless(samples: int, seed: int) -> float:
     """The dense master equation is traceless and is feedback.generator's flow."""
     rng = _rng(seed, 17)
     p = random_bloch_vectors(rng, samples, "mixed")
     draws = rng.uniform([0.0, 0.0, 0.0], [math.pi, 1.0, 2.0], size=(samples, 3))
     lam, omega = draws[:, 1], draws[:, 2]
     rhs = master_rhs(density_matrices(p), lam, omega)
-    worst = float(max(
+    return float(max(
         np.abs(np.einsum("nii->n", rhs)).max(),
         np.abs(rhs - 0.5 * _batch_obs(_flow(p, lam, omega))).max(),
     ))
-    return CheckResult("master_rhs_traceless", samples, worst, 1e-12, worst <= 1e-12)
 
 
-def check_analytic_satisfies_master(samples: int, seed: int) -> CheckResult:
+@_check("analytic_solution_satisfies_master", 1_000, 1e-5)
+def check_analytic_satisfies_master(samples: int, seed: int) -> tuple:
     per_axis = max(3, min(12, int(round(samples ** (1.0 / 3.0)))))
     delta = 1e-6
     ts = np.linspace(delta, 5.0, per_axis)
@@ -352,20 +376,18 @@ def check_analytic_satisfies_master(samples: int, seed: int) -> CheckResult:
     plus, minus, now = (feedback.analytic_bloch(params, t) for t in (ts + delta, ts - delta, ts))
     derivative = (plus - minus) / (2 * delta)
     flow = _flow(now, np.tile(lams, per_axis)[:, None])[..., :3]
-    worst = float(np.abs(derivative - flow).max())
-    count = per_axis**3
-    return CheckResult("analytic_solution_satisfies_master", count, worst, 1e-5, worst <= 1e-5)
+    return float(np.abs(derivative - flow).max()), per_axis**3
 
 
-def check_lambda0_reduction(samples: int, seed: int) -> CheckResult:
+@_check("lambda0_reduces_to_bare_decay", 10_000, 1e-12)
+def check_lambda0_reduction(samples: int, seed: int) -> float:
     rng = _rng(seed, 19)
     p = random_bloch_vectors(rng, samples, "mixed")
     rho = density_matrices(p)
     omega = rng.uniform(0.0, 2.0, size=samples)
     bare = -1j * omega[:, None, None] * (PAULI_X @ rho - rho @ PAULI_X)
     bare += _dissipator(_SIGMA_MINUS, rho)
-    worst = float(np.abs(0.5 * _batch_obs(_flow(p, 0.0, omega)) - bare).max())
-    return CheckResult("lambda0_reduces_to_bare_decay", samples, worst, 1e-12, worst <= 1e-12)
+    return float(np.abs(0.5 * _batch_obs(_flow(p, 0.0, omega)) - bare).max())
 
 
 def _grid_deviation(h: float, pairs) -> float:
@@ -376,20 +398,12 @@ def _grid_deviation(h: float, pairs) -> float:
     return float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
 
 
-def check_rk4_order(samples: int, seed: int) -> CheckResult:
+@_check("rk4_convergence_order", 2, 32.0, low=8.0)
+def check_rk4_order(samples: int, seed: int) -> tuple:
     pairs = [(math.pi / 4, 1.0), (1.1, 0.5)]
     dev_h = _grid_deviation(1e-3, pairs)
     dev_half = _grid_deviation(5e-4, pairs)
-    ratio = dev_h / dev_half
-    passed = 8.0 <= ratio <= 32.0
-    return CheckResult(
-        "rk4_convergence_order",
-        len(pairs),
-        ratio,
-        32.0,
-        passed,
-        note=f"deviation {dev_h:.2e} -> {dev_half:.2e} on halving h",
-    )
+    return dev_h / dev_half, len(pairs), f"deviation {dev_h:.2e} -> {dev_half:.2e} on halving h"
 
 
 def _trajectories(alphas, lams, t_end: float) -> np.ndarray:
@@ -400,46 +414,45 @@ def _trajectories(alphas, lams, t_end: float) -> np.ndarray:
     return feedback.evolve(params, feedback.step_times(t_end, 5e-3), 5e-3)
 
 
-def check_trajectory_positivity(samples: int, seed: int) -> CheckResult:
+@_check("trajectory_positivity", 9, 1e-8,
+        note="worst -lambda_min along integrated trajectories")
+def check_trajectory_positivity(samples: int, seed: int) -> tuple:
     bloch = _trajectories(np.linspace(0.0, math.pi / 2, 3), (0.2, 0.6, 1.0), 5.0)
     norms = np.sqrt((bloch**2).sum(axis=-1))
-    worst = float(((norms - 1.0) / 2.0).max())
-    return CheckResult(
-        "trajectory_positivity", len(bloch), worst, 1e-8, worst <= 1e-8,
-        note="worst -lambda_min along integrated trajectories",
-    )
+    return float(((norms - 1.0) / 2.0).max()), len(bloch)
 
 
-def check_trajectory_starts_pure(samples: int, seed: int) -> CheckResult:
+@_check("trajectory_starts_pure", 15, 1e-12)
+def check_trajectory_starts_pure(samples: int, seed: int) -> tuple:
     bloch = _trajectories(np.linspace(0.0, math.pi, 5), (0.0, 0.5, 1.0), 0.05)
-    worst = float(mixedness_values(bloch[:, 0]).max())
-    return CheckResult("trajectory_starts_pure", len(bloch), worst, 1e-12, worst <= 1e-12)
+    return float(mixedness_values(bloch[:, 0]).max()), len(bloch)
 
 
 # ---------------------------------------------------------------------------
 # tightness invariants
 # ---------------------------------------------------------------------------
 
-def check_ti1_identity(samples: int, seed: int) -> CheckResult:
+@_check("ti1_equality_identity", 10_000, 1e-10)
+def check_ti1_identity(samples: int, seed: int) -> tuple:
     rng = _rng(seed, 23)
     p, a, b = _sample_triples(rng, samples)
     value = tightness.ratios(p, a, b)[0]
     defined = ~np.isnan(value)
     bound = relations.mixedness_weighted_bounds(p, a, b)
     identity = 1.0 + anticommutator_terms(p, a, b) / bound
-    worst = float(np.abs(value - identity)[defined].max(initial=0.0))
-    return CheckResult("ti1_equality_identity", int(defined.sum()), worst, 1e-10, worst <= 1e-10)
+    return float(np.abs(value - identity)[defined].max(initial=0.0)), int(defined.sum())
 
 
-def check_ti_at_least_one(samples: int, seed: int) -> CheckResult:
+@_check("tightness_ratios_at_least_one", 10_000, 1e-9)
+def check_ti_at_least_one(samples: int, seed: int) -> float:
     rng = _rng(seed, 24)
     p = random_bloch_vectors(rng, samples, "mixed")
     values = np.stack(tightness.ratios(p, *_noncollinear_pairs(rng, samples)))
-    worst = float(np.nanmax(1.0 - values))
-    return CheckResult("tightness_ratios_at_least_one", samples, worst, 1e-9, worst <= 1e-9)
+    return float(np.nanmax(1.0 - values))
 
 
-def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> CheckResult:
+@_check("closed_form_ti1_vs_pipeline", 2_500, 1e-9)
+def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> tuple:
     steps = max(5, min(50, int(round(math.sqrt(samples)))))
     alphas = np.linspace(0.0, math.pi, steps + 2)[1:-1].tolist()
     lams = np.linspace(0.0, 1.0, steps + 1)[1:].tolist()
@@ -460,12 +473,11 @@ def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> CheckResult:
         abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0)
             - tightness.ti1_analytic_alpha_pi4(1.0, 1.0)),
     )
-    return CheckResult(
-        "closed_form_ti1_vs_pipeline", 2 * steps * steps, worst, 1e-9, worst <= 1e-9
-    )
+    return worst, 2 * steps * steps
 
 
-def check_ti1_scale_shift_invariance(samples: int, seed: int) -> CheckResult:
+@_check("ti1_scale_shift_invariance", 10_000, 1e-10)
+def check_ti1_scale_shift_invariance(samples: int, seed: int) -> tuple:
     rng = _rng(seed, 26)
     p = random_bloch_vectors(rng, samples, "mixed")
     a, b = _noncollinear_pairs(rng, samples)
@@ -479,15 +491,16 @@ def check_ti1_scale_shift_invariance(samples: int, seed: int) -> CheckResult:
     for moved_a in (scale[:, None] * a, a + shift):
         change = np.abs(tightness.ratios(p, moved_a, b)[0] - base) / np.maximum(1.0, base)
         worst = max(worst, float(change[defined].max(initial=0.0)))
-    used = int(defined.sum())
-    return CheckResult("ti1_scale_shift_invariance", used, worst, 1e-10, worst <= 1e-10)
+    return worst, int(defined.sum())
 
 
 # ---------------------------------------------------------------------------
 # cli/output invariants
 # ---------------------------------------------------------------------------
 
-def check_serialization_determinism(samples: int, seed: int) -> CheckResult:
+@_check("serialization_determinism", 2, 0.0,
+        note="repeated sweep serializations are byte-identical")
+def check_serialization_determinism(samples: int, seed: int) -> tuple:
     from .serialize import sweep_csv, sweep_sidecar_json
 
     grid = tightness.fig2_grid(steps=6)
@@ -496,46 +509,11 @@ def check_serialization_determinism(samples: int, seed: int) -> CheckResult:
         table = tightness.sweep(grid, source="analytic")
         violations = tightness.count_ordering_violations(table)
         outputs.append(sweep_csv(table) + sweep_sidecar_json(grid, "analytic", seed, violations))
-    passed = outputs[0] == outputs[1]
-    return CheckResult(
-        "serialization_determinism", 2, 0.0 if passed else 1.0, 0.0, passed,
-        note="repeated sweep serializations are byte-identical",
-    )
+    return (0.0 if outputs[0] == outputs[1] else 1.0), 2
 
 
 # Samples per check run_all accepts: ten times the largest default count.
 MAX_SAMPLES = 10**6
-
-# name -> (function, default sample count)
-CHECKS = [
-    (check_bloch_matrix_roundtrip, 10_000),
-    (check_observable_roundtrip, 10_000),
-    (check_variance_shift_invariance, 10_000),
-    (check_mixedness_definition, 10_000),
-    (check_closed_forms, 10_000),
-    (check_trace_identities, 10_000),
-    (check_mixedness_convexity, 10_000),
-    (check_xi_gram_nonnegative, 10_000),
-    (check_equality_residual, 100_000),
-    (check_bound_chain, 10_000),
-    (check_remainder_sign, 10_000),
-    (check_pure_sur_saturation, 10_000),
-    (check_estimator_pair_independence, 10_000),
-    (check_estimator_shot_scaling, 20),
-    (check_eur_sigma_xz, 10_000),
-    (check_sum_relation, 100_000),
-    (check_master_rhs_traceless, 10_000),
-    (check_analytic_satisfies_master, 1_000),
-    (check_lambda0_reduction, 10_000),
-    (check_rk4_order, 2),
-    (check_trajectory_positivity, 9),
-    (check_trajectory_starts_pure, 15),
-    (check_ti1_identity, 10_000),
-    (check_ti_at_least_one, 10_000),
-    (check_closed_form_ti1_vs_pipeline, 2_500),
-    (check_ti1_scale_shift_invariance, 10_000),
-    (check_serialization_determinism, 2),
-]
 
 
 def run_all(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
@@ -547,8 +525,4 @@ def run_all(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """
     if samples is not None and samples > MAX_SAMPLES:
         raise TooMuchWork(f"{samples} samples per check are more than {MAX_SAMPLES}")
-    results = []
-    for fn, default in CHECKS:
-        n = default if samples is None else max(2, samples)
-        results.append(fn(n, seed))
-    return results
+    return [fn(default if samples is None else max(2, samples), seed) for fn, default in CHECKS]

@@ -142,7 +142,8 @@ def test_criterion_03_estimator_exactness():
             state = QubitState(BlochVector(*map(float, row)))
             worst = max(worst, abs(estimate_mixedness(state, obs_a, obs_b) - mixedness(state)))
     assert worst < 1e-10
-    for parallel in (OBS_X, 2.0 * OBS_X, -0.5 * OBS_X + PauliObservable(0, 0, 0, 1.0)):
+    parallels = (OBS_X, PauliObservable(2.0, 0.0, 0.0, 0.0), PauliObservable(-0.5, 0.0, 0.0, 1.0))
+    for parallel in parallels:
         with pytest.raises(CollinearObservables):
             estimate_mixedness(QubitState(BlochVector(0.1, 0.2, 0.3)), OBS_X, parallel)
     report(3, "estimator exactness", f"max |estimate - mixedness| {worst:.2e}; collinear pairs raise")

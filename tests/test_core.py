@@ -30,8 +30,6 @@ from conftest import (
 )
 from qubitvar.core import (
     BlochVector,
-    OBS_I,
-    OBS_X,
     PauliObservable,
     QubitState,
     anticommutator_terms,
@@ -150,10 +148,6 @@ class TestObservables:
         with pytest.raises(NotHermitian):
             decompose_observable(np.stack([SX, np.array([[0, 1], [0, 0]], dtype=complex)]))
 
-    def test_observable_arithmetic(self):
-        combo = 2.0 * OBS_X + OBS_I
-        assert (combo.a1, combo.a2, combo.a3, combo.a4) == (2.0, 0.0, 0.0, 1.0)
-
     @settings(deadline=None)
     @given(observables())
     def test_decompose_reconstruct_roundtrip(self, obs):
@@ -249,7 +243,7 @@ class TestMoments:
     @given(qubit_states(), observables(), st.floats(-10, 10, allow_nan=False))
     def test_variance_shift_invariance(self, state, obs, shift):
         p = state.bloch.as_array()
-        shifted = obs + PauliObservable(0.0, 0.0, 0.0, shift)
+        shifted = PauliObservable(obs.a1, obs.a2, obs.a3, obs.a4 + shift)
         assert variances(p, shifted.coeffs) == pytest.approx(variances(p, obs.coeffs), abs=1e-12)
 
     @settings(deadline=None)

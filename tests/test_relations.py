@@ -192,7 +192,7 @@ class TestEstimator:
         assert estimate_mixedness(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(0.5, abs=1e-12)
         assert estimate_mixedness(GROUND, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(CollinearObservables):
-            estimate_mixedness(MAXMIXED, OBS_X, 2.0 * OBS_X + OBS_I)
+            estimate_mixedness(MAXMIXED, OBS_X, PauliObservable(2.0, 0.0, 0.0, 1.0))
 
     def test_matches_mixedness_for_any_pair(self, rng):
         for _ in range(1000):
@@ -223,7 +223,7 @@ class TestSymmetrizedProduct:
         assert (zero.a1, zero.a2, zero.a3, zero.a4) == (0.0, 0.0, 0.0, 0.0)
         identity = symmetrized_product(OBS_X, OBS_X)
         assert (identity.a1, identity.a2, identity.a3, identity.a4) == (0.0, 0.0, 0.0, 1.0)
-        shifted = symmetrized_product(OBS_X + OBS_I, OBS_Z)
+        shifted = symmetrized_product(PauliObservable(1.0, 0.0, 0.0, 1.0), OBS_Z)
         assert (shifted.a1, shifted.a2, shifted.a3, shifted.a4) == (0.0, 0.0, 1.0, 0.0)
 
     def test_against_trace_oracle(self, rng):
@@ -328,7 +328,7 @@ class TestEstimateFromCounts:
         counts_a = simulate_shots(MAXMIXED, OBS_X, 100, seed=0)
         with pytest.raises(CollinearObservables):
             estimate_mixedness_from_counts(
-                counts_a, counts_a, None, OBS_X, 2.0 * OBS_X + OBS_I
+                counts_a, counts_a, None, OBS_X, PauliObservable(2.0, 0.0, 0.0, 1.0)
             )
 
     def test_error_scaling_with_shots(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
-from qubitvar.core import OBS_I, OBS_X, OBS_Z, random_bloch_vectors
+from qubitvar.core import OBS_X, OBS_Z, PauliObservable, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, NonFiniteInput, NonPositiveLambda, NonPositiveTime
 from qubitvar.feedback import FeedbackParams, analytic_bloch
 from qubitvar.tightness import (
@@ -279,8 +279,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "obs_a, obs_b, defined",
         [
-            (OBS_Z, OBS_Z + OBS_I, (False, False, True)),  # commuting, shared axis
-            (OBS_X, -1.0 * OBS_X, (False, False, False)),  # B = -A: A + B = 0
+            # commuting, shared axis
+            (OBS_Z, PauliObservable(0.0, 0.0, 1.0, 1.0), (False, False, True)),
+            # B = -A: A + B = 0
+            (OBS_X, PauliObservable(-1.0, 0.0, 0.0, 0.0), (False, False, False)),
         ],
     )
     def test_shared_axis_cells_stay_undefined(self, source, obs_a, obs_b, defined):
@@ -307,7 +309,7 @@ class TestSweep:
             lambda_axis=GridAxis(1.0, 1.0, 1),
             t_axis=GridAxis(1.0, 2.0, 2),
             obs_a=OBS_Z,
-            obs_b=OBS_Z + OBS_I,
+            obs_b=PauliObservable(0.0, 0.0, 1.0, 1.0),
         )
         table = sweep(grid, source="analytic")
         assert np.isnan(table[:, 4]).all()
