@@ -11,26 +11,26 @@ import sys
 import numpy as np
 
 from qubitvar.core import OBS_X, OBS_Z, density_matrices, mixedness_values
-from qubitvar.feedback import FeedbackParams, analytic_bloch, evolve, steady_state, step_times
+from qubitvar.feedback import analytic_bloch, evolve, steady_state, step_times
 from qubitvar.relations import mixedness_estimates
 
 
 def run():
-    params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
+    alpha, lam = math.pi / 4, 1.0
     times = step_times(8.0, 1e-3)
-    bloch = evolve([params], times, 1e-3)[0]
-    exact = analytic_bloch([params], times)[0]
+    bloch = evolve(alpha, lam, times, 1e-3)
+    exact = analytic_bloch(alpha, lam, times)
     worst = float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
     print(f"RK4 vs closed form over t in [0, 8]: max deviation {worst:.2e}")
 
-    fixed = steady_state(params)
+    fixed = steady_state(lam)
     print(
         f"excited population at t=8: {0.5 * (1 - bloch[-1, 2]):.6f} "
-        f"(fixed point {0.5 * (1 - fixed.bloch.pz):.6f})"
+        f"(fixed point {0.5 * (1 - fixed[2]):.6f})"
     )
 
     meter_times = [0.0, 0.5, 2.0, 8.0]
-    states = analytic_bloch([params], meter_times)[0]
+    states = analytic_bloch(alpha, lam, meter_times)
     mixed = mixedness_values(states)
     metered = mixedness_estimates(states, OBS_X.coeffs, OBS_Z.coeffs)
     for t, value, estimate in zip(meter_times, mixed.tolist(), metered.tolist()):

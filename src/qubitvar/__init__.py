@@ -24,7 +24,7 @@ from .core import (
     mixedness_general,
     random_density_matrix,
 )
-from .feedback import FeedbackParams, analytic_bloch, evolve, steady_state, step_times
+from .feedback import analytic_bloch, evolve, steady_state, step_times
 from .relations import (
     MeasurementCounts,
     RelationReport,
@@ -37,7 +37,6 @@ from .tightness import SweepGrid, sweep
 
 __all__ = [
     "BlochVector",
-    "FeedbackParams",
     "MeasurementCounts",
     "OBS_I",
     "OBS_X",

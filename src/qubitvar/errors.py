@@ -41,6 +41,10 @@ class NonFiniteInput(QubitVarError):
     """A numeric input is NaN or infinite."""
 
 
+class NegativeRate(QubitVarError):
+    """A rate of the feedback model (lam or omega) is negative."""
+
+
 class NegativeTime(QubitVarError):
     """Evolution time must be non-negative."""
 

@@ -11,7 +11,7 @@ with D(O)rho = O rho O^dag - (O^dag O rho + rho O^dag O)/2 and
 s- = |0><1|.  For Omega = 0 and a pure initial state
 cos(alpha)|0> + sin(alpha)|1> the solution is closed-form; the excited
 population rho11 relaxes to lam^2/(1 + 2 lam^2).  analytic_bloch()
-evaluates it in real Bloch components over a stack of parameter sets,
+evaluates it in real Bloch components over broadcast parameter arrays,
 one expression exact for every lam >= 0.  A fixed-step RK4 integrator
 covers the general case and cross-checks the closed form.
 
@@ -23,47 +23,45 @@ an oracle.  Each RK4 step is exactly y <- y + D y with D = T4(hL) - I (the
 evolve() holds the one RK4 loop and steps a stack of parameter sets
 together by one rule: floor(span/h + 1e-9) steps of h between stored
 times (the rule step_times lays its grid by), then a remainder step if
-more than 1e-12 is left.  A single run is a stack of one on the
-step_times grid: evolve([p], step_times(t_end, h), h)[0].
+more than 1e-12 is left.  A single run takes scalar parameters:
+evolve(alpha, lam, step_times(t_end, h), h).
+
+Every public function broadcasts (alpha, lam, omega) in front of its own
+axes and checks them once per call by one rule, _parameters.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochVector, QubitState, _components, _outside_ball
-from .errors import NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
+from .core import _components, _outside_ball
+from .errors import (
+    NegativeRate, NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
+)
 
 MAX_STEP = 1e-2
 # Steps one trajectory may take: 200 times the default simulate run.
 MAX_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class FeedbackParams:
-    """Model parameters, all rates in units of the effective damping rate.
-
-    alpha is the initial superposition angle, lam the feedback strength
-    (the model of interest uses lam in [0, 1]), omega the Rabi frequency
-    of an optional drive.
-    """
-
-    alpha: float
-    lam: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self):
-        for name in ("alpha", "lam", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
+def _parameters(alpha, lam, omega=0.0):
+    """alpha, lam and omega broadcast to one float shape, refused unless
+    finite, lam and omega >= 0, and the decay rate 1 + 2 lam^2 finite."""
+    values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, omega)))
+    for name, value in zip(("alpha", "lam", "omega"), values):
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise NonFiniteInput(f"{name} must be finite, got {value[bad][0]}")
+    for name, value in zip(("lam", "omega"), values[1:]):
+        if (value < 0).any():
+            raise NegativeRate(f"{name} must be >= 0")
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(2.0 * values[1] * values[1])
+    if overflow.any():
+        raise NonFiniteInput(f"lam = {values[1][overflow][0]} overflows the decay rate 1 + 2 lam^2")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,10 @@ def generator(lam, omega=0.0) -> np.ndarray:
     1 + 2 lam^2 towards 1; its cross term turns the rotation's (px, py)
     coupling into px -> py at -2 lam alone.  So pz settles at 1/(1 + 2 lam^2).
     """
-    lam, omega = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
+    return _generator(*_parameters(0.0, lam, omega)[1:])
+
+
+def _generator(lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     heat = 2.0 * lam * lam
     gen = np.zeros(lam.shape + (4, 4))
     gen[..., 0, 0] = -0.5
@@ -92,15 +93,8 @@ def generator(lam, omega=0.0) -> np.ndarray:
 # closed-form solution (omega = 0)
 # ---------------------------------------------------------------------------
 
-def _require_analytic(params: FeedbackParams) -> None:
-    if params.omega != 0.0:
-        raise ValueError("the closed-form solution requires omega = 0")
-    if not math.isfinite(2.0 * params.lam * params.lam):
-        raise NonFiniteInput(f"lam = {params.lam} overflows the decay rate 1 + 2 lam^2")
-
-
-def analytic_bloch(params: Sequence[FeedbackParams], t) -> np.ndarray:
-    """Exact Bloch vectors for omega = 0, shape (len(params),) + shape(t) + (3,).
+def analytic_bloch(alpha, lam, t) -> np.ndarray:
+    """Exact Bloch vectors for omega = 0, shape broadcast(alpha, lam) + shape(t) + (3,).
 
     With g = 1 + 2 lam^2 the solution from cos(alpha)|0> + sin(alpha)|1> is
 
@@ -113,17 +107,16 @@ def analytic_bloch(params: Sequence[FeedbackParams], t) -> np.ndarray:
     differences to full relative precision, and the second form of pz
     keeps the dark ground state (alpha = 0, lam = 0) at exactly pz = 1.
     """
+    alpha, lam, _ = _parameters(alpha, lam)
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise NonFiniteInput("t must be finite")
     if (t < 0).any():
         raise NegativeTime(f"t = {t.min()}")
-    for p in params:
-        _require_analytic(p)
-    column = (-1,) + (1,) * t.ndim
-    lam = np.array([p.lam for p in params]).reshape(column)
-    sin2a = np.array([math.sin(2 * p.alpha) for p in params]).reshape(column)
-    cos2a = np.array([math.cos(2 * p.alpha) for p in params]).reshape(column)
+    column = (...,) + (None,) * t.ndim
+    lam = lam[column]
+    sin2a = np.sin(2.0 * alpha)[column]
+    cos2a = np.cos(2.0 * alpha)[column]
     heat = 2.0 * lam * lam
     g = 1.0 + heat
     px = np.exp(-t / 2.0) * sin2a
@@ -135,15 +128,14 @@ def analytic_bloch(params: Sequence[FeedbackParams], t) -> np.ndarray:
     return np.stack([px, py, pz], axis=-1)
 
 
-def steady_state(params: FeedbackParams) -> QubitState:
-    """Diagonal fixed point with excited population lam^2/(1 + 2 lam^2).
+def steady_state(lam) -> np.ndarray:
+    """Diagonal fixed point, shape(lam) + (3,): excited population lam^2/(1 + 2 lam^2).
 
-    For lam = 0 the dynamics is pure decay and the ground state |0><0|
+    For lam = 0 the dynamics is pure decay and the ground state pz = 1
     is returned (the lam -> 0 limit of the formula).
     """
-    _require_analytic(params)
-    population = params.lam**2 / (1.0 + 2.0 * params.lam**2)
-    return QubitState(BlochVector(0.0, 0.0, 1.0 - 2.0 * population))
+    heat = 2.0 * _parameters(0.0, lam)[1] ** 2
+    return np.stack(np.broadcast_arrays(0.0, 0.0, 1.0 - heat / (1.0 + heat)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +184,9 @@ def step_times(t_end: float, h: float) -> np.ndarray:
     return np.array(times)
 
 
-def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> np.ndarray:
-    """Bloch vectors of each parameter set at each sample time, (len(params), T, 3).
+def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
+    """Bloch vectors of each parameter set at each sample time,
+    shape broadcast(alpha, lam, omega) + (T, 3).
 
     All sets start from cos(alpha)|0> + sin(alpha)|1> at t = 0 and step
     together, with full steps of h and a shorter remainder step between
@@ -201,9 +194,10 @@ def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> n
     grid is hit without interpolation.  Raises PositivityLost at the
     earliest stored time at which a state lies outside the Bloch ball
     beyond representation tolerance (an eigenvalue below -1e-6 always
-    does), the sign of an unresolved step.  An overflowing generator
+    does), the sign of an unresolved step.  A step that overflows
     carries states to inf or NaN, so the warnings on the way are silenced.
     """
+    alpha, lam, omega = _parameters(alpha, lam, omega)
     times = np.array(sample_times, dtype=float)
     if not np.isfinite(times).all():
         raise NonFiniteInput("sample_times must be finite")
@@ -213,13 +207,13 @@ def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> n
         raise NegativeTime(f"t = {times[0]}")
     _check_steps(times[-1], h)
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = generator([p.lam for p in params], [p.omega for p in params])
+        gen = _generator(lam, omega)
         full = _increment(gen, h)
         spans = np.diff(times, prepend=0.0)
         counts = _full_steps(spans, h)
         rests = spans - counts * h
-        y = np.array([[[math.sin(2 * p.alpha)], [0.0], [math.cos(2 * p.alpha)], [1.0]]
-                      for p in params])
+        y = np.stack([np.sin(2.0 * alpha), np.zeros_like(alpha), np.cos(2.0 * alpha),
+                      np.ones_like(alpha)], axis=-1)[..., None]
         ys = []
         for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
             while count:
@@ -228,12 +222,14 @@ def evolve(params: Sequence[FeedbackParams], sample_times, h: float = 1e-3) -> n
             if rest > 1e-12:
                 y = y + _increment(gen, rest) @ y
             ys.append(y)
-        bloch = np.ascontiguousarray(np.stack(ys, axis=1)[:, :, :3, 0])
+        bloch = np.ascontiguousarray(np.stack(ys, axis=-3)[..., :3, 0])
         norm_sq, outside = _outside_ball(_components(bloch))
     if outside.any():
-        i = int(np.argmax(outside.any(axis=0)))  # outside is (n, T): earliest time
+        outside, norm_sq = outside.reshape(-1, len(times)), norm_sq.reshape(-1, len(times))
+        i = int(np.argmax(outside.any(axis=0)))  # outside is (sets, T): earliest time
         k = int(np.argmax(outside[:, i]))
-        where = f" for {params[k]}" if len(params) > 1 else ""
+        named = tuple(float(v.flat[k]) for v in (alpha, lam, omega))
+        where = f" for (alpha, lam, omega) = {named}" if alpha.size > 1 else ""
         eigenvalue = (1.0 - math.sqrt(norm_sq[k, i])) / 2.0
         raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[i]:g}{where}")
     return bloch

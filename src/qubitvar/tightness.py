@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, bloch_array, variances
 from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
-from .feedback import FeedbackParams, analytic_bloch, evolve
+from .feedback import analytic_bloch, evolve
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
 
 # A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
@@ -216,15 +216,11 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndar
     if source not in ("analytic", "numeric"):
         raise ValueError(f"source must be 'analytic' or 'numeric', got {source!r}")
     alphas, lams, ts = (axis.values() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis))
-    rows = [
-        FeedbackParams(alpha=alpha, lam=lam) for alpha in alphas.tolist() for lam in lams.tolist()
-    ]
-    bloch = analytic_bloch(rows, ts) if source == "analytic" else evolve(rows, ts, h)
+    alpha, lam = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
+    bloch = analytic_bloch(alpha, lam, ts) if source == "analytic" else evolve(alpha, lam, ts, h)
     # the table is flat, so the ratios take the states flat: the same bits
     # as the (rows, T, 3) stack without its per-call multi-axis overhead
-    per_alpha = len(lams) * len(ts)
-    coords = [np.repeat(alphas, per_alpha), np.tile(np.repeat(lams, len(ts)), len(alphas)),
-              np.tile(ts, len(alphas) * len(lams))]
+    coords = [np.repeat(alpha, len(ts)), np.repeat(lam, len(ts)), np.tile(ts, len(alpha))]
     values = ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs)
     return np.column_stack(coords + list(values))
 

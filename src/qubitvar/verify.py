@@ -368,14 +368,13 @@ def check_analytic_satisfies_master(samples: int, seed: int) -> tuple:
     per_axis = max(3, min(12, int(round(samples ** (1.0 / 3.0)))))
     delta = 1e-6
     ts = np.linspace(delta, 5.0, per_axis)
-    lams = np.linspace(0.1, 1.0, per_axis)
-    params = [
-        feedback.FeedbackParams(alpha=alpha, lam=lam)
-        for alpha in np.linspace(0.0, math.pi, per_axis).tolist() for lam in lams.tolist()
-    ]
-    plus, minus, now = (feedback.analytic_bloch(params, t) for t in (ts + delta, ts - delta, ts))
+    alphas = np.repeat(np.linspace(0.0, math.pi, per_axis), per_axis)
+    lams = np.tile(np.linspace(0.1, 1.0, per_axis), per_axis)
+    plus, minus, now = (
+        feedback.analytic_bloch(alphas, lams, t) for t in (ts + delta, ts - delta, ts)
+    )
     derivative = (plus - minus) / (2 * delta)
-    flow = _flow(now, np.tile(lams, per_axis)[:, None])[..., :3]
+    flow = _flow(now, lams[:, None])[..., :3]
     return float(np.abs(derivative - flow).max()), per_axis**3
 
 
@@ -390,28 +389,25 @@ def check_lambda0_reduction(samples: int, seed: int) -> float:
     return float(np.abs(0.5 * _batch_obs(_flow(p, 0.0, omega)) - bare).max())
 
 
-def _grid_deviation(h: float, pairs) -> float:
-    params = [feedback.FeedbackParams(alpha=alpha, lam=lam) for alpha, lam in pairs]
+def _grid_deviation(h: float, alphas, lams) -> float:
     times = feedback.step_times(2.0, h)
-    exact = feedback.analytic_bloch(params, times)
-    bloch = feedback.evolve(params, times, h)
+    exact = feedback.analytic_bloch(alphas, lams, times)
+    bloch = feedback.evolve(alphas, lams, times, h)
     return float(np.abs(density_matrices(bloch) - density_matrices(exact)).max())
 
 
 @_check("rk4_convergence_order", 2, 32.0, low=8.0)
 def check_rk4_order(samples: int, seed: int) -> tuple:
-    pairs = [(math.pi / 4, 1.0), (1.1, 0.5)]
-    dev_h = _grid_deviation(1e-3, pairs)
-    dev_half = _grid_deviation(5e-4, pairs)
-    return dev_h / dev_half, len(pairs), f"deviation {dev_h:.2e} -> {dev_half:.2e} on halving h"
+    alphas, lams = [math.pi / 4, 1.1], [1.0, 0.5]
+    dev_h = _grid_deviation(1e-3, alphas, lams)
+    dev_half = _grid_deviation(5e-4, alphas, lams)
+    return dev_h / dev_half, len(alphas), f"deviation {dev_h:.2e} -> {dev_half:.2e} on halving h"
 
 
 def _trajectories(alphas, lams, t_end: float) -> np.ndarray:
     """Bloch vectors on the step grid to t_end at h = 5e-3, one row per (alpha, lam)."""
-    params = [
-        feedback.FeedbackParams(alpha=float(alpha), lam=lam) for alpha in alphas for lam in lams
-    ]
-    return feedback.evolve(params, feedback.step_times(t_end, 5e-3), 5e-3)
+    alpha, lam = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
+    return feedback.evolve(alpha, lam, feedback.step_times(t_end, 5e-3), 5e-3)
 
 
 @_check("trajectory_positivity", 9, 1e-8,
@@ -458,17 +454,16 @@ def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> tuple:
     lams = np.linspace(0.0, 1.0, steps + 1)[1:].tolist()
     ts = np.linspace(0.0, 3.0, steps + 1)[1:]
 
-    def deviation(pairs, closed: list[list[float]]) -> float:
-        """Pipeline ti1 on the (alpha, lam) rows times ts against closed, one row per pair."""
-        params = [feedback.FeedbackParams(alpha=alpha, lam=lam) for alpha, lam in pairs]
-        bloch = feedback.analytic_bloch(params, ts)
+    def deviation(alpha, lam, closed: list[list[float]]) -> float:
+        """Pipeline ti1 on the broadcast (alpha, lam) rows times ts against closed."""
+        bloch = feedback.analytic_bloch(alpha, lam, ts)
         pipeline = tightness.ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0]
         return float(np.abs(pipeline - closed).max())
 
     worst = max(
-        deviation([(a, 1.0) for a in alphas],
+        deviation(alphas, 1.0,
                   [[tightness.ti1_analytic_lambda1(a, t) for t in ts.tolist()] for a in alphas]),
-        deviation([(math.pi / 4, m) for m in lams],
+        deviation(math.pi / 4, lams,
                   [[tightness.ti1_analytic_alpha_pi4(m, t) for t in ts.tolist()] for m in lams]),
         abs(tightness.ti1_analytic_lambda1(math.pi / 4, 1.0)
             - tightness.ti1_analytic_alpha_pi4(1.0, 1.0)),

@@ -74,15 +74,15 @@ def oracle_xi(r, s):
     return (2.0 * np.trace(r @ s) - np.trace(r) * np.trace(s)).real
 
 
-def oracle_rk4_matrices(params, t_end, h):
+def oracle_rk4_matrices(alpha, lam, omega, t_end, h):
     """Dense 2x2 RK4 of master_rhs on the step_times grid, one matrix per time.
 
     Every step re-hermitizes and renormalizes the trace, as the package's
     integrator did before it propagated Bloch vectors.
     """
     times = step_times(t_end, h)
-    rho = oracle_state(math.sin(2 * params.alpha), 0.0, math.cos(2 * params.alpha))
-    rhs = partial(master_rhs, lam=params.lam, omega=params.omega)
+    rho = oracle_state(math.sin(2 * alpha), 0.0, math.cos(2 * alpha))
+    rhs = partial(master_rhs, lam=lam, omega=omega)
     out = [rho]
     for i in range(1, len(times)):
         step = h if i < len(times) - 1 else float(times[i] - times[i - 1])

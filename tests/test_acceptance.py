@@ -33,7 +33,6 @@ from qubitvar.core import (
 )
 from qubitvar.errors import CollinearObservables
 from qubitvar.feedback import (
-    FeedbackParams,
     analytic_bloch,
     evolve,
     steady_state,
@@ -190,12 +189,10 @@ def test_criterion_05_mixedness_convexity():
 
 
 def _grid_max_deviation(h):
-    params = [
-        FeedbackParams(alpha=float(alpha), lam=float(lam))
-        for alpha in np.linspace(0.0, math.pi / 2, 5) for lam in np.linspace(0.2, 1.0, 5)
-    ]
+    alpha = np.repeat(np.linspace(0.0, math.pi / 2, 5), 5)
+    lam = np.tile(np.linspace(0.2, 1.0, 5), 5)
     times = step_times(5.0, h)
-    diff = evolve(params, times, h) - analytic_bloch(params, times)
+    diff = evolve(alpha, lam, times, h) - analytic_bloch(alpha, lam, times)
     # rho11 = (1 - pz)/2 and rho12 = (px + i py)/2
     coherence = np.hypot(diff[..., 0], diff[..., 1])
     return 0.5 * max(float(np.abs(diff[..., 2]).max()), float(coherence.max()))
@@ -216,10 +213,9 @@ def test_criterion_06_analytic_vs_numeric_dynamics():
 
 def test_criterion_07_steady_state():
     for lam, want in ((1.0, 1 / 3), (1 / math.sqrt(2), 0.25)):
-        params = FeedbackParams(alpha=math.pi / 4, lam=lam)
-        analytic_pop = 0.5 * (1.0 - analytic_bloch([params], 20.0)[0, 2])
-        fixed_point_pop = 0.5 * (1.0 - steady_state(params).bloch.pz)
-        numeric_pop = 0.5 * (1.0 - evolve([params], step_times(20.0, 1e-2), 1e-2)[0, -1, 2])
+        analytic_pop = 0.5 * (1.0 - analytic_bloch(math.pi / 4, lam, 20.0)[2])
+        fixed_point_pop = 0.5 * (1.0 - steady_state(lam)[2])
+        numeric_pop = 0.5 * (1.0 - evolve(math.pi / 4, lam, step_times(20.0, 1e-2), 1e-2)[-1, 2])
         assert abs(analytic_pop - want) < 1e-6
         assert abs(fixed_point_pop - want) < 1e-12
         assert abs(numeric_pop - want) < 1e-6
@@ -231,16 +227,16 @@ def test_criterion_08_closed_form_ti1_cross_validation():
     alphas = np.linspace(0.0, math.pi, 52)[1:-1].tolist()
     lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
 
-    def pipeline(params):
-        values = ratios(analytic_bloch(params, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
+    def pipeline(alpha, lam):
+        values = ratios(analytic_bloch(alpha, lam, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
         assert np.isfinite(values).all(), "undefined ti1 on the grid"
         return values
 
     closed_a = [[ti1_analytic_lambda1(alpha, t) for t in ts.tolist()] for alpha in alphas]
-    pipeline_a = pipeline([FeedbackParams(alpha=alpha, lam=1.0) for alpha in alphas])
+    pipeline_a = pipeline(alphas, 1.0)
     worst_a = float(np.abs(pipeline_a - closed_a).max())
     closed_b = [[ti1_analytic_alpha_pi4(lam, t) for t in ts.tolist()] for lam in lams]
-    pipeline_b = pipeline([FeedbackParams(alpha=math.pi / 4, lam=lam) for lam in lams])
+    pipeline_b = pipeline(math.pi / 4, lams)
     worst_b = float(np.abs(pipeline_b - closed_b).max())
     cross = abs(ti1_analytic_lambda1(math.pi / 4, 1.0) - ti1_analytic_alpha_pi4(1.0, 1.0))
     assert worst_a <= 1e-9
@@ -300,8 +296,7 @@ def test_criterion_10_fig3_tightness_level():
     floor = float(ti1.min())
     assert floor >= 1.0 - 1e-9
     lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
-    params = [FeedbackParams(alpha=math.pi / 4, lam=lam) for lam in lams]
-    values = ratios(analytic_bloch(params, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
+    values = ratios(analytic_bloch(math.pi / 4, lams, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
     assert np.isfinite(values).all(), "undefined ti1 at t = 1e-6"
     closed = [ti1_analytic_alpha_pi4(lam, 1e-6) for lam in lams]
     worst_limit = float(np.abs(np.append(values, closed) - 1.0).max())

@@ -171,6 +171,8 @@ class TestSimulate:
             ["--alpha", "nan"],
             # more steps than the integrator takes: refused before the first
             ["--source", "numeric", "--t-end", "1e12"],
+            ["--omega", "-1", "--source", "numeric"],
+            ["--alpha", "inf", "--source", "numeric"],
         ],
     )
     def test_out_of_domain_input_exits_two(self, flags, capsys):
@@ -180,13 +182,13 @@ class TestSimulate:
         # the error line alone: no floating-point warning printed before it
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
-    @pytest.mark.parametrize("source", ["analytic", "both"])
+    @pytest.mark.parametrize("source", ["analytic", "both", "numeric"])
     def test_overflowing_lambda_exits_two(self, source, capsys):
-        # lam^2 overflows the closed form's decay rate
+        # lam^2 overflows the decay rate: refused by name before any step
         code, out, err = run_cli(["simulate", "--lambda", "1e200", "--source", source], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == "error: lam = 1e+200 overflows the decay rate 1 + 2 lam^2\n"
 
     def test_numeric_with_drive_works(self, capsys):
         code, out, _ = run_cli(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
 from qubitvar.core import OBS_X, OBS_Z, PauliObservable, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, NonFiniteInput, NonPositiveLambda, NonPositiveTime
-from qubitvar.feedback import FeedbackParams, analytic_bloch
+from qubitvar.feedback import analytic_bloch
 from qubitvar.tightness import (
     GridAxis,
     SweepGrid,
@@ -39,7 +39,7 @@ class TestRatios:
         assert math.isnan(ratios(Z_POLE, Z, X)[0])
 
     def test_ti1_matches_closed_form_on_feedback_state(self):
-        p = analytic_bloch([FeedbackParams(alpha=math.pi / 4, lam=1.0)], 1.0)[0]
+        p = analytic_bloch(math.pi / 4, 1.0, 1.0)
         assert ratios(p, X, Z)[0] == pytest.approx(
             ti1_analytic_lambda1(math.pi / 4, 1.0), abs=1e-9
         )
@@ -96,8 +96,7 @@ class TestArrayRatios:
 
     def test_stack_of_trajectories_keeps_its_shape(self, rng):
         # (n, T, 3) Bloch stacks give (n, T) ratios, bit for bit the flat call
-        ps = [FeedbackParams(alpha=alpha, lam=lam) for alpha in (0.3, 1.1) for lam in (0.0, 0.5)]
-        bloch = analytic_bloch(ps, np.linspace(0.0, 3.0, 7))
+        bloch = analytic_bloch([0.3, 0.3, 1.1, 1.1], [0.0, 0.5, 0.0, 0.5], np.linspace(0.0, 3.0, 7))
         a, b = rng.uniform(-2, 2, size=(2, 4))
         flat = ratios(bloch.reshape(-1, 3), a, b)
         for stacked, one in zip(ratios(bloch, a, b), flat):
@@ -146,8 +145,7 @@ class TestClosedFormExpressions:
             assert abs(ti1_analytic_alpha_pi4(lam, 1e-6) - 1.0) < 1e-3
 
     def test_alpha_pi4_long_time_matches_pipeline(self):
-        params = FeedbackParams(alpha=math.pi / 4, lam=1.0)
-        pipeline = ratios(analytic_bloch([params], 20.0)[0], X, Z)[0]
+        pipeline = ratios(analytic_bloch(math.pi / 4, 1.0, 20.0), X, Z)[0]
         assert ti1_analytic_alpha_pi4(1.0, 20.0) == pytest.approx(pipeline, abs=1e-9)
 
     def test_large_t_matches_pipeline(self):
@@ -157,7 +155,7 @@ class TestClosedFormExpressions:
             (0.3, partial(ti1_analytic_lambda1, 0.3)),
             (math.pi / 4, partial(ti1_analytic_alpha_pi4, 1.0)),
         ):
-            bloch = analytic_bloch([FeedbackParams(alpha=alpha, lam=1.0)], ts)[0]
+            bloch = analytic_bloch(alpha, 1.0, ts)
             pipeline = ratios(bloch, X, Z)[0]
             assert [closed_form(t) for t in ts] == pytest.approx(pipeline, abs=1e-9)
 
@@ -298,7 +296,7 @@ class TestSweep:
         assert (~np.isnan(table[:, 3:]) == defined).all()
         # the grid path agrees with the per-point ratios
         for alpha, lam, t, *got in sweep(grid, source="analytic")[:6].tolist():
-            bloch = analytic_bloch([FeedbackParams(alpha=alpha, lam=lam)], t)[0]
+            bloch = analytic_bloch(alpha, lam, t)
             want = [float(r) for r in ratios(bloch, obs_a.coeffs, obs_b.coeffs)]
             assert got == pytest.approx(want, rel=1e-12, nan_ok=True)
 
