@@ -33,6 +33,12 @@ COMMANDS = {
     "simulate_driven": ["simulate", "--source", "numeric", "--omega", "0.7", "--t-end", "0.7005"],
     "report": ["report", "--bloch", "0.3,0.1,-0.2"],
     "estimate": ["estimate", "--bloch", "0.2,0,0.4", "--shots", "50000", "--seed", "11"],
+    # a general pair, so (AB + BA)/2 is measured too
+    "estimate_general": ["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
+                         "--obs-b=-0.2,0.7,1.1,-0.4", "--shots", "50000", "--seed", "4"],
+    "estimate_pure": ["estimate", "--bloch", "0,0,1", "--shots", "10"],
+    # collinear observables: exit 1
+    "estimate_collinear": ["estimate", "--bloch", "0,0,0", "--obs-b", "2,0,0,1"],
     "verify": ["verify"],
     "verify_smoke": ["verify", "--samples", "5", "--seed", "3"],
     # refused inputs: exit 2 with one error line
@@ -44,6 +50,12 @@ COMMANDS = {
     "error_lambda_overflow_numeric": ["simulate", "--lambda", "1e200", "--source", "numeric"],
     "error_positivity_sweep": ["sweep", "--fig2", "--lambda", "100", "--source", "numeric",
                                "--steps", "4", "--output", "{out}/error_positivity_sweep.csv"],
+    "error_degenerate_report": ["report", "--bloch", "0,0,0", "--obs-a", "0,0,0,1"],
+    "error_degenerate_estimate": ["estimate", "--bloch", "0,0,0", "--obs-a", "0,0,0,1"],
+    "error_degenerate_sweep": ["sweep", "--fig2", "--obs-a", "0,0,0,1",
+                               "--output", "{out}/error_degenerate_sweep.csv"],
+    "error_zero_shots": ["estimate", "--bloch", "0,0,0", "--shots", "0"],
+    "error_verify_one_sample": ["verify", "--samples", "1"],
 }
 
 

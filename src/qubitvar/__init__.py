@@ -26,7 +26,6 @@ from .core import (
 )
 from .feedback import analytic_bloch, evolve, steady_state, step_times
 from .relations import (
-    MeasurementCounts,
     RelationReport,
     compute_report,
     estimate_mixedness,
@@ -37,7 +36,6 @@ from .tightness import SweepGrid, sweep
 
 __all__ = [
     "BlochVector",
-    "MeasurementCounts",
     "OBS_I",
     "OBS_X",
     "OBS_Y",

@@ -21,15 +21,11 @@ from . import feedback, relations, serialize, tightness, verify
 from .core import (
     BlochVector, PauliObservable, QubitState, mixedness, mixedness_values
 )
-from .errors import CollinearObservables, DegenerateSpectrum, QubitVarError
+from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_CONFIG = 2
-
-
-class ConfigError(Exception):
-    """Invalid flag combination or malformed value; maps to exit code 2."""
+EXIT_CONFIG = 2  # every QubitVarError: invalid flags, refused inputs, unmet preconditions
 
 
 def _parse(text: str, cls, flag: str):
@@ -37,18 +33,18 @@ def _parse(text: str, cls, flag: str):
     parts = text.split(",")
     count = len(dataclasses.fields(cls))
     if len(parts) != count:
-        raise ConfigError(f"{flag} needs {count} comma-separated numbers, got {text!r}")
+        raise InvalidArgument(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     try:
         return cls(*map(float, parts))
     except (ValueError, QubitVarError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
+        raise InvalidArgument(f"{flag}: {exc}") from exc
 
 
 def _report_json(fields: dict) -> str:
     try:
         return serialize.report_json(fields)
     except ValueError as exc:  # a moment overflowed for huge coefficients
-        raise ConfigError(f"result is not finite: {exc}") from exc
+        raise InvalidArgument(f"result is not finite: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -68,8 +64,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    if args.samples is not None and args.samples < 2:
-        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     results = verify.run_all(samples=args.samples, seed=args.seed)
     lines = [f"invariant checks: {len(results)}"]
     lines += [r.line() for r in results]
@@ -87,10 +81,7 @@ def cmd_report(args) -> int:
     state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
     obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
     obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
-    try:
-        report = relations.compute_report(state, obs_a, obs_b)
-    except DegenerateSpectrum as exc:
-        raise ConfigError(f"degenerate observable spectrum: {exc}") from exc
+    report = relations.compute_report(state, obs_a, obs_b)
     fields = {**dataclasses.asdict(report), "mixedness": mixedness(state)}
     try:
         fields["mixedness_estimate"] = relations.estimate_mixedness(state, obs_a, obs_b)
@@ -113,7 +104,7 @@ def _columns(times: np.ndarray, bloch: np.ndarray) -> list[np.ndarray]:
 
 def cmd_simulate(args) -> int:
     if args.source in ("analytic", "both") and args.omega != 0.0:
-        raise ConfigError("the analytic source requires omega = 0")
+        raise InvalidArgument("the analytic source requires omega = 0")
     times = feedback.step_times(args.t_end, args.step)
 
     if args.source == "numeric":
@@ -138,26 +129,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.fig2 == args.fig3:
-        raise ConfigError("choose exactly one of --fig2 / --fig3")
+        raise InvalidArgument("choose exactly one of --fig2 / --fig3")
     if args.steps < 2:
-        raise ConfigError("--steps must be >= 2")
+        raise InvalidArgument("--steps must be >= 2")
     if args.t_end <= 0:
-        raise ConfigError("--t-end must be > 0")
+        raise InvalidArgument("--t-end must be > 0")
     if args.output is None:
-        raise ConfigError("sweep writes a CSV plus a JSON sidecar; --output is required")
-    try:
-        if args.fig2:
-            grid = tightness.fig2_grid(steps=args.steps, lam=args.lam, t_max=args.t_end)
-        else:
-            grid = tightness.fig3_grid(steps=args.steps, alpha=args.alpha, t_max=args.t_end)
-        grid = dataclasses.replace(
-            grid,
-            obs_a=_parse(args.obs_a, PauliObservable, "--obs-a"),
-            obs_b=_parse(args.obs_b, PauliObservable, "--obs-b"),
-        )
-        points = tightness.sweep(grid, source=args.source, h=args.step)
-    except (ValueError, QubitVarError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise InvalidArgument("sweep writes a CSV plus a JSON sidecar; --output is required")
+    if args.fig2:
+        grid = tightness.fig2_grid(steps=args.steps, lam=args.lam, t_max=args.t_end)
+    else:
+        grid = tightness.fig3_grid(steps=args.steps, alpha=args.alpha, t_max=args.t_end)
+    grid = dataclasses.replace(
+        grid,
+        obs_a=_parse(args.obs_a, PauliObservable, "--obs-a"),
+        obs_b=_parse(args.obs_b, PauliObservable, "--obs-b"),
+    )
+    points = tightness.sweep(grid, source=args.source, h=args.step)
     violations = tightness.count_ordering_violations(points)
     _emit(serialize.sweep_csv(points), args.output)
     sidecar = Path(args.output).with_suffix(".meta.json")
@@ -174,7 +162,7 @@ def cmd_estimate(args) -> int:
     obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
     obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
     if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
+        raise InvalidArgument("--shots must be >= 1")
     try:
         # derived seeds: one measurement task index per observable
         counts_a = relations.simulate_shots(state, obs_a, args.shots, [args.seed, 0])
@@ -190,8 +178,6 @@ def cmd_estimate(args) -> int:
     except CollinearObservables as exc:
         sys.stderr.write(f"collinear observables: {exc}\n")
         return EXIT_FAILURE
-    except DegenerateSpectrum as exc:
-        raise ConfigError(f"degenerate observable spectrum: {exc}") from exc
     true_mixedness = mixedness(state)
     difference = estimate - true_mixedness
     if std_error > 0.0:
@@ -287,9 +273,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ConfigError, QubitVarError) as exc:
+    except QubitVarError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

@@ -67,3 +67,7 @@ class PositivityLost(QubitVarError):
 
 class TooMuchWork(QubitVarError):
     """A request needs more grid points or integrator steps than the package allows."""
+
+
+class InvalidArgument(QubitVarError, ValueError):
+    """An argument or flag value is outside what the function or command accepts."""

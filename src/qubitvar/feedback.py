@@ -38,7 +38,8 @@ import numpy as np
 
 from .core import _components, _outside_ball
 from .errors import (
-    NegativeRate, NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
+    InvalidArgument, NegativeRate, NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge,
+    TooMuchWork
 )
 
 MAX_STEP = 1e-2
@@ -202,7 +203,7 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
     if not np.isfinite(times).all():
         raise NonFiniteInput("sample_times must be finite")
     if times.size == 0 or np.any(np.diff(times) <= 0):
-        raise ValueError("sample_times must be non-empty and strictly increasing")
+        raise InvalidArgument("sample_times must be non-empty and strictly increasing")
     if times[0] < 0:
         raise NegativeTime(f"t = {times[0]}")
     _check_steps(times[-1], h)

@@ -24,7 +24,7 @@ from .core import (
     PauliObservable, QubitState, _any, _ball_components, _components, _dot, anticommutator_terms,
     commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
 )
-from .errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
+from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, TooMuchWork
 
 # An observable's two outcomes are distinguishable only if the eigenvalue
 # gap 2|a| clears this; below it the spectrum counts as degenerate.
@@ -55,41 +55,6 @@ class RelationReport:
     sum_bound: float
     entropy_sum: float
     entropy_bound: float
-
-
-@dataclass(frozen=True)
-class MeasurementCounts:
-    """Two-outcome counts from projective measurements of one observable."""
-
-    observable: PauliObservable
-    eigenvalues: tuple[float, float]
-    counts: tuple[int, int]
-    shots: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.counts[0] + self.counts[1] != self.shots:
-            raise ValueError("counts must sum to shots")
-
-    def frequency(self) -> float:
-        """Empirical frequency of the first (larger-eigenvalue) outcome."""
-        return self.counts[0] / self.shots
-
-    def mean(self) -> float:
-        hi, lo = self.eigenvalues
-        f = self.frequency()
-        return hi * f + lo * (1.0 - f)
-
-    def second_moment(self) -> float:
-        # Exact given the frequencies: a two-outcome observable's square is
-        # determined by its spectrum.
-        hi, lo = self.eigenvalues
-        f = self.frequency()
-        return hi**2 * f + lo**2 * (1.0 - f)
-
-    def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +97,9 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     vec = _components(a)[:3]
     norm = np.sqrt(_dot(vec, vec))
     if _degenerate(norm):
-        raise DegenerateSpectrum(f"eigenvalue gap 2|a| = {2 * np.min(norm):.3e}")
+        raise DegenerateSpectrum(
+            f"degenerate observable spectrum: eigenvalue gap 2|a| = {2 * np.min(norm):.3e}"
+        )
     return vec / norm, norm
 
 
@@ -199,31 +166,48 @@ def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> Pauli
     return PauliObservable(*symmetrized_products(obs_a.coeffs, obs_b.coeffs).tolist())
 
 
-def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> MeasurementCounts:
-    """Draw i.i.d. projective outcomes; deterministic for a fixed seed."""
+def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> tuple[int, int]:
+    """Counts (high, low) of the a4 + |a| and a4 - |a| outcomes in i.i.d.
+    projective measurements; deterministic for a fixed seed."""
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise InvalidArgument("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise TooMuchWork(f"{shots} shots are more than {MAX_SHOTS}")
-    norm = float(_axes(obs.coeffs)[1])
     p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))
-    return MeasurementCounts(
-        observable=obs,
-        eigenvalues=(obs.a4 + norm, obs.a4 - norm),
-        counts=(n_hi, shots - n_hi),
-        shots=shots,
-    )
+    return n_hi, shots - n_hi
+
+
+def _plug_in(coeffs, counts) -> tuple[float, float, float, float, float]:
+    """Plug-in moments of one measured setting with spectrum a4 +- |a|.
+
+    (mean, var, d mean/df, d var/df, Var f) for the empirical frequency f
+    of the high outcome.  The variance is exact given f: a two-outcome
+    observable's square is determined by its spectrum.  A degenerate
+    setting (a = 0) reads its exact moment a4 with zero variance.
+    """
+    n_hi, n_lo = counts
+    shots = n_hi + n_lo
+    if n_hi < 0 or n_lo < 0 or shots == 0:
+        raise InvalidArgument(f"counts must be non-negative with a positive total, got {counts}")
+    a1, a2, a3, a4 = coeffs.tolist()
+    norm = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    hi, lo = a4 + norm, a4 - norm
+    f = n_hi / shots
+    mean = hi * f + lo * (1.0 - f)
+    var = hi**2 * f + lo**2 * (1.0 - f) - mean**2
+    gap = hi - lo
+    return mean, var, gap, (hi**2 - lo**2) - 2.0 * mean * gap, f * (1.0 - f) / shots
 
 
 def estimate_mixedness_from_counts(
-    counts_a: MeasurementCounts,
-    counts_b: MeasurementCounts,
-    counts_c: MeasurementCounts | None,
+    counts_a: tuple[int, int],
+    counts_b: tuple[int, int],
+    counts_c: tuple[int, int] | None,
     obs_a: PauliObservable,
     obs_b: PauliObservable,
 ) -> tuple[float, float]:
-    """Mixedness estimate and delta-method standard error from counts.
+    """Mixedness estimate and delta-method standard error from (high, low) counts.
 
     counts_a and counts_b come from measuring A and B; counts_c from
     C = (AB + BA)/2, whose mean gives the anticommutator moment.  When C
@@ -242,38 +226,22 @@ def estimate_mixedness_from_counts(
     if det <= COLLINEAR_TOL:
         raise CollinearObservables(f"gram determinant = {det:.3e}")
 
+    mean_a, var_a, dmean_a, dvar_a, varf_a = _plug_in(obs_a.coeffs, counts_a)
+    mean_b, var_b, dmean_b, dvar_b, varf_b = _plug_in(obs_b.coeffs, counts_b)
+    c = symmetrized_products(obs_a.coeffs, obs_b.coeffs)
     if counts_c is not None:
-        mean_c = counts_c.mean()
+        mean_c, _, dmean_c, _, varf_c = _plug_in(c, counts_c)
+    elif _degenerate(np.sqrt(_dot(c, c))):
+        mean_c, dmean_c, varf_c = float(c[3]), 0.0, 0.0  # C = c4 I: its moment is exact
     else:
-        obs_c = symmetrized_product(obs_a, obs_b)
-        if not _degenerate(np.sqrt(_dot(obs_c.coeffs, obs_c.coeffs))):
-            raise ValueError("counts_c may be omitted only when (AB+BA)/2 is proportional to I")
-        mean_c = obs_c.a4  # C = c4 I: its moment is exact
+        raise InvalidArgument("counts_c may be omitted only when (AB+BA)/2 is proportional to I")
 
-    mean_a, var_a = counts_a.mean(), counts_a.variance()
-    mean_b, var_b = counts_b.mean(), counts_b.variance()
     covariance = mean_c - mean_a * mean_b
     estimate = 8.0 * (var_a * var_b - covariance**2) / det
-
-    def _freq_sensitivity(counts: MeasurementCounts) -> tuple[float, float, float]:
-        # d mean / d f, d var / d f, and Var(f) for the plug-in frequency.
-        hi, lo = counts.eigenvalues
-        gap = hi - lo
-        f = counts.frequency()
-        dmean = gap
-        dvar = (hi**2 - lo**2) - 2.0 * counts.mean() * gap
-        var_f = f * (1.0 - f) / counts.shots
-        return dmean, dvar, var_f
-
-    dmean_a, dvar_a, varf_a = _freq_sensitivity(counts_a)
-    dmean_b, dvar_b, varf_b = _freq_sensitivity(counts_b)
     d_est_a = 8.0 * (dvar_a * var_b + 2.0 * covariance * dmean_a * mean_b) / det
     d_est_b = 8.0 * (dvar_b * var_a + 2.0 * covariance * dmean_b * mean_a) / det
-    se_sq = d_est_a**2 * varf_a + d_est_b**2 * varf_b
-    if counts_c is not None:
-        dmean_c, _, varf_c = _freq_sensitivity(counts_c)
-        d_est_c = -16.0 * covariance * dmean_c / det
-        se_sq += d_est_c**2 * varf_c
+    d_est_c = -16.0 * covariance * dmean_c / det
+    se_sq = d_est_a**2 * varf_a + d_est_b**2 * varf_b + d_est_c**2 * varf_c
     return estimate, math.sqrt(se_sq)
 
 

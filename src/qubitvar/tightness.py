@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, bloch_array, variances
-from .errors import NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
+from .errors import InvalidArgument, NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
 from .feedback import analytic_bloch, evolve
 from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
 
@@ -54,12 +54,12 @@ class GridAxis:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise NonFiniteInput(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise InvalidArgument("steps must be >= 1")
         if self.steps == 1:
             if self.lo != self.hi:
-                raise ValueError("a pinned axis (steps == 1) needs lo == hi")
+                raise InvalidArgument("a pinned axis (steps == 1) needs lo == hi")
         elif not self.lo < self.hi:
-            raise ValueError("swept axes need lo < hi")
+            raise InvalidArgument("swept axes need lo < hi")
 
     def values(self) -> np.ndarray:
         if self.steps == 1:
@@ -88,9 +88,9 @@ class SweepGrid:
         if points > MAX_GRID_POINTS:
             raise TooMuchWork(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
         if self.t_axis.lo < 0:
-            raise ValueError("t axis must start at >= 0")
+            raise InvalidArgument("t axis must start at >= 0")
         if self.lambda_axis.values().min() < 0:
-            raise ValueError("lambda axis must be non-negative")
+            raise InvalidArgument("lambda axis must be non-negative")
 
 
 def fig2_grid(steps: int = 50, lam: float = 1.0, t_max: float = 3.0) -> SweepGrid:
@@ -214,7 +214,7 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndar
     Undefined ratios are NaN.
     """
     if source not in ("analytic", "numeric"):
-        raise ValueError(f"source must be 'analytic' or 'numeric', got {source!r}")
+        raise InvalidArgument(f"source must be 'analytic' or 'numeric', got {source!r}")
     alphas, lams, ts = (axis.values() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis))
     alpha, lam = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
     bloch = analytic_bloch(alpha, lam, ts) if source == "analytic" else evolve(alpha, lam, ts, h)

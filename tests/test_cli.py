@@ -71,11 +71,17 @@ class TestReport:
         code, _, _ = run_cli(["report", "--bloch", "1,2"], capsys)
         assert code == 2
 
-    def test_degenerate_observable_is_config_error(self, capsys):
-        code, _, _ = run_cli(
-            ["report", "--bloch", "0,0,0", "--obs-a", "0,0,0,1"], capsys
-        )
-        assert code == 2
+    def test_degenerate_observable_is_config_error(self, capsys, tmp_path):
+        # every command names a degenerate spectrum with the same line
+        out_file = tmp_path / "x.csv"
+        for command in (["report", "--bloch", "0,0,0"], ["estimate", "--bloch", "0,0,0"],
+                        ["sweep", "--fig2", "--steps", "4"]):
+            code, out, err = run_cli(
+                command + ["--obs-a", "0,0,0,1", "--output", str(out_file)], capsys
+            )
+            assert code == 2 and out == ""
+            assert err == "error: degenerate observable spectrum: eigenvalue gap 2|a| = 0.000e+00\n"
+            assert not out_file.exists()
 
     def test_non_finite_bloch_is_config_error(self, capsys):
         code, out, err = run_cli(["report", "--bloch", "nan,0,0"], capsys)

@@ -28,8 +28,11 @@ from conftest import (
     oracle_xi,
     qubit_states,
 )
+from qubitvar import feedback, relations, tightness
 from qubitvar.core import (
     BlochVector,
+    OBS_X,
+    OBS_Z,
     PauliObservable,
     QubitState,
     anticommutator_terms,
@@ -50,6 +53,7 @@ from qubitvar.core import (
 from qubitvar.errors import (
     BadDimension,
     BlochNormExceeded,
+    InvalidArgument,
     NonFiniteInput,
     NotHermitian,
     NotPositive,
@@ -419,3 +423,31 @@ def test_package_all_resolves():
     namespace = {}
     exec("from qubitvar import *", namespace)
     assert set(qubitvar.__all__) <= set(namespace)
+
+
+AXIS = tightness.GridAxis
+GENERAL_B = PauliObservable(0.5, 0.0, 1.0, 0.7)  # (A B + B A)/2 with A = sx is not prop. to I
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_bloch_vectors(0, 3, "thermal"),
+        lambda: feedback.evolve(0.3, 1.0, [0.2, 0.1], 1e-3),
+        lambda: AXIS(0.0, 1.0, 0),
+        lambda: AXIS(0.0, 1.0, 1),
+        lambda: AXIS(1.0, 0.0, 3),
+        lambda: tightness.SweepGrid(AXIS(0.1, 0.1, 1), AXIS(1.0, 1.0, 1), AXIS(-1.0, 1.0, 3)),
+        lambda: tightness.SweepGrid(AXIS(0.1, 0.1, 1), AXIS(-1.0, -1.0, 1), AXIS(0.0, 1.0, 3)),
+        lambda: tightness.sweep(tightness.fig2_grid(steps=2), source="exact"),
+        lambda: relations.simulate_shots(MAXMIXED, OBS_X, 0, seed=0),
+        lambda: relations.estimate_mixedness_from_counts((0, 0), (5, 5), None, OBS_X, OBS_Z),
+        lambda: relations.estimate_mixedness_from_counts((5, 5), (5, 5), None, OBS_X, GENERAL_B),
+    ],
+    ids=["sample_kind", "sample_times", "axis_steps", "pinned_axis", "axis_order", "t_axis",
+         "lambda_axis", "sweep_source", "shots", "counts", "omitted_c"],
+)
+def test_invalid_arguments_are_typed(call):
+    # one type for every refused argument: a QubitVarError that is still a ValueError
+    with pytest.raises(InvalidArgument):
+        call()

@@ -24,7 +24,6 @@ from qubitvar.core import (
 from qubitvar.errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
 from qubitvar.relations import (
     MAX_SHOTS,
-    MeasurementCounts,
     complementarities,
     compute_report,
     equality_remainders,
@@ -236,18 +235,16 @@ class TestSymmetrizedProduct:
 
 class TestShots:
     def test_deterministic_outcome(self):
-        counts = simulate_shots(GROUND, OBS_Z, 1000, seed=5)
-        assert counts.counts == (1000, 0)
-        assert counts.eigenvalues == (1.0, -1.0)
+        assert simulate_shots(GROUND, OBS_Z, 1000, seed=5) == (1000, 0)
 
     def test_balanced_within_three_sigma(self):
-        counts = simulate_shots(MAXMIXED, OBS_Z, 10**6, seed=9)
-        assert abs(counts.counts[0] - 5 * 10**5) < 3 * 500
+        n_hi, _ = simulate_shots(MAXMIXED, OBS_Z, 10**6, seed=9)
+        assert abs(n_hi - 5 * 10**5) < 3 * 500
 
     def test_fixed_seed_reproducible(self):
         first = simulate_shots(MAXMIXED, OBS_X, 1234, seed=3)
         second = simulate_shots(MAXMIXED, OBS_X, 1234, seed=3)
-        assert first.counts == second.counts
+        assert first == second
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrum):
@@ -256,28 +253,37 @@ class TestShots:
     def test_shot_cap(self):
         # counts up to 2^53 stay exact as floats; one more is refused before any draw
         counts = simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS, seed=3)
-        assert sum(counts.counts) == MAX_SHOTS == 2**53
+        assert sum(counts) == MAX_SHOTS == 2**53
         with pytest.raises(TooMuchWork):
             simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS + 1, seed=3)
 
     def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementCounts(OBS_Z, (1.0, -1.0), (3, 3), 5)
-        with pytest.raises(ValueError):
-            MeasurementCounts(OBS_Z, (1.0, -1.0), (0, 0), 0)
+        for bad in ((0, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                estimate_mixedness_from_counts(bad, (5, 5), None, OBS_X, OBS_Z)
+            with pytest.raises(ValueError):
+                estimate_mixedness_from_counts((5, 5), bad, None, OBS_X, OBS_Z)
 
 
 def exact_counts(state, obs, shots):
     """Counts proportional to the exact outcome probabilities."""
-    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
-    norm = float(np.linalg.norm(obs.coeffs[:3]))
-    n_hi = round(p_hi * shots)
-    return MeasurementCounts(
-        obs, (obs.a4 + norm, obs.a4 - norm), (n_hi, shots - n_hi), shots
-    )
+    n_hi = round(float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs)) * shots)
+    return n_hi, shots - n_hi
 
 
 class TestEstimateFromCounts:
+    def test_known_floats(self):
+        # bit for bit the values of the earlier counts-object implementation
+        obs_a = PauliObservable(1.0, 0.0, 0.3, 0.5)
+        obs_b = PauliObservable(-0.2, 0.7, 1.1, -0.4)
+        assert estimate_mixedness_from_counts(
+            (6120, 3880), (4011, 5989), (7000, 3000), obs_a, obs_b
+        ) == (0.3249578533236898, 0.007640449508878182)
+        for counts_c in (None, (5, 5)):  # C = 0 I: counts of it carry no information
+            assert estimate_mixedness_from_counts(
+                (6120, 3880), (4011, 5989), counts_c, OBS_X, OBS_Z
+            ) == (0.45534958000000003, 0.002919802320688412)
+
     def test_exact_moment_limit(self, rng):
         # in-plane states (no Bloch component along a x b): the pathway's
         # commutator-moment omission is exactly zero there

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qubitvar import verify
+from qubitvar.errors import InvalidArgument
 from qubitvar.verify import CHECKS
 
 
@@ -61,3 +62,13 @@ def test_pass_window(monkeypatch):
         result = check_window(3, 0)
         assert result.passed is passed, result.line()
         assert (result.name, result.samples, result.threshold) == ("window", 3, 32.0)
+
+
+def test_run_all_refuses_fewer_than_two_samples(monkeypatch):
+    def must_not_run(samples, seed):
+        raise AssertionError("a check ran for a refused sample count")
+
+    monkeypatch.setattr(verify, "CHECKS", [(must_not_run, 5)])
+    for samples in (1, 0, -5):
+        with pytest.raises(InvalidArgument):
+            verify.run_all(samples=samples)
