@@ -36,6 +36,10 @@ COMMANDS = {
     # a general pair, so (AB + BA)/2 is measured too
     "estimate_general": ["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
                          "--obs-b=-0.2,0.7,1.1,-0.4", "--shots", "50000", "--seed", "4"],
+    # the same with the negative first value after a space
+    "estimate_general_spaced": ["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
+                                "--obs-b", "-0.2,0.7,1.1,-0.4", "--shots", "50000",
+                                "--seed", "4"],
     "estimate_pure": ["estimate", "--bloch", "0,0,1", "--shots", "10"],
     # collinear observables: exit 1
     "estimate_collinear": ["estimate", "--bloch", "0,0,0", "--obs-b", "2,0,0,1"],

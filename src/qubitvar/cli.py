@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import feedback, relations, serialize, tightness, verify
+from . import feedback, relations, serialize, tightness
 from .core import (
     BlochVector, PauliObservable, QubitState, mixedness, mixedness_values
 )
@@ -64,6 +65,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import verify  # the check registry, loaded for this command alone
+
     results = verify.run_all(samples=args.samples, seed=args.seed)
     lines = [f"invariant checks: {len(results)}"]
     lines += [r.line() for r in results]
@@ -211,14 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="override per-check sample counts (smoke mode)")
     _add_common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="all uncertainty relations for one triple")
     p.add_argument("--bloch", required=True, help="state Bloch vector px,py,pz")
     p.add_argument("--obs-a", default="1,0,0,0", help="A coefficients a1,a2,a3,a4")
     p.add_argument("--obs-b", default="0,0,1,0", help="B coefficients b1,b2,b3,b4")
     _add_common(p)
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("simulate", help="feedback-model trajectory CSV")
     p.add_argument("--alpha", type=float, default=math.pi / 4,
@@ -231,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=("analytic", "numeric", "both"),
                    default="analytic")
     _add_common(p)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sweep", help="tightness grid CSV plus JSON sidecar")
     p.add_argument("--fig2", action="store_true",
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-a", default="1,0,0,0", help="A coefficients")
     p.add_argument("--obs-b", default="0,0,1,0", help="B coefficients")
     _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("estimate", help="shot-based mixedness estimate JSON")
     p.add_argument("--bloch", required=True, help="state Bloch vector px,py,pz")
@@ -259,22 +258,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=1_000_000,
                    help="shots per measured observable")
     _add_common(p)
-    p.set_defaults(fn=cmd_estimate)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _negative_list(token: str) -> bool:
+    """True for a comma-separated list whose first entry is a negative number."""
+    first, comma, _ = token.partition(",")
+    if not (comma and first.startswith("-")):
+        return False
     try:
-        args = parser.parse_args(argv)
+        float(first)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """Write `--OPTION VALUE` as `--OPTION=VALUE` when VALUE is a negative-first list.
+
+    argparse reads a value starting with '-' as a flag unless it is a single
+    number, so `--obs-b -0.2,0.7,1.1,-0.4` would otherwise lack its argument.
+    Only the vector options take lists; any other option refuses the joined
+    value as it refuses the '=' spelling.
+    """
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if option.startswith("--") and len(option) > 2 and "=" not in option \
+                and _negative_list(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
         if args.seed < 0:
             raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except QubitVarError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

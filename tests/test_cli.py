@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from conftest import CLI_ENV
-from qubitvar import verify
-from qubitvar.cli import main
+from qubitvar import cli, verify
+from qubitvar.cli import build_parser, main
 
 REPORT_KEYS = [
     "varA",
@@ -109,6 +109,39 @@ class TestReport:
             assert out == ""
             assert err.startswith("error: --obs-a") and err.count("\n") == 1
             assert not out_file.exists()
+
+
+class TestNegativeVectorValues:
+    """A vector option takes a value whose first number is negative with or without '='."""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            (["report"], "--bloch", "-0.2,0.1,0.4"),
+            (["report", "--bloch", "0.2,0.1,0.4"], "--obs-a", "-1,0,0.3,0.5"),
+            (["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
+              "--shots", "50000", "--seed", "4"], "--obs-b", "-0.2,0.7,1.1,-0.4"),
+            (["report", "--bloch", "0,0,0"], "--obs-b", "-.5,0,1,0"),
+            (["report"], "--blo", "-0.2,0.1,0.4"),  # an abbreviated option
+        ],
+    )
+    def test_spaced_value_matches_joined(self, command, flag, value, capsys):
+        joined = run_cli(command + [f"{flag}={value}"], capsys)
+        spaced = run_cli(command + [flag, value], capsys)
+        assert joined[0] == 0
+        assert spaced == joined
+
+    @pytest.mark.parametrize("value", ["-inf,0,0", "-nan,0,0"])
+    def test_spaced_non_finite_value_gets_its_domain_error(self, value, capsys):
+        joined = run_cli(["report", f"--bloch={value}"], capsys)
+        spaced = run_cli(["report", "--bloch", value], capsys)
+        assert joined[0] == 2 and joined[2].startswith("error: --bloch: components must be finite")
+        assert spaced == joined
+
+    def test_following_flag_is_not_a_value(self, capsys):
+        code, out, err = run_cli(["estimate", "--bloch", "0,0,0", "--obs-b", "--seed", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.endswith("error: argument --obs-b: expected one argument\n")
 
 
 class TestSimulate:
@@ -394,6 +427,78 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
+
+
+class TestOneProcess:
+    """main may be called repeatedly in one process; no call changes the next."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+
+        def must_not_run():
+            raise AssertionError("main built its parser again")
+
+        monkeypatch.setattr(cli, "build_parser", must_not_run)
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+        monkeypatch.setattr(cli, "cmd_report", lambda args: 7)
+        assert main(["report", "--bloch", "0,0,0"]) == 7
+
+    def test_import_leaves_verify_unloaded(self):
+        code = "import sys, qubitvar.cli; sys.exit('qubitvar.verify' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=CLI_ENV).returncode == 0
+
+    def test_defaults_are_not_carried_over(self, tmp_path, capsys):
+        out_file = tmp_path / "x.csv"
+        sidecar = tmp_path / "x.meta.json"
+        base = ["sweep", "--fig2", "--steps", "2", "--output", str(out_file)]
+        assert run_cli(base + ["--lambda", "0.5"], capsys)[0] == 0
+        assert json.loads(sidecar.read_text())["grid"]["lambda"]["lo"] == 0.5
+        assert run_cli(base, capsys)[0] == 0
+        assert json.loads(sidecar.read_text())["grid"]["lambda"]["lo"] == 1.0
+
+    def test_help_twice_is_identical(self, capsys):
+        for args in (["--help"], ["sweep", "--help"]):
+            first = run_cli(args, capsys)
+            assert first[0] == 0 and first[1]
+            assert run_cli(args, capsys) == first
+
+    def test_sequence_matches_fresh_processes(self, tmp_path, capsys):
+        sequence = [
+            ["report", "--bloch", "0.3,0.1,-0.2"],
+            ["report", "--no-such-flag"],  # a usage error, then a valid call
+            ["simulate", "--source", "both"],
+            ["sweep", "--fig3", "--source", "numeric", "--steps", "4", "--output", "{out}"],
+            ["estimate", "--bloch", "0.2,0,0.4", "--shots", "20000", "--seed", "7"],
+            ["estimate", "--bloch", "0,0,0", "--shots", "0"],  # a refused input
+        ]
+        in_process, fresh = [], []
+        for args in sequence:
+            out_file = tmp_path / "in_process.csv"
+            result = run_cli([a.format(out=out_file) for a in args], capsys)
+            in_process.append((*result, *_files(out_file)))
+            out_file = tmp_path / "fresh.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "qubitvar", *(a.format(out=out_file) for a in args)],
+                capture_output=True, text=True, env=CLI_ENV,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr, *_files(out_file)))
+        assert [r[0] for r in in_process] == [0, 2, 0, 0, 0, 2]
+        assert in_process == fresh
+
+
+def _files(out_file):
+    """A sweep's CSV and sidecar bytes, removed once read; None for a missing file."""
+    blobs = []
+    for path in (out_file, out_file.with_suffix(".meta.json")):
+        blobs.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return blobs
 
 
 class TestDeterminism:
