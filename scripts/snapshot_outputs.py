@@ -32,6 +32,11 @@ COMMANDS = {
     "simulate_both": ["simulate", "--source", "both"],
     "simulate_driven": ["simulate", "--source", "numeric", "--omega", "0.7", "--t-end", "0.7005"],
     "report": ["report", "--bloch", "0.3,0.1,-0.2"],
+    # a general pair; negative first values after a space
+    "report_general": ["report", "--bloch", "-0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
+                       "--obs-b", "-0.2,0.7,1.1,-0.4"],
+    # collinear observables: no mixedness estimate, entropy bound 0
+    "report_collinear": ["report", "--bloch", "0.6,0,0", "--obs-b", "2,0,0,1"],
     "estimate": ["estimate", "--bloch", "0.2,0,0.4", "--shots", "50000", "--seed", "11"],
     # a general pair, so (AB + BA)/2 is measured too
     "estimate_general": ["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",

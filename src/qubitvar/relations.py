@@ -7,10 +7,12 @@ used as comparison baselines, and a finite-shot pathway that feeds
 empirical moments into the mixedness formula.
 
 Every relation is an array function over the Bloch closed forms of
-core.  The per-object entry points left (compute_report,
-estimate_mixedness and the finite-shot pathway) serve the CLI and the
-meter, one (state, A, B) triple at a time.  Nothing here is computed
-through dense matrices.
+core.  reports(p, a, b) is the one relation route: it evaluates every
+side and bound of the relations over stacked (state, A, B) rows, and
+tightness.ratios divides its fields.  compute_report is its one-row
+form; it, estimate_mixedness and the finite-shot pathway are kept for
+the per-object callers (the CLI and the meter).  Nothing here is
+computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -72,17 +74,6 @@ def equality_remainders(p, a, b) -> np.ndarray:
     return mixedness_values(p) * gram_determinants(a, b) / 8.0
 
 
-def mixedness_weighted_bounds(p, a, b) -> np.ndarray:
-    """Mixedness-weighted lower bound: commutator term plus the remainder."""
-    return commutator_terms(p, a, b) + equality_remainders(p, a, b)
-
-
-def sum_relations(p, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Variance-sum relation: (varA + varB, var(A+B)/2)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return variances(p, a) + variances(p, b), 0.5 * variances(p, a + b)
-
-
 def _degenerate(norm) -> bool:
     """The one degeneracy rule: some eigenvalue gap 2|a| <= SPECTRUM_GAP_TOL,
     i.e. some A is proportional to I."""
@@ -125,16 +116,6 @@ def complementarities(a, b) -> np.ndarray:
     axis_a, _ = _axes(a)
     axis_b, _ = _axes(b)
     return 0.5 * (1.0 + np.abs(_dot(axis_a, axis_b)))
-
-
-def eur_values(p, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Entropic relation: (H(A) + H(B), log2(1/c)).
-
-    When the observables share an eigenbasis c = 1 and the bound is zero;
-    downstream ratios must treat that point as undefined rather than divide.
-    """
-    entropy_sum = measurement_entropies(p, a) + measurement_entropies(p, b)
-    return entropy_sum, np.log2(1.0 / complementarities(a, b))
 
 
 def mixedness_estimates(p, a, b) -> np.ndarray:
@@ -249,34 +230,42 @@ def estimate_mixedness_from_counts(
 # report assembly
 # ---------------------------------------------------------------------------
 
+def reports(p, a, b) -> dict[str, np.ndarray]:
+    """Every side and bound of the relations for stacked (state, A, B) rows,
+    keyed and ordered as the RelationReport fields.
+
+    Rows broadcast as in core, and every field has their broadcast
+    leading shape.  entropy_bound is 0 where the eigenbases coincide.
+    Raises DegenerateSpectrum when A or B has a degenerate spectrum.
+    """
+    p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    var_a, var_b = variances(p, a), variances(p, b)
+    product = var_a * var_b
+    rur = commutator_terms(p, a, b)
+    sur = rur + anticommutator_terms(p, a, b)
+    remainder = equality_remainders(p, a, b)
+    fields = dict(
+        varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
+        eq19_bound=rur + remainder, remainder=remainder,
+        equality_residual=product - sur - remainder,
+        sum_lhs=var_a + var_b, sum_bound=0.5 * variances(p, a + b),
+        entropy_sum=measurement_entropies(p, a) + measurement_entropies(p, b),
+        entropy_bound=np.log2(1.0 / complementarities(a, b)),
+    )
+    for key in ("varA", "varB", "entropy_bound"):  # these lack the axes of rows they do not read
+        if fields[key].shape != product.shape:
+            fields[key] = np.broadcast_to(fields[key], product.shape)
+    return fields
+
+
 def compute_report(
     state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
 ) -> RelationReport:
-    """Evaluate every relation for one (state, A, B) triple.
+    """Every relation for one (state, A, B) triple: the one-row form of reports.
 
     Requires nondegenerate spectra for the entropic fields; the mixedness
     estimate is not part of the report because it can fail (collinear
     observables) while every bound here is always defined.
     """
-    p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
-    var_a, var_b = float(variances(p, a)), float(variances(p, b))
-    product = var_a * var_b
-    rur = float(commutator_terms(p, a, b))
-    sur = rur + float(anticommutator_terms(p, a, b))
-    remainder = float(equality_remainders(p, a, b))
-    sum_lhs, sum_bnd = sum_relations(p, a, b)
-    entropy_sum, entropy_bnd = eur_values(p, a, b)
-    return RelationReport(
-        varA=var_a,
-        varB=var_b,
-        product=product,
-        rur_bound=rur,
-        sur_bound=sur,
-        eq19_bound=rur + remainder,
-        remainder=remainder,
-        equality_residual=product - sur - remainder,
-        sum_lhs=float(sum_lhs),
-        sum_bound=float(sum_bnd),
-        entropy_sum=float(entropy_sum),
-        entropy_bound=float(entropy_bnd),
-    )
+    fields = reports(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
+    return RelationReport(**{k: float(v) for k, v in fields.items()})

@@ -5,10 +5,11 @@ means saturation.  ti1 uses the mixedness-weighted variance bound, ti2
 the entropic bound, ti3 the variance-sum bound.  Points where a bound
 vanishes are undefined and carried as NaN, never raised.  ratios()
 evaluates all three over a stack of Bloch vectors, one state being a
-stack of one.  Sweeps walk an (alpha, lambda, t) product grid in
-row-major order over states of the feedback model, either from the
-closed-form solution or the integrator, evaluate the whole grid in one
-ratios() call and return it as one table.
+stack of one, by dividing fields of relations.reports.  Sweeps walk an
+(alpha, lambda, t) product grid in row-major order over states of the
+feedback model, either from the closed-form solution or the
+integrator, evaluate the whole grid in one ratios() call and return it
+as one table.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, bloch_array, variances
+from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot
 from .errors import InvalidArgument, NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
 from .feedback import analytic_bloch, evolve
-from .relations import complementarities, eur_values, mixedness_weighted_bounds, sum_relations
+from .relations import complementarities, reports
 
 # A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
 # |a + b|^2 for ti3), is treated as vanished and the ratio undefined; so
@@ -120,37 +121,24 @@ def _ratio(lhs: np.ndarray, bound: np.ndarray, defined: np.ndarray) -> np.ndarra
     return np.where(defined, lhs / np.where(defined, bound, 1.0), np.nan)
 
 
-def _ti1(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Variance product over the mixedness-weighted bound."""
-    a_t, b_t = _components(a), _components(b)
-    bound = mixedness_weighted_bounds(p, a, b)
-    floor = BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)
-    return _ratio(variances(p, a) * variances(p, b), bound, bound > floor)
-
-
-def _ti2(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entropy sum over log2(1/c); undefined where the eigenbases coincide (c = 1)."""
-    distinct_bases = complementarities(a, b) < 1.0 - C_ONE_TOL
-    return _ratio(*eur_values(p, a, b), distinct_bases)
-
-
-def _ti3(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Variance sum over var(A+B)/2."""
-    lhs, bound = sum_relations(p, a, b)
-    ab = _components(a) + _components(b)
-    return _ratio(lhs, bound, bound > BOUND_FLOOR * _dot(ab, ab))
-
-
 def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ti1, ti2, ti3 for each Bloch vector along the last axis of p; NaN = undefined.
 
     a and b are observable coefficient rows (a1, a2, a3, a4), one pair for
-    all states or one per state.  Raises DegenerateSpectrum when A or B
-    has a degenerate spectrum (ti2 needs both eigenbases).
+    all states or one per state.  Each ratio divides two fields of
+    relations.reports.  Raises DegenerateSpectrum when A or B has a
+    degenerate spectrum (ti2 needs both eigenbases).
     """
-    p = bloch_array(p)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return _ti1(p, a, b), _ti2(p, a, b), _ti3(p, a, b)
+    fields = reports(p, a, b)
+    a_t, b_t = _components(a), _components(b)
+    ab = a_t + b_t
+    eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
+    distinct_bases = complementarities(a, b) < 1.0 - C_ONE_TOL
+    return (
+        _ratio(fields["product"], eq19, eq19 > BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)),
+        _ratio(fields["entropy_sum"], fields["entropy_bound"], distinct_bases),
+        _ratio(fields["sum_lhs"], sum_bound, sum_bound > BOUND_FLOOR * _dot(ab, ab)),
+    )
 
 
 # ---------------------------------------------------------------------------

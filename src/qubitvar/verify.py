@@ -259,11 +259,10 @@ def check_bound_chain(samples: int, seed: int) -> float:
     """product >= SUR >= RUR, and the mixedness-weighted bound <= product."""
     rng = _rng(seed, 10)
     p, a, b = _sample_triples(rng, samples)
-    product = variances(p, a) * variances(p, b)
-    rur = commutator_terms(p, a, b)
-    sur = rur + anticommutator_terms(p, a, b)
-    eq19 = relations.mixedness_weighted_bounds(p, a, b)
-    return float(max((sur - product).max(), (rur - sur).max(), (eq19 - product).max()))
+    fields = relations.reports(p, a, b)
+    product, rur, sur = fields["product"], fields["rur_bound"], fields["sur_bound"]
+    return float(max((sur - product).max(), (rur - sur).max(),
+                     (fields["eq19_bound"] - product).max()))
 
 
 @_check("remainder_nonnegative_pure_zero", 10_000, 1e-12)
@@ -333,16 +332,16 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
 def check_eur_sigma_xz(samples: int, seed: int) -> float:
     rng = _rng(seed, 15)
     p = random_bloch_vectors(rng, samples, "mixed")
-    entropy_sum, bound = relations.eur_values(p, OBS_X.coeffs, OBS_Z.coeffs)
-    return float((bound - entropy_sum).max())
+    fields = relations.reports(p, OBS_X.coeffs, OBS_Z.coeffs)
+    return float((fields["entropy_bound"] - fields["entropy_sum"]).max())
 
 
 @_check("sum_relation_holds", 100_000, 1e-10)
 def check_sum_relation(samples: int, seed: int) -> float:
     rng = _rng(seed, 16)
     p, a, b = _sample_triples(rng, samples)
-    lhs, bound = relations.sum_relations(p, a, b)
-    return float((bound - lhs).max())
+    fields = relations.reports(p, a, b)
+    return float((fields["sum_bound"] - fields["sum_lhs"]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +433,7 @@ def check_ti1_identity(samples: int, seed: int) -> tuple:
     p, a, b = _sample_triples(rng, samples)
     value = tightness.ratios(p, a, b)[0]
     defined = ~np.isnan(value)
-    bound = relations.mixedness_weighted_bounds(p, a, b)
-    identity = 1.0 + anticommutator_terms(p, a, b) / bound
+    identity = 1.0 + anticommutator_terms(p, a, b) / relations.reports(p, a, b)["eq19_bound"]
     return float(np.abs(value - identity)[defined].max(initial=0.0)), int(defined.sum())
 
 

@@ -25,8 +25,8 @@ from qubitvar.core import (
     QubitState,
     anticommutator_terms,
     commutator_terms,
-    mixedness,
     mixedness_general,
+    mixedness_values,
     random_bloch_vectors,
     random_density_matrix,
     variances,
@@ -39,10 +39,11 @@ from qubitvar.feedback import (
     step_times,
 )
 from qubitvar.relations import (
-    compute_report,
     estimate_mixedness,
     estimate_mixedness_from_counts,
     gram_determinants,
+    mixedness_estimates,
+    reports,
     simulate_shots,
 )
 from qubitvar.tightness import (
@@ -97,14 +98,9 @@ def test_criterion_01_equality_reproduction():
     a = rng.uniform(-5, 5, size=(n, 4))
     b = rng.uniform(-5, 5, size=(n, 4))
     worst = float(np.abs(batch_residuals(p, a, b)).max())
-    # push a slice through the public per-triple operation as well
-    for i in range(10_000):
-        report_i = compute_report(
-            QubitState(BlochVector(*map(float, p[i]))),
-            PauliObservable(*map(float, a[i])),
-            PauliObservable(*map(float, b[i])),
-        )
-        worst = max(worst, abs(report_i.equality_residual))
+    # push a slice through the package's relation route as well
+    residual = reports(p[:10_000], a[:10_000], b[:10_000])["equality_residual"]
+    worst = max(worst, float(np.abs(residual).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 10.0
@@ -126,20 +122,19 @@ def test_criterion_02_pure_state_degenerates_to_sur():
 def test_criterion_03_estimator_exactness():
     rng = np.random.default_rng(20240503)
     p = random_bloch_vectors(rng, 10_000, "mixed")
-    worst = 0.0
-    for i in range(10_000):
-        state = QubitState(BlochVector(*map(float, p[i])))
-        worst = max(worst, abs(estimate_mixedness(state, OBS_X, OBS_Z) - mixedness(state)))
+    estimates = mixedness_estimates(p, OBS_X.coeffs, OBS_Z.coeffs)
+    worst = float(np.abs(estimates - mixedness_values(p)).max())
     pairs = []
     while len(pairs) < 10:
         a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
         if gram_determinants(a, b) > 1.0:
-            pairs.append((PauliObservable(*a), PauliObservable(*b)))
+            pairs.append((a, b))
     extra = random_bloch_vectors(rng, 1000, "mixed")
-    for obs_a, obs_b in pairs:
-        for row in extra:
-            state = QubitState(BlochVector(*map(float, row)))
-            worst = max(worst, abs(estimate_mixedness(state, obs_a, obs_b) - mixedness(state)))
+    # every pair against every extra state: 10 x 1000 rows, one call
+    rows = np.repeat(np.array(pairs), len(extra), axis=0)
+    states = np.tile(extra, (len(pairs), 1))
+    estimates = mixedness_estimates(states, rows[:, 0], rows[:, 1])
+    worst = max(worst, float(np.abs(estimates - mixedness_values(states)).max()))
     assert worst < 1e-10
     parallels = (OBS_X, PauliObservable(2.0, 0.0, 0.0, 0.0), PauliObservable(-0.5, 0.0, 0.0, 1.0))
     for parallel in parallels:

@@ -1,5 +1,6 @@
 """Uncertainty relations, the equality residual and the mixedness estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,24 +19,25 @@ from qubitvar.core import (
     anticommutator_terms,
     commutator_terms,
     mixedness,
+    mixedness_values,
     random_bloch_vectors,
     variances,
 )
 from qubitvar.errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
 from qubitvar.relations import (
     MAX_SHOTS,
+    SPECTRUM_GAP_TOL,
     complementarities,
     compute_report,
     equality_remainders,
     estimate_mixedness,
     estimate_mixedness_from_counts,
-    eur_values,
     gram_determinants,
     high_outcome_probabilities,
     measurement_entropies,
-    mixedness_weighted_bounds,
+    mixedness_estimates,
+    reports,
     simulate_shots,
-    sum_relations,
     symmetrized_product,
 )
 from qubitvar.verify import check_remainder_sign
@@ -48,6 +50,18 @@ def random_triple(rng, span=5.0, kind="mixed"):
     """One Bloch vector and two coefficient rows."""
     p = random_bloch_vectors(rng, 1, kind)[0]
     return p, rng.uniform(-span, span, 4), rng.uniform(-span, span, 4)
+
+
+def sum_fields(p, a, b):
+    """The variance-sum relation's sides, (varA + varB, var(A+B)/2), from reports."""
+    fields = reports(p, a, b)
+    return float(fields["sum_lhs"]), float(fields["sum_bound"])
+
+
+def entropic_fields(p, a, b):
+    """The entropic relation's sides, (H(A) + H(B), log2(1/c)), from reports."""
+    fields = reports(p, a, b)
+    return float(fields["entropy_sum"]), float(fields["entropy_bound"])
 
 
 def residual(p, a, b):
@@ -104,17 +118,17 @@ class TestProductBounds:
         assert abs(residual(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)) <= 1e-10
 
     def test_mixedness_weighted_bound_examples(self):
-        assert mixedness_weighted_bounds(ORIGIN, X, Z) == pytest.approx(1.0, abs=1e-14)
+        assert reports(ORIGIN, X, Z)["eq19_bound"] == pytest.approx(1.0, abs=1e-14)
         product = variances(ORIGIN, X) * variances(ORIGIN, Z)
-        assert product == pytest.approx(mixedness_weighted_bounds(ORIGIN, X, Z), abs=1e-14)
+        assert product == pytest.approx(reports(ORIGIN, X, Z)["eq19_bound"], abs=1e-14)
         # pure eigenstate of A with vanishing commutator expectation
-        assert mixedness_weighted_bounds(Z_POLE, Z, X) == pytest.approx(0.0, abs=1e-14)
+        assert reports(Z_POLE, Z, X)["eq19_bound"] == pytest.approx(0.0, abs=1e-14)
 
     def test_mixedness_weighted_bound_never_exceeds_product(self, rng):
         for _ in range(2000):
             p, a, b = random_triple(rng)
             product = variances(p, a) * variances(p, b)
-            assert mixedness_weighted_bounds(p, a, b) <= product + 1e-10
+            assert reports(p, a, b)["eq19_bound"] <= product + 1e-10
 
     def test_bound_chain(self, rng):
         for _ in range(2000):
@@ -128,18 +142,24 @@ class TestProductBounds:
 
 class TestSumRelation:
     def test_examples(self):
-        assert sum_relations(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-14)
-        assert sum_relations(Z_POLE, X, Y) == pytest.approx((2.0, 1.0), abs=1e-14)
+        assert sum_fields(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-14)
+        assert sum_fields(Z_POLE, X, Y) == pytest.approx((2.0, 1.0), abs=1e-14)
         p = [0.3, 0.1, -0.5]
         obs = [0.7, -0.2, 1.1, 0.4]
-        lhs, bound = sum_relations(p, obs, obs)
+        lhs, bound = sum_fields(p, obs, obs)
         assert lhs == pytest.approx(2 * variances(p, obs), abs=1e-12)
         assert bound == pytest.approx(2 * variances(p, obs), abs=1e-12)
 
     @settings(deadline=None)
     @given(qubit_states(), observables(), observables())
     def test_holds_always(self, state, obs_a, obs_b):
-        lhs, bound = sum_relations(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
+        p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
+        try:
+            lhs, bound = sum_fields(p, a, b)
+        except DegenerateSpectrum:
+            # reports needs both eigenbases (its entropic fields): A or B is proportional to I
+            assert min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) <= SPECTRUM_GAP_TOL
+            return
         assert lhs >= bound - 1e-10
 
 
@@ -179,10 +199,10 @@ class TestEntropic:
             assert complementarities(a, b) == pytest.approx(float(overlap.max()), abs=1e-10)
 
     def test_eur_examples(self):
-        assert eur_values(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-12)
-        entropy_sum, bound = eur_values(Z_POLE, Z, Z + I)
+        assert entropic_fields(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-12)
+        entropy_sum, bound = entropic_fields(Z_POLE, Z, Z + I)
         assert bound == 0.0
-        entropy_sum, bound = eur_values(Z_POLE, X, Z)
+        entropy_sum, bound = entropic_fields(Z_POLE, X, Z)
         assert (entropy_sum, bound) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
@@ -214,6 +234,24 @@ class TestEstimator:
                 continue
             values.append(estimate_mixedness(state, obs_a, obs_b))
         assert max(values) - min(values) <= 1e-10
+
+
+    def test_per_object_forms_match_array_rows(self, rng):
+        # estimate_mixedness and mixedness are the one-row forms of the array
+        # route, bit for bit, with one pair for all states and one pair per state
+        p = random_bloch_vectors(rng, 300, "mixed")
+        a, b = rng.uniform(-2, 2, (300, 4)), rng.uniform(-2, 2, (300, 4))
+        kept = gram_determinants(a, b) > 1.0
+        p, a, b = p[kept], a[kept], b[kept]
+        values = mixedness_values(p)
+        for pair in ((OBS_X.coeffs, OBS_Z.coeffs), (a, b)):
+            estimates = mixedness_estimates(p, *pair)
+            rows_a, rows_b = (np.broadcast_to(x, a.shape) for x in pair)
+            for i, row in enumerate(p):
+                state = QubitState(BlochVector(*row.tolist()))
+                obs_a, obs_b = PauliObservable(*rows_a[i]), PauliObservable(*rows_b[i])
+                assert estimate_mixedness(state, obs_a, obs_b).hex() == float(estimates[i]).hex()
+                assert mixedness(state).hex() == float(values[i]).hex()
 
 
 class TestSymmetrizedProduct:
@@ -381,3 +419,26 @@ class TestReport:
             assert abs(report.equality_residual) <= 1e-10
             assert report.sum_lhs >= report.sum_bound - 1e-10
             assert report.entropy_sum >= report.entropy_bound - 1e-10
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared_pair", "pair_per_row"])
+    def test_stack_matches_one_row_calls(self, rng, per_row):
+        # an (n, T, 3) stack keeps its leading shape in every field; each row,
+        # its one-row call and compute_report agree bit for bit, in field order
+        n, steps = 5, 7
+        p = random_bloch_vectors(rng, n * steps, "mixed").reshape(n, steps, 3)
+        if per_row:
+            a, b = rng.uniform(-2, 2, (n, steps, 4)), rng.uniform(-2, 2, (n, steps, 4))
+        else:
+            a, b = np.array([1.0, 0.0, 0.3, 0.5]), np.array([-0.2, 0.7, 1.1, -0.4])
+        stacked = reports(p, a, b)
+        assert [v.shape for v in stacked.values()] == [(n, steps)] * 12
+        rows_a, rows_b = np.broadcast_to(a, (n, steps, 4)), np.broadcast_to(b, (n, steps, 4))
+        for i, j in np.ndindex(n, steps):
+            row = [(k, float(v[i, j]).hex()) for k, v in stacked.items()]
+            one = reports(p[i, j], rows_a[i, j], rows_b[i, j])
+            assert row == [(k, float(v).hex()) for k, v in one.items()]
+            report = compute_report(
+                QubitState(BlochVector(*p[i, j].tolist())),
+                PauliObservable(*rows_a[i, j].tolist()), PauliObservable(*rows_b[i, j].tolist()),
+            )
+            assert row == [(k, v.hex()) for k, v in dataclasses.asdict(report).items()]
