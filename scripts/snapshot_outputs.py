@@ -37,6 +37,12 @@ COMMANDS = {
                        "--obs-b", "-0.2,0.7,1.1,-0.4"],
     # collinear observables: no mixedness estimate, entropy bound 0
     "report_collinear": ["report", "--bloch", "0.6,0,0", "--obs-b", "2,0,0,1"],
+    # sx and sz in milli-units: the same estimate as at unit scale
+    "report_milli_units": ["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "0.001,0,0,0",
+                           "--obs-b", "0,0,0.001,0"],
+    # a state at the edge of the ball's tolerance: varA clamps to 0 at any scale
+    "report_ball_edge_large_obs": ["report", "--bloch", "1.0000000000004,0,0",
+                                   "--obs-a", "100,0,0,0"],
     "estimate": ["estimate", "--bloch", "0.2,0,0.4", "--shots", "50000", "--seed", "11"],
     # a general pair, so (AB + BA)/2 is measured too
     "estimate_general": ["estimate", "--bloch", "0.2,0.1,0.4", "--obs-a", "1,0,0.3,0.5",
@@ -57,6 +63,9 @@ COMMANDS = {
     "error_inf_alpha_numeric": ["simulate", "--alpha", "inf", "--source", "numeric"],
     "error_negative_omega": ["simulate", "--omega", "-1"],
     "error_lambda_overflow_numeric": ["simulate", "--lambda", "1e200", "--source", "numeric"],
+    "error_alpha_overflow": ["simulate", "--alpha", "1e308", "--source", "numeric"],
+    "error_alpha_overflow_sweep": ["sweep", "--fig3", "--alpha", "1e308",
+                                   "--output", "{out}/error_alpha_overflow_sweep.csv"],
     "error_positivity_sweep": ["sweep", "--fig2", "--lambda", "100", "--source", "numeric",
                                "--steps", "4", "--output", "{out}/error_positivity_sweep.csv"],
     "error_degenerate_report": ["report", "--bloch", "0,0,0", "--obs-a", "0,0,0,1"],

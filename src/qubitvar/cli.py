@@ -37,7 +37,7 @@ def _parse(text: str, cls, flag: str):
         raise InvalidArgument(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     try:
         return cls(*map(float, parts))
-    except (ValueError, QubitVarError) as exc:
+    except ValueError as exc:  # float() and every constructor refusal
         raise InvalidArgument(f"{flag}: {exc}") from exc
 
 

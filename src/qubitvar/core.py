@@ -20,10 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadDimension, BlochNormExceeded, InvalidArgument, NonFiniteInput, NotHermitian,
-    NotPositive, NumericalInconsistency, TraceNotOne
-)
+from .errors import InvalidArgument
 
 # Pauli matrices in the (|0>, |1>) basis, |0> being the +1 eigenvector of sz.
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,12 +29,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 # Tolerance policy: exact-algebra representation checks at 1e-12,
-# positivity at -1e-10 (eigenvalue scale), variance clamp at -1e-12.
+# positivity at -1e-10 (eigenvalue scale).
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-VARIANCE_CLAMP = 1e-12
 # Largest observable coefficient accepted.  The closed forms multiply at
 # most four coefficients, e.g. the Gram determinant's 16 |a|^2 |b|^2 <=
 # 144 c^4; c^4 a factor 1e4 below the largest float keeps them all finite.
@@ -46,7 +42,7 @@ COEFF_MAX = (sys.float_info.max / 1e4) ** 0.25
 
 def _require_finite(*values: float) -> None:
     if not all(map(math.isfinite, values)):
-        raise NonFiniteInput(f"components must be finite, got {values}")
+        raise InvalidArgument(f"components must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class PauliObservable:
     def __post_init__(self):
         _require_finite(self.a1, self.a2, self.a3, self.a4)
         if max(map(abs, (self.a1, self.a2, self.a3, self.a4))) > COEFF_MAX:
-            raise NonFiniteInput(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
+            raise InvalidArgument(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -106,10 +102,10 @@ OBS_I = PauliObservable(0.0, 0.0, 0.0, 1.0)
 def _require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Finite entries and max |m - m^dag| <= tol."""
     if not np.isfinite(matrix).all():
-        raise NonFiniteInput("matrix entries must be finite")
+        raise InvalidArgument("matrix entries must be finite")
     dev = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(initial=0.0)
     if dev > tol:
-        raise NotHermitian(f"max |m - m^dag| = {dev:.3e}")
+        raise InvalidArgument(f"max |m - m^dag| = {dev:.3e}")
 
 
 def _require_state(matrix: np.ndarray) -> None:
@@ -117,11 +113,11 @@ def _require_state(matrix: np.ndarray) -> None:
     tr = np.trace(matrix, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_TOL
     if _any(off):
-        raise TraceNotOne(f"trace = {np.extract(off, tr)[0]:.15g}")
+        raise InvalidArgument(f"trace = {np.extract(off, tr)[0]:.15g}")
     eigmin = np.linalg.eigvalsh(matrix)[..., 0]
     negative = eigmin < -POSITIVITY_TOL
     if _any(negative):
-        raise NotPositive(f"min eigenvalue = {np.extract(negative, eigmin)[0]:.3e}")
+        raise InvalidArgument(f"min eigenvalue = {np.extract(negative, eigmin)[0]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +138,7 @@ def _hermitian_2x2(matrix) -> np.ndarray:
     """matrix as a complex (..., 2, 2) stack, checked finite and Hermitian."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[-2:] != (2, 2):
-        raise BadDimension(f"expected (..., 2, 2), got {matrix.shape}")
+        raise InvalidArgument(f"expected (..., 2, 2), got {matrix.shape}")
     _require_hermitian(matrix)
     return matrix
 
@@ -210,7 +206,7 @@ def _ball_components(p) -> np.ndarray:
     p = _components(p)
     norm_sq, outside = _outside_ball(p)
     if _any(outside):
-        raise BlochNormExceeded(
+        raise InvalidArgument(
             f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
         )
     return p
@@ -227,17 +223,14 @@ def bloch_array(p) -> np.ndarray:
 
 
 def variances(p, a) -> np.ndarray:
-    """<A^2> - <A>^2 = |a|^2 - (a.p)^2, clamped at zero against rounding noise.
+    """<A^2> - <A>^2 = |a|^2 - (a.p)^2, clamped at zero.
 
-    A value below -1e-12 cannot come from rounding and raises
-    NumericalInconsistency instead of being hidden by the clamp.
+    The ball check bounds what the clamp can hide: |p|^2 <= 1 + 1e-12
+    gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
     """
     a = _components(a)
     mean = _dot(a, _ball_components(p))
-    var = _dot(a, a) - mean * mean
-    if _any(var < -VARIANCE_CLAMP):
-        raise NumericalInconsistency(f"variance = {np.min(var):.3e}")
-    return np.maximum(var, 0.0)
+    return np.maximum(_dot(a, a) - mean * mean, 0.0)
 
 
 def commutator_terms(p, a, b) -> np.ndarray:
@@ -288,7 +281,7 @@ def mixedness_general(rho) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise BadDimension(f"expected (..., d, d), got shape {rho.shape}")
+        raise InvalidArgument(f"expected (..., d, d), got shape {rho.shape}")
     _require_hermitian(rho)
     _require_state(rho)
     return np.maximum(1.0 - np.einsum("...ij,...ji->...", rho, rho).real, 0.0)
@@ -318,7 +311,7 @@ def random_bloch_vectors(seed, n: int, kind: str = "mixed") -> np.ndarray:
 def random_density_matrix(seed, dim: int) -> np.ndarray:
     """Ginibre-ensemble state G G^dag / tr(G G^dag) in dimension dim >= 2."""
     if dim < 2:
-        raise BadDimension(f"dim must be >= 2, got {dim}")
+        raise InvalidArgument(f"dim must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T

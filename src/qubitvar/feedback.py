@@ -37,10 +37,7 @@ import math
 import numpy as np
 
 from .core import _components, _outside_ball
-from .errors import (
-    InvalidArgument, NegativeRate, NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge,
-    TooMuchWork
-)
+from .errors import InvalidArgument, PositivityLost
 
 MAX_STEP = 1e-2
 # Steps one trajectory may take: 200 times the default simulate run.
@@ -49,19 +46,24 @@ MAX_STEPS = 10**6
 
 def _parameters(alpha, lam, omega=0.0):
     """alpha, lam and omega broadcast to one float shape, refused unless
-    finite, lam and omega >= 0, and the decay rate 1 + 2 lam^2 finite."""
+    finite, lam and omega >= 0, and the angle 2 alpha and the decay rate
+    1 + 2 lam^2 finite."""
     values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, omega)))
     for name, value in zip(("alpha", "lam", "omega"), values):
         bad = ~np.isfinite(value)
         if bad.any():
-            raise NonFiniteInput(f"{name} must be finite, got {value[bad][0]}")
+            raise InvalidArgument(f"{name} must be finite, got {value[bad][0]}")
     for name, value in zip(("lam", "omega"), values[1:]):
         if (value < 0).any():
-            raise NegativeRate(f"{name} must be >= 0")
+            raise InvalidArgument(f"{name} must be >= 0")
+    alpha, lam, _ = values
     with np.errstate(over="ignore"):
-        overflow = ~np.isfinite(2.0 * values[1] * values[1])
-    if overflow.any():
-        raise NonFiniteInput(f"lam = {values[1][overflow][0]} overflows the decay rate 1 + 2 lam^2")
+        derived = (2.0 * alpha, 2.0 * lam * lam)
+    for name, value, term, what in zip(("alpha", "lam"), values, derived,
+                                       ("the angle 2 alpha", "the decay rate 1 + 2 lam^2")):
+        overflow = ~np.isfinite(term)
+        if overflow.any():
+            raise InvalidArgument(f"{name} = {value[overflow][0]} overflows {what}")
     return values
 
 
@@ -111,9 +113,9 @@ def analytic_bloch(alpha, lam, t) -> np.ndarray:
     alpha, lam, _ = _parameters(alpha, lam)
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
-        raise NonFiniteInput("t must be finite")
+        raise InvalidArgument("t must be finite")
     if (t < 0).any():
-        raise NegativeTime(f"t = {t.min()}")
+        raise InvalidArgument(f"t must be >= 0, got {t.min()}")
     column = (...,) + (None,) * t.ndim
     lam = lam[column]
     sin2a = np.sin(2.0 * alpha)[column]
@@ -146,9 +148,9 @@ def steady_state(lam) -> np.ndarray:
 def _check_steps(t_end: float, h: float) -> None:
     """h within (0, MAX_STEP], and at most MAX_STEPS of it to a finite t_end."""
     if not (0.0 < h <= MAX_STEP):
-        raise StepTooLarge(f"step must satisfy 0 < h <= {MAX_STEP:g}, got {h}")
+        raise InvalidArgument(f"step must satisfy 0 < h <= {MAX_STEP:g}, got {h}")
     if _full_steps(float(t_end), h) > MAX_STEPS:
-        raise TooMuchWork(f"t = {t_end:g} at step {h:g} needs more than {MAX_STEPS} steps")
+        raise InvalidArgument(f"t = {t_end:g} at step {h:g} needs more than {MAX_STEPS} steps")
 
 
 def _increment(gen: np.ndarray, h: float) -> np.ndarray:
@@ -172,9 +174,9 @@ def step_times(t_end: float, h: float) -> np.ndarray:
     when it is (up to float noise) the last label is snapped to t_end.
     """
     if not math.isfinite(t_end):
-        raise NonFiniteInput(f"t_end must be finite, got {t_end}")
+        raise InvalidArgument(f"t_end must be finite, got {t_end}")
     if t_end <= 0:
-        raise NegativeTime(f"t_end must be > 0, got {t_end}")
+        raise InvalidArgument(f"t_end must be > 0, got {t_end}")
     _check_steps(t_end, h)
     n_full = int(_full_steps(t_end, h))
     times = [i * h for i in range(n_full + 1)]
@@ -201,11 +203,11 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
     alpha, lam, omega = _parameters(alpha, lam, omega)
     times = np.array(sample_times, dtype=float)
     if not np.isfinite(times).all():
-        raise NonFiniteInput("sample_times must be finite")
+        raise InvalidArgument("sample_times must be finite")
     if times.size == 0 or np.any(np.diff(times) <= 0):
         raise InvalidArgument("sample_times must be non-empty and strictly increasing")
     if times[0] < 0:
-        raise NegativeTime(f"t = {times[0]}")
+        raise InvalidArgument(f"t must be >= 0, got {times[0]}")
     _check_steps(times[-1], h)
     with np.errstate(over="ignore", invalid="ignore"):
         gen = _generator(lam, omega)

@@ -26,14 +26,16 @@ from .core import (
     PauliObservable, QubitState, _any, _ball_components, _components, _dot, anticommutator_terms,
     commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
 )
-from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, TooMuchWork
+from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
 # An observable's two outcomes are distinguishable only if the eigenvalue
 # gap 2|a| clears this; below it the spectrum counts as degenerate.
 SPECTRUM_GAP_TOL = 1e-9
 
-# Threshold on xi(A,A) xi(B,B) - xi(A,B)^2 separating genuine collinearity
-# of the Pauli parts from rounding.
+# Threshold on xi(A,A) xi(B,B) - xi(A,B)^2, in units of |a|^2 |b|^2 (as
+# tightness.BOUND_FLOOR), separating genuine collinearity of the Pauli
+# parts from rounding; so whether a pair is refused does not depend on
+# the observables' units.
 COLLINEAR_TOL = 1e-9
 
 # Shots one simulated measurement may take.  Counts and their frequencies
@@ -63,10 +65,26 @@ class RelationReport:
 # variance-product bounds and the equality
 # ---------------------------------------------------------------------------
 
+def _gram(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram determinant and its scale xi(A,A) xi(B,B) = 16 |a|^2 |b|^2."""
+    xi_ab = xi_values(a, b)
+    scale = xi_values(a, a) * xi_values(b, b)
+    return scale - xi_ab * xi_ab, scale
+
+
 def gram_determinants(a, b) -> np.ndarray:
     """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
-    xi_ab = xi_values(a, b)
-    return xi_values(a, a) * xi_values(b, b) - xi_ab * xi_ab
+    return _gram(a, b)[0]
+
+
+def _noncollinear_gram(a, b) -> np.ndarray:
+    """The Gram determinant, checked by the one collinearity rule:
+    CollinearObservables where it is at most COLLINEAR_TOL |a|^2 |b|^2."""
+    det, scale = _gram(a, b)
+    collinear = 16.0 * det <= COLLINEAR_TOL * scale
+    if _any(collinear):
+        raise CollinearObservables(f"gram determinant = {np.extract(collinear, det)[0]:.3e}")
+    return det
 
 
 def equality_remainders(p, a, b) -> np.ndarray:
@@ -124,9 +142,7 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     8 [varA varB - commutator term - covariance term] divided by the xi
     Gram determinant; equal to the mixedness for every valid input.
     """
-    det = gram_determinants(a, b)
-    if _any(det <= COLLINEAR_TOL):
-        raise CollinearObservables(f"gram determinant = {np.min(det):.3e}")
+    det = _noncollinear_gram(a, b)
     numerator = (
         variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
         - anticommutator_terms(p, a, b)
@@ -153,7 +169,7 @@ def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) ->
     if shots < 1:
         raise InvalidArgument("shots must be >= 1")
     if shots > MAX_SHOTS:
-        raise TooMuchWork(f"{shots} shots are more than {MAX_SHOTS}")
+        raise InvalidArgument(f"{shots} shots are more than {MAX_SHOTS}")
     p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))
     return n_hi, shots - n_hi
@@ -203,10 +219,7 @@ def estimate_mixedness_from_counts(
     otherwise.  Standard errors come from first-order propagation of the
     binomial outcome-frequency variances.
     """
-    det = float(gram_determinants(obs_a.coeffs, obs_b.coeffs))
-    if det <= COLLINEAR_TOL:
-        raise CollinearObservables(f"gram determinant = {det:.3e}")
-
+    det = float(_noncollinear_gram(obs_a.coeffs, obs_b.coeffs))
     mean_a, var_a, dmean_a, dvar_a, varf_a = _plug_in(obs_a.coeffs, counts_a)
     mean_b, var_b, dmean_b, dvar_b, varf_b = _plug_in(obs_b.coeffs, counts_b)
     c = symmetrized_products(obs_a.coeffs, obs_b.coeffs)

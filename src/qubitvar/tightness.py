@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot
-from .errors import InvalidArgument, NonFiniteInput, NonPositiveLambda, NonPositiveTime, TooMuchWork
+from .errors import InvalidArgument
 from .feedback import analytic_bloch, evolve
 from .relations import complementarities, reports
 
@@ -53,7 +53,7 @@ class GridAxis:
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise NonFiniteInput(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
+            raise InvalidArgument(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
         if self.steps < 1:
             raise InvalidArgument("steps must be >= 1")
         if self.steps == 1:
@@ -87,7 +87,7 @@ class SweepGrid:
     def __post_init__(self):
         points = self.alpha_axis.steps * self.lambda_axis.steps * self.t_axis.steps
         if points > MAX_GRID_POINTS:
-            raise TooMuchWork(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
+            raise InvalidArgument(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
         if self.t_axis.lo < 0:
             raise InvalidArgument("t axis must start at >= 0")
         if self.lambda_axis.values().min() < 0:
@@ -153,9 +153,9 @@ def ti1_analytic_lambda1(alpha: float, t: float) -> float:
     cancellation as t -> 0 is carried by expm1 terms.
     """
     if not (math.isfinite(alpha) and math.isfinite(t)):
-        raise NonFiniteInput(f"alpha and t must be finite, got {alpha}, {t}")
+        raise InvalidArgument(f"alpha and t must be finite, got {alpha}, {t}")
     if t <= 0:
-        raise NonPositiveTime(f"t = {t}")
+        raise InvalidArgument(f"t must be > 0, got {t}")
     cos2a = math.cos(2 * alpha)
     sin2a_sq = math.sin(2 * alpha) ** 2
     w = 3.0 * cos2a - 1.0
@@ -173,14 +173,14 @@ def ti1_analytic_alpha_pi4(lam: float, t: float) -> float:
     exponential exp(2 g t) divided out.
     """
     if not (math.isfinite(lam) and math.isfinite(t)):
-        raise NonFiniteInput(f"lam and t must be finite, got {lam}, {t}")
+        raise InvalidArgument(f"lam and t must be finite, got {lam}, {t}")
     if t <= 0:
-        raise NonPositiveTime(f"t = {t}")
+        raise InvalidArgument(f"t must be > 0, got {t}")
     if lam <= 0:
-        raise NonPositiveLambda(f"lam = {lam}")
+        raise InvalidArgument(f"lam must be > 0, got {lam}")
     g = 1.0 + 2.0 * lam * lam
     if not math.isfinite(g):
-        raise NonFiniteInput(f"lam = {lam} overflows the decay rate 1 + 2 lam^2")
+        raise InvalidArgument(f"lam = {lam} overflows the decay rate 1 + 2 lam^2")
     q = -math.expm1(-t)
     r = -math.expm1(-g * t) / g
     return q * (1.0 - r * r) / (q - r * r)

@@ -25,7 +25,7 @@ from .core import (
     commutator_terms, decompose_observable, density_matrices, matrix_to_bloch,
     mixedness_general, mixedness_values, random_bloch_vectors, variances, xi_values
 )
-from .errors import InvalidArgument, TooMuchWork
+from .errors import InvalidArgument
 
 
 @dataclass
@@ -513,11 +513,11 @@ def run_all(samples: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every registered invariant check.
 
     samples, when given, replaces each check's default sample count
-    (grid-style checks derive their grid size from it).  Below 2 it raises
-    InvalidArgument and above MAX_SAMPLES TooMuchWork, before any check draws.
+    (grid-style checks derive their grid size from it).  Outside
+    [2, MAX_SAMPLES] it raises InvalidArgument before any check draws.
     """
     if samples is not None and samples < 2:
         raise InvalidArgument(f"samples per check must be >= 2, got {samples}")
     if samples is not None and samples > MAX_SAMPLES:
-        raise TooMuchWork(f"{samples} samples per check are more than {MAX_SAMPLES}")
+        raise InvalidArgument(f"{samples} samples per check are more than {MAX_SAMPLES}")
     return [fn(default if samples is None else samples, seed) for fn, default in CHECKS]

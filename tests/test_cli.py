@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -223,11 +224,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize("source", ["analytic", "both", "numeric"])
     def test_overflowing_lambda_exits_two(self, source, capsys):
-        # lam^2 overflows the decay rate: refused by name before any step
-        code, out, err = run_cli(["simulate", "--lambda", "1e200", "--source", source], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: lam = 1e+200 overflows the decay rate 1 + 2 lam^2\n"
+        # lam^2 overflows the decay rate, or 2 alpha the angle: refused by
+        # name before any step, with no floating-point warning
+        for flags, message in (
+            (["--lambda", "1e200"], "lam = 1e+200 overflows the decay rate 1 + 2 lam^2"),
+            (["--alpha", "1e308"], "alpha = 1e+308 overflows the angle 2 alpha"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(["simulate", *flags, "--source", source], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
 
     def test_numeric_with_drive_works(self, capsys):
         code, out, _ = run_cli(
@@ -310,13 +318,18 @@ class TestSweep:
             assert cells[5] != ""
 
     def test_overflowing_lambda_exits_two(self, tmp_path, capsys):
+        # the pinned lambda of --fig2 or alpha of --fig3 overflows
         out_file = tmp_path / "x.csv"
-        code, _, err = run_cli(
-            ["sweep", "--fig2", "--lambda", "1e200", "--output", str(out_file)], capsys
-        )
-        assert code == 2
-        assert err.startswith("error: ")
-        assert not out_file.exists()
+        for flags, message in (
+            (["--fig2", "--lambda", "1e200"], "lam = 1e+200 overflows"),
+            (["--fig3", "--alpha", "1e308"], "alpha = 1e+308 overflows the angle 2 alpha"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_cli(["sweep", *flags, "--output", str(out_file)], capsys)
+            assert code == 2
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+            assert not out_file.exists()
 
     def test_invalid_ranges(self, capsys, tmp_path):
         out_file = tmp_path / "x.csv"

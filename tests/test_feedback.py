@@ -9,9 +9,7 @@ import pytest
 
 from conftest import oracle_rk4_matrices, oracle_state
 from qubitvar.core import density_matrices, mixedness_values
-from qubitvar.errors import (
-    NegativeRate, NegativeTime, NonFiniteInput, PositivityLost, StepTooLarge, TooMuchWork
-)
+from qubitvar.errors import InvalidArgument, PositivityLost
 from qubitvar.feedback import (
     analytic_bloch,
     evolve,
@@ -103,12 +101,12 @@ class TestAnalyticSolution:
         assert np.abs(gap).max() <= 1e-12
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(InvalidArgument, match="t must be >= 0, got -0.1"):
             analytic_bloch(0.5, 0.5, -0.1)
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match="t must be finite"):
                 analytic_bloch(0.5, 0.5, bad)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match="t must be finite"):
                 analytic_bloch(0.5, 0.5, [0.5, bad])
 
     def test_analytic_bloch_vectorized_over_t(self):
@@ -117,7 +115,7 @@ class TestAnalyticSolution:
         assert stacked.shape == (9, 3)
         for t, row in zip(ts, stacked):
             assert row == pytest.approx(analytic_bloch(0.9, 0.6, float(t)), abs=1e-15)
-        with pytest.raises(NegativeTime):
+        with pytest.raises(InvalidArgument, match="t must be >= 0, got -0.1"):
             analytic_bloch(0.9, 0.6, [0.5, -0.1])
 
     def test_stacked_rows_are_single_calls(self):
@@ -139,19 +137,25 @@ class TestAnalyticSolution:
         assert analytic_bloch(0.3, 1e150, 1e10) == pytest.approx(want, abs=1e-15)
 
     def test_overflowing_decay_rate_rejected(self):
-        # lam^2 overflows: every entry point raises a typed error, never
-        # OverflowError or a RuntimeWarning
+        # lam^2 or 2 alpha overflows: every entry point raises a typed error,
+        # never OverflowError or a RuntimeWarning
+        lam_overflow = r"lam = 1e\+200 overflows the decay rate"
+        alpha_overflow = r"alpha = 1e\+308 overflows the angle 2 alpha"
         with np.errstate(all="raise"):
-            with pytest.raises(NonFiniteInput, match=r"lam = 1e\+200 overflows"):
+            with pytest.raises(InvalidArgument, match=lam_overflow):
                 analytic_bloch(0.3, 1e200, 1.0)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match=lam_overflow):
                 analytic_bloch(0.3, [0.5, 1e200], [0.0, 1.0])
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match=lam_overflow):
                 steady_state(1e200)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match=lam_overflow):
                 generator(1e200)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match=lam_overflow):
                 evolve(0.3, 1e200, [0.01], h=1e-3)
+            with pytest.raises(InvalidArgument, match=alpha_overflow):
+                analytic_bloch([0.3, 1e308], 0.5, 1.0)
+            with pytest.raises(InvalidArgument, match="alpha = -1e\\+308 overflows"):
+                evolve(-1e308, 0.5, [0.01], h=1e-3)
 
     def test_params_validation(self):
         # the same refusals through every public entry point
@@ -162,21 +166,21 @@ class TestAnalyticSolution:
             "steady_state": lambda a, lam, omega: steady_state(lam),
         }
         for name, call in entry_points.items():
-            with pytest.raises(NegativeRate):
+            with pytest.raises(InvalidArgument, match="lam must be >= 0"):
                 call(0.0, -0.1, 0.0)
-            with pytest.raises(NegativeRate):
+            with pytest.raises(InvalidArgument, match="lam must be >= 0"):
                 call(0.0, [0.5, -0.1], 0.0)
             for bad in (math.nan, math.inf, -math.inf):
-                with pytest.raises(NonFiniteInput, match="lam must be finite"):
+                with pytest.raises(InvalidArgument, match="lam must be finite"):
                     call(0.0, bad, 0.0)
                 if name in ("analytic_bloch", "evolve"):
-                    with pytest.raises(NonFiniteInput, match="alpha must be finite"):
+                    with pytest.raises(InvalidArgument, match="alpha must be finite"):
                         call([0.3, bad], 0.0, 0.0)
                 if name in ("evolve", "generator"):
-                    with pytest.raises(NonFiniteInput, match="omega must be finite"):
+                    with pytest.raises(InvalidArgument, match="omega must be finite"):
                         call(0.0, 0.0, bad)
             if name in ("evolve", "generator"):
-                with pytest.raises(NegativeRate, match="omega must be >= 0"):
+                with pytest.raises(InvalidArgument, match="omega must be >= 0"):
                     call(0.0, 0.0, -1.0)
 
 
@@ -228,17 +232,17 @@ class TestIntegrator:
                 assert ((norms - 1.0) / 2.0).max() <= 1e-8
 
     def test_step_validation(self):
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(InvalidArgument, match="0 < h <= 0.01, got 0.02"):
             step_times(1.0, 0.02)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(InvalidArgument, match="0 < h <= 0.01, got 0.0"):
             step_times(1.0, 0.0)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(InvalidArgument, match="0 < h <= 0.01, got 0.02"):
             evolve(0.5, 0.5, [1.0], h=0.02)
-        with pytest.raises(NegativeTime):
+        with pytest.raises(InvalidArgument, match="t_end must be > 0, got 0.0"):
             step_times(0.0, 1e-3)
-        with pytest.raises(TooMuchWork):
+        with pytest.raises(InvalidArgument, match="needs more than 1000000 steps"):
             step_times(1e12, 1e-3)
-        with pytest.raises(TooMuchWork):
+        with pytest.raises(InvalidArgument, match="needs more than 1000000 steps"):
             evolve(0.5, 0.5, [1.0, 1e12])
 
     def test_positivity_lost_on_unresolved_step(self):
@@ -269,9 +273,9 @@ class TestIntegrator:
 
     def test_non_finite_times_rejected(self):
         for bad in (math.inf, math.nan):
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match="t_end must be finite"):
                 step_times(bad, 1e-3)
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match="sample_times must be finite"):
                 evolve(0.5, 0.5, [0.1, bad], h=1e-3)
 
     def test_driven_matches_dense_oracle(self):

@@ -23,7 +23,7 @@ from qubitvar.core import (
     random_bloch_vectors,
     variances,
 )
-from qubitvar.errors import CollinearObservables, DegenerateSpectrum, TooMuchWork
+from qubitvar.errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 from qubitvar.relations import (
     MAX_SHOTS,
     SPECTRUM_GAP_TOL,
@@ -208,10 +208,20 @@ class TestEntropic:
 
 class TestEstimator:
     def test_examples(self):
-        assert estimate_mixedness(MAXMIXED, OBS_X, OBS_Z) == pytest.approx(0.5, abs=1e-12)
-        assert estimate_mixedness(GROUND, OBS_X, OBS_Z) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(CollinearObservables):
-            estimate_mixedness(MAXMIXED, OBS_X, PauliObservable(2.0, 0.0, 0.0, 1.0))
+        # the estimate is a ratio of variance data: A and B in other units
+        # change neither its value nor which pairs are refused
+        state = QubitState(BlochVector(0.3, 0.1, -0.2))
+        parallels = ([1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 1.0],
+                     [2.0, 0.0, 0.0, 1.0])
+        for scale in (1.0, 1e-3, 1e3):
+            obs_a, obs_b = PauliObservable(*(scale * X)), PauliObservable(*(scale * Z))
+            assert estimate_mixedness(MAXMIXED, obs_a, obs_b) == pytest.approx(0.5, abs=1e-12)
+            assert estimate_mixedness(GROUND, obs_a, obs_b) == pytest.approx(0.0, abs=1e-12)
+            assert estimate_mixedness(state, obs_a, obs_b) == pytest.approx(0.43, abs=1e-12)
+            for parallel in parallels:
+                obs_b = PauliObservable(*(scale * np.array(parallel)))
+                with pytest.raises(CollinearObservables, match="gram determinant = 0.000e"):
+                    estimate_mixedness(state, obs_a, obs_b)
 
     def test_matches_mixedness_for_any_pair(self, rng):
         for _ in range(1000):
@@ -292,7 +302,7 @@ class TestShots:
         # counts up to 2^53 stay exact as floats; one more is refused before any draw
         counts = simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS, seed=3)
         assert sum(counts) == MAX_SHOTS == 2**53
-        with pytest.raises(TooMuchWork):
+        with pytest.raises(InvalidArgument, match="shots are more than 9007199254740992"):
             simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS + 1, seed=3)
 
     def test_counts_validation(self):
@@ -369,11 +379,20 @@ class TestEstimateFromCounts:
             estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, obs_b)
 
     def test_collinear_rejected(self):
+        # refused by the rule of the exact estimator, at every scale of A and B
         counts_a = simulate_shots(MAXMIXED, OBS_X, 100, seed=0)
-        with pytest.raises(CollinearObservables):
-            estimate_mixedness_from_counts(
-                counts_a, counts_a, None, OBS_X, PauliObservable(2.0, 0.0, 0.0, 1.0)
+        counts_b = simulate_shots(MAXMIXED, OBS_Z, 100, seed=1)
+        for scale in (1.0, 1e-3, 1e3):
+            obs_a = PauliObservable(scale, 0.0, 0.0, 0.0)
+            with pytest.raises(CollinearObservables, match="gram determinant = 0.000e"):
+                estimate_mixedness_from_counts(
+                    counts_a, counts_a, None, obs_a, PauliObservable(2.0 * scale, 0.0, 0.0, scale)
+                )
+            estimate, _ = estimate_mixedness_from_counts(
+                counts_a, counts_b, None, obs_a, PauliObservable(0.0, 0.0, scale, 0.0)
             )
+            unit, _ = estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
+            assert estimate == pytest.approx(unit, rel=1e-12)
 
     def test_error_scaling_with_shots(self):
         state = QubitState(BlochVector(0.3, 0.0, 0.5))

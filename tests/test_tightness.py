@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
 from qubitvar.core import OBS_X, OBS_Z, PauliObservable, random_bloch_vectors
-from qubitvar.errors import DegenerateSpectrum, NonFiniteInput, NonPositiveLambda, NonPositiveTime
+from qubitvar.errors import DegenerateSpectrum, InvalidArgument
 from qubitvar.feedback import analytic_bloch
 from qubitvar.tightness import (
     GridAxis,
@@ -160,20 +160,20 @@ class TestClosedFormExpressions:
             assert [closed_form(t) for t in ts] == pytest.approx(pipeline, abs=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(NonPositiveTime):
+        with pytest.raises(InvalidArgument, match="t must be > 0, got 0.0"):
             ti1_analytic_lambda1(0.5, 0.0)
-        with pytest.raises(NonPositiveTime):
+        with pytest.raises(InvalidArgument, match="t must be > 0, got -1.0"):
             ti1_analytic_alpha_pi4(0.5, -1.0)
-        with pytest.raises(NonPositiveLambda):
+        with pytest.raises(InvalidArgument, match="lam must be > 0, got 0.0"):
             ti1_analytic_alpha_pi4(0.0, 1.0)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidArgument, match=r"lam = 1e\+200 overflows the decay rate"):
             ti1_analytic_alpha_pi4(1e200, 1.0)
         # non-finite input is rejected before the domain checks
         for args in ((0.3, math.nan), (math.nan, 1.0), (0.3, math.inf), (0.3, -math.inf)):
-            with pytest.raises(NonFiniteInput):
+            with pytest.raises(InvalidArgument, match="alpha and t must be finite"):
                 ti1_analytic_lambda1(*args)
         for args in ((0.5, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.inf)):
-            with pytest.raises(NonFiniteInput, match="must be finite"):
+            with pytest.raises(InvalidArgument, match="lam and t must be finite"):
                 ti1_analytic_alpha_pi4(*args)
 
 
@@ -196,7 +196,7 @@ class TestGrid:
             GridAxis(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             GridAxis(0.0, 1.0, 0)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvalidArgument, match=r"axis ends must be finite, got \[0.0, inf\]"):
             GridAxis(0.0, math.inf, 10)
 
     def test_grid_validation(self):
