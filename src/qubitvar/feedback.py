@@ -17,14 +17,18 @@ covers the general case and cross-checks the closed form.
 
 generator() writes the equation, linear in y = (px, py, pz, 1), as a real
 4x4 L in closed form over parameter arrays; verify keeps the dense form as
-an oracle.  Each RK4 step is exactly y <- y + D y with D = T4(hL) - I (the
-4th-order Taylor polynomial); L's last row is zero: no renormalisation.
+an oracle.  RK4 on a linear equation with a fixed step h is one constant
+map per parameter set: y <- S y with S = T4(hL) = I + D (the 4th-order
+Taylor polynomial); L's last row is zero: no renormalisation.
 
-evolve() holds the one RK4 loop and steps a stack of parameter sets
+evolve() is the one propagation path and steps a stack of parameter sets
 together by one rule: floor(span/h + 1e-9) steps of h between stored
 times (the rule step_times lays its grid by), then a remainder step if
-more than 1e-12 is left.  A single run takes scalar parameters:
-evolve(alpha, lam, step_times(t_end, h), h).
+more than 1e-12 is left.  The k full steps of an interval are one
+product y <- S^k y, S^k built by repeated squaring and kept for the call,
+so equal counts cost one build; a single step stays y <- y + D y, so a
+run that stores every step takes each step as that sum.  A single run
+takes scalar parameters: evolve(alpha, lam, step_times(t_end, h), h).
 
 Every public function broadcasts (alpha, lam, omega) in front of its own
 axes and checks them once per call by one rule, _parameters.
@@ -32,16 +36,21 @@ axes and checks them once per call by one rule, _parameters.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import _components, _outside_ball
+from .core import _outside_ball
 from .errors import InvalidArgument, PositivityLost
 
 MAX_STEP = 1e-2
 # Steps one trajectory may take: 200 times the default simulate run.
 MAX_STEPS = 10**6
+# Stored rows evolve checks against the Bloch ball at a time: a run that
+# leaves the ball stops within this many intervals, and a run that stores
+# every step pays one check per block, not one per step.
+_CHECK_BLOCK = 128
 
 
 def _parameters(alpha, lam, omega=0.0):
@@ -153,13 +162,24 @@ def _check_steps(t_end: float, h: float) -> None:
         raise InvalidArgument(f"t = {t_end:g} at step {h:g} needs more than {MAX_STEPS} steps")
 
 
-def _increment(gen: np.ndarray, h: float) -> np.ndarray:
-    """T4(hL) - I by Horner, so one RK4 step is y <- y + D @ y."""
-    a = h * gen
-    d = np.eye(4)
+def _increment(gen: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """T4(hL) - I by Horner for each h in steps, shape shape(steps) + gen.shape,
+    so one RK4 step of h is y <- y + D @ y."""
+    eye = np.eye(4)
+    a = np.multiply.outer(steps, gen)
+    d = eye
     for k in (4.0, 3.0, 2.0):
-        d = np.eye(4) + (a / k) @ d
+        d = eye + (a / k) @ d
     return a @ d
+
+
+def _power(powers: dict, k: int) -> np.ndarray:
+    """S^k by repeated squaring from powers, which holds S at 1 and keeps
+    every power built, so a count met again costs nothing."""
+    if k not in powers:
+        half = _power(powers, k // 2)
+        powers[k] = half @ half if k % 2 == 0 else half @ half @ powers[1]
+    return powers[k]
 
 
 def _full_steps(span, h: float):
@@ -194,10 +214,13 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
     All sets start from cos(alpha)|0> + sin(alpha)|1> at t = 0 and step
     together, with full steps of h and a shorter remainder step between
     consecutive sample times (finite, strictly increasing, >= 0), so any
-    grid is hit without interpolation.  Raises PositivityLost at the
-    earliest stored time at which a state lies outside the Bloch ball
-    beyond representation tolerance (an eigenvalue below -1e-6 always
-    does), the sign of an unresolved step.  A step that overflows
+    grid is hit without interpolation.  An interval's k > 1 full steps
+    are applied as one product with the k-th power of the step map.
+    Raises PositivityLost at the earliest stored time at which a state
+    lies outside the Bloch ball beyond representation tolerance (an
+    eigenvalue below -1e-6 always does), the sign of an unresolved step;
+    stored rows are checked every _CHECK_BLOCK intervals, and stepping
+    stops at the first block holding such a row.  A step that overflows
     carries states to inf or NaN, so the warnings on the way are silenced.
     """
     alpha, lam, omega = _parameters(alpha, lam, omega)
@@ -210,29 +233,37 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
         raise InvalidArgument(f"t must be >= 0, got {times[0]}")
     _check_steps(times[-1], h)
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = _generator(lam, omega)
-        full = _increment(gen, h)
         spans = np.diff(times, prepend=0.0)
         counts = _full_steps(spans, h)
         rests = spans - counts * h
+        has_rest = rests > 1e-12
+        increments = _increment(_generator(lam, omega), np.concatenate(([h], rests[has_rest])))
+        full, rest_increments = increments[0], iter(increments[1:])
+        powers = {1: np.eye(4) + full}
         y = np.stack([np.sin(2.0 * alpha), np.zeros_like(alpha), np.cos(2.0 * alpha),
                       np.ones_like(alpha)], axis=-1)[..., None]
-        ys = []
-        for count, rest in zip(counts.astype(int).tolist(), rests.tolist()):
-            while count:
-                y = y + full @ y
-                count -= 1
-            if rest > 1e-12:
-                y = y + _increment(gen, rest) @ y
-            ys.append(y)
-        bloch = np.ascontiguousarray(np.stack(ys, axis=-3)[..., :3, 0])
-        norm_sq, outside = _outside_ball(_components(bloch))
+        intervals = zip(counts.astype(int).tolist(), has_rest.tolist())
+        blocks = []
+        for start in range(0, len(times), _CHECK_BLOCK):
+            ys = []
+            for count, rest in itertools.islice(intervals, _CHECK_BLOCK):
+                if count == 1:
+                    y = y + full @ y
+                elif count:
+                    y = _power(powers, count) @ y
+                if rest:
+                    y = y + next(rest_increments) @ y
+                ys.append(y)
+            blocks.append(np.concatenate(ys, axis=-1)[..., :3, :])  # (..., 3, rows)
+            norm_sq, outside = _outside_ball(np.moveaxis(blocks[-1], -2, 0))
+            if outside.any():
+                break
     if outside.any():
-        outside, norm_sq = outside.reshape(-1, len(times)), norm_sq.reshape(-1, len(times))
-        i = int(np.argmax(outside.any(axis=0)))  # outside is (sets, T): earliest time
+        outside, norm_sq = outside.reshape(-1, len(ys)), norm_sq.reshape(-1, len(ys))
+        i = int(np.argmax(outside.any(axis=0)))  # outside is (sets, rows): earliest row
         k = int(np.argmax(outside[:, i]))
         named = tuple(float(v.flat[k]) for v in (alpha, lam, omega))
         where = f" for (alpha, lam, omega) = {named}" if alpha.size > 1 else ""
         eigenvalue = (1.0 - math.sqrt(norm_sq[k, i])) / 2.0
-        raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[i]:g}{where}")
-    return bloch
+        raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[start + i]:g}{where}")
+    return np.ascontiguousarray(np.concatenate(blocks, axis=-1).swapaxes(-1, -2))

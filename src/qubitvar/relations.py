@@ -251,6 +251,12 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
     leading shape.  entropy_bound is 0 where the eigenbases coincide.
     Raises DegenerateSpectrum when A or B has a degenerate spectrum.
     """
+    return _reports(p, a, b)[0]
+
+
+def _reports(p, a, b) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """reports(p, a, b) and the complementarities its entropy bound is read
+    from, in the shape of the (A, B) rows."""
     p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     var_a, var_b = variances(p, a), variances(p, b)
     product = var_a * var_b
@@ -263,12 +269,12 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
         equality_residual=product - sur - remainder,
         sum_lhs=var_a + var_b, sum_bound=0.5 * variances(p, a + b),
         entropy_sum=measurement_entropies(p, a) + measurement_entropies(p, b),
-        entropy_bound=np.log2(1.0 / complementarities(a, b)),
+        entropy_bound=np.log2(1.0 / (complementarity := complementarities(a, b))),
     )
     for key in ("varA", "varB", "entropy_bound"):  # these lack the axes of rows they do not read
         if fields[key].shape != product.shape:
             fields[key] = np.broadcast_to(fields[key], product.shape)
-    return fields
+    return fields, complementarity
 
 
 def compute_report(

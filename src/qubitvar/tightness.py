@@ -22,7 +22,7 @@ import numpy as np
 from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot
 from .errors import InvalidArgument
 from .feedback import analytic_bloch, evolve
-from .relations import complementarities, reports
+from .relations import _reports
 
 # A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
 # |a + b|^2 for ti3), is treated as vanished and the ratio undefined; so
@@ -129,11 +129,11 @@ def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     relations.reports.  Raises DegenerateSpectrum when A or B has a
     degenerate spectrum (ti2 needs both eigenbases).
     """
-    fields = reports(p, a, b)
+    fields, complementarity = _reports(p, a, b)
     a_t, b_t = _components(a), _components(b)
     ab = a_t + b_t
     eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
-    distinct_bases = complementarities(a, b) < 1.0 - C_ONE_TOL
+    distinct_bases = complementarity < 1.0 - C_ONE_TOL
     return (
         _ratio(fields["product"], eq19, eq19 > BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)),
         _ratio(fields["entropy_sum"], fields["entropy_bound"], distinct_bases),
@@ -156,6 +156,8 @@ def ti1_analytic_lambda1(alpha: float, t: float) -> float:
         raise InvalidArgument(f"alpha and t must be finite, got {alpha}, {t}")
     if t <= 0:
         raise InvalidArgument(f"t must be > 0, got {t}")
+    if not math.isfinite(2 * alpha):
+        raise InvalidArgument(f"alpha = {alpha} overflows the angle 2 alpha")
     cos2a = math.cos(2 * alpha)
     sin2a_sq = math.sin(2 * alpha) ** 2
     w = 3.0 * cos2a - 1.0

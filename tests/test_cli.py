@@ -475,6 +475,20 @@ class TestOneProcess:
         assert run_cli(base, capsys)[0] == 0
         assert json.loads(sidecar.read_text())["grid"]["lambda"]["lo"] == 1.0
 
+    def test_numeric_sweep_repeats_its_bytes(self, tmp_path, capsys):
+        # a numeric sweep run again after a sweep on another grid, whose
+        # intervals take other step counts, writes the same CSV and sidecar
+        out_file = tmp_path / "x.csv"
+        numeric = ["sweep", "--fig3", "--source", "numeric", "--steps", "6", "--t-end", "0.5",
+                   "--output", str(out_file)]
+        other = ["sweep", "--fig2", "--source", "numeric", "--steps", "5", "--t-end", "0.7",
+                 "--output", str(out_file)]
+        runs = []
+        for args in (numeric, other, numeric):
+            assert run_cli(args, capsys)[0] == 0
+            runs.append(_files(out_file))
+        assert runs[0] == runs[2] and runs[0] != runs[1]
+
     def test_help_twice_is_identical(self, capsys):
         for args in (["--help"], ["sweep", "--help"]):
             first = run_cli(args, capsys)

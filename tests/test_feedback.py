@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_rk4_matrices, oracle_state
+from qubitvar import feedback
 from qubitvar.core import density_matrices, mixedness_values
 from qubitvar.errors import InvalidArgument, PositivityLost
 from qubitvar.feedback import (
@@ -262,6 +263,22 @@ class TestIntegrator:
         with pytest.raises(PositivityLost, match=r"t = 0\.001 for .* = \(0\.3, 1\.0, 1e\+300\)"):
             evolve(0.3, 1.0, step_times(0.05, 1e-3), h=1e-3, omega=[0.0, 1e300])
 
+    def test_positivity_lost_stops_stepping(self, monkeypatch):
+        # the first stored row (t = 0.01) is already outside the ball: the run
+        # stops at its first check rather than stepping 1000 intervals on inf/NaN
+        checked = []
+
+        def counting(p):
+            checked.append(p.shape[-1])
+            return outside_ball(p)
+
+        outside_ball = feedback._outside_ball
+        monkeypatch.setattr(feedback, "_outside_ball", counting)
+        times = step_times(10.0, 1e-2)
+        with pytest.raises(PositivityLost, match=r"at t = 0\.01$"):
+            evolve(0.3, 1.0, times, 1e-2, omega=300.0)
+        assert sum(checked) < len(times) // 2
+
     def test_positivity_lost_names_earliest_time_across_sets(self):
         # the first set leaves the ball at t = 0.015, the second already at
         # t = 0.001: the error reports the earlier time and the set it hit
@@ -270,6 +287,10 @@ class TestIntegrator:
             evolve(alpha[0], lam[0], step_times(0.05, 1e-3), h=1e-3, omega=omega[0])
         with pytest.raises(PositivityLost, match=r"t = 0\.001 for .* = \(0\.3, 1\.0, 1450\.0\)"):
             evolve(alpha, lam, step_times(0.05, 1e-3), h=1e-3, omega=omega)
+        # a drive just above the stability limit leaves the ball at t = 0.132,
+        # past the first _CHECK_BLOCK stored rows
+        with pytest.raises(PositivityLost, match=r"t = 0\.132 for .* = \(0\.785.*, 0\.0, 1425\.0\)"):
+            evolve(alpha[::-1], lam[::-1], step_times(2.0, 1e-3), h=1e-3, omega=[1400.0, 1425.0])
 
     def test_non_finite_times_rejected(self):
         for bad in (math.inf, math.nan):
@@ -328,6 +349,28 @@ class TestIntegrator:
             for i, j in np.ndindex(2, 2):
                 assert np.array_equal(grid[i, j], evolve(alpha[i], lam[2 + j], times, h))
 
+    @pytest.mark.parametrize("times, h", [
+        # unequal step counts, remainder intervals and a stored t = 0
+        (np.array([0.0, 0.0137, 0.4, 1.1, 2.37]), 2e-3),
+        # a uniform grid: 60 steps between stored times, no remainders
+        (np.linspace(0.0, 3.0, 51)[1:], 1e-3),
+    ], ids=["uneven", "uniform"])
+    def test_sparse_grid_matches_every_step_run(self, times, h):
+        # an interval's steps applied as one power of the step map agree with
+        # the same steps taken one by one, undriven and driven sets alike
+        alpha, lam, omega = [1.2, 0.0, 0.9, 2.5], [0.4, 0.0, 0.6, 1.0], [0.7, 0.0, 0.0, 0.7]
+        dense, stored = _every_step(times, h)
+        sparse = evolve(alpha, lam, times, h, omega)
+        assert np.abs(sparse - evolve(alpha, lam, dense, h, omega)[:, stored]).max() <= 1e-13
+
+    def test_powers_do_not_outlive_a_call(self):
+        # evolve on G, then on a grid with other step counts, then on G again
+        grid = np.linspace(0.0, 3.0, 51)[1:]
+        first = evolve([0.3, 1.1], [0.5, 1.0], grid, 1e-3, [0.0, 0.7])
+        evolve([0.3, 1.1], [0.5, 1.0], np.linspace(0.0, 3.0, 38)[1:], 1e-3, [0.0, 0.7])
+        again = evolve([0.3, 1.1], [0.5, 1.0], grid, 1e-3, [0.0, 0.7])
+        assert np.array_equal(first, again)
+
     def test_trajectory_stores_bloch_array(self):
         # one run takes scalar parameters: a (T, 3) float array
         times = step_times(0.05, 1e-2)
@@ -343,6 +386,19 @@ class TestIntegrator:
         bloch = evolve(0.7, 0.5, [0.0, 0.1])[0]
         psi = np.array([math.cos(0.7), math.sin(0.7)])
         assert np.abs(density_matrices(bloch) - np.outer(psi, psi)).max() <= 1e-15
+
+
+def _every_step(times, h):
+    """A grid on which evolve stores each step it takes on times, and the
+    indices of times in it: full steps of h, then any remainder step."""
+    dense, stored = [0.0], []
+    for end in times:
+        start = dense[-1]
+        dense.extend(start + j * h for j in range(1, int(math.floor((end - start) / h + 1e-9)) + 1))
+        if end - dense[-1] > 1e-12:
+            dense.append(end)
+        stored.append(len(dense) - 1)
+    return np.array(dense), stored
 
 
 def test_feedback_demo_runs():

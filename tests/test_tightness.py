@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
+from qubitvar import relations
 from qubitvar.core import OBS_X, OBS_Z, PauliObservable, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, InvalidArgument
 from qubitvar.feedback import analytic_bloch
@@ -112,6 +113,20 @@ class TestArrayRatios:
             row = ratios(p[i], a[i], b[i])
             assert all(same_ratio(one, stacked) for one, stacked in zip(row, batch[i]))
 
+    def test_observables_normalised_once_per_use(self, monkeypatch):
+        # the ti2 mask reads the complementarity the entropy bound was built
+        # from: each row is normalised once for its entropies and once for c
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return axes(a)
+
+        axes = relations._axes
+        monkeypatch.setattr(relations, "_axes", counting)
+        ratios(random_bloch_vectors(np.random.default_rng(5), 4), X, Z)
+        assert len(calls) == 4
+
     def test_definedness_is_unit_free(self):
         # a vanishing bound is judged in the bound's own units, so scaling both
         # observables leaves every ratio (and whether it is defined) unchanged
@@ -168,6 +183,8 @@ class TestClosedFormExpressions:
             ti1_analytic_alpha_pi4(0.0, 1.0)
         with pytest.raises(InvalidArgument, match=r"lam = 1e\+200 overflows the decay rate"):
             ti1_analytic_alpha_pi4(1e200, 1.0)
+        with pytest.raises(InvalidArgument, match=r"alpha = 1e\+308 overflows the angle 2 alpha"):
+            ti1_analytic_lambda1(1e308, 1.0)
         # non-finite input is rejected before the domain checks
         for args in ((0.3, math.nan), (math.nan, 1.0), (0.3, math.inf), (0.3, -math.inf)):
             with pytest.raises(InvalidArgument, match="alpha and t must be finite"):
