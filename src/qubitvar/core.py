@@ -229,26 +229,18 @@ def variances(p, a) -> np.ndarray:
     gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
     """
     a = _components(a)
-    mean = _dot(a, _ball_components(p))
-    return np.maximum(_dot(a, a) - mean * mean, 0.0)
+    return _variance(_dot(a, a), _dot(a, _ball_components(p)))
 
 
 def commutator_terms(p, a, b) -> np.ndarray:
     """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
-    a, b, p = _components(a), _components(b), _ball_components(p)
-    triple = (
-        (a[1] * b[2] - a[2] * b[1]) * p[0]
-        + (a[2] * b[0] - a[0] * b[2]) * p[1]
-        + (a[0] * b[1] - a[1] * b[0]) * p[2]
-    )
-    return triple * triple
+    return _commutator_term(_components(a), _components(b), _ball_components(p))
 
 
 def anticommutator_terms(p, a, b) -> np.ndarray:
     """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
     a, b, p = _components(a), _components(b), _ball_components(p)
-    covariance = _dot(a, b) - _dot(a, p) * _dot(b, p)
-    return covariance * covariance
+    return _anticommutator_term(_dot(a, b), _dot(a, p), _dot(b, p))
 
 
 def xi_values(r, s) -> np.ndarray:
@@ -258,7 +250,37 @@ def xi_values(r, s) -> np.ndarray:
 
 def mixedness_values(p) -> np.ndarray:
     """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
-    p = _ball_components(p)
+    return _mixedness(_ball_components(p))
+
+
+# The closed forms behind the moment functions, each written once, on
+# checked component-major arrays or on their projections |a|^2, a.p, a.b.
+# relations builds every field of a report from them after checking its
+# inputs once.
+
+def _variance(aa, ap):
+    """Variance from |a|^2 and a.p, clamped at zero."""
+    return np.maximum(aa - ap * ap, 0.0)
+
+
+def _commutator_term(a, b, p):
+    """((a x b) . p)^2."""
+    triple = (
+        (a[1] * b[2] - a[2] * b[1]) * p[0]
+        + (a[2] * b[0] - a[0] * b[2]) * p[1]
+        + (a[0] * b[1] - a[1] * b[0]) * p[2]
+    )
+    return triple * triple
+
+
+def _anticommutator_term(ab, ap, bp):
+    """Squared covariance (a.b - (a.p)(b.p))^2 from a.b, a.p and b.p."""
+    covariance = ab - ap * bp
+    return covariance * covariance
+
+
+def _mixedness(p):
+    """(1 - |p|^2)/2 of checked Bloch vectors, clamped at zero."""
     return np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0)
 
 

@@ -7,12 +7,18 @@ used as comparison baselines, and a finite-shot pathway that feeds
 empirical moments into the mixedness formula.
 
 Every relation is an array function over the Bloch closed forms of
-core.  reports(p, a, b) is the one relation route: it evaluates every
-side and bound of the relations over stacked (state, A, B) rows, and
-tightness.ratios divides its fields.  compute_report is its one-row
-form; it, estimate_mixedness and the finite-shot pathway are kept for
-the per-object callers (the CLI and the meter).  Nothing here is
-computed through dense matrices.
+core.  Each closed form is written once, as a private helper on checked
+component-major arrays or on their projections (a.p, |a|^2, a.b, the
+triple product); each public one-quantity function is its input check
+plus that helper.  reports(p, a, b) is the one relation route: it
+evaluates every side and bound of the relations over stacked
+(state, A, B) rows, checking the state once and normalising each
+observable once per call, and builds every field from the shared
+projections; tightness.ratios divides its fields.  mixedness_estimates
+likewise checks collinearity, then the state, once each.  compute_report
+is the one-row form of reports; it, estimate_mixedness and the
+finite-shot pathway are kept for the per-object callers (the CLI and the
+meter).  Nothing here is computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PauliObservable, QubitState, _any, _ball_components, _components, _dot, anticommutator_terms,
-    commutator_terms, mixedness_values, symmetrized_products, variances, xi_values
+    PauliObservable, QubitState, _anticommutator_term, _any, _ball_components, _commutator_term,
+    _components, _dot, _mixedness, _variance, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
@@ -65,31 +71,54 @@ class RelationReport:
 # variance-product bounds and the equality
 # ---------------------------------------------------------------------------
 
-def _gram(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram determinant and its scale xi(A,A) xi(B,B) = 16 |a|^2 |b|^2."""
-    xi_ab = xi_values(a, b)
-    scale = xi_values(a, a) * xi_values(b, b)
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|a|^2, |b|^2 and a.b of component-major coefficient rows (one row
+    is its own component-major form)."""
+    return _dot(a, a), _dot(b, b), _dot(a, b)
+
+
+def _gram(aa, bb, ab) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram determinant and its scale xi(A,A) xi(B,B) = 16 |a|^2 |b|^2,
+    from |a|^2, |b|^2 and a.b (xi(R,S) = 4 r.s)."""
+    xi_ab = 4.0 * ab
+    scale = (4.0 * aa) * (4.0 * bb)
     return scale - xi_ab * xi_ab, scale
 
 
 def gram_determinants(a, b) -> np.ndarray:
     """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
-    return _gram(a, b)[0]
+    return _gram(*_pair(_components(a), _components(b)))[0]
 
 
-def _noncollinear_gram(a, b) -> np.ndarray:
+def _noncollinear_gram(aa, bb, ab) -> np.ndarray:
     """The Gram determinant, checked by the one collinearity rule:
     CollinearObservables where it is at most COLLINEAR_TOL |a|^2 |b|^2."""
-    det, scale = _gram(a, b)
+    det, scale = _gram(aa, bb, ab)
     collinear = 16.0 * det <= COLLINEAR_TOL * scale
     if _any(collinear):
         raise CollinearObservables(f"gram determinant = {np.extract(collinear, det)[0]:.3e}")
     return det
 
 
+def _remainder(mixedness, det):
+    """(1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2] from the mixedness and the Gram determinant."""
+    return mixedness * det / 8.0
+
+
 def equality_remainders(p, a, b) -> np.ndarray:
     """Mixedness-weighted remainder (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2]."""
-    return mixedness_values(p) * gram_determinants(a, b) / 8.0
+    mixedness = _mixedness(_ball_components(p))
+    return _remainder(mixedness, gram_determinants(a, b))
+
+
+def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
+    """varA, varB and the commutator and anticommutator terms of checked
+    component-major p, a, b, given _pair(a, b)."""
+    ap, bp = _dot(a, p), _dot(b, p)
+    return (
+        _variance(aa, ap), _variance(bb, bp), _commutator_term(a, b, p),
+        _anticommutator_term(ab, ap, bp),
+    )
 
 
 def _degenerate(norm) -> bool:
@@ -112,16 +141,14 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     return vec / norm, norm
 
 
-def high_outcome_probabilities(p, a) -> np.ndarray:
-    """Probability of the a4 + |a| outcome when A is measured."""
-    axis, _ = _axes(a)
-    overlap = _dot(axis, _ball_components(p))
-    return np.minimum(np.maximum(0.5 * (1.0 + overlap), 0.0), 1.0)
+def _high_probability(axis, p) -> np.ndarray:
+    """Probability of the high outcome along unit axes, for checked component-major p."""
+    return np.minimum(np.maximum(0.5 * (1.0 + _dot(axis, p)), 0.0), 1.0)
 
 
-def measurement_entropies(p, a) -> np.ndarray:
-    """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
-    p_hi = high_outcome_probabilities(p, a)
+def _entropy(axis, p) -> np.ndarray:
+    """Shannon entropy (bits) of the outcomes along unit axes, with 0 log 0 = 0."""
+    p_hi = _high_probability(axis, p)
     total = 0.0
     for prob in (p_hi, 1.0 - p_hi):
         prob = np.where(prob > 0.0, prob, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
@@ -129,11 +156,28 @@ def measurement_entropies(p, a) -> np.ndarray:
     return total
 
 
+def _complementarity(axis_a, axis_b) -> np.ndarray:
+    """(1 + |a_hat . b_hat|)/2 of unit axes."""
+    return 0.5 * (1.0 + np.abs(_dot(axis_a, axis_b)))
+
+
+def high_outcome_probabilities(p, a) -> np.ndarray:
+    """Probability of the a4 + |a| outcome when A is measured."""
+    axis, _ = _axes(a)
+    return _high_probability(axis, _ball_components(p))
+
+
+def measurement_entropies(p, a) -> np.ndarray:
+    """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
+    axis, _ = _axes(a)
+    return _entropy(axis, _ball_components(p))
+
+
 def complementarities(a, b) -> np.ndarray:
     """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
     axis_a, _ = _axes(a)
     axis_b, _ = _axes(b)
-    return 0.5 * (1.0 + np.abs(_dot(axis_a, axis_b)))
+    return _complementarity(axis_a, axis_b)
 
 
 def mixedness_estimates(p, a, b) -> np.ndarray:
@@ -141,13 +185,13 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
 
     8 [varA varB - commutator term - covariance term] divided by the xi
     Gram determinant; equal to the mixedness for every valid input.
+    CollinearObservables is checked before the state.
     """
-    det = _noncollinear_gram(a, b)
-    numerator = (
-        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
-        - anticommutator_terms(p, a, b)
-    )
-    return 8.0 * numerator / det
+    a, b = _components(a), _components(b)
+    aa, bb, ab = _pair(a, b)
+    det = _noncollinear_gram(aa, bb, ab)
+    var_a, var_b, rur, anti = _moment_terms(_ball_components(p), a, b, aa, bb, ab)
+    return 8.0 * (var_a * var_b - rur - anti) / det
 
 
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
@@ -219,7 +263,7 @@ def estimate_mixedness_from_counts(
     otherwise.  Standard errors come from first-order propagation of the
     binomial outcome-frequency variances.
     """
-    det = float(_noncollinear_gram(obs_a.coeffs, obs_b.coeffs))
+    det = float(_noncollinear_gram(*_pair(obs_a.coeffs, obs_b.coeffs)))
     mean_a, var_a, dmean_a, dvar_a, varf_a = _plug_in(obs_a.coeffs, counts_a)
     mean_b, var_b, dmean_b, dvar_b, varf_b = _plug_in(obs_b.coeffs, counts_b)
     c = symmetrized_products(obs_a.coeffs, obs_b.coeffs)
@@ -256,20 +300,30 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
 
 def _reports(p, a, b) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """reports(p, a, b) and the complementarities its entropy bound is read
-    from, in the shape of the (A, B) rows."""
+    from, in the shape of the (A, B) rows.
+
+    p is checked against the Bloch ball once, then each observable is
+    normalised once (DegenerateSpectrum); every field reads the shared
+    projections.
+    """
     p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    var_a, var_b = variances(p, a), variances(p, b)
+    p_c = _ball_components(p)
+    axis_a, _ = _axes(a)
+    axis_b, _ = _axes(b)
+    a_c, b_c, s_c = _components(a), _components(b), _components(a + b)
+    aa, bb, ab = _pair(a_c, b_c)
+    var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)
     product = var_a * var_b
-    rur = commutator_terms(p, a, b)
-    sur = rur + anticommutator_terms(p, a, b)
-    remainder = equality_remainders(p, a, b)
+    sur = rur + anti
+    remainder = _remainder(_mixedness(p_c), _gram(aa, bb, ab)[0])
+    complementarity = _complementarity(axis_a, axis_b)
     fields = dict(
         varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
         eq19_bound=rur + remainder, remainder=remainder,
         equality_residual=product - sur - remainder,
-        sum_lhs=var_a + var_b, sum_bound=0.5 * variances(p, a + b),
-        entropy_sum=measurement_entropies(p, a) + measurement_entropies(p, b),
-        entropy_bound=np.log2(1.0 / (complementarity := complementarities(a, b))),
+        sum_lhs=var_a + var_b, sum_bound=0.5 * _variance(_dot(s_c, s_c), _dot(s_c, p_c)),
+        entropy_sum=_entropy(axis_a, p_c) + _entropy(axis_b, p_c),
+        entropy_bound=np.log2(1.0 / complementarity),
     )
     for key in ("varA", "varB", "entropy_bound"):  # these lack the axes of rows they do not read
         if fields[key].shape != product.shape:

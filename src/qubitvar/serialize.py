@@ -55,5 +55,15 @@ def simulate_csv(columns: list[np.ndarray]) -> str:
 
 
 def report_json(fields: dict) -> str:
-    """Standard JSON only: a NaN or infinite field raises ValueError."""
-    return json.dumps(fields, indent=2, allow_nan=False) + "\n"
+    """A flat object (values are numbers, strings or None) as standard JSON,
+    one field a line: the bytes of json.dumps(fields, indent=2) + "\\n".
+
+    Serialises flat objects only; a nested value would not be indented.
+    A NaN or infinite field raises ValueError.
+    """
+    if not fields:
+        return "{}\n"
+    # without indent, json takes its C encoder; these separators lay the
+    # fields out as indent=2 does for a flat object
+    body = json.dumps(fields, separators=(",\n  ", ": "), allow_nan=False)
+    return "{\n  " + body[1:-1] + "\n}\n"

@@ -303,13 +303,23 @@ def test_criterion_10_fig3_tightness_level():
     )
 
 
-def _cli_bytes(args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "qubitvar", *args], capture_output=True, check=False, env=CLI_ENV
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr == b""
-    return proc.stdout
+def _cli_outputs(*argvs):
+    """Run `python -m qubitvar` on each argv, all processes at once; their stdout.
+
+    Every process must exit 0 with nothing on stderr.
+    """
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "qubitvar", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+        )
+        for args in argvs
+    ]
+    outputs = [proc.communicate() for proc in procs]  # every process ends before a check
+    for proc, (_, stderr) in zip(procs, outputs):
+        assert proc.returncode == 0, stderr.decode()
+        assert stderr == b""
+    return [stdout for stdout, _ in outputs]
 
 
 def test_criterion_11_cli_determinism(tmp_path):
@@ -320,22 +330,17 @@ def test_criterion_11_cli_determinism(tmp_path):
          "--step", "0.005", "--source", "both"],
     ]
     for args in stdout_commands:
-        assert _cli_bytes(args) == _cli_bytes(args), args
-    blobs = []
-    for name in ("first.csv", "second.csv"):
-        out_file = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "qubitvar", "sweep", "--fig2", "--steps", "8",
-             "--seed", "2", "--output", str(out_file)],
-            capture_output=True,
-            check=False,
-            env=CLI_ENV,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stderr == b""
-        blobs.append(
-            (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
-        )
+        first, second = _cli_outputs(args, args)
+        assert first == second, args
+    out_files = [tmp_path / name for name in ("first.csv", "second.csv")]
+    _cli_outputs(*(
+        ["sweep", "--fig2", "--steps", "8", "--seed", "2", "--output", str(out_file)]
+        for out_file in out_files
+    ))
+    blobs = [
+        (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
+        for out_file in out_files
+    ]
     assert blobs[0] == blobs[1]
     payload = json.loads(blobs[0][1].decode())
     assert "violations" in payload

@@ -1,6 +1,7 @@
 """CLI contract: flags, exact headers, exit codes, reproducible bytes."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 from conftest import CLI_ENV
-from qubitvar import cli, verify
+from qubitvar import cli, serialize, verify
 from qubitvar.cli import build_parser, main
 
 REPORT_KEYS = [
@@ -526,6 +527,50 @@ def _files(out_file):
         blobs.append(path.read_bytes() if path.exists() else None)
         path.unlink(missing_ok=True)
     return blobs
+
+
+def indented_json(fields):
+    """The Python encoder's indented form that report_json reproduces."""
+    return json.dumps(fields, indent=2, allow_nan=False) + "\n"
+
+
+class TestReportJson:
+    """report_json writes the bytes of json.dumps(fields, indent=2) for flat objects."""
+
+    def report_fields(self, capsys):
+        assert main(["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "0.4,-1.3,0.2,0.7"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_report_bytes(self, capsys):
+        report = self.report_fields(capsys)
+        collinear = {**report, "mixedness_estimate": None, "reason": "collinear"}
+        for fields in (report, collinear):
+            assert serialize.report_json(fields) == indented_json(fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"shots": 20000, "estimate": 0.2999, "std_error": 0.0041,
+             "true_mixedness": 0.3, "z_score": None},
+            {"shots": 7, "estimate": 0.5, "std_error": 0.0, "true_mixedness": 0.5,
+             "z_score": 0.0},
+            {},
+            {"smallest": 5e-324, "large": 1e308, "negative_zero": -0.0},
+        ],
+        ids=["estimate_null_z", "estimate_int_shots", "empty", "extreme_floats"],
+    )
+    def test_bytes_match_indented_dumps(self, fields):
+        assert serialize.report_json(fields) == indented_json(fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value, capsys, monkeypatch):
+        with pytest.raises(ValueError):
+            serialize.report_json({"varA": 0.1, "mixedness": value})
+        monkeypatch.setattr(cli, "mixedness", lambda state: value)
+        code, out, err = run_cli(["report", "--bloch", "0.3,0.1,-0.2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: result is not finite")
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, observables, oracle_obs, qubit_states
+from qubitvar import core, relations
 from qubitvar.core import (
     BlochVector,
     OBS_I,
@@ -40,6 +41,7 @@ from qubitvar.relations import (
     simulate_shots,
     symmetrized_product,
 )
+from qubitvar.tightness import ratios
 from qubitvar.verify import check_remainder_sign
 
 MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
@@ -461,3 +463,73 @@ class TestReport:
                 PauliObservable(*rows_a[i, j].tolist()), PauliObservable(*rows_b[i, j].tolist()),
             )
             assert row == [(k, v.hex()) for k, v in dataclasses.asdict(report).items()]
+
+
+LAYOUTS = ["single_row", "stack_one_pair", "pairs_one_state"]
+
+
+def layout_triple(rng, layout):
+    """A state, A and B rows: one row each, an (n, T, 3) stack against one
+    pair, or one state against a pair per row."""
+    n, steps = 4, 5
+    p = random_bloch_vectors(rng, n * steps, "mixed")
+    a, b = np.array([1.0, 0.0, 0.3, 0.5]), np.array([-0.2, 0.7, 1.1, -0.4])
+    if layout == "single_row":
+        return p[0], a, b
+    if layout == "stack_one_pair":
+        return p.reshape(n, steps, 3), a, b
+    return p[0], rng.uniform(-2, 2, (n, 4)), rng.uniform(-2, 2, (n, 4))
+
+
+class TestOneCheckPerCall:
+    """reports, mixedness_estimates and ratios check the state once and read
+    every field from shared projections, bit for bit as the one-quantity
+    functions give it."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_state_checked_once(self, rng, layout, monkeypatch):
+        calls = []
+        check = core._ball_components
+
+        def counting(p):
+            calls.append(p)
+            return check(p)
+
+        monkeypatch.setattr(core, "_ball_components", counting)
+        monkeypatch.setattr(relations, "_ball_components", counting)
+        p, a, b = layout_triple(rng, layout)
+        for fn in (reports, mixedness_estimates, ratios):
+            calls.clear()
+            fn(p, a, b)
+            assert len(calls) == 1, fn.__name__
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_fields_match_one_quantity_forms(self, rng, layout):
+        p, a, b = layout_triple(rng, layout)
+        fields = reports(p, a, b)
+        comm, anti = commutator_terms(p, a, b), anticommutator_terms(p, a, b)
+        var_a, var_b = variances(p, a), variances(p, b)
+        expected = {
+            "varA": var_a,
+            "varB": var_b,
+            "rur_bound": comm,
+            "sur_bound": comm + anti,
+            "remainder": equality_remainders(p, a, b),
+            "sum_bound": 0.5 * variances(p, a + b),
+            "entropy_sum": measurement_entropies(p, a) + measurement_entropies(p, b),
+            "entropy_bound": np.log2(1.0 / complementarities(a, b)),
+        }
+        for key, want in expected.items():
+            got = fields[key]
+            assert np.array_equal(got, np.broadcast_to(want, np.shape(got))), key
+        estimate = 8.0 * (var_a * var_b - comm - anti) / gram_determinants(a, b)
+        assert np.array_equal(mixedness_estimates(p, a, b), estimate)
+
+    def test_refusal_order(self):
+        # the collinearity check comes before the state's; the state's
+        # before the spectra's
+        with pytest.raises(CollinearObservables):
+            mixedness_estimates([2, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0])
+        for fn in (reports, ratios):
+            with pytest.raises(InvalidArgument, match="exceeds"):
+                fn([2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0])

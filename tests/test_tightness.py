@@ -114,8 +114,8 @@ class TestArrayRatios:
             assert all(same_ratio(one, stacked) for one, stacked in zip(row, batch[i]))
 
     def test_observables_normalised_once_per_use(self, monkeypatch):
-        # the ti2 mask reads the complementarity the entropy bound was built
-        # from: each row is normalised once for its entropies and once for c
+        # the entropies, the complementarity and the ti2 mask all read one
+        # normalisation of each observable
         calls = []
 
         def counting(a):
@@ -125,7 +125,7 @@ class TestArrayRatios:
         axes = relations._axes
         monkeypatch.setattr(relations, "_axes", counting)
         ratios(random_bloch_vectors(np.random.default_rng(5), 4), X, Z)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_definedness_is_unit_free(self):
         # a vanishing bound is judged in the bound's own units, so scaling both
