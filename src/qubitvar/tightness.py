@@ -130,8 +130,9 @@ def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     degenerate spectrum (ti2 needs both eigenbases).
     """
     fields, complementarity = _reports(p, a, b)
-    a_t, b_t = _components(a), _components(b)
-    ab = a_t + b_t
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # a + b is formed on rows, which broadcast as reports' rows do
+    a_t, b_t, ab = _components(a), _components(b), _components(a + b)
     eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
     distinct_bases = complementarity < 1.0 - C_ONE_TOL
     return (

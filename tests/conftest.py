@@ -7,6 +7,8 @@ is verify's oracle, the one copy in the repository.
 
 import math
 import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -29,6 +31,32 @@ CLI_ENV = dict(
     ),
     PYTHONWARNINGS="error::RuntimeWarning",
 )
+
+
+def cli_processes(*argvs):
+    """Start `python -m qubitvar` on each argv, all at once, under CLI_ENV;
+    capture stdout and stderr."""
+    return [
+        subprocess.Popen(
+            [sys.executable, "-m", "qubitvar", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+        )
+        for args in argvs
+    ]
+
+
+def cli_outputs(*argvs):
+    """Run `python -m qubitvar` on each argv, all processes at once; their stdout.
+
+    Every process must exit 0 with nothing on stderr.
+    """
+    procs = cli_processes(*argvs)
+    outputs = [proc.communicate() for proc in procs]  # every process ends before a check
+    for proc, (_, stderr) in zip(procs, outputs):
+        assert proc.returncode == 0, stderr.decode()
+        assert stderr == b""
+    return [stdout for stdout, _ in outputs]
+
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -9,14 +9,12 @@ closed forms.
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from conftest import CLI_ENV
+from conftest import cli_outputs
 from qubitvar.core import (
     BlochVector,
     OBS_X,
@@ -303,25 +301,6 @@ def test_criterion_10_fig3_tightness_level():
     )
 
 
-def _cli_outputs(*argvs):
-    """Run `python -m qubitvar` on each argv, all processes at once; their stdout.
-
-    Every process must exit 0 with nothing on stderr.
-    """
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "qubitvar", *args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
-        )
-        for args in argvs
-    ]
-    outputs = [proc.communicate() for proc in procs]  # every process ends before a check
-    for proc, (_, stderr) in zip(procs, outputs):
-        assert proc.returncode == 0, stderr.decode()
-        assert stderr == b""
-    return [stdout for stdout, _ in outputs]
-
-
 def test_criterion_11_cli_determinism(tmp_path):
     stdout_commands = [
         ["report", "--bloch", "0.3,0.1,-0.2", "--seed", "5"],
@@ -330,10 +309,10 @@ def test_criterion_11_cli_determinism(tmp_path):
          "--step", "0.005", "--source", "both"],
     ]
     for args in stdout_commands:
-        first, second = _cli_outputs(args, args)
+        first, second = cli_outputs(args, args)
         assert first == second, args
     out_files = [tmp_path / name for name in ("first.csv", "second.csv")]
-    _cli_outputs(*(
+    cli_outputs(*(
         ["sweep", "--fig2", "--steps", "8", "--seed", "2", "--output", str(out_file)]
         for out_file in out_files
     ))

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from conftest import CLI_ENV
+from conftest import CLI_ENV, cli_outputs, cli_processes
 from qubitvar import cli, serialize, verify
 from qubitvar.cli import build_parser, main
+from qubitvar.tightness import fig2_grid, sweep
 
 REPORT_KEYS = [
     "varA",
@@ -505,17 +507,22 @@ class TestOneProcess:
             ["estimate", "--bloch", "0.2,0,0.4", "--shots", "20000", "--seed", "7"],
             ["estimate", "--bloch", "0,0,0", "--shots", "0"],  # a refused input
         ]
-        in_process, fresh = [], []
+        # the fresh processes start together, each with its own output path,
+        # and run while this process runs the sequence
+        fresh_files = [tmp_path / f"fresh{i}.csv" for i in range(len(sequence))]
+        procs = cli_processes(
+            *([a.format(out=out_file) for a in args] for args, out_file in zip(sequence, fresh_files))
+        )
+        in_process = []
+        out_file = tmp_path / "in_process.csv"
         for args in sequence:
-            out_file = tmp_path / "in_process.csv"
             result = run_cli([a.format(out=out_file) for a in args], capsys)
             in_process.append((*result, *_files(out_file)))
-            out_file = tmp_path / "fresh.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "qubitvar", *(a.format(out=out_file) for a in args)],
-                capture_output=True, text=True, env=CLI_ENV,
-            )
-            fresh.append((proc.returncode, proc.stdout, proc.stderr, *_files(out_file)))
+        outputs = [proc.communicate() for proc in procs]  # every process ends before a check
+        fresh = [
+            (proc.returncode, stdout.decode(), stderr.decode(), *_files(out_file))
+            for proc, (stdout, stderr), out_file in zip(procs, outputs, fresh_files)
+        ]
         assert [r[0] for r in in_process] == [0, 2, 0, 0, 0, 2]
         assert in_process == fresh
 
@@ -573,48 +580,103 @@ class TestReportJson:
         assert err.startswith("error: result is not finite")
 
 
-class TestDeterminism:
-    """Fixed seed + fixed flags must give byte-identical output."""
+def per_cell_csv(table):
+    """The per-cell rule that sweep_csv reproduces: repr of each cell, empty for NaN."""
+    lines = [serialize.SWEEP_HEADER]
+    lines += [",".join("" if v != v else repr(v) for v in row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
-    def run_bytes(self, args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qubitvar", *args],
-            capture_output=True,
-            check=False,
-            env=CLI_ENV,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stderr == b""
-        return proc.stdout
+
+nan, inf = math.nan, math.inf
+
+
+class TestSweepCsv:
+    """sweep_csv formats each distinct coordinate value once and writes the
+    per-cell rule's bytes."""
+
+    def test_paper_size_fig2(self):
+        table = sweep(fig2_grid())
+        assert serialize.sweep_csv(table) == per_cell_csv(table)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, -0.0, 0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+             [0.0, 0.0, -0.0, -0.0, 0.0, 0.0]],
+            [[nan, 1.0, nan, nan, 0.5, nan], [0.1, nan, 0.1, 1.5, nan, 2.0],
+             [-nan, 1.0, 0.2, -nan, nan, 2.0]],
+            [[inf, -inf, 1.0, inf, -inf, nan], [-inf, inf, inf, 1.0, inf, -inf]],
+            [[5e-324, -5e-324, 5e-324, 5e-324, -5e-324, 1e308],
+             [5e-324, 0.0, -0.0, 5e-324, 5e-324, -1e308]],
+        ],
+        ids=["signed_zeros", "nan_everywhere", "infinities", "subnormal"],
+    )
+    def test_bytes_match_per_cell_rule(self, rows):
+        table = np.array(rows)
+        assert serialize.sweep_csv(table) == per_cell_csv(table)
+
+    def test_non_contiguous_slice(self):
+        table = np.repeat(sweep(fig2_grid(6)), 2, axis=1)[::3, ::2]
+        assert table.shape == (12, 6) and not table.flags.c_contiguous
+        assert serialize.sweep_csv(table) == per_cell_csv(table)
+
+    def test_empty_table(self):
+        table = np.empty((0, 6))
+        assert serialize.sweep_csv(table) == per_cell_csv(table) == serialize.SWEEP_HEADER + "\n"
+
+    def test_coordinates_formatted_once_per_distinct_value(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(serialize, "repr", counting, raising=False)
+        table = sweep(fig2_grid(12))
+        text = serialize.sweep_csv(table)
+        monkeypatch.undo()
+        assert text == per_cell_csv(table)
+        # 12 alphas, one lambda and 12 times, then every ratio cell
+        assert len(calls) == 12 + 1 + 12 + 3 * 144
+
+    def test_no_state_between_calls(self):
+        # the tables share coordinates, and -0.0 in one sits where the other
+        # holds 0.0; either order of calls gives each table's own bytes
+        first = np.array([[0.0, 1.0, 0.5, 0.0, nan, 2.0], [0.25, 1.0, 0.5, 1.5, 1.5, 2.0]])
+        second = first * np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+        texts = [serialize.sweep_csv(first), serialize.sweep_csv(second)]
+        assert texts == [per_cell_csv(first), per_cell_csv(second)] and texts[0] != texts[1]
+        assert [serialize.sweep_csv(second), serialize.sweep_csv(first)] == texts[::-1]
+
+
+class TestDeterminism:
+    """Fixed seed + fixed flags must give byte-identical output; the two
+    processes of each comparison start together."""
 
     def test_report_bytes_stable(self):
         args = ["report", "--bloch", "0.3,0.1,-0.2"]
-        assert self.run_bytes(args) == self.run_bytes(args)
+        first, second = cli_outputs(args, args)
+        assert first == second
 
     def test_estimate_bytes_stable(self):
         args = ["estimate", "--bloch", "0.2,0,0.4", "--shots", "20000", "--seed", "7"]
-        assert self.run_bytes(args) == self.run_bytes(args)
+        first, second = cli_outputs(args, args)
+        assert first == second
 
     def test_simulate_bytes_stable(self):
         args = ["simulate", "--alpha", "0.6", "--lambda", "0.8", "--t-end", "0.05",
                 "--step", "0.005", "--source", "both"]
-        assert self.run_bytes(args) == self.run_bytes(args)
+        first, second = cli_outputs(args, args)
+        assert first == second
 
     def test_sweep_files_stable(self, tmp_path):
-        blobs = []
-        for name in ("a.csv", "b.csv"):
-            out_file = tmp_path / name
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "qubitvar", "sweep", "--fig3",
-                    "--steps", "6", "--seed", "3", "--output", str(out_file),
-                ],
-                capture_output=True,
-                check=False,
-                env=CLI_ENV,
-            )
-            assert proc.returncode == 0, proc.stderr.decode()
-            assert proc.stderr == b""
-            sidecar = out_file.with_suffix(".meta.json")
-            blobs.append((out_file.read_bytes(), sidecar.read_bytes()))
+        out_files = [tmp_path / name for name in ("a.csv", "b.csv")]
+        cli_outputs(*(
+            ["sweep", "--fig3", "--steps", "6", "--seed", "3", "--output", str(out_file)]
+            for out_file in out_files
+        ))
+        blobs = [
+            (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
+            for out_file in out_files
+        ]
         assert blobs[0] == blobs[1]

@@ -113,6 +113,17 @@ class TestArrayRatios:
             row = ratios(p[i], a[i], b[i])
             assert all(same_ratio(one, stacked) for one, stacked in zip(row, batch[i]))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_a_row_against_b_rows(self, n):
+        # the ti3 floor reads |a + b|^2 of each row's own pair; with 4 rows a
+        # component-major sum would pair the wrong components
+        p = np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 0.5], [0.1, 0.6, 0.2], [-0.4, 0.2, 0.1]])[:n]
+        b = np.array([Z, -X + 1e-7 * Y, 2 * Z, Z + I])[:n]
+        batch = np.array(ratios(p, X, b))
+        rows = np.array([ratios(p[i], X, b[i]) for i in range(n)]).T
+        assert np.array_equal(batch, rows, equal_nan=True)
+        assert batch[2, 1] > 1e14
+
     def test_observables_normalised_once_per_use(self, monkeypatch):
         # the entropies, the complementarity and the ti2 mask all read one
         # normalisation of each observable
