@@ -52,6 +52,10 @@ COMMANDS = {
                                 "--obs-b", "-0.2,0.7,1.1,-0.4", "--shots", "50000",
                                 "--seed", "4"],
     "estimate_pure": ["estimate", "--bloch", "0,0,1", "--shots", "10"],
+    # coefficients whose (AB + BA)/2 is beyond what an observable accepts
+    "estimate_large_coefficients": ["estimate", "--bloch", "0.2,0.1,0.3",
+                                    "--obs-a", "1e50,0,0,1e50", "--obs-b", "0,0,1e50,1e50",
+                                    "--shots", "1000"],
     # collinear observables: exit 1
     "estimate_collinear": ["estimate", "--bloch", "0,0,0", "--obs-b", "2,0,0,1"],
     "verify": ["verify"],

@@ -30,6 +30,8 @@ from .relations import (
     compute_report,
     estimate_mixedness,
     estimate_mixedness_from_counts,
+    mixedness_estimates_from_counts,
+    shot_counts,
     simulate_shots,
 )
 from .tightness import SweepGrid, sweep
@@ -52,8 +54,10 @@ __all__ = [
     "evolve",
     "matrix_to_bloch",
     "mixedness",
+    "mixedness_estimates_from_counts",
     "mixedness_general",
     "random_density_matrix",
+    "shot_counts",
     "simulate_shots",
     "steady_state",
     "step_times",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import feedback, relations, serialize, tightness
 from .core import (
-    BlochVector, PauliObservable, QubitState, mixedness, mixedness_values
+    BlochVector, PauliObservable, QubitState, mixedness, mixedness_values, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
 
@@ -166,21 +166,25 @@ def cmd_estimate(args) -> int:
     obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
     if args.shots < 1:
         raise InvalidArgument("--shots must be >= 1")
+    p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
     try:
         # derived seeds: one measurement task index per observable
-        counts_a = relations.simulate_shots(state, obs_a, args.shots, [args.seed, 0])
-        counts_b = relations.simulate_shots(state, obs_b, args.shots, [args.seed, 1])
-        obs_c = relations.symmetrized_product(obs_a, obs_b)
+        counts_a = relations.shot_counts(p, a, args.shots, [[args.seed, 0]])
+        counts_b = relations.shot_counts(p, b, args.shots, [[args.seed, 1]])
+        # C = (AB + BA)/2 stays a coefficient row: its entries are products
+        # of A's and B's, which may exceed what an observable accepts
+        c = symmetrized_products(a, b)
         try:
-            counts_c = relations.simulate_shots(state, obs_c, args.shots, [args.seed, 2])
+            counts_c = relations.shot_counts(p, c, args.shots, [[args.seed, 2]])
         except DegenerateSpectrum:  # C is proportional to I: its moment needs no shots
             counts_c = None
-        estimate, std_error = relations.estimate_mixedness_from_counts(
-            counts_a, counts_b, counts_c, obs_a, obs_b
+        estimates, std_errors = relations.mixedness_estimates_from_counts(
+            counts_a, counts_b, counts_c, a, b
         )
     except CollinearObservables as exc:
         sys.stderr.write(f"collinear observables: {exc}\n")
         return EXIT_FAILURE
+    estimate, std_error = float(estimates[0]), float(std_errors[0])
     true_mixedness = mixedness(state)
     difference = estimate - true_mixedness
     if std_error > 0.0:

@@ -109,15 +109,26 @@ def _require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
 
 
 def _require_state(matrix: np.ndarray) -> None:
-    """Unit trace and eigenvalues >= -1e-10 for every matrix of a Hermitian stack."""
+    """Unit trace and eigenvalues >= -1e-10 for every matrix of a Hermitian stack.
+
+    rho + 1e-10 I has a Cholesky factor exactly when every eigenvalue of
+    rho exceeds -1e-10, up to rounding, and factoring costs a fraction of
+    eigvalsh.  So eigvalsh runs only on a stack that fails to factor: it
+    decides at the floor and names the first offending matrix.
+    """
     tr = np.trace(matrix, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_TOL
     if _any(off):
         raise InvalidArgument(f"trace = {np.extract(off, tr)[0]:.15g}")
-    eigmin = np.linalg.eigvalsh(matrix)[..., 0]
-    negative = eigmin < -POSITIVITY_TOL
-    if _any(negative):
-        raise InvalidArgument(f"min eigenvalue = {np.extract(negative, eigmin)[0]:.3e}")
+    try:
+        np.linalg.cholesky(matrix + POSITIVITY_TOL * np.eye(matrix.shape[-1]))
+    except np.linalg.LinAlgError:
+        eigmin = np.linalg.eigvalsh(matrix)[..., 0]
+        negative = eigmin < -POSITIVITY_TOL
+        if _any(negative):
+            raise InvalidArgument(
+                f"min eigenvalue = {np.extract(negative, eigmin)[0]:.3e}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +295,17 @@ def _mixedness(p):
     return np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0)
 
 
+def _symmetrized(a, b, ab) -> list:
+    """Components of (AB + BA)/2, (a4 b + b4 a, a.b + a4 b4), from
+    component-major a, b and a.b."""
+    return [a[3] * b[k] + b[3] * a[k] for k in range(3)] + [ab + a[3] * b[3]]
+
+
 def symmetrized_products(a, b) -> np.ndarray:
     """Coefficients of (AB + BA)/2: (a4 b + b4 a, a.b + a4 b4)."""
     a, b = _components(a), _components(b)
     # back to rows by one transpose: np.stack(..., axis=-1) costs microseconds more a call
-    c = np.array([a[3] * b[k] + b[3] * a[k] for k in range(3)] + [_dot(a, b) + a[3] * b[3]])
+    c = np.array(_symmetrized(a, b, _dot(a, b)))
     return c.T if c.ndim <= 2 else c.transpose((*range(1, c.ndim), 0))
 
 

@@ -15,10 +15,14 @@ evaluates every side and bound of the relations over stacked
 (state, A, B) rows, checking the state once and normalising each
 observable once per call, and builds every field from the shared
 projections; tightness.ratios divides its fields.  mixedness_estimates
-likewise checks collinearity, then the state, once each.  compute_report
-is the one-row form of reports; it, estimate_mixedness and the
-finite-shot pathway are kept for the per-object callers (the CLI and the
-meter).  Nothing here is computed through dense matrices.
+likewise checks collinearity, then the state, once each.  The
+finite-shot pathway is stacked as well: shot_counts draws one row of
+(high, low) counts per seed, and mixedness_estimates_from_counts reads
+estimates and standard errors off count arrays.  compute_report is the
+one-row form of reports, kept with estimate_mixedness for the
+per-object callers (the CLI and the meter); simulate_shots and
+estimate_mixedness_from_counts are the finite-shot one-row forms, kept
+only for the meter.  Nothing here is computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .core import (
     PauliObservable, QubitState, _anticommutator_term, _any, _ball_components, _commutator_term,
-    _components, _dot, _mixedness, _variance, symmetrized_products
+    _components, _dot, _mixedness, _symmetrized, _variance, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
@@ -121,20 +125,20 @@ def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
     )
 
 
-def _degenerate(norm) -> bool:
-    """The one degeneracy rule: some eigenvalue gap 2|a| <= SPECTRUM_GAP_TOL,
-    i.e. some A is proportional to I."""
-    return _any(2.0 * norm <= SPECTRUM_GAP_TOL)
+def _gap_closed(norm):
+    """The one degeneracy rule, per row: the eigenvalue gap 2|a| is at most
+    SPECTRUM_GAP_TOL, i.e. A is proportional to I."""
+    return 2.0 * norm <= SPECTRUM_GAP_TOL
 
 
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     """Unit Bloch axes (component-major) and |a|.
 
-    DegenerateSpectrum, before any other work, when _degenerate(|a|).
+    DegenerateSpectrum, before any other work, when some row's gap is closed.
     """
     vec = _components(a)[:3]
     norm = np.sqrt(_dot(vec, vec))
-    if _degenerate(norm):
+    if _any(_gap_closed(norm)):
         raise DegenerateSpectrum(
             f"degenerate observable spectrum: eigenvalue gap 2|a| = {2 * np.min(norm):.3e}"
         )
@@ -207,53 +211,131 @@ def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> Pauli
     return PauliObservable(*symmetrized_products(obs_a.coeffs, obs_b.coeffs).tolist())
 
 
-def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> tuple[int, int]:
-    """Counts (high, low) of the a4 + |a| and a4 - |a| outcomes in i.i.d.
-    projective measurements; deterministic for a fixed seed."""
+def _generator(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), in the same state.
+
+    An int seed, or a list or tuple of ints, each in [0, 2**32), is its
+    own list of uint32 entropy words, so the SeedSequence is built from
+    them directly: default_rng coerces each int in Python, most of the
+    cost of a generator.  Any other seed goes to default_rng as it is,
+    which accepts or refuses it as always.
+    """
+    words = [seed] if type(seed) is int else seed
+    if type(words) in (list, tuple) and all(type(w) is int and 0 <= w < 2**32 for w in words):
+        seed = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(seed)
+
+
+def _require_shots(shots: int) -> None:
+    """InvalidArgument unless 1 <= shots <= MAX_SHOTS."""
     if shots < 1:
         raise InvalidArgument("shots must be >= 1")
     if shots > MAX_SHOTS:
         raise InvalidArgument(f"{shots} shots are more than {MAX_SHOTS}")
+
+
+def shot_counts(p, a, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (high, low) of the a4 + |a| and a4 - |a| outcomes in `shots`
+    i.i.d. projective measurements, one row per seed.
+
+    Row i is drawn from np.random.default_rng(seeds[i]).  One (state, A)
+    row serves every seed; a stack of them has one row per seed.  Their
+    outcome probabilities come from one call.  Deterministic for fixed
+    seeds.
+    """
+    _require_shots(shots)
+    p_hi = high_outcome_probabilities(p, a)
+    if p_hi.shape not in ((), (len(seeds),)):
+        raise InvalidArgument(f"(state, A) rows of shape {p_hi.shape} for {len(seeds)} seeds")
+    probs = p_hi.tolist() if p_hi.ndim else [float(p_hi)] * len(seeds)
+    draws = [_generator(seed).binomial(shots, q) for seed, q in zip(seeds, probs)]
+    high = np.array(draws, dtype=np.int64)
+    return high, shots - high
+
+
+def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> tuple[int, int]:
+    """shot_counts for one (state, A) row and one seed, as ints.
+
+    Kept for the meter, which reads one triple at a time; it draws as
+    shot_counts does without building arrays.
+    """
+    _require_shots(shots)
     p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
-    n_hi = int(np.random.default_rng(seed).binomial(shots, p_hi))
+    n_hi = int(_generator(seed).binomial(shots, p_hi))
     return n_hi, shots - n_hi
 
 
-def _plug_in(coeffs, counts) -> tuple[float, float, float, float, float]:
-    """Plug-in moments of one measured setting with spectrum a4 +- |a|.
+def _frequencies(counts):
+    """High-outcome frequencies and shot totals of (high, low) counts or count arrays.
 
-    (mean, var, d mean/df, d var/df, Var f) for the empirical frequency f
-    of the high outcome.  The variance is exact given f: a two-outcome
-    observable's square is determined by its spectrum.  A degenerate
-    setting (a = 0) reads its exact moment a4 with zero variance.
+    InvalidArgument, naming the first offending row's counts, where a
+    count is negative or a total is zero.
     """
+    n_hi, n_lo = counts = np.asarray(counts)
+    shots = n_hi + n_lo
+    bad = (n_hi < 0) | (n_lo < 0) | (shots == 0)
+    if _any(bad):
+        raise InvalidArgument(
+            "counts must be non-negative with a positive total, "
+            f"got ({np.extract(bad, n_hi)[0]}, {np.extract(bad, n_lo)[0]})"
+        )
+    return n_hi / shots, shots
+
+
+def _frequency(counts) -> tuple[float, int]:
+    """_frequencies for one (high, low) pair of ints, in Python numbers."""
     n_hi, n_lo = counts
     shots = n_hi + n_lo
     if n_hi < 0 or n_lo < 0 or shots == 0:
         raise InvalidArgument(f"counts must be non-negative with a positive total, got {counts}")
-    a1, a2, a3, a4 = coeffs.tolist()
-    norm = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    hi, lo = a4 + norm, a4 - norm
-    f = n_hi / shots
+    return n_hi / shots, shots
+
+
+def _moments(norm, offset, f, shots) -> tuple:
+    """Plug-in moments of measured settings with spectra offset +- norm.
+
+    (mean, var, d mean/df, d var/df, Var f) for the empirical frequency f
+    of the high outcome in `shots` measurements.  The variance is exact
+    given f: a two-outcome observable's square is determined by its
+    spectrum.  A degenerate setting (norm = 0) reads its exact moment,
+    the offset, with zero variance.
+    """
+    hi, lo = offset + norm, offset - norm
     mean = hi * f + lo * (1.0 - f)
-    var = hi**2 * f + lo**2 * (1.0 - f) - mean**2
+    var = hi * hi * f + lo * lo * (1.0 - f) - mean * mean
     gap = hi - lo
-    return mean, var, gap, (hi**2 - lo**2) - 2.0 * mean * gap, f * (1.0 - f) / shots
+    return mean, var, gap, (hi * hi - lo * lo) - 2.0 * mean * gap, f * (1.0 - f) / shots
 
 
-def estimate_mixedness_from_counts(
-    counts_a: tuple[int, int],
-    counts_b: tuple[int, int],
-    counts_c: tuple[int, int] | None,
-    obs_a: PauliObservable,
-    obs_b: PauliObservable,
-) -> tuple[float, float]:
-    """Mixedness estimate and delta-method standard error from (high, low) counts.
+def _delta_method(det, setting_a, setting_b, setting_c) -> tuple:
+    """Mixedness estimate and its squared standard error from the Gram
+    determinant and the _moments of A, B and C."""
+    mean_a, var_a, dmean_a, dvar_a, varf_a = setting_a
+    mean_b, var_b, dmean_b, dvar_b, varf_b = setting_b
+    mean_c, _, dmean_c, _, varf_c = setting_c
+    covariance = mean_c - mean_a * mean_b
+    estimate = 8.0 * (var_a * var_b - covariance * covariance) / det
+    d_est_a = 8.0 * (dvar_a * var_b + 2.0 * covariance * dmean_a * mean_b) / det
+    d_est_b = 8.0 * (dvar_b * var_a + 2.0 * covariance * dmean_b * mean_a) / det
+    d_est_c = -16.0 * covariance * dmean_c / det
+    se_sq = d_est_a * d_est_a * varf_a + d_est_b * d_est_b * varf_b + d_est_c * d_est_c * varf_c
+    return estimate, se_sq
+
+
+_OMITTED_C = "counts_c may be omitted only when (AB+BA)/2 is proportional to I"
+
+
+def mixedness_estimates_from_counts(
+    counts_a, counts_b, counts_c, a, b
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mixedness estimates and delta-method standard errors from (high, low) counts.
 
     counts_a and counts_b come from measuring A and B; counts_c from
     C = (AB + BA)/2, whose mean gives the anticommutator moment.  When C
     is proportional to the identity (e.g. A = sx, B = sz) its moment is
     the exact scalar c4 and no shots are needed: pass counts_c = None.
+    Each counts argument is a (high, low) pair of counts or of count
+    arrays, as shot_counts returns; they broadcast with the A, B rows.
 
     The commutator moment |<[A,B]>/(2i)|^2 lives on the Bloch axis
     a x b, which none of the three measurements touches, so this pathway
@@ -263,23 +345,49 @@ def estimate_mixedness_from_counts(
     otherwise.  Standard errors come from first-order propagation of the
     binomial outcome-frequency variances.
     """
-    det = float(_noncollinear_gram(*_pair(obs_a.coeffs, obs_b.coeffs)))
-    mean_a, var_a, dmean_a, dvar_a, varf_a = _plug_in(obs_a.coeffs, counts_a)
-    mean_b, var_b, dmean_b, dvar_b, varf_b = _plug_in(obs_b.coeffs, counts_b)
-    c = symmetrized_products(obs_a.coeffs, obs_b.coeffs)
+    a, b = _components(a), _components(b)
+    aa, bb, ab = _pair(a, b)
+    det = _noncollinear_gram(aa, bb, ab)
+    setting_a = _moments(np.sqrt(aa), a[3], *_frequencies(counts_a))
+    setting_b = _moments(np.sqrt(bb), b[3], *_frequencies(counts_b))
+    c = _symmetrized(a, b, ab)
+    norm_c = np.sqrt(_dot(c, c))
     if counts_c is not None:
-        mean_c, _, dmean_c, _, varf_c = _plug_in(c, counts_c)
-    elif _degenerate(np.sqrt(_dot(c, c))):
-        mean_c, dmean_c, varf_c = float(c[3]), 0.0, 0.0  # C = c4 I: its moment is exact
+        setting_c = _moments(norm_c, c[3], *_frequencies(counts_c))
+    elif _gap_closed(norm_c).all():
+        setting_c = (c[3], 0.0, 0.0, 0.0, 0.0)  # C = c4 I: its moment is exact
     else:
-        raise InvalidArgument("counts_c may be omitted only when (AB+BA)/2 is proportional to I")
+        raise InvalidArgument(_OMITTED_C)
+    estimate, se_sq = _delta_method(det, setting_a, setting_b, setting_c)
+    return estimate, np.sqrt(se_sq)
 
-    covariance = mean_c - mean_a * mean_b
-    estimate = 8.0 * (var_a * var_b - covariance**2) / det
-    d_est_a = 8.0 * (dvar_a * var_b + 2.0 * covariance * dmean_a * mean_b) / det
-    d_est_b = 8.0 * (dvar_b * var_a + 2.0 * covariance * dmean_b * mean_a) / det
-    d_est_c = -16.0 * covariance * dmean_c / det
-    se_sq = d_est_a**2 * varf_a + d_est_b**2 * varf_b + d_est_c**2 * varf_c
+
+def estimate_mixedness_from_counts(
+    counts_a: tuple[int, int],
+    counts_b: tuple[int, int],
+    counts_c: tuple[int, int] | None,
+    obs_a: PauliObservable,
+    obs_b: PauliObservable,
+) -> tuple[float, float]:
+    """mixedness_estimates_from_counts for one (A, B) pair of objects.
+
+    Kept for the meter, which reads one triple at a time.  The same
+    _moments and _delta_method run here on Python floats, which cost a
+    fraction of numpy scalars per operation and give the same bits.
+    """
+    det = float(_noncollinear_gram(*_pair(obs_a.coeffs, obs_b.coeffs)))
+    a, b = obs_a.coeffs.tolist(), obs_b.coeffs.tolist()
+    setting_a = _moments(math.sqrt(_dot(a, a)), a[3], *_frequency(counts_a))
+    setting_b = _moments(math.sqrt(_dot(b, b)), b[3], *_frequency(counts_b))
+    c = _symmetrized(a, b, _dot(a, b))
+    norm_c = math.sqrt(_dot(c, c))
+    if counts_c is not None:
+        setting_c = _moments(norm_c, c[3], *_frequency(counts_c))
+    elif _gap_closed(norm_c):
+        setting_c = (c[3], 0.0, 0.0, 0.0, 0.0)
+    else:
+        raise InvalidArgument(_OMITTED_C)
+    estimate, se_sq = _delta_method(det, setting_a, setting_b, setting_c)
     return estimate, math.sqrt(se_sq)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import feedback, relations, tightness
 from .core import (
-    _PAULI_BASIS, BlochVector, OBS_X, OBS_Z, PAULI_X, QubitState, anticommutator_terms,
+    _PAULI_BASIS, OBS_X, OBS_Z, PAULI_X, anticommutator_terms,
     commutator_terms, decompose_observable, density_matrices, matrix_to_bloch,
     mixedness_general, mixedness_values, random_bloch_vectors, variances, xi_values
 )
@@ -315,16 +315,17 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
     seeds = max(5, min(samples, 50))
     # generic in-plane state: at the maximally mixed point the first-order
     # delta-method term vanishes and the error scales as 1/shots instead
-    state = QubitState(BlochVector(0.3, 0.0, 0.5))
+    p = np.array([0.3, 0.0, 0.5])
     ses = {}
     for shots in (10_000, 1_000_000):
-        values = []
-        for k in range(seeds):
-            counts_a = relations.simulate_shots(state, OBS_X, shots, [seed, 14, shots, k, 0])
-            counts_b = relations.simulate_shots(state, OBS_Z, shots, [seed, 14, shots, k, 1])
-            _, se = relations.estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
-            values.append(se)
-        ses[shots] = float(np.mean(values))
+        counts_a, counts_b = (
+            relations.shot_counts(p, rows, shots, [[seed, 14, shots, k, j] for k in range(seeds)])
+            for j, rows in enumerate((OBS_X.coeffs, OBS_Z.coeffs))
+        )
+        _, se = relations.mixedness_estimates_from_counts(
+            counts_a, counts_b, None, OBS_X.coeffs, OBS_Z.coeffs
+        )
+        ses[shots] = float(np.mean(se))
     return ses[10_000] / ses[1_000_000], seeds
 
 

@@ -1,10 +1,13 @@
 """CLI contract: flags, exact headers, exit codes, reproducible bytes."""
 
+import dataclasses
 import json
 import math
+import runpy
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ import pytest
 from conftest import CLI_ENV, cli_outputs, cli_processes
 from qubitvar import cli, serialize, verify
 from qubitvar.cli import build_parser, main
-from qubitvar.tightness import fig2_grid, sweep
+from qubitvar.core import PauliObservable
+from qubitvar.tightness import GridAxis, SweepGrid, fig2_grid, sweep
 
 REPORT_KEYS = [
     "varA",
@@ -386,6 +390,18 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert err.count("error:") == 1 and err.startswith("error:")
 
+    def test_large_coefficients(self, capsys):
+        # (AB + BA)/2 has coefficients near 1e100, beyond what an observable
+        # accepts; it is measured as a coefficient row
+        code, out, err = run_cli(
+            ["estimate", "--bloch", "0.2,0.1,0.3", "--obs-a", "1e50,0,0,1e50",
+             "--obs-b", "0,0,1e50,1e50", "--shots", "1000"], capsys
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert math.isfinite(payload["estimate"]) and math.isfinite(payload["std_error"])
+        assert payload["true_mixedness"] == pytest.approx(0.43, abs=1e-15)
+
 
 class TestVerifyCommand:
     def test_smoke_mode_passes(self, capsys):
@@ -578,6 +594,65 @@ class TestReportJson:
         assert code == 2
         assert out == ""
         assert err.startswith("error: result is not finite")
+
+
+# the sweeps whose outputs scripts/snapshot_outputs.py records
+SNAPSHOT_SWEEPS = runpy.run_path(
+    str(Path(__file__).parents[1] / "scripts" / "snapshot_outputs.py")
+)["SWEEPS"]
+
+
+def sidecar_payload(grid, source, seed, violations):
+    """The sidecar object, field by field: each axis, both coefficient rows,
+    the source, the seed and the violation counts."""
+    axes = {"alpha": grid.alpha_axis, "lambda": grid.lambda_axis, "t": grid.t_axis}
+    return {
+        "grid": {
+            **{name: dataclasses.asdict(axis) for name, axis in axes.items()},
+            "obs_a": grid.obs_a.coeffs.tolist(),
+            "obs_b": grid.obs_b.coeffs.tolist(),
+        },
+        "source": source,
+        "seed": seed,
+        "violations": violations,
+    }
+
+
+class TestSidecarJson:
+    """sweep_sidecar_json writes the bytes of json.dumps(payload, indent=2) + "\\n"
+    through the C encoder."""
+
+    @pytest.mark.parametrize("flags", list(SNAPSHOT_SWEEPS.values()), ids=list(SNAPSHOT_SWEEPS))
+    def test_snapshot_sweeps(self, flags, tmp_path, monkeypatch):
+        calls = []
+        writer = serialize.sweep_sidecar_json
+        monkeypatch.setattr(serialize, "sweep_sidecar_json",
+                            lambda *args: calls.append(args) or writer(*args))
+        out_file = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--output", str(out_file)]) == 0
+        (args,) = calls
+        sidecar = out_file.with_suffix(".meta.json").read_text()
+        assert sidecar == indented_json(sidecar_payload(*args))
+
+    def test_extreme_axis_ends(self):
+        grid = SweepGrid(
+            alpha_axis=GridAxis(-0.0, 0.0, 1),
+            lambda_axis=GridAxis(5e-324, 1e308, 3, include_lo=False),
+            t_axis=GridAxis(0.0, 2.2250738585072014e-308, 2),
+            obs_a=PauliObservable(-0.0, 5e-324, 1.0, 1e70),
+        )
+        violations = {"points_all_defined": 0, "ti1_gt_ti2": 0, "ti1_gt_ti3": 0}
+        for source, seed in (("analytic", 0), ("numeric", 2**64)):
+            text = serialize.sweep_sidecar_json(grid, source, seed, violations)
+            assert text == indented_json(sidecar_payload(grid, source, seed, violations))
+        assert '"lo": -0.0' in text and '"hi": 1e+308' in text and "5e-324" in text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError):
+            serialize.sweep_sidecar_json(fig2_grid(4), "analytic", value, {})
+        with pytest.raises(ValueError):
+            serialize.sweep_sidecar_json(fig2_grid(4), "analytic", 0, {"ti1_gt_ti2": value})
 
 
 def per_cell_csv(table):

@@ -353,6 +353,24 @@ class TestMixedness:
             with pytest.raises(InvalidArgument, match=r"expected \(\.\.\., d, d\)"):
                 mixedness_general(np.zeros(shape))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_positivity_floor(self, dim):
+        # the Cholesky check and the eigvalsh fallback decide alike on both
+        # sides of the -1e-10 floor, and a refusal names the matrix's eigenvalue
+        q, _ = np.linalg.qr(random_density_matrix(7, dim))
+        valid = random_density_matrix(8, dim)
+        for lowest, refused in ((-2e-10, True), (-5e-11, False)):
+            spectrum = np.r_[lowest, np.full(dim - 1, (1.0 - lowest) / (dim - 1))]
+            rho = (q * spectrum) @ q.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+            assert np.linalg.eigvalsh(rho)[0] == pytest.approx(lowest, abs=1e-15)
+            for matrix in (rho, np.stack([valid, rho, valid])):
+                if refused:
+                    with pytest.raises(InvalidArgument, match="min eigenvalue = -2.000e-10"):
+                        mixedness_general(matrix)
+                else:
+                    assert np.all(mixedness_general(matrix) >= 0.0)
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(2, 4),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -422,6 +423,93 @@ class TestEstimateFromCounts:
         spread = np.std(estimates)
         mean_se = np.mean(ses)
         assert 0.5 <= spread / mean_se <= 2.0
+
+
+class TestStackedShots:
+    """shot_counts and mixedness_estimates_from_counts: one row per seed,
+    bit for bit the one-row forms."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 5, 2**32 - 1, 2**32, 2**64 + 5, [12345, 14, 10**6, 3, 1], (7, 0), [3, 2**40, 1], [],
+         np.int64(5), [np.uint32(3), 4], True, [False, 2]],
+        ids=["zero", "five", "top_word", "two_words", "three_words", "check_seed", "tuple",
+             "wide_entry", "empty", "numpy_int", "numpy_entry", "bool", "bool_entry"],
+    )
+    def test_generator_state_is_default_rng_state(self, seed):
+        assert relations._generator(seed).bit_generator.state == (
+            np.random.default_rng(seed).bit_generator.state
+        )
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1], 2.5, [1.5, 2]])
+    def test_generator_refuses_what_default_rng_refuses(self, seed):
+        with pytest.raises(Exception) as numpy_refusal:
+            np.random.default_rng(seed)
+        with pytest.raises(numpy_refusal.type, match=re.escape(str(numpy_refusal.value))):
+            relations._generator(seed)
+
+    def test_rows_are_one_row_draws(self):
+        p = random_bloch_vectors(3, 6)
+        a = np.random.default_rng(4).uniform(-2, 2, (6, 4))
+        seeds = [[99, k, 2] for k in range(6)]
+        for rows in ((p, a), (p[0], a[0])):  # one (state, A) row per seed, and one for all
+            high, low = relations.shot_counts(*rows, 5000, seeds)
+            assert high.dtype == low.dtype == np.int64
+            for i, seed in enumerate(seeds):
+                state = QubitState(BlochVector(*np.broadcast_to(rows[0], p.shape)[i]))
+                obs = PauliObservable(*np.broadcast_to(rows[1], a.shape)[i])
+                assert simulate_shots(state, obs, 5000, seed) == (high[i], low[i])
+
+    def test_rows_must_match_seeds(self):
+        with pytest.raises(InvalidArgument, match=r"rows of shape \(3,\) for 2 seeds"):
+            relations.shot_counts(random_bloch_vectors(3, 3), X, 10, [0, 1])
+
+    def test_estimates_are_one_row_calls(self, rng):
+        n = 40
+        p = random_bloch_vectors(rng, n)
+        a, b = rng.uniform(-2, 2, (n, 4)), rng.uniform(-2, 2, (n, 4))
+        keep = gram_determinants(a, b) > 1.0
+        p, a, b = p[keep], a[keep], b[keep]
+        c = core.symmetrized_products(a, b)
+        seeds = [[5, k] for k in range(len(p))]
+        counts = [relations.shot_counts(p, rows, 10**4, seeds) for rows in (a, b, c)]
+        cases = [((a, b), counts)]
+        # C = 0 for sx and sz: its counts may be omitted
+        xz = [relations.shot_counts(p, rows, 10**4, seeds) for rows in (X, Z)]
+        cases.append(((X, Z), [*xz, None]))
+        for (rows_a, rows_b), (counts_a, counts_b, counts_c) in cases:
+            estimates, std_errors = relations.mixedness_estimates_from_counts(
+                counts_a, counts_b, counts_c, rows_a, rows_b
+            )
+            # the one-row form takes (high, low) ints, as simulate_shots returns them
+            pairs_a, pairs_b = (list(zip(*(x.tolist() for x in n))) for n in (counts_a, counts_b))
+            pairs_c = [None] * len(p)
+            if counts_c is not None:
+                pairs_c = list(zip(*(x.tolist() for x in counts_c)))
+            one_row = [
+                estimate_mixedness_from_counts(
+                    pairs_a[i], pairs_b[i], pairs_c[i],
+                    PauliObservable(*np.broadcast_to(rows_a, a.shape)[i]),
+                    PauliObservable(*np.broadcast_to(rows_b, b.shape)[i]),
+                )
+                for i in range(len(p))
+            ]
+            assert np.array_equal(estimates, [e for e, _ in one_row])
+            assert np.array_equal(std_errors, [se for _, se in one_row])
+
+    def test_refused_counts_name_their_row(self):
+        good = (np.array([5, 6, 7]), np.array([5, 4, 3]))
+        for bad, named in (((np.array([5, -2, 7]), good[1]), r"\(-2, 4\)"),
+                           ((np.array([5, 6, 0]), np.array([5, 4, 0])), r"\(0, 0\)")):
+            for counts in ((bad, good), (good, bad)):
+                with pytest.raises(InvalidArgument, match=named):
+                    relations.mixedness_estimates_from_counts(*counts, None, X, Z)
+
+    def test_omitted_c_needs_every_row_proportional_to_i(self):
+        counts = (np.array([5, 6]), np.array([5, 4]))
+        b = np.array([Z, [0.5, 0.0, 1.0, 0.7]])  # (AB + BA)/2 is not prop. to I in the second row
+        with pytest.raises(InvalidArgument, match="counts_c may be omitted"):
+            relations.mixedness_estimates_from_counts(counts, counts, None, X, b)
 
 
 class TestReport:
