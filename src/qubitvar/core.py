@@ -3,12 +3,12 @@
 A qubit density matrix is rho = (I + px*sx + py*sy + pz*sz)/2 with
 px^2 + py^2 + pz^2 <= 1, and any 2x2 Hermitian observable is a real
 combination a1*sx + a2*sy + a3*sz + a4*I.  Every moment is a closed form
-in these coefficients, evaluated over stacked rows; one row is a stack
-of one.  The representation changes map stacks of Bloch vectors or
-coefficients to stacks of dense matrices and back; dense matrices
-otherwise serve, in verify and the tests, as the independent oracle.
-General d-dimensional density matrices appear only for the mixedness
-convexity property, as (..., d, d) stacks.
+in these coefficients, evaluated over stacked rows; one row runs on
+Python floats, with a stack's bits.  The representation changes map
+stacks of Bloch vectors or coefficients to stacks of dense matrices and
+back; dense matrices otherwise serve, in verify and the tests, as the
+independent oracle.  General d-dimensional density matrices appear only
+for the mixedness convexity property, as (..., d, d) stacks.
 """
 
 from __future__ import annotations
@@ -180,10 +180,12 @@ def decompose_observable(matrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # p holds Bloch vectors along its last axis, a, b, r, s observable
 # coefficients (a1, a2, a3, a4); rows broadcast.  Formulas index the
-# component-major arrays (x[k] is component k, the leading axes kept in
-# order), so one row runs in numpy scalars and a stack in columns, bit
-# for bit alike.  Squares are written as products because a numpy
-# scalar's ** 2 goes through libm pow.
+# component-major form (x[k] is component k, the leading axes kept in
+# order): a list of Python floats for one row, an array of columns for a
+# stack.  The primitives below take the builtin on a number and the ufunc
+# on an array, so one row runs in Python floats, a fraction of numpy
+# scalars' cost, and a stack in columns, bit for bit alike.  Squares are
+# written as products because ** 2 goes through libm pow.
 
 def _dot(x, y):
     """x . y over components 0-2 of component-major x and y."""
@@ -192,24 +194,59 @@ def _dot(x, y):
 
 def _any(mask) -> bool:
     """mask.any(), without the reduction machinery for a single row."""
-    return bool(mask.any() if mask.ndim else mask)
+    return bool(mask.any() if type(mask) is np.ndarray else mask)
 
 
-def _components(x) -> np.ndarray:
-    """Component-major view of rows along the last axis of x: shape (k,) + x.shape[:-1].
+def _where(mask, x, y):
+    """np.where(mask, x, y); a conditional when mask and x are numbers."""
+    if type(mask) is np.ndarray or type(x) is np.ndarray:
+        return np.where(mask, x, y)
+    return x if mask else y
+
+
+def _nonnegative(x):
+    """np.maximum(x, 0.0): NaN kept, -0.0 read as 0.0."""
+    return np.maximum(x, 0.0) if type(x) is np.ndarray else (0.0 if x <= 0.0 else x)
+
+
+def _unit_interval(x):
+    """x clamped to [0, 1], NaN kept."""
+    x = _nonnegative(x)
+    return np.minimum(x, 1.0) if type(x) is np.ndarray else min(x, 1.0)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if type(x) is np.ndarray else math.sqrt(x)
+
+
+def _scaled(vec, norm):
+    """vec / norm for component-major vec."""
+    return [v / norm for v in vec] if type(vec) is list else vec / norm
+
+
+def _result(x):
+    """x, a one-row number as a numpy scalar."""
+    return x if type(x) is np.ndarray else np.float64(x)
+
+
+def _components(x) -> np.ndarray | list:
+    """Rows along the last axis of x, component-major: (k,) + x.shape[:-1]; one row as a list.
 
     np.moveaxis(x, -1, 0) without its Python-level axis checks, which cost
-    microseconds a call; most calls are on one row or an (n, k) stack,
-    where the plain transpose is the cheapest spelling.
+    microseconds a call; most stacks are (n, k), where the plain transpose
+    is the cheapest spelling.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return x.tolist()
     return x.T if x.ndim <= 2 else x.transpose((-1, *range(x.ndim - 1)))
 
 
 def _outside_ball(p):
     """|p|^2 per row of component-major p, and where it exceeds 1 + 1e-12 or is not finite."""
     norm_sq = _dot(p, p)
-    return norm_sq, ~(norm_sq <= 1.0 + BLOCH_NORM_TOL)
+    inside = norm_sq <= 1.0 + BLOCH_NORM_TOL
+    return norm_sq, ~inside if type(inside) is np.ndarray else not inside
 
 
 def _ball_components(p) -> np.ndarray:
@@ -240,28 +277,28 @@ def variances(p, a) -> np.ndarray:
     gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
     """
     a = _components(a)
-    return _variance(_dot(a, a), _dot(a, _ball_components(p)))
+    return _result(_variance(_dot(a, a), _dot(a, _ball_components(p))))
 
 
 def commutator_terms(p, a, b) -> np.ndarray:
     """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
-    return _commutator_term(_components(a), _components(b), _ball_components(p))
+    return _result(_commutator_term(_components(a), _components(b), _ball_components(p)))
 
 
 def anticommutator_terms(p, a, b) -> np.ndarray:
     """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
     a, b, p = _components(a), _components(b), _ball_components(p)
-    return _anticommutator_term(_dot(a, b), _dot(a, p), _dot(b, p))
+    return _result(_anticommutator_term(_dot(a, b), _dot(a, p), _dot(b, p)))
 
 
 def xi_values(r, s) -> np.ndarray:
     """Trace form 2 tr(RS) - tr(R) tr(S) = 4 r.s; identity shifts drop out."""
-    return 4.0 * _dot(_components(r), _components(s))
+    return _result(4.0 * _dot(_components(r), _components(s)))
 
 
 def mixedness_values(p) -> np.ndarray:
     """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
-    return _mixedness(_ball_components(p))
+    return _result(_mixedness(_ball_components(p)))
 
 
 # The closed forms behind the moment functions, each written once, on
@@ -271,7 +308,7 @@ def mixedness_values(p) -> np.ndarray:
 
 def _variance(aa, ap):
     """Variance from |a|^2 and a.p, clamped at zero."""
-    return np.maximum(aa - ap * ap, 0.0)
+    return _nonnegative(aa - ap * ap)
 
 
 def _commutator_term(a, b, p):
@@ -292,7 +329,7 @@ def _anticommutator_term(ab, ap, bp):
 
 def _mixedness(p):
     """(1 - |p|^2)/2 of checked Bloch vectors, clamped at zero."""
-    return np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0)
+    return _nonnegative(0.5 * (1.0 - _dot(p, p)))
 
 
 def _symmetrized(a, b, ab) -> list:

@@ -8,33 +8,34 @@ empirical moments into the mixedness formula.
 
 Every relation is an array function over the Bloch closed forms of
 core.  Each closed form is written once, as a private helper on checked
-component-major arrays or on their projections (a.p, |a|^2, a.b, the
+component-major rows or on their projections (a.p, |a|^2, a.b, the
 triple product); each public one-quantity function is its input check
-plus that helper.  reports(p, a, b) is the one relation route: it
-evaluates every side and bound of the relations over stacked
+plus that helper.  One row runs in Python floats and a stack in
+columns, with the same bits.  reports(p, a, b) is the one relation
+route: it evaluates every side and bound of the relations over stacked
 (state, A, B) rows, checking the state once and normalising each
 observable once per call, and builds every field from the shared
 projections; tightness.ratios divides its fields.  mixedness_estimates
 likewise checks collinearity, then the state, once each.  The
 finite-shot pathway is stacked as well: shot_counts draws one row of
 (high, low) counts per seed, and mixedness_estimates_from_counts reads
-estimates and standard errors off count arrays.  compute_report is the
-one-row form of reports, kept with estimate_mixedness for the
-per-object callers (the CLI and the meter); simulate_shots and
-estimate_mixedness_from_counts are the finite-shot one-row forms, kept
-only for the meter.  Nothing here is computed through dense matrices.
+estimates and standard errors off count arrays.  For the per-object
+callers (the CLI and the meter), compute_report, estimate_mixedness and
+estimate_mixedness_from_counts are one-row calls of these, and
+simulate_shots draws one row as shot_counts does.  Nothing here is
+computed through dense matrices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    PauliObservable, QubitState, _anticommutator_term, _any, _ball_components, _commutator_term,
-    _components, _dot, _mixedness, _symmetrized, _variance, symmetrized_products
+    PauliObservable, QubitState, _anticommutator_term, _any, _ball_components,
+    _commutator_term, _components, _dot, _mixedness, _result, _scaled, _sqrt, _symmetrized,
+    _unit_interval, _variance, _where, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
@@ -76,8 +77,7 @@ class RelationReport:
 # ---------------------------------------------------------------------------
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|a|^2, |b|^2 and a.b of component-major coefficient rows (one row
-    is its own component-major form)."""
+    """|a|^2, |b|^2 and a.b of component-major coefficient rows."""
     return _dot(a, a), _dot(b, b), _dot(a, b)
 
 
@@ -91,7 +91,7 @@ def _gram(aa, bb, ab) -> tuple[np.ndarray, np.ndarray]:
 
 def gram_determinants(a, b) -> np.ndarray:
     """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
-    return _gram(*_pair(_components(a), _components(b)))[0]
+    return _result(_gram(*_pair(_components(a), _components(b)))[0])
 
 
 def _noncollinear_gram(aa, bb, ab) -> np.ndarray:
@@ -112,7 +112,7 @@ def _remainder(mixedness, det):
 def equality_remainders(p, a, b) -> np.ndarray:
     """Mixedness-weighted remainder (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2]."""
     mixedness = _mixedness(_ball_components(p))
-    return _remainder(mixedness, gram_determinants(a, b))
+    return _result(_remainder(mixedness, gram_determinants(a, b)))
 
 
 def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
@@ -137,17 +137,17 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     DegenerateSpectrum, before any other work, when some row's gap is closed.
     """
     vec = _components(a)[:3]
-    norm = np.sqrt(_dot(vec, vec))
+    norm = _sqrt(_dot(vec, vec))
     if _any(_gap_closed(norm)):
         raise DegenerateSpectrum(
             f"degenerate observable spectrum: eigenvalue gap 2|a| = {2 * np.min(norm):.3e}"
         )
-    return vec / norm, norm
+    return _scaled(vec, norm), norm
 
 
 def _high_probability(axis, p) -> np.ndarray:
     """Probability of the high outcome along unit axes, for checked component-major p."""
-    return np.minimum(np.maximum(0.5 * (1.0 + _dot(axis, p)), 0.0), 1.0)
+    return _unit_interval(0.5 * (1.0 + _dot(axis, p)))
 
 
 def _entropy(axis, p) -> np.ndarray:
@@ -155,33 +155,33 @@ def _entropy(axis, p) -> np.ndarray:
     p_hi = _high_probability(axis, p)
     total = 0.0
     for prob in (p_hi, 1.0 - p_hi):
-        prob = np.where(prob > 0.0, prob, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
+        prob = _where(prob > 0.0, prob, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
         total = total - prob * np.log2(prob)
     return total
 
 
 def _complementarity(axis_a, axis_b) -> np.ndarray:
     """(1 + |a_hat . b_hat|)/2 of unit axes."""
-    return 0.5 * (1.0 + np.abs(_dot(axis_a, axis_b)))
+    return 0.5 * (1.0 + abs(_dot(axis_a, axis_b)))
 
 
 def high_outcome_probabilities(p, a) -> np.ndarray:
     """Probability of the a4 + |a| outcome when A is measured."""
     axis, _ = _axes(a)
-    return _high_probability(axis, _ball_components(p))
+    return _result(_high_probability(axis, _ball_components(p)))
 
 
 def measurement_entropies(p, a) -> np.ndarray:
     """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
     axis, _ = _axes(a)
-    return _entropy(axis, _ball_components(p))
+    return _result(_entropy(axis, _ball_components(p)))
 
 
 def complementarities(a, b) -> np.ndarray:
     """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
     axis_a, _ = _axes(a)
     axis_b, _ = _axes(b)
-    return _complementarity(axis_a, axis_b)
+    return _result(_complementarity(axis_a, axis_b))
 
 
 def mixedness_estimates(p, a, b) -> np.ndarray:
@@ -195,7 +195,7 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     aa, bb, ab = _pair(a, b)
     det = _noncollinear_gram(aa, bb, ab)
     var_a, var_b, rur, anti = _moment_terms(_ball_components(p), a, b, aa, bb, ab)
-    return 8.0 * (var_a * var_b - rur - anti) / det
+    return _result(8.0 * (var_a * var_b - rur - anti) / det)
 
 
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
@@ -268,10 +268,11 @@ def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) ->
 def _frequencies(counts):
     """High-outcome frequencies and shot totals of (high, low) counts or count arrays.
 
-    InvalidArgument, naming the first offending row's counts, where a
-    count is negative or a total is zero.
+    A pair of ints stays in Python ints: up to MAX_SHOTS, n_hi / shots
+    has the bits it has on int64.  InvalidArgument, naming the first
+    offending row's counts, where a count is negative or a total is zero.
     """
-    n_hi, n_lo = counts = np.asarray(counts)
+    n_hi, n_lo = counts if type(counts[0]) is type(counts[1]) is int else np.asarray(counts)
     shots = n_hi + n_lo
     bad = (n_hi < 0) | (n_lo < 0) | (shots == 0)
     if _any(bad):
@@ -279,15 +280,6 @@ def _frequencies(counts):
             "counts must be non-negative with a positive total, "
             f"got ({np.extract(bad, n_hi)[0]}, {np.extract(bad, n_lo)[0]})"
         )
-    return n_hi / shots, shots
-
-
-def _frequency(counts) -> tuple[float, int]:
-    """_frequencies for one (high, low) pair of ints, in Python numbers."""
-    n_hi, n_lo = counts
-    shots = n_hi + n_lo
-    if n_hi < 0 or n_lo < 0 or shots == 0:
-        raise InvalidArgument(f"counts must be non-negative with a positive total, got {counts}")
     return n_hi / shots, shots
 
 
@@ -348,47 +340,29 @@ def mixedness_estimates_from_counts(
     a, b = _components(a), _components(b)
     aa, bb, ab = _pair(a, b)
     det = _noncollinear_gram(aa, bb, ab)
-    setting_a = _moments(np.sqrt(aa), a[3], *_frequencies(counts_a))
-    setting_b = _moments(np.sqrt(bb), b[3], *_frequencies(counts_b))
+    setting_a = _moments(_sqrt(aa), a[3], *_frequencies(counts_a))
+    setting_b = _moments(_sqrt(bb), b[3], *_frequencies(counts_b))
     c = _symmetrized(a, b, ab)
-    norm_c = np.sqrt(_dot(c, c))
+    norm_c = _sqrt(_dot(c, c))
     if counts_c is not None:
         setting_c = _moments(norm_c, c[3], *_frequencies(counts_c))
-    elif _gap_closed(norm_c).all():
+    elif np.all(_gap_closed(norm_c)):
         setting_c = (c[3], 0.0, 0.0, 0.0, 0.0)  # C = c4 I: its moment is exact
     else:
         raise InvalidArgument(_OMITTED_C)
     estimate, se_sq = _delta_method(det, setting_a, setting_b, setting_c)
-    return estimate, np.sqrt(se_sq)
+    return _result(estimate), _result(_sqrt(se_sq))
 
 
 def estimate_mixedness_from_counts(
-    counts_a: tuple[int, int],
-    counts_b: tuple[int, int],
-    counts_c: tuple[int, int] | None,
-    obs_a: PauliObservable,
-    obs_b: PauliObservable,
+    counts_a: tuple[int, int], counts_b: tuple[int, int], counts_c: tuple[int, int] | None,
+    obs_a: PauliObservable, obs_b: PauliObservable,
 ) -> tuple[float, float]:
-    """mixedness_estimates_from_counts for one (A, B) pair of objects.
-
-    Kept for the meter, which reads one triple at a time.  The same
-    _moments and _delta_method run here on Python floats, which cost a
-    fraction of numpy scalars per operation and give the same bits.
-    """
-    det = float(_noncollinear_gram(*_pair(obs_a.coeffs, obs_b.coeffs)))
-    a, b = obs_a.coeffs.tolist(), obs_b.coeffs.tolist()
-    setting_a = _moments(math.sqrt(_dot(a, a)), a[3], *_frequency(counts_a))
-    setting_b = _moments(math.sqrt(_dot(b, b)), b[3], *_frequency(counts_b))
-    c = _symmetrized(a, b, _dot(a, b))
-    norm_c = math.sqrt(_dot(c, c))
-    if counts_c is not None:
-        setting_c = _moments(norm_c, c[3], *_frequency(counts_c))
-    elif _gap_closed(norm_c):
-        setting_c = (c[3], 0.0, 0.0, 0.0, 0.0)
-    else:
-        raise InvalidArgument(_OMITTED_C)
-    estimate, se_sq = _delta_method(det, setting_a, setting_b, setting_c)
-    return estimate, math.sqrt(se_sq)
+    """mixedness_estimates_from_counts for one (A, B) pair of objects, as floats."""
+    estimate, std_error = mixedness_estimates_from_counts(
+        counts_a, counts_b, counts_c, obs_a.coeffs, obs_b.coeffs
+    )
+    return float(estimate), float(std_error)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +377,19 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
     leading shape.  entropy_bound is 0 where the eigenbases coincide.
     Raises DegenerateSpectrum when A or B has a degenerate spectrum.
     """
-    return _reports(p, a, b)[0]
+    fields = _reports(p, a, b)[0]
+    product = fields["product"]
+    if type(product) is not np.ndarray:  # one row
+        return {k: _result(v) for k, v in fields.items()}
+    for key in ("varA", "varB", "entropy_bound"):  # these lack the axes of rows they do not read
+        if np.shape(fields[key]) != product.shape:
+            fields[key] = np.broadcast_to(fields[key], product.shape)
+    return fields
 
 
-def _reports(p, a, b) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """reports(p, a, b) and the complementarities its entropy bound is read
-    from, in the shape of the (A, B) rows.
+def _reports(p, a, b) -> tuple[dict, np.ndarray]:
+    """reports(p, a, b), unbroadcast and one row's in Python numbers, and
+    the complementarities its entropy bound is read from.
 
     p is checked against the Bloch ball once, then each observable is
     normalised once (DegenerateSpectrum); every field reads the shared
@@ -433,9 +414,6 @@ def _reports(p, a, b) -> tuple[dict[str, np.ndarray], np.ndarray]:
         entropy_sum=_entropy(axis_a, p_c) + _entropy(axis_b, p_c),
         entropy_bound=np.log2(1.0 / complementarity),
     )
-    for key in ("varA", "varB", "entropy_bound"):  # these lack the axes of rows they do not read
-        if fields[key].shape != product.shape:
-            fields[key] = np.broadcast_to(fields[key], product.shape)
     return fields, complementarity
 
 
@@ -448,5 +426,5 @@ def compute_report(
     estimate is not part of the report because it can fail (collinear
     observables) while every bound here is always defined.
     """
-    fields = reports(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)
+    fields = _reports(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)[0]
     return RelationReport(**{k: float(v) for k, v in fields.items()})

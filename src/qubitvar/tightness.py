@@ -4,8 +4,8 @@ Each ratio divides a relation's left side by its own lower bound, so 1
 means saturation.  ti1 uses the mixedness-weighted variance bound, ti2
 the entropic bound, ti3 the variance-sum bound.  Points where a bound
 vanishes are undefined and carried as NaN, never raised.  ratios()
-evaluates all three over a stack of Bloch vectors, one state being a
-stack of one, by dividing fields of relations.reports.  Sweeps walk an
+evaluates all three over a stack of Bloch vectors, one state in Python
+floats, by dividing fields of relations.reports.  Sweeps walk an
 (alpha, lambda, t) product grid in row-major order over states of the
 feedback model, either from the closed-form solution or the
 integrator, evaluate the whole grid in one ratios() call and return it
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot
+from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, _result, _where
 from .errors import InvalidArgument
 from .feedback import analytic_bloch, evolve
 from .relations import _reports
@@ -118,7 +118,7 @@ def fig3_grid(steps: int = 50, alpha: float = math.pi / 4, t_max: float = 3.0) -
 
 def _ratio(lhs: np.ndarray, bound: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """lhs / bound where defined, NaN elsewhere."""
-    return np.where(defined, lhs / np.where(defined, bound, 1.0), np.nan)
+    return _result(_where(defined, lhs / _where(defined, bound, 1.0), math.nan))
 
 
 def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -158,17 +158,39 @@ def test_criterion_04_shot_based_estimator():
     report(4, "shot-based estimator", f"|z| < 3 for {fraction:.0%} of {seeds} seeds at 1e6 shots")
 
 
+def _density_matrix_triples(rng, dim, count):
+    """count (rho_a, rho_b, weight) triples as stacks, drawn as
+    random_density_matrix(rng, dim) twice, then rng.random(), per triple.
+
+    One rng.normal call per triple draws both Ginibre matrices' real and
+    imaginary parts in that order; G G^dag / tr is built for the stack.
+    """
+    normals, weights = zip(*((rng.normal(size=4 * dim * dim), rng.random()) for _ in range(count)))
+    parts = np.array(normals).reshape(count, 2, 2, dim, dim)
+    g = parts[:, :, 0] + 1j * parts[:, :, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    rho = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return rho[:, 0], rho[:, 1], np.array(weights)
+
+
+def test_density_matrix_triples_are_per_object_draws():
+    stacked, per_object = np.random.default_rng(20240505), np.random.default_rng(20240505)
+    for dim in (2, 3, 4):
+        rho_a, rho_b, weight = _density_matrix_triples(stacked, dim, 500)
+        for i in range(500):
+            assert np.array_equal(rho_a[i], random_density_matrix(per_object, dim))
+            assert np.array_equal(rho_b[i], random_density_matrix(per_object, dim))
+            assert weight[i] == per_object.random()
+
+
 def test_criterion_05_mixedness_convexity():
     rng = np.random.default_rng(20240505)
     violations = 0
     worst = -np.inf
     for dim in (2, 3, 4):
         # draws in the order a, b, weight per triple; one stack call per role
-        draws = [
-            (random_density_matrix(rng, dim), random_density_matrix(rng, dim), float(rng.random()))
-            for _ in range(10_000)
-        ]
-        rho_a, rho_b, weight = (np.array(column) for column in zip(*draws))
+        rho_a, rho_b, weight = _density_matrix_triples(rng, dim, 10_000)
         combo = weight[:, None, None] * rho_a + (1 - weight)[:, None, None] * rho_b
         gap = (
             weight * mixedness_general(rho_a)
@@ -308,14 +330,15 @@ def test_criterion_11_cli_determinism(tmp_path):
         ["simulate", "--alpha", "0.6", "--lambda", "0.9", "--t-end", "0.05",
          "--step", "0.005", "--source", "both"],
     ]
-    for args in stdout_commands:
-        first, second = cli_outputs(args, args)
-        assert first == second, args
     out_files = [tmp_path / name for name in ("first.csv", "second.csv")]
-    cli_outputs(*(
+    sweeps = [
         ["sweep", "--fig2", "--steps", "8", "--seed", "2", "--output", str(out_file)]
         for out_file in out_files
-    ))
+    ]
+    # all eight processes at once: each stdout command twice, then the sweeps
+    outputs = cli_outputs(*(args for args in stdout_commands for _ in range(2)), *sweeps)
+    for k, args in enumerate(stdout_commands):
+        assert outputs[2 * k] == outputs[2 * k + 1], args
     blobs = [
         (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
         for out_file in out_files

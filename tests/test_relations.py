@@ -25,7 +25,9 @@ from qubitvar.core import (
     random_bloch_vectors,
     variances,
 )
-from qubitvar.errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
+from qubitvar.errors import (
+    CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
+)
 from qubitvar.relations import (
     MAX_SHOTS,
     SPECTRUM_GAP_TOL,
@@ -621,3 +623,109 @@ class TestOneCheckPerCall:
         for fn in (reports, ratios):
             with pytest.raises(InvalidArgument, match="exceeds"):
                 fn([2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0])
+
+
+# Every public array function of core, relations and tightness, with the
+# inputs it reads from a (p, a, b, counts_a, counts_b, counts_c) row.
+ARRAY_FUNCTIONS = [
+    (variances, "p a"), (commutator_terms, "p a b"), (anticommutator_terms, "p a b"),
+    (mixedness_values, "p"), (core.xi_values, "a b"), (core.symmetrized_products, "a b"),
+    (gram_determinants, "a b"), (equality_remainders, "p a b"),
+    (high_outcome_probabilities, "p a"), (measurement_entropies, "p a"),
+    (complementarities, "a b"), (mixedness_estimates, "p a b"), (reports, "p a b"),
+    (ratios, "p a b"),
+    (relations.mixedness_estimates_from_counts, "counts_a counts_b counts_c a b"),
+]
+
+A_ROW, B_ROW = [1.0, 0.0, 0.3, 0.5], [-0.2, 0.7, 1.1, -0.4]
+COUNTS = ((6120, 3880), (4011, 5989), (7000, 3000))
+UNIT = np.array([0.6, 0.0, 0.8])
+# (p, a, b, counts) rows at the edges of the closed forms and their checks
+EDGE_ROWS = {
+    "origin": ([0.0, 0.0, 0.0], A_ROW, B_ROW, COUNTS),
+    # |a|^2 - (a.p)^2 = -4e-13 before the variance clamp
+    "pure_along_a": (UNIT * (1 + 2e-13), [*UNIT, 0.3], B_ROW, COUNTS),
+    # outcome probability 0 for A, 1/2 for B: the 0 log 0 select
+    "certain_outcome": ([0.0, 0.0, -1.0], Z, X, COUNTS),
+    # accepted; the mixedness clamps to 0 and A's probability to 1
+    "ball_edge_accepted": ([math.sqrt(1 + 5e-13), 0.0, 0.0], X, B_ROW, COUNTS),
+    "ball_edge_refused": ([math.sqrt(1 + 2e-12), 0.0, 0.0], A_ROW, B_ROW, COUNTS),
+    "nan_state": ([math.nan, 0.0, 0.0], A_ROW, B_ROW, COUNTS),
+    # undefined ti1 and ti2: their bounds vanish
+    "collinear_pair": ([0.3, 0.1, -0.2], [1.0, 0.0, 0.0, 0.3], [2.0, 0.0, 0.0, -1.0], COUNTS),
+    "a_proportional_to_i": ([0.3, 0.1, -0.2], [0.0, 0.0, 0.0, 0.7], B_ROW, COUNTS),
+    "one_sided_counts": ([0.3, 0.1, -0.2], A_ROW, B_ROW, ((10, 0), (0, 10), (5, 5))),
+    "zero_total_counts": ([0.3, 0.1, -0.2], A_ROW, B_ROW, ((0, 0), (5, 5), (5, 5))),
+}
+
+
+def _stacked(rows):
+    """Stacked inputs from a list of (p, a, b, counts) rows; counts as
+    (high, low) int64 arrays."""
+    p, a, b, counts = zip(*rows)
+    stack = dict(p=np.array(p, dtype=float), a=np.array(a, dtype=float),
+                 b=np.array(b, dtype=float))
+    for k, name in enumerate(("counts_a", "counts_b", "counts_c")):
+        stack[name] = tuple(np.array(n, dtype=np.int64) for n in zip(*(c[k] for c in counts)))
+    return stack
+
+
+def _one_row(stack, i):
+    """Row i of stacked inputs, as a caller with one row passes it: 1-D
+    arrays and (high, low) pairs of ints."""
+    return {
+        name: tuple(n[i].item() for n in value) if name.startswith("counts") else value[i]
+        for name, value in stack.items()
+    }
+
+
+def _cells(result):
+    """A result's values: a dict's or a tuple's entries, or the result itself."""
+    if isinstance(result, dict):
+        return list(result.values())
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+def _outcome(fn, args, inputs):
+    """The result cells of fn on the named inputs, or its refusal as (type, message)."""
+    try:
+        return _cells(fn(*(inputs[name] for name in args.split())))
+    except QubitVarError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(value):
+    """Type, shape and the hex bits of every entry of a value."""
+    return type(value), np.shape(value), [float(x).hex() for x in np.ravel(value)]
+
+
+class TestOneRowRoute:
+    """A one-row call runs in Python floats; it gives the type, the shape,
+    the bits and the refusal of that row of a stack, which runs in numpy
+    columns.  Random rows take np.log2 thousands of times (math.log2
+    differs from it in about 2 of 1000 values) and would all be refused
+    if ~ negated a Python bool; the collinear pair's undefined ratios
+    would divide by 0.0, which raises in Python."""
+
+    @pytest.mark.parametrize(
+        "fn, args", ARRAY_FUNCTIONS, ids=[fn.__name__ for fn, _ in ARRAY_FUNCTIONS]
+    )
+    def test_one_row_is_its_stack_row(self, rng, fn, args):
+        n, shots = 400, 1000
+        p = random_bloch_vectors(rng, n)
+        a, b = rng.uniform(-2, 2, (n, 4)), rng.uniform(-2, 2, (n, 4))
+        high = rng.integers(0, shots + 1, (3, n)).tolist()
+        rows = [(p[i], a[i], b[i], tuple((h[i], shots - h[i]) for h in high)) for i in range(n)]
+        random_rows = _stacked(rows)
+        stacked = _outcome(fn, args, random_rows)
+        assert isinstance(stacked, list), stacked
+        for i in range(n):
+            one = _outcome(fn, args, _one_row(random_rows, i))
+            assert [_bits(v) for v in one] == [_bits(v[i]) for v in stacked]
+        for name, edge in EDGE_ROWS.items():  # at the head of a stack with a random row
+            edge_rows = _stacked([edge, rows[0]])
+            stacked, one = _outcome(fn, args, edge_rows), _outcome(fn, args, _one_row(edge_rows, 0))
+            if isinstance(stacked, tuple):  # refused: same type, same message
+                assert one == stacked, name
+            else:
+                assert [_bits(v) for v in one] == [_bits(v[0]) for v in stacked], name
