@@ -32,7 +32,7 @@ def run():
     meter_times = [0.0, 0.5, 2.0, 8.0]
     states = analytic_bloch(alpha, lam, meter_times)
     mixed = mixedness_values(states)
-    metered = mixedness_estimates(states, OBS_X.coeffs, OBS_Z.coeffs)
+    metered = mixedness_estimates(states, OBS_X, OBS_Z)
     for t, value, estimate in zip(meter_times, mixed.tolist(), metered.tolist()):
         print(f"t={t:4.1f}: mixedness {value:.6f}, variance-metered {estimate:.6f}")
     return 0

@@ -77,6 +77,26 @@ COMMANDS = {
     "error_degenerate_sweep": ["sweep", "--fig2", "--obs-a", "0,0,0,1",
                                "--output", "{out}/error_degenerate_sweep.csv"],
     "error_zero_shots": ["estimate", "--bloch", "0,0,0", "--shots", "0"],
+    # refused vector flags: a wrong count, a non-number, a non-finite value,
+    # a state outside the ball, a coefficient above COEFF_MAX
+    "error_flag_count_report": ["report", "--bloch", "1,2"],
+    "error_flag_count_estimate": ["estimate", "--bloch", "1,2"],
+    "error_flag_count_sweep": ["sweep", "--fig2", "--obs-a", "1,2",
+                               "--output", "{out}/error_flag_count_sweep.csv"],
+    "error_flag_number_report": ["report", "--bloch", "x,0,0"],
+    "error_flag_number_estimate": ["estimate", "--bloch", "0,0,0", "--obs-b", "0,x,1,0"],
+    "error_flag_number_sweep": ["sweep", "--fig3", "--obs-b", "x,0,1,0",
+                                "--output", "{out}/error_flag_number_sweep.csv"],
+    "error_flag_nan_report": ["report", "--bloch", "nan,0,0"],
+    "error_flag_nan_estimate": ["estimate", "--bloch", "0,0,0", "--obs-a", "nan,0,0,0"],
+    "error_flag_inf_sweep": ["sweep", "--fig2", "--obs-a", "inf,0,0,0",
+                             "--output", "{out}/error_flag_inf_sweep.csv"],
+    "error_flag_ball_report": ["report", "--bloch", "2,0,0"],
+    "error_flag_ball_estimate": ["estimate", "--bloch", "0,2,0"],
+    "error_flag_coeff_report": ["report", "--bloch", "0,0,0", "--obs-a", "1e77,0,0,0"],
+    "error_flag_coeff_estimate": ["estimate", "--bloch", "0,0,0", "--obs-b", "0,0,1e77,0"],
+    "error_flag_coeff_sweep": ["sweep", "--fig2", "--obs-b", "0,0,1,-1e77",
+                               "--output", "{out}/error_flag_coeff_sweep.csv"],
     "error_verify_one_sample": ["verify", "--samples", "1"],
 }
 

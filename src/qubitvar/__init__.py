@@ -11,54 +11,33 @@ reproducible reports, trajectories and grids.
 """
 
 from .core import (
-    BlochVector,
     OBS_I,
     OBS_X,
     OBS_Y,
     OBS_Z,
-    PauliObservable,
-    QubitState,
     decompose_observable,
     matrix_to_bloch,
-    mixedness,
     mixedness_general,
     random_density_matrix,
 )
 from .feedback import analytic_bloch, evolve, steady_state, step_times
-from .relations import (
-    RelationReport,
-    compute_report,
-    estimate_mixedness,
-    estimate_mixedness_from_counts,
-    mixedness_estimates_from_counts,
-    shot_counts,
-    simulate_shots,
-)
+from .relations import mixedness_estimates_from_counts, shot_counts
 from .tightness import SweepGrid, sweep
 
 __all__ = [
-    "BlochVector",
     "OBS_I",
     "OBS_X",
     "OBS_Y",
     "OBS_Z",
-    "PauliObservable",
-    "QubitState",
-    "RelationReport",
     "SweepGrid",
     "analytic_bloch",
-    "compute_report",
     "decompose_observable",
-    "estimate_mixedness",
-    "estimate_mixedness_from_counts",
     "evolve",
     "matrix_to_bloch",
-    "mixedness",
     "mixedness_estimates_from_counts",
     "mixedness_general",
     "random_density_matrix",
     "shot_counts",
-    "simulate_shots",
     "steady_state",
     "step_times",
     "sweep",

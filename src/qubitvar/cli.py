@@ -28,9 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import feedback, relations, serialize, tightness
-from .core import (
-    BlochVector, PauliObservable, QubitState, mixedness, mixedness_values, symmetrized_products
-)
+from .core import _observable_row, _state_row, mixedness_values, symmetrized_products
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
 
 EXIT_OK = 0
@@ -38,15 +36,14 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2  # every QubitVarError: invalid flags, refused inputs, unmet preconditions
 
 
-def _parse(text: str, cls, flag: str):
-    """cls built from comma-separated numbers; malformed or invalid values name the flag."""
+def _parse(text: str, check, count: int, flag: str):
+    """check(row) of count comma-separated numbers; malformed or invalid values name the flag."""
     parts = text.split(",")
-    count = len(dataclasses.fields(cls))
     if len(parts) != count:
         raise InvalidArgument(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return cls(*map(float, parts))
-    except ValueError as exc:  # float() and every constructor refusal
+        return check([float(part) for part in parts])
+    except ValueError as exc:  # float() and every row refusal
         raise InvalidArgument(f"{flag}: {exc}") from exc
 
 
@@ -103,13 +100,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
-    obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
-    obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
-    report = relations.compute_report(state, obs_a, obs_b)
-    fields = {**dataclasses.asdict(report), "mixedness": mixedness(state)}
+    p = _parse(args.bloch, _state_row, 3, "--bloch")
+    a = _parse(args.obs_a, _observable_row, 4, "--obs-a")
+    b = _parse(args.obs_b, _observable_row, 4, "--obs-b")
+    fields = {k: float(v) for k, v in relations.reports(p, a, b).items()}
+    fields["mixedness"] = float(mixedness_values(p))
     try:
-        fields["mixedness_estimate"] = relations.estimate_mixedness(state, obs_a, obs_b)
+        fields["mixedness_estimate"] = float(relations.mixedness_estimates(p, a, b))
     except CollinearObservables:
         fields["mixedness_estimate"] = None
         fields["reason"] = "collinear"
@@ -167,8 +164,8 @@ def cmd_sweep(args) -> int:
         grid = tightness.fig3_grid(steps=args.steps, alpha=args.alpha, t_max=args.t_end)
     grid = dataclasses.replace(
         grid,
-        obs_a=_parse(args.obs_a, PauliObservable, "--obs-a"),
-        obs_b=_parse(args.obs_b, PauliObservable, "--obs-b"),
+        obs_a=_parse(args.obs_a, _observable_row, 4, "--obs-a"),
+        obs_b=_parse(args.obs_b, _observable_row, 4, "--obs-b"),
     )
     points = tightness.sweep(grid, source=args.source, h=args.step)
     violations = tightness.count_ordering_violations(points)
@@ -183,12 +180,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    state = QubitState(_parse(args.bloch, BlochVector, "--bloch"))
-    obs_a = _parse(args.obs_a, PauliObservable, "--obs-a")
-    obs_b = _parse(args.obs_b, PauliObservable, "--obs-b")
+    p = _parse(args.bloch, _state_row, 3, "--bloch")
+    a = _parse(args.obs_a, _observable_row, 4, "--obs-a")
+    b = _parse(args.obs_b, _observable_row, 4, "--obs-b")
     if args.shots < 1:
         raise InvalidArgument("--shots must be >= 1")
-    p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
     try:
         # derived seeds: one measurement task index per observable
         counts_a = relations.shot_counts(p, a, args.shots, [[args.seed, 0]])
@@ -207,7 +203,7 @@ def cmd_estimate(args) -> int:
         sys.stderr.write(f"collinear observables: {exc}\n")
         return EXIT_FAILURE
     estimate, std_error = float(estimates[0]), float(std_errors[0])
-    true_mixedness = mixedness(state)
+    true_mixedness = float(mixedness_values(p))
     difference = estimate - true_mixedness
     if std_error > 0.0:
         z_score = difference / std_error

@@ -45,6 +45,25 @@ def _require_finite(*values: float) -> None:
         raise InvalidArgument(f"components must be finite, got {values}")
 
 
+def _state_row(values) -> np.ndarray:
+    """A Bloch vector (px, py, pz) as a float array, checked finite and in the ball."""
+    _require_finite(*values)
+    return bloch_array(values)
+
+
+def _observable_row(values) -> tuple[float, ...]:
+    """(a1, a2, a3, a4) as a tuple of floats, checked: four, finite, |a_k| <= COEFF_MAX."""
+    if len(values) != 4:
+        raise InvalidArgument(f"an observable has 4 coefficients, got {len(values)}")
+    _require_finite(*values)
+    if max(map(abs, values)) > COEFF_MAX:
+        raise InvalidArgument(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
+    return tuple(map(float, values))
+
+
+# Per-object forms: one-row adapters kept for the benchmark's meter
+# workload (perfbench MeterStream.read_one) until it reads rows.
+
 @dataclass(frozen=True)
 class BlochVector:
     """Real 3-vector (px, py, pz) inside the closed unit ball."""
@@ -54,8 +73,7 @@ class BlochVector:
     pz: float
 
     def __post_init__(self):
-        _require_finite(self.px, self.py, self.pz)
-        bloch_array(self.as_array())
+        _state_row((self.px, self.py, self.pz))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.pz])
@@ -78,9 +96,7 @@ class PauliObservable:
     a4: float
 
     def __post_init__(self):
-        _require_finite(self.a1, self.a2, self.a3, self.a4)
-        if max(map(abs, (self.a1, self.a2, self.a3, self.a4))) > COEFF_MAX:
-            raise InvalidArgument(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
+        _observable_row((self.a1, self.a2, self.a3, self.a4))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -90,21 +106,21 @@ class PauliObservable:
         return c
 
 
-OBS_X = PauliObservable(1.0, 0.0, 0.0, 0.0)
-OBS_Y = PauliObservable(0.0, 1.0, 0.0, 0.0)
-OBS_Z = PauliObservable(0.0, 0.0, 1.0, 0.0)
-OBS_I = PauliObservable(0.0, 0.0, 0.0, 1.0)
+OBS_X = (1.0, 0.0, 0.0, 0.0)
+OBS_Y = (0.0, 1.0, 0.0, 0.0)
+OBS_Z = (0.0, 0.0, 1.0, 0.0)
+OBS_I = (0.0, 0.0, 0.0, 1.0)
 
 
 # Validation rules over (..., d, d) stacks; each error names the first
 # offending matrix (the largest deviation for Hermiticity).
 
-def _require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    """Finite entries and max |m - m^dag| <= tol."""
+def _require_hermitian(matrix: np.ndarray) -> None:
+    """Finite entries and max |m - m^dag| <= HERMITIAN_TOL."""
     if not np.isfinite(matrix).all():
         raise InvalidArgument("matrix entries must be finite")
     dev = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(initial=0.0)
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise InvalidArgument(f"max |m - m^dag| = {dev:.3e}")
 
 
@@ -347,6 +363,7 @@ def symmetrized_products(a, b) -> np.ndarray:
 
 
 def mixedness(state: QubitState) -> float:
+    """mixedness_values for one state object, as a float: a per-object form."""
     return float(mixedness_values(state.bloch.as_array()))
 
 

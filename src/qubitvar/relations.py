@@ -19,11 +19,11 @@ projections; tightness.ratios divides its fields.  mixedness_estimates
 likewise checks collinearity, then the state, once each.  The
 finite-shot pathway is stacked as well: shot_counts draws one row of
 (high, low) counts per seed, and mixedness_estimates_from_counts reads
-estimates and standard errors off count arrays.  For the per-object
-callers (the CLI and the meter), compute_report, estimate_mixedness and
-estimate_mixedness_from_counts are one-row calls of these, and
-simulate_shots draws one row as shot_counts does.  Nothing here is
-computed through dense matrices.
+estimates and standard errors off count arrays.  compute_report,
+estimate_mixedness, estimate_mixedness_from_counts, simulate_shots and
+symmetrized_product are per-object one-row adapters of these, kept for
+the benchmark's meter workload (perfbench MeterStream.read_one) until it
+reads rows.  Nothing here is computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ MAX_SHOTS = 2**53
 
 @dataclass(frozen=True)
 class RelationReport:
-    """All bounds, the remainder and the residual for one (state, A, B) triple."""
+    """compute_report's per-object result: every bound, the remainder and the residual."""
 
     varA: float
     varB: float
@@ -201,6 +201,7 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
 
 
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
+    """mixedness_estimates for one triple of objects, as a float: a per-object form."""
     return float(mixedness_estimates(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
 
 
@@ -209,7 +210,7 @@ def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliOb
 # ---------------------------------------------------------------------------
 
 def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> PauliObservable:
-    """Observable (AB + BA)/2, Hermitian by construction."""
+    """Observable (AB + BA)/2 of two objects: the per-object form of symmetrized_products."""
     return PauliObservable(*symmetrized_products(obs_a.coeffs, obs_b.coeffs).tolist())
 
 
@@ -256,11 +257,8 @@ def shot_counts(p, a, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> tuple[int, int]:
-    """shot_counts for one (state, A) row and one seed, as ints.
-
-    Kept for the meter, which reads one triple at a time; it draws as
-    shot_counts does without building arrays.
-    """
+    """shot_counts for one (state, A) pair of objects and one seed, as ints:
+    a per-object form, drawing as shot_counts does without building arrays."""
     _require_shots(shots)
     p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
     n_hi = int(_generator(seed).binomial(shots, p_hi))
@@ -373,7 +371,7 @@ def estimate_mixedness_from_counts(
 
 def reports(p, a, b) -> dict[str, np.ndarray]:
     """Every side and bound of the relations for stacked (state, A, B) rows,
-    keyed and ordered as the RelationReport fields.
+    keyed and ordered as the report command's fields.
 
     Rows broadcast as in core, and every field has their broadcast
     leading shape.  entropy_bound is 0 where the eigenbases coincide.
@@ -389,9 +387,10 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
     return fields
 
 
-def _reports(p, a, b) -> tuple[dict, np.ndarray]:
-    """reports(p, a, b), unbroadcast and one row's in Python numbers, and
-    the complementarities its entropy bound is read from.
+def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
+    """reports(p, a, b), unbroadcast and one row's in Python numbers, the
+    complementarities its entropy bound is read from, and the scales
+    |a|^2, |b|^2 and |a + b|^2 of the rows.
 
     p is checked against the Bloch ball once, then each observable is
     normalised once (DegenerateSpectrum); every field reads the shared
@@ -403,6 +402,7 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray]:
     axis_b, _ = _axes(b)
     a_c, b_c, s_c = _components(a), _components(b), _components(a + b)
     aa, bb, ab = _pair(a_c, b_c)
+    ss = _dot(s_c, s_c)
     var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)
     product = var_a * var_b
     sur = rur + anti
@@ -412,17 +412,17 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray]:
         varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
         eq19_bound=rur + remainder, remainder=remainder,
         equality_residual=product - sur - remainder,
-        sum_lhs=var_a + var_b, sum_bound=0.5 * _variance(_dot(s_c, s_c), _dot(s_c, p_c)),
+        sum_lhs=var_a + var_b, sum_bound=0.5 * _variance(ss, _dot(s_c, p_c)),
         entropy_sum=_entropy(axis_a, p_c) + _entropy(axis_b, p_c),
         entropy_bound=np.log2(1.0 / complementarity),
     )
-    return fields, complementarity
+    return fields, complementarity, (aa, bb, ss)
 
 
 def compute_report(
     state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
 ) -> RelationReport:
-    """Every relation for one (state, A, B) triple: the one-row form of reports.
+    """Every relation for one (state, A, B) triple of objects: the one-row form of reports.
 
     Requires nondegenerate spectra for the entropic fields; the mixedness
     estimate is not part of the report because it can fail (collinear

@@ -96,8 +96,8 @@ def sweep_sidecar_json(
             "alpha": axis(grid.alpha_axis),
             "lambda": axis(grid.lambda_axis),
             "t": axis(grid.t_axis),
-            "obs_a": [grid.obs_a.a1, grid.obs_a.a2, grid.obs_a.a3, grid.obs_a.a4],
-            "obs_b": [grid.obs_b.a1, grid.obs_b.a2, grid.obs_b.a3, grid.obs_b.a4],
+            "obs_a": list(grid.obs_a),
+            "obs_b": list(grid.obs_b),
         },
         "source": source,
         "seed": seed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OBS_X, OBS_Z, PauliObservable, _components, _dot, _result, _where
+from .core import OBS_X, OBS_Z, _observable_row, _result, _where
 from .errors import InvalidArgument
 from .feedback import analytic_bloch, evolve
 from .relations import _reports
@@ -76,15 +76,18 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Product grid over (alpha, lambda, t) plus the observable pair."""
+    """Product grid over (alpha, lambda, t) plus the observable pair, as
+    coefficient rows (a1, a2, a3, a4), held as checked tuples of floats."""
 
     alpha_axis: GridAxis
     lambda_axis: GridAxis
     t_axis: GridAxis
-    obs_a: PauliObservable = OBS_X
-    obs_b: PauliObservable = OBS_Z
+    obs_a: tuple = OBS_X
+    obs_b: tuple = OBS_Z
 
     def __post_init__(self):
+        object.__setattr__(self, "obs_a", _observable_row(self.obs_a))
+        object.__setattr__(self, "obs_b", _observable_row(self.obs_b))
         points = self.alpha_axis.steps * self.lambda_axis.steps * self.t_axis.steps
         if points > MAX_GRID_POINTS:
             raise InvalidArgument(f"the grid has {points} points, more than {MAX_GRID_POINTS}")
@@ -129,16 +132,13 @@ def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     relations.reports.  Raises DegenerateSpectrum when A or B has a
     degenerate spectrum (ti2 needs both eigenbases).
     """
-    fields, complementarity = _reports(p, a, b)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    # a + b is formed on rows, which broadcast as reports' rows do
-    a_t, b_t, ab = _components(a), _components(b), _components(a + b)
+    fields, complementarity, (aa, bb, ss) = _reports(p, a, b)
     eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
     distinct_bases = complementarity < 1.0 - C_ONE_TOL
     return (
-        _ratio(fields["product"], eq19, eq19 > BOUND_FLOOR * _dot(a_t, a_t) * _dot(b_t, b_t)),
+        _ratio(fields["product"], eq19, eq19 > BOUND_FLOOR * aa * bb),
         _ratio(fields["entropy_sum"], fields["entropy_bound"], distinct_bases),
-        _ratio(fields["sum_lhs"], sum_bound, sum_bound > BOUND_FLOOR * _dot(ab, ab)),
+        _ratio(fields["sum_lhs"], sum_bound, sum_bound > BOUND_FLOOR * ss),
     )
 
 
@@ -212,7 +212,7 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndar
     # the table is flat, so the ratios take the states flat: the same bits
     # as the (rows, T, 3) stack without its per-call multi-axis overhead
     coords = [np.repeat(alpha, len(ts)), np.repeat(lam, len(ts)), np.tile(ts, len(alpha))]
-    values = ratios(bloch.reshape(-1, 3), grid.obs_a.coeffs, grid.obs_b.coeffs)
+    values = ratios(bloch.reshape(-1, 3), grid.obs_a, grid.obs_b)
     return np.column_stack(coords + list(values))
 
 

@@ -320,11 +320,9 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
     for shots in (10_000, 1_000_000):
         counts_a, counts_b = (
             relations.shot_counts(p, rows, shots, [[seed, 14, shots, k, j] for k in range(seeds)])
-            for j, rows in enumerate((OBS_X.coeffs, OBS_Z.coeffs))
+            for j, rows in enumerate((OBS_X, OBS_Z))
         )
-        _, se = relations.mixedness_estimates_from_counts(
-            counts_a, counts_b, None, OBS_X.coeffs, OBS_Z.coeffs
-        )
+        _, se = relations.mixedness_estimates_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
         ses[shots] = float(np.mean(se))
     return ses[10_000] / ses[1_000_000], seeds
 
@@ -333,7 +331,7 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
 def check_eur_sigma_xz(samples: int, seed: int) -> float:
     rng = _rng(seed, 15)
     p = random_bloch_vectors(rng, samples, "mixed")
-    fields = relations.reports(p, OBS_X.coeffs, OBS_Z.coeffs)
+    fields = relations.reports(p, OBS_X, OBS_Z)
     return float((fields["entropy_bound"] - fields["entropy_sum"]).max())
 
 
@@ -456,7 +454,7 @@ def check_closed_form_ti1_vs_pipeline(samples: int, seed: int) -> tuple:
     def deviation(alpha, lam, closed: list[list[float]]) -> float:
         """Pipeline ti1 on the broadcast (alpha, lam) rows times ts against closed."""
         bloch = feedback.analytic_bloch(alpha, lam, ts)
-        pipeline = tightness.ratios(bloch, OBS_X.coeffs, OBS_Z.coeffs)[0]
+        pipeline = tightness.ratios(bloch, OBS_X, OBS_Z)[0]
         return float(np.abs(pipeline - closed).max())
 
     worst = max(

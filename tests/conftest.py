@@ -17,7 +17,6 @@ import pytest
 from hypothesis import strategies as st
 
 import qubitvar
-from qubitvar.core import BlochVector, PauliObservable, QubitState
 from qubitvar.feedback import step_times
 from qubitvar.verify import master_rhs
 
@@ -128,13 +127,16 @@ def oracle_rk4_matrices(alpha, lam, omega, t_end, h):
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
+# Hypothesis strategies for the array functions' inputs: a Bloch vector
+# (a state) or a coefficient row, as a 1-D array.
+
 @st.composite
 def bloch_vectors(draw, pure=False):
     if pure:
         costheta = draw(st.floats(-1.0, 1.0, **finite))
         phi = draw(st.floats(0.0, 2 * math.pi, **finite))
         sintheta = math.sqrt(max(0.0, 1.0 - costheta**2))
-        return BlochVector(sintheta * math.cos(phi), sintheta * math.sin(phi), costheta)
+        return np.array([sintheta * math.cos(phi), sintheta * math.sin(phi), costheta])
     px = draw(st.floats(-1.0, 1.0, **finite))
     py = draw(st.floats(-1.0, 1.0, **finite))
     pz = draw(st.floats(-1.0, 1.0, **finite))
@@ -142,18 +144,12 @@ def bloch_vectors(draw, pure=False):
         norm = math.sqrt(px**2 + py**2 + pz**2)
         scale = draw(st.floats(0.0, 1.0, **finite)) / norm
         px, py, pz = px * scale, py * scale, pz * scale
-    return BlochVector(px, py, pz)
-
-
-@st.composite
-def qubit_states(draw, pure=False):
-    return QubitState(draw(bloch_vectors(pure=pure)))
+    return np.array([px, py, pz])
 
 
 @st.composite
 def observables(draw, span=5.0):
-    coeffs = [draw(st.floats(-span, span, **finite)) for _ in range(4)]
-    return PauliObservable(*coeffs)
+    return np.array([draw(st.floats(-span, span, **finite)) for _ in range(4)])
 
 
 @pytest.fixture

@@ -16,11 +16,8 @@ import pytest
 
 from conftest import cli_outputs
 from qubitvar.core import (
-    BlochVector,
     OBS_X,
     OBS_Z,
-    PauliObservable,
-    QubitState,
     anticommutator_terms,
     commutator_terms,
     mixedness_general,
@@ -37,12 +34,11 @@ from qubitvar.feedback import (
     step_times,
 )
 from qubitvar.relations import (
-    estimate_mixedness,
-    estimate_mixedness_from_counts,
     gram_determinants,
     mixedness_estimates,
+    mixedness_estimates_from_counts,
     reports,
-    simulate_shots,
+    shot_counts,
 )
 from qubitvar.tightness import (
     count_ordering_violations,
@@ -120,7 +116,7 @@ def test_criterion_02_pure_state_degenerates_to_sur():
 def test_criterion_03_estimator_exactness():
     rng = np.random.default_rng(20240503)
     p = random_bloch_vectors(rng, 10_000, "mixed")
-    estimates = mixedness_estimates(p, OBS_X.coeffs, OBS_Z.coeffs)
+    estimates = mixedness_estimates(p, OBS_X, OBS_Z)
     worst = float(np.abs(estimates - mixedness_values(p)).max())
     pairs = []
     while len(pairs) < 10:
@@ -134,23 +130,23 @@ def test_criterion_03_estimator_exactness():
     estimates = mixedness_estimates(states, rows[:, 0], rows[:, 1])
     worst = max(worst, float(np.abs(estimates - mixedness_values(states)).max()))
     assert worst < 1e-10
-    parallels = (OBS_X, PauliObservable(2.0, 0.0, 0.0, 0.0), PauliObservable(-0.5, 0.0, 0.0, 1.0))
+    parallels = (OBS_X, (2.0, 0.0, 0.0, 0.0), (-0.5, 0.0, 0.0, 1.0))
     for parallel in parallels:
         with pytest.raises(CollinearObservables):
-            estimate_mixedness(QubitState(BlochVector(0.1, 0.2, 0.3)), OBS_X, parallel)
+            mixedness_estimates([0.1, 0.2, 0.3], OBS_X, parallel)
     report(3, "estimator exactness", f"max |estimate - mixedness| {worst:.2e}; collinear pairs raise")
 
 
 def test_criterion_04_shot_based_estimator():
-    state = QubitState(BlochVector(0.0, 0.0, 0.0))
     inside = 0
     seeds = 100
-    for k in range(seeds):
-        counts_a = simulate_shots(state, OBS_X, 10**6, seed=[20240504, k, 0])
-        counts_b = simulate_shots(state, OBS_Z, 10**6, seed=[20240504, k, 1])
-        estimate, std_error = estimate_mixedness_from_counts(
-            counts_a, counts_b, None, OBS_X, OBS_Z
-        )
+    # one stacked draw per observable: row k is the draw from seed [20240504, k, j]
+    counts_a, counts_b = (
+        shot_counts([0.0, 0.0, 0.0], a, 10**6, [[20240504, k, j] for k in range(seeds)])
+        for j, a in enumerate((OBS_X, OBS_Z))
+    )
+    estimates, std_errors = mixedness_estimates_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
+    for estimate, std_error in zip(estimates.tolist(), std_errors.tolist()):
         if std_error > 0 and abs((estimate - 0.5) / std_error) < 3:
             inside += 1
     fraction = inside / seeds
@@ -243,7 +239,7 @@ def test_criterion_08_closed_form_ti1_cross_validation():
     lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
 
     def pipeline(alpha, lam):
-        values = ratios(analytic_bloch(alpha, lam, ts), OBS_X.coeffs, OBS_Z.coeffs)[0]
+        values = ratios(analytic_bloch(alpha, lam, ts), OBS_X, OBS_Z)[0]
         assert np.isfinite(values).all(), "undefined ti1 on the grid"
         return values
 
@@ -311,7 +307,7 @@ def test_criterion_10_fig3_tightness_level():
     floor = float(ti1.min())
     assert floor >= 1.0 - 1e-9
     lams = np.linspace(0.0, 1.0, 51)[1:].tolist()
-    values = ratios(analytic_bloch(math.pi / 4, lams, 1e-6), OBS_X.coeffs, OBS_Z.coeffs)[0]
+    values = ratios(analytic_bloch(math.pi / 4, lams, 1e-6), OBS_X, OBS_Z)[0]
     assert np.isfinite(values).all(), "undefined ti1 at t = 1e-6"
     closed = [ti1_analytic_alpha_pi4(lam, 1e-6) for lam in lams]
     worst_limit = float(np.abs(np.append(values, closed) - 1.0).max())

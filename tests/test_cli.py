@@ -8,6 +8,7 @@ import runpy
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import pytest
 from conftest import CLI_ENV, cli_outputs, cli_processes
 from qubitvar import cli, serialize, verify
 from qubitvar.cli import build_parser, main
-from qubitvar.core import PauliObservable
 from qubitvar.tightness import GridAxis, SweepGrid, fig2_grid, sweep
 
 REPORT_KEYS = [
@@ -462,6 +462,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["report"], ["estimate"], ["sweep", "--fig2", "--output", "{out}"],
+    ], ids=["report", "estimate", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--obs-a", "1,2"], "--obs-a needs 4 comma-separated numbers, got '1,2'"),
+        (["--obs-b", "0,x,1,0"], "--obs-b: could not convert string to float: 'x'"),
+        (["--obs-a", "nan,0,0,0"], "--obs-a: components must be finite, got (nan, 0.0, 0.0, 0.0)"),
+        (["--obs-b", "0,0,1,-1e77"], "--obs-b: coefficients above 1.16e+76 overflow the moments"),
+    ], ids=["count", "number", "finite", "coefficient"])
+    def test_observable_flag_refusals(self, command, flags, message, capsys, tmp_path):
+        # each vector flag is parsed by its one row check and refused with one line
+        out_file = tmp_path / "x.csv"
+        args = [a.format(out=out_file) for a in command] + flags
+        if command[0] != "sweep":
+            args += ["--bloch", "0,0,0"]
+        assert run_cli(args, capsys) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command", [["report"], ["estimate"]])
+    @pytest.mark.parametrize("value, message", [
+        ("1,2", "--bloch needs 3 comma-separated numbers, got '1,2'"),
+        ("x,0,0", "--bloch: could not convert string to float: 'x'"),
+        ("nan,0,0", "--bloch: components must be finite, got (nan, 0.0, 0.0)"),
+        ("2,0,0", "--bloch: |p|^2 = 4 exceeds 1 + 1e-12"),
+    ], ids=["count", "number", "finite", "ball"])
+    def test_state_flag_refusals(self, command, value, message, capsys):
+        assert run_cli(command + ["--bloch", value], capsys) == (2, "", f"error: {message}\n")
+
 
 class TestOutputFiles:
     """--output files are rewritten in place and cut to the new length."""
@@ -521,9 +549,20 @@ class TestOutputFiles:
         assert link.is_symlink() and link.readlink() == target
         assert run_cli(args, capsys)[1].encode() == target.read_bytes()
 
-    def test_dev_null(self, capsys):
-        assert run_cli(["report", "--bloch", "0,0,0", "--output", os.devnull], capsys)[0] == 0
-        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    def test_fifo_is_written_not_truncated(self, tmp_path, capsys):
+        # a FIFO, like a device, is written but not truncated (truncate()
+        # raises on it); a reader thread receives the whole report
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        args = ["report", "--bloch", "0.3,0.1,-0.2"]
+        assert run_cli(args + ["--output", str(fifo)], capsys)[0] == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [run_cli(args, capsys)[1].encode()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 class TestOneProcess:
@@ -654,7 +693,7 @@ class TestReportJson:
     def test_non_finite_refused(self, value, capsys, monkeypatch):
         with pytest.raises(ValueError):
             serialize.report_json({"varA": 0.1, "mixedness": value})
-        monkeypatch.setattr(cli, "mixedness", lambda state: value)
+        monkeypatch.setattr(cli, "mixedness_values", lambda p: value)
         code, out, err = run_cli(["report", "--bloch", "0.3,0.1,-0.2"], capsys)
         assert code == 2
         assert out == ""
@@ -674,8 +713,8 @@ def sidecar_payload(grid, source, seed, violations):
     return {
         "grid": {
             **{name: dataclasses.asdict(axis) for name, axis in axes.items()},
-            "obs_a": grid.obs_a.coeffs.tolist(),
-            "obs_b": grid.obs_b.coeffs.tolist(),
+            "obs_a": list(grid.obs_a),
+            "obs_b": list(grid.obs_b),
         },
         "source": source,
         "seed": seed,
@@ -704,7 +743,7 @@ class TestSidecarJson:
             alpha_axis=GridAxis(-0.0, 0.0, 1),
             lambda_axis=GridAxis(5e-324, 1e308, 3, include_lo=False),
             t_axis=GridAxis(0.0, 2.2250738585072014e-308, 2),
-            obs_a=PauliObservable(-0.0, 5e-324, 1.0, 1e70),
+            obs_a=(-0.0, 5e-324, 1.0, 1e70),
         )
         violations = {"points_all_defined": 0, "ti1_gt_ti2": 0, "ti1_gt_ti3": 0}
         for source, seed in (("analytic", 0), ("numeric", 2**64)):

@@ -26,22 +26,17 @@ from conftest import (
     oracle_state,
     oracle_variance,
     oracle_xi,
-    qubit_states,
 )
-from qubitvar import feedback, relations, tightness
+from qubitvar import core, feedback, relations, tightness
 from qubitvar.core import (
-    BlochVector,
     OBS_X,
     OBS_Z,
-    PauliObservable,
-    QubitState,
     anticommutator_terms,
     bloch_array,
     commutator_terms,
     decompose_observable,
     density_matrices,
     matrix_to_bloch,
-    mixedness,
     mixedness_general,
     mixedness_values,
     random_bloch_vectors,
@@ -52,9 +47,6 @@ from qubitvar.core import (
 )
 from qubitvar.errors import InvalidArgument
 from qubitvar.relations import high_outcome_probabilities
-
-MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
-GROUND = QubitState(BlochVector(0.0, 0.0, 1.0))  # |0><0|
 
 
 class TestRepresentations:
@@ -68,7 +60,6 @@ class TestRepresentations:
 
     def test_zero_vector_gives_maximally_mixed(self):
         assert np.allclose(density_matrices(ORIGIN), ID / 2, atol=0)
-        assert np.allclose(density_matrices(MAXMIXED.bloch.as_array()), ID / 2, atol=0)
 
     def test_z_pole_gives_ground_projector(self):
         assert np.allclose(density_matrices(Z_POLE), np.diag([1.0, 0.0]), atol=0)
@@ -94,7 +85,7 @@ class TestRepresentations:
 
     def test_bloch_norm_exceeded(self):
         with pytest.raises(InvalidArgument, match=r"\|p\|\^2 = 1.01 exceeds 1 \+ 1e-12"):
-            BlochVector(1.0, 0.1, 0.0)
+            core._state_row([1.0, 0.1, 0.0])
 
     def test_matrix_validation_errors(self):
         valid = ID / 2
@@ -117,9 +108,9 @@ class TestRepresentations:
 
     @settings(deadline=None)
     @given(bloch_vectors())
-    def test_roundtrip_property(self, b):
-        back = matrix_to_bloch(density_matrices(b.as_array()))
-        assert np.abs(back - b.as_array()).max() <= 1e-12
+    def test_roundtrip_property(self, p):
+        back = matrix_to_bloch(density_matrices(p))
+        assert np.abs(back - p).max() <= 1e-12
 
 
 class TestObservables:
@@ -145,8 +136,8 @@ class TestObservables:
 
     @settings(deadline=None)
     @given(observables())
-    def test_decompose_reconstruct_roundtrip(self, obs):
-        matrix = oracle_obs(*obs.coeffs)
+    def test_decompose_reconstruct_roundtrip(self, a):
+        matrix = oracle_obs(*a)
         back = decompose_observable(matrix)
         assert np.abs(oracle_obs(*back) - matrix).max() <= 1e-12
 
@@ -199,23 +190,20 @@ class TestMoments:
         assert xi_values(I, I) == 0.0
 
     @settings(deadline=None)
-    @given(qubit_states(), observables(), observables())
-    def test_closed_forms_match_matrix_route(self, state, obs_a, obs_b):
-        b = state.bloch
-        p, a_c, b_c = b.as_array(), obs_a.coeffs, obs_b.coeffs
-        rho = oracle_state(b.px, b.py, b.pz)
-        a_mat = oracle_obs(obs_a.a1, obs_a.a2, obs_a.a3, obs_a.a4)
-        b_mat = oracle_obs(obs_b.a1, obs_b.a2, obs_b.a3, obs_b.a4)
-        assert variances(p, a_c) == pytest.approx(
+    @given(bloch_vectors(), observables(), observables())
+    def test_closed_forms_match_matrix_route(self, p, a, b):
+        rho = oracle_state(*p)
+        a_mat, b_mat = oracle_obs(*a), oracle_obs(*b)
+        assert variances(p, a) == pytest.approx(
             max(oracle_variance(rho, a_mat), 0.0), abs=1e-12
         )
-        assert commutator_terms(p, a_c, b_c) == pytest.approx(
+        assert commutator_terms(p, a, b) == pytest.approx(
             oracle_commutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
-        assert anticommutator_terms(p, a_c, b_c) == pytest.approx(
+        assert anticommutator_terms(p, a, b) == pytest.approx(
             oracle_anticommutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
         )
-        assert xi_values(a_c, b_c) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
+        assert xi_values(a, b) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
 
     def test_linear_covariance_form_needs_outer_square(self):
         # the linear Bloch expression for the covariance term equals
@@ -235,18 +223,16 @@ class TestMoments:
             assert anticommutator_terms(p, a, b) == pytest.approx(linear**2, abs=1e-10)
 
     @settings(deadline=None)
-    @given(qubit_states(), observables(), st.floats(-10, 10, allow_nan=False))
-    def test_variance_shift_invariance(self, state, obs, shift):
-        p = state.bloch.as_array()
-        shifted = PauliObservable(obs.a1, obs.a2, obs.a3, obs.a4 + shift)
-        assert variances(p, shifted.coeffs) == pytest.approx(variances(p, obs.coeffs), abs=1e-12)
+    @given(bloch_vectors(), observables(), st.floats(-10, 10, allow_nan=False))
+    def test_variance_shift_invariance(self, p, a, shift):
+        shifted = np.array([*a[:3], a[3] + shift])
+        assert variances(p, shifted) == pytest.approx(variances(p, a), abs=1e-12)
 
     @settings(deadline=None)
     @given(observables(), observables())
-    def test_xi_gram_nonnegative_adversarial(self, obs_a, obs_b):
+    def test_xi_gram_nonnegative_adversarial(self, a, b):
         # parallel pairs can round a hair below zero; scale the floor with
         # the product magnitude (the exact value is >= 0 by Cauchy-Schwarz)
-        a, b = obs_a.coeffs, obs_b.coeffs
         product = xi_values(a, a) * xi_values(b, b)
         gram = product - xi_values(a, b) ** 2
         assert gram >= -1e-12 * max(1.0, abs(product))
@@ -254,11 +240,18 @@ class TestMoments:
 
 class TestArrayMoments:
     def test_non_finite_components_rejected(self):
+        # the one row check per input kind, as the CLI flags and SweepGrid call it
         for bad in (math.nan, math.inf, -math.inf):
+            message = rf"^components must be finite, got \({bad}, 0.0, 0.0\)$"
+            with pytest.raises(InvalidArgument, match=message):
+                core._state_row((bad, 0.0, 0.0))
             with pytest.raises(InvalidArgument, match="components must be finite"):
-                BlochVector(bad, 0.0, 0.0)
-            with pytest.raises(InvalidArgument, match="components must be finite"):
-                PauliObservable(0.0, 0.0, bad, 0.0)
+                core._observable_row((0.0, 0.0, bad, 0.0))
+        assert core._observable_row([1, 0, 0, core.COEFF_MAX]) == (1.0, 0.0, 0.0, core.COEFF_MAX)
+        with pytest.raises(InvalidArgument, match="^coefficients above 1.16e[+]76 overflow"):
+            core._observable_row([0.0, -2.0 * core.COEFF_MAX, 0.0, 0.0])
+        with pytest.raises(InvalidArgument, match="an observable has 4 coefficients, got 3"):
+            core._observable_row([1.0, 0.0, 0.0])
 
     def test_bloch_array_rejects_rows_outside_ball_and_nan(self):
         assert bloch_array([[0.0, 0.0, 1.0], [0.1, 0.2, 0.3]]).shape == (2, 3)
@@ -280,10 +273,9 @@ class TestArrayMoments:
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(bloch_vectors(), min_size=1, max_size=8), observables(), observables())
-    def test_stacked_rows_match_scalar_forms(self, vectors, obs_a, obs_b):
+    def test_stacked_rows_match_scalar_forms(self, vectors, a, b):
         # one row through a function equals that row of the stacked call, bit for bit
-        p = np.array([v.as_array() for v in vectors])
-        a, b = obs_a.coeffs, obs_b.coeffs
+        p = np.array(vectors)
         rows_a = np.stack([a + k for k in range(len(vectors))])  # one observable per row
         functions = {
             "variance": lambda p, a, b: variances(p, a),
@@ -297,8 +289,6 @@ class TestArrayMoments:
                 for i in range(len(vectors)):
                     one = fn(p[i], a_in if a_in.ndim == 1 else a_in[i], b)
                     assert one.shape == () and one == stacked[i], (name, i)
-        for i, vector in enumerate(vectors):
-            assert mixedness(QubitState(vector)) == mixedness_values(p)[i]
         assert xi_values(rows_a, b)[-1] == xi_values(rows_a[-1], b)
 
     def test_symmetrized_products_against_dense(self, rng):
@@ -312,12 +302,12 @@ class TestArrayMoments:
 
 class TestMixedness:
     def test_qubit_examples(self):
-        assert mixedness(MAXMIXED) == 0.5
-        assert mixedness(GROUND) == pytest.approx(0.0, abs=1e-15)
-        state = QubitState(BlochVector(0.6, 0.0, 0.0))
+        assert mixedness_values(ORIGIN) == 0.5
+        assert mixedness_values(Z_POLE) == pytest.approx(0.0, abs=1e-15)
         rho = oracle_state(0.6, 0, 0)
-        assert mixedness(state) == pytest.approx(1 - np.trace(rho @ rho).real, abs=1e-12)
-        assert mixedness(state) == pytest.approx(0.32, abs=1e-12)
+        value = mixedness_values([0.6, 0.0, 0.0])
+        assert value == pytest.approx(1 - np.trace(rho @ rho).real, abs=1e-12)
+        assert value == pytest.approx(0.32, abs=1e-12)
 
     def test_general_dimension_examples(self):
         assert mixedness_general(np.eye(3) / 3) == pytest.approx(2 / 3, abs=1e-12)
@@ -438,7 +428,7 @@ def test_package_all_resolves():
 
 
 AXIS = tightness.GridAxis
-GENERAL_B = PauliObservable(0.5, 0.0, 1.0, 0.7)  # (A B + B A)/2 with A = sx is not prop. to I
+GENERAL_B = (0.5, 0.0, 1.0, 0.7)  # (A B + B A)/2 with A = sx is not prop. to I
 
 
 @pytest.mark.parametrize(
@@ -452,9 +442,9 @@ GENERAL_B = PauliObservable(0.5, 0.0, 1.0, 0.7)  # (A B + B A)/2 with A = sx is 
         lambda: tightness.SweepGrid(AXIS(0.1, 0.1, 1), AXIS(1.0, 1.0, 1), AXIS(-1.0, 1.0, 3)),
         lambda: tightness.SweepGrid(AXIS(0.1, 0.1, 1), AXIS(-1.0, -1.0, 1), AXIS(0.0, 1.0, 3)),
         lambda: tightness.sweep(tightness.fig2_grid(steps=2), source="exact"),
-        lambda: relations.simulate_shots(MAXMIXED, OBS_X, 0, seed=0),
-        lambda: relations.estimate_mixedness_from_counts((0, 0), (5, 5), None, OBS_X, OBS_Z),
-        lambda: relations.estimate_mixedness_from_counts((5, 5), (5, 5), None, OBS_X, GENERAL_B),
+        lambda: relations.shot_counts(ORIGIN, OBS_X, 0, [0]),
+        lambda: relations.mixedness_estimates_from_counts((0, 0), (5, 5), None, OBS_X, OBS_Z),
+        lambda: relations.mixedness_estimates_from_counts((5, 5), (5, 5), None, OBS_X, GENERAL_B),
     ],
     ids=["sample_kind", "sample_times", "axis_steps", "pinned_axis", "axis_order", "t_axis",
          "lambda_axis", "sweep_source", "shots", "counts", "omitted_c"],

@@ -8,21 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import ORIGIN, Z_POLE, I, X, Y, Z, observables, oracle_obs, qubit_states
+from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables, oracle_obs
 from qubitvar import core, relations
 from qubitvar.core import (
-    BlochVector,
-    OBS_I,
     OBS_X,
-    OBS_Y,
     OBS_Z,
-    PauliObservable,
-    QubitState,
     anticommutator_terms,
     commutator_terms,
-    mixedness,
     mixedness_values,
     random_bloch_vectors,
+    symmetrized_products,
     variances,
 )
 from qubitvar.errors import (
@@ -32,23 +27,17 @@ from qubitvar.relations import (
     MAX_SHOTS,
     SPECTRUM_GAP_TOL,
     complementarities,
-    compute_report,
     equality_remainders,
-    estimate_mixedness,
-    estimate_mixedness_from_counts,
     gram_determinants,
     high_outcome_probabilities,
     measurement_entropies,
     mixedness_estimates,
+    mixedness_estimates_from_counts,
     reports,
-    simulate_shots,
-    symmetrized_product,
+    shot_counts,
 )
 from qubitvar.tightness import ratios
 from qubitvar.verify import check_remainder_sign
-
-MAXMIXED = QubitState(BlochVector(0.0, 0.0, 0.0))
-GROUND = QubitState(BlochVector(0.0, 0.0, 1.0))
 
 
 def random_triple(rng, span=5.0, kind="mixed"):
@@ -84,14 +73,13 @@ class TestProductBounds:
         assert commutator_terms(Z_POLE, X, Y) == pytest.approx(1.0, abs=1e-12)
         obs = [0.4, 1.0, -0.3, 0.2]
         assert commutator_terms(ORIGIN, obs, obs) == 0.0
-        assert compute_report(GROUND, OBS_X, OBS_Y).rur_bound == pytest.approx(1.0, abs=1e-12)
+        assert reports(Z_POLE, X, Y)["rur_bound"] == pytest.approx(1.0, abs=1e-12)
 
     def test_sur_trivial_examples(self):
-        assert compute_report(MAXMIXED, OBS_X, OBS_Z).sur_bound == 0.0
-        state = QubitState(BlochVector(0.3, -0.2, 0.4))
-        obs = PauliObservable(1.2, 0.0, -0.7, 0.5)
-        assert compute_report(state, obs, obs).sur_bound == pytest.approx(
-            variances(state.bloch.as_array(), obs.coeffs) ** 2, abs=1e-10
+        assert reports(ORIGIN, X, Z)["sur_bound"] == 0.0
+        p, obs = [0.3, -0.2, 0.4], [1.2, 0.0, -0.7, 0.5]
+        assert reports(p, obs, obs)["sur_bound"] == pytest.approx(
+            variances(p, obs) ** 2, abs=1e-10
         )
 
     def test_remainder_maximally_mixed(self):
@@ -112,15 +100,14 @@ class TestProductBounds:
         assert result.worst <= 1e-15
 
     def test_equality_examples(self):
-        for state in (MAXMIXED, GROUND):
-            report = compute_report(state, OBS_X, OBS_Z)
-            assert report.equality_residual == pytest.approx(0.0, abs=1e-14)
-            assert residual(state.bloch.as_array(), X, Z) == pytest.approx(0.0, abs=1e-14)
+        for p in (ORIGIN, Z_POLE):
+            assert reports(p, X, Z)["equality_residual"] == pytest.approx(0.0, abs=1e-14)
+            assert residual(p, X, Z) == pytest.approx(0.0, abs=1e-14)
 
     @settings(deadline=None)
-    @given(qubit_states(), observables(), observables())
-    def test_equality_residual_property(self, state, obs_a, obs_b):
-        assert abs(residual(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)) <= 1e-10
+    @given(bloch_vectors(), observables(), observables())
+    def test_equality_residual_property(self, p, a, b):
+        assert abs(residual(p, a, b)) <= 1e-10
 
     def test_mixedness_weighted_bound_examples(self):
         assert reports(ORIGIN, X, Z)["eq19_bound"] == pytest.approx(1.0, abs=1e-14)
@@ -156,9 +143,8 @@ class TestSumRelation:
         assert bound == pytest.approx(2 * variances(p, obs), abs=1e-12)
 
     @settings(deadline=None)
-    @given(qubit_states(), observables(), observables())
-    def test_holds_always(self, state, obs_a, obs_b):
-        p, a, b = state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs
+    @given(bloch_vectors(), observables(), observables())
+    def test_holds_always(self, p, a, b):
         try:
             lhs, bound = sum_fields(p, a, b)
         except DegenerateSpectrum:
@@ -226,126 +212,173 @@ class TestEstimator:
     def test_examples(self):
         # the estimate is a ratio of variance data: A and B in other units
         # change neither its value nor which pairs are refused
-        state = QubitState(BlochVector(0.3, 0.1, -0.2))
+        p = [0.3, 0.1, -0.2]
         parallels = ([1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 1.0],
                      [2.0, 0.0, 0.0, 1.0])
         for scale in (1.0, 1e-3, 1e3):
-            obs_a, obs_b = PauliObservable(*(scale * X)), PauliObservable(*(scale * Z))
-            assert estimate_mixedness(MAXMIXED, obs_a, obs_b) == pytest.approx(0.5, abs=1e-12)
-            assert estimate_mixedness(GROUND, obs_a, obs_b) == pytest.approx(0.0, abs=1e-12)
-            assert estimate_mixedness(state, obs_a, obs_b) == pytest.approx(0.43, abs=1e-12)
+            a, b = scale * X, scale * Z
+            assert mixedness_estimates(ORIGIN, a, b) == pytest.approx(0.5, abs=1e-12)
+            assert mixedness_estimates(Z_POLE, a, b) == pytest.approx(0.0, abs=1e-12)
+            assert mixedness_estimates(p, a, b) == pytest.approx(0.43, abs=1e-12)
             for parallel in parallels:
-                obs_b = PauliObservable(*(scale * np.array(parallel)))
                 with pytest.raises(CollinearObservables, match="gram determinant = 0.000e"):
-                    estimate_mixedness(state, obs_a, obs_b)
+                    mixedness_estimates(p, a, scale * np.array(parallel))
 
     def test_matches_mixedness_for_any_pair(self, rng):
         for _ in range(1000):
             p, a, b = random_triple(rng, span=2.0)
             if gram_determinants(a, b) <= 1.0:
                 continue
-            state = QubitState(BlochVector(*p.tolist()))
-            obs_a, obs_b = PauliObservable(*a), PauliObservable(*b)
-            assert estimate_mixedness(state, obs_a, obs_b) == pytest.approx(
-                mixedness(state), abs=1e-10
-            )
+            assert mixedness_estimates(p, a, b) == pytest.approx(mixedness_values(p), abs=1e-10)
 
     def test_pair_independence(self, rng):
-        state = QubitState(BlochVector(0.2, -0.3, 0.4))
+        p = [0.2, -0.3, 0.4]
         values = []
         for _ in range(20):
-            obs_a = PauliObservable(*rng.uniform(-2, 2, 4))
-            obs_b = PauliObservable(*rng.uniform(-2, 2, 4))
-            if gram_determinants(obs_a.coeffs, obs_b.coeffs) <= 1.0:
+            a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
+            if gram_determinants(a, b) <= 1.0:
                 continue
-            values.append(estimate_mixedness(state, obs_a, obs_b))
+            values.append(float(mixedness_estimates(p, a, b)))
         assert max(values) - min(values) <= 1e-10
 
 
     def test_per_object_forms_match_array_rows(self, rng):
-        # estimate_mixedness and mixedness are the one-row forms of the array
-        # route, bit for bit, with one pair for all states and one pair per state
+        # the ten per-object forms are one-row adapters of the array route,
+        # kept for the benchmark's meter workload: each equals its one-row
+        # array call bit for bit, with one pair for all states and one pair
+        # per state, and each constructor refuses with its row check's message
         p = random_bloch_vectors(rng, 300, "mixed")
         a, b = rng.uniform(-2, 2, (300, 4)), rng.uniform(-2, 2, (300, 4))
         kept = gram_determinants(a, b) > 1.0
         p, a, b = p[kept], a[kept], b[kept]
-        values = mixedness_values(p)
-        for pair in ((OBS_X.coeffs, OBS_Z.coeffs), (a, b)):
-            estimates = mixedness_estimates(p, *pair)
+        for pair in ((OBS_X, OBS_Z), (a, b)):
             rows_a, rows_b = (np.broadcast_to(x, a.shape) for x in pair)
             for i, row in enumerate(p):
-                state = QubitState(BlochVector(*row.tolist()))
-                obs_a, obs_b = PauliObservable(*rows_a[i]), PauliObservable(*rows_b[i])
-                assert estimate_mixedness(state, obs_a, obs_b).hex() == float(estimates[i]).hex()
-                assert mixedness(state).hex() == float(values[i]).hex()
+                a_i, b_i, seed = rows_a[i], rows_b[i], [8, i]
+                vector = core.BlochVector(*row.tolist())
+                state = core.QubitState(vector)
+                obs_a, obs_b = core.PauliObservable(*a_i), core.PauliObservable(*b_i)
+                assert state.bloch is vector and np.array_equal(vector.as_array(), row)
+                assert np.array_equal(obs_a.coeffs, a_i) and not obs_a.coeffs.flags.writeable
+                assert core.mixedness(state).hex() == float(mixedness_values(row)).hex()
+                assert relations.estimate_mixedness(state, obs_a, obs_b).hex() == (
+                    float(mixedness_estimates(row, a_i, b_i)).hex()
+                )
+                report = relations.compute_report(state, obs_a, obs_b)
+                assert type(report) is relations.RelationReport
+                assert [(k, v.hex()) for k, v in dataclasses.asdict(report).items()] == [
+                    (k, float(v).hex()) for k, v in reports(row, a_i, b_i).items()
+                ]
+                obs_c = relations.symmetrized_product(obs_a, obs_b)
+                c_i = symmetrized_products(a_i, b_i)
+                assert np.array_equal(obs_c.coeffs, c_i)
+                counts = []
+                for obs, coeffs in ((obs_a, a_i), (obs_b, b_i), (obs_c, c_i)):
+                    if obs is obs_c and pair[0] is OBS_X:  # C = 0 I for sx, sz: no shots
+                        counts.append(None)
+                        continue
+                    drawn = relations.simulate_shots(state, obs, 1000, seed + [len(counts)])
+                    high, low = shot_counts(row, coeffs, 1000, [seed + [len(counts)]])
+                    assert type(drawn[0]) is int and drawn == (high[0], low[0])
+                    counts.append(drawn)
+                estimate = relations.estimate_mixedness_from_counts(*counts, obs_a, obs_b)
+                assert [x.hex() for x in estimate] == [
+                    float(x).hex() for x in mixedness_estimates_from_counts(*counts, a_i, b_i)
+                ]
+        finite = "components must be finite, got "
+        refusals = [
+            (core.BlochVector, (math.nan, 0.0, 0.0), finite + "(nan, 0.0, 0.0)"),
+            (core.BlochVector, (0, math.inf, 0), finite + "(0, inf, 0)"),
+            (core.BlochVector, (1.0, 0.1, 0.0), "|p|^2 = 1.01 exceeds 1 + 1e-12"),
+            (core.PauliObservable, (0.0, -math.inf, 0.0, 0.0), finite + "(0.0, -inf, 0.0, 0.0)"),
+            (core.PauliObservable, (1e77, 0, 0, 0),
+             "coefficients above 1.16e+76 overflow the moments"),
+        ]
+        for cls, values, message in refusals:
+            with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+                cls(*values)
 
 
 class TestSymmetrizedProduct:
     def test_examples(self):
-        zero = symmetrized_product(OBS_X, OBS_Z)
-        assert (zero.a1, zero.a2, zero.a3, zero.a4) == (0.0, 0.0, 0.0, 0.0)
-        identity = symmetrized_product(OBS_X, OBS_X)
-        assert (identity.a1, identity.a2, identity.a3, identity.a4) == (0.0, 0.0, 0.0, 1.0)
-        shifted = symmetrized_product(PauliObservable(1.0, 0.0, 0.0, 1.0), OBS_Z)
-        assert (shifted.a1, shifted.a2, shifted.a3, shifted.a4) == (0.0, 0.0, 1.0, 0.0)
+        assert symmetrized_products(X, Z).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert symmetrized_products(X, X).tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert symmetrized_products(X + I, Z).tolist() == [0.0, 0.0, 1.0, 0.0]
 
     def test_against_trace_oracle(self, rng):
         for _ in range(200):
             _, a, b = random_triple(rng)
-            got = oracle_obs(*symmetrized_product(PauliObservable(*a), PauliObservable(*b)).coeffs)
+            got = oracle_obs(*symmetrized_products(a, b))
             want = 0.5 * (oracle_obs(*a) @ oracle_obs(*b) + oracle_obs(*b) @ oracle_obs(*a))
             assert np.abs(got - want).max() <= 1e-12
 
 
+def one_row_counts(p, a, shots, seed):
+    """shot_counts for one (state, A) row and one seed, as a (high, low) pair of ints."""
+    high, low = shot_counts(p, a, shots, [seed])
+    return int(high[0]), int(low[0])
+
+
+def one_row_estimate(counts_a, counts_b, counts_c, a, b):
+    """mixedness_estimates_from_counts for one row, as (estimate, std_error) floats."""
+    return tuple(map(float, mixedness_estimates_from_counts(counts_a, counts_b, counts_c, a, b)))
+
+
 class TestShots:
     def test_deterministic_outcome(self):
-        assert simulate_shots(GROUND, OBS_Z, 1000, seed=5) == (1000, 0)
+        assert one_row_counts(Z_POLE, Z, 1000, 5) == (1000, 0)
 
     def test_balanced_within_three_sigma(self):
-        n_hi, _ = simulate_shots(MAXMIXED, OBS_Z, 10**6, seed=9)
+        n_hi, _ = one_row_counts(ORIGIN, Z, 10**6, 9)
         assert abs(n_hi - 5 * 10**5) < 3 * 500
 
     def test_fixed_seed_reproducible(self):
-        first = simulate_shots(MAXMIXED, OBS_X, 1234, seed=3)
-        second = simulate_shots(MAXMIXED, OBS_X, 1234, seed=3)
+        first = one_row_counts(ORIGIN, X, 1234, 3)
+        second = one_row_counts(ORIGIN, X, 1234, 3)
         assert first == second
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSpectrum):
-            simulate_shots(MAXMIXED, OBS_I, 10, seed=0)
+            shot_counts(ORIGIN, I, 10, [0])
 
     def test_shot_cap(self):
         # counts up to 2^53 stay exact as floats; one more is refused before any draw
-        counts = simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS, seed=3)
+        counts = one_row_counts(ORIGIN, X, MAX_SHOTS, 3)
         assert sum(counts) == MAX_SHOTS == 2**53
         with pytest.raises(InvalidArgument, match="shots are more than 9007199254740992"):
-            simulate_shots(MAXMIXED, OBS_X, MAX_SHOTS + 1, seed=3)
+            shot_counts(ORIGIN, X, MAX_SHOTS + 1, [3])
 
     def test_counts_validation(self):
         for bad in ((0, 0), (-1, 3)):
             with pytest.raises(ValueError):
-                estimate_mixedness_from_counts(bad, (5, 5), None, OBS_X, OBS_Z)
+                mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
             with pytest.raises(ValueError):
-                estimate_mixedness_from_counts((5, 5), bad, None, OBS_X, OBS_Z)
+                mixedness_estimates_from_counts((5, 5), bad, None, X, Z)
 
 
-def exact_counts(state, obs, shots):
+def exact_counts(p, a, shots):
     """Counts proportional to the exact outcome probabilities."""
-    n_hi = round(float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs)) * shots)
+    n_hi = round(float(high_outcome_probabilities(p, a)) * shots)
     return n_hi, shots - n_hi
+
+
+def in_plane_state(rng):
+    """A Bloch vector in the xz-plane, uniform over the disk."""
+    r = rng.uniform(0, 1) ** 0.5
+    angle = rng.uniform(0, 2 * math.pi)
+    return [r * math.cos(angle), 0.0, r * math.sin(angle)]
 
 
 class TestEstimateFromCounts:
     def test_known_floats(self):
         # bit for bit the values of the earlier counts-object implementation
-        obs_a = PauliObservable(1.0, 0.0, 0.3, 0.5)
-        obs_b = PauliObservable(-0.2, 0.7, 1.1, -0.4)
-        assert estimate_mixedness_from_counts(
-            (6120, 3880), (4011, 5989), (7000, 3000), obs_a, obs_b
+        a, b = [1.0, 0.0, 0.3, 0.5], [-0.2, 0.7, 1.1, -0.4]
+        assert one_row_estimate(
+            (6120, 3880), (4011, 5989), (7000, 3000), a, b
         ) == (0.3249578533236898, 0.007640449508878182)
         for counts_c in (None, (5, 5)):  # C = 0 I: counts of it carry no information
-            assert estimate_mixedness_from_counts(
-                (6120, 3880), (4011, 5989), counts_c, OBS_X, OBS_Z
+            assert one_row_estimate(
+                (6120, 3880), (4011, 5989), counts_c, X, Z
             ) == (0.45534958000000003, 0.002919802320688412)
 
     def test_exact_moment_limit(self, rng):
@@ -353,86 +386,68 @@ class TestEstimateFromCounts:
         # commutator-moment omission is exactly zero there
         shots = 10**9
         for _ in range(50):
-            r = rng.uniform(0, 1) ** 0.5
-            angle = rng.uniform(0, 2 * math.pi)
-            state = QubitState(BlochVector(r * math.cos(angle), 0.0, r * math.sin(angle)))
-            counts_a = exact_counts(state, OBS_X, shots)
-            counts_b = exact_counts(state, OBS_Z, shots)
-            estimate, _ = estimate_mixedness_from_counts(
-                counts_a, counts_b, None, OBS_X, OBS_Z
-            )
-            assert estimate == pytest.approx(mixedness(state), abs=1e-4)
+            p = in_plane_state(rng)
+            counts_a = exact_counts(p, X, shots)
+            counts_b = exact_counts(p, Z, shots)
+            estimate, _ = one_row_estimate(counts_a, counts_b, None, X, Z)
+            assert estimate == pytest.approx(mixedness_values(p), abs=1e-4)
 
     def test_exact_moment_limit_with_c_counts(self, rng):
         shots = 10**9
-        obs_a = PauliObservable(1.0, 0.0, 0.3, 0.5)
-        obs_b = PauliObservable(-0.2, 0.0, 1.1, -0.4)
+        a, b = [1.0, 0.0, 0.3, 0.5], [-0.2, 0.0, 1.1, -0.4]
         for _ in range(20):
-            r = rng.uniform(0, 1) ** 0.5
-            angle = rng.uniform(0, 2 * math.pi)
-            state = QubitState(BlochVector(r * math.cos(angle), 0.0, r * math.sin(angle)))
-            counts_a = exact_counts(state, obs_a, shots)
-            counts_b = exact_counts(state, obs_b, shots)
-            counts_c = exact_counts(state, symmetrized_product(obs_a, obs_b), shots)
-            estimate, _ = estimate_mixedness_from_counts(
-                counts_a, counts_b, counts_c, obs_a, obs_b
-            )
-            assert estimate == pytest.approx(mixedness(state), abs=1e-4)
+            p = in_plane_state(rng)
+            counts_a = exact_counts(p, a, shots)
+            counts_b = exact_counts(p, b, shots)
+            counts_c = exact_counts(p, symmetrized_products(a, b), shots)
+            estimate, _ = one_row_estimate(counts_a, counts_b, counts_c, a, b)
+            assert estimate == pytest.approx(mixedness_values(p), abs=1e-4)
 
     def test_maximally_mixed_within_three_se(self):
-        counts_a = simulate_shots(MAXMIXED, OBS_X, 10**6, seed=[21, 0])
-        counts_b = simulate_shots(MAXMIXED, OBS_Z, 10**6, seed=[21, 1])
-        estimate, std_error = estimate_mixedness_from_counts(
-            counts_a, counts_b, None, OBS_X, OBS_Z
-        )
+        counts_a = one_row_counts(ORIGIN, X, 10**6, [21, 0])
+        counts_b = one_row_counts(ORIGIN, Z, 10**6, [21, 1])
+        estimate, std_error = one_row_estimate(counts_a, counts_b, None, X, Z)
         assert abs(estimate - 0.5) <= 3 * std_error
 
     def test_zero_shot_c_requires_identity_like_product(self):
-        counts_a = simulate_shots(MAXMIXED, OBS_X, 100, seed=0)
-        obs_b = PauliObservable(0.5, 0.0, 1.0, 0.7)
-        counts_b = simulate_shots(MAXMIXED, obs_b, 100, seed=1)
+        counts_a = one_row_counts(ORIGIN, X, 100, 0)
+        b = [0.5, 0.0, 1.0, 0.7]
+        counts_b = one_row_counts(ORIGIN, b, 100, 1)
         with pytest.raises(ValueError):
-            estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, obs_b)
+            mixedness_estimates_from_counts(counts_a, counts_b, None, X, b)
 
     def test_collinear_rejected(self):
         # refused by the rule of the exact estimator, at every scale of A and B
-        counts_a = simulate_shots(MAXMIXED, OBS_X, 100, seed=0)
-        counts_b = simulate_shots(MAXMIXED, OBS_Z, 100, seed=1)
+        counts_a = one_row_counts(ORIGIN, X, 100, 0)
+        counts_b = one_row_counts(ORIGIN, Z, 100, 1)
         for scale in (1.0, 1e-3, 1e3):
-            obs_a = PauliObservable(scale, 0.0, 0.0, 0.0)
+            a = scale * X
             with pytest.raises(CollinearObservables, match="gram determinant = 0.000e"):
-                estimate_mixedness_from_counts(
-                    counts_a, counts_a, None, obs_a, PauliObservable(2.0 * scale, 0.0, 0.0, scale)
-                )
-            estimate, _ = estimate_mixedness_from_counts(
-                counts_a, counts_b, None, obs_a, PauliObservable(0.0, 0.0, scale, 0.0)
-            )
-            unit, _ = estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
+                mixedness_estimates_from_counts(counts_a, counts_a, None, a, scale * (2.0 * X + I))
+            estimate, _ = one_row_estimate(counts_a, counts_b, None, a, scale * Z)
+            unit, _ = one_row_estimate(counts_a, counts_b, None, X, Z)
             assert estimate == pytest.approx(unit, rel=1e-12)
 
     def test_error_scaling_with_shots(self):
-        state = QubitState(BlochVector(0.3, 0.0, 0.5))
+        # one stacked draw per observable: row k is the draw from seed [shots, k, j]
+        p = [0.3, 0.0, 0.5]
         ses = {}
         for shots in (10**4, 10**6):
-            values = []
-            for k in range(30):
-                counts_a = simulate_shots(state, OBS_X, shots, seed=[shots, k, 0])
-                counts_b = simulate_shots(state, OBS_Z, shots, seed=[shots, k, 1])
-                _, se = estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
-                values.append(se)
-            ses[shots] = np.mean(values)
+            counts_a, counts_b = (
+                shot_counts(p, a, shots, [[shots, k, j] for k in range(30)])
+                for j, a in enumerate((X, Z))
+            )
+            _, se = mixedness_estimates_from_counts(counts_a, counts_b, None, X, Z)
+            ses[shots] = np.mean(se)
         ratio = ses[10**4] / ses[10**6]
         assert 5.0 <= ratio <= 20.0
 
     def test_std_error_tracks_monte_carlo_spread(self):
-        state = QubitState(BlochVector(0.4, 0.0, -0.3))
-        estimates, ses = [], []
-        for k in range(400):
-            counts_a = simulate_shots(state, OBS_X, 10**5, seed=[77, k, 0])
-            counts_b = simulate_shots(state, OBS_Z, 10**5, seed=[77, k, 1])
-            est, se = estimate_mixedness_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
-            estimates.append(est)
-            ses.append(se)
+        p = [0.4, 0.0, -0.3]
+        counts_a, counts_b = (
+            shot_counts(p, a, 10**5, [[77, k, j] for k in range(400)]) for j, a in enumerate((X, Z))
+        )
+        estimates, ses = mixedness_estimates_from_counts(counts_a, counts_b, None, X, Z)
         spread = np.std(estimates)
         mean_se = np.mean(ses)
         assert 0.5 <= spread / mean_se <= 2.0
@@ -468,10 +483,9 @@ class TestStackedShots:
         for rows in ((p, a), (p[0], a[0])):  # one (state, A) row per seed, and one for all
             high, low = relations.shot_counts(*rows, 5000, seeds)
             assert high.dtype == low.dtype == np.int64
+            rows_p, rows_a = np.broadcast_to(rows[0], p.shape), np.broadcast_to(rows[1], a.shape)
             for i, seed in enumerate(seeds):
-                state = QubitState(BlochVector(*np.broadcast_to(rows[0], p.shape)[i]))
-                obs = PauliObservable(*np.broadcast_to(rows[1], a.shape)[i])
-                assert simulate_shots(state, obs, 5000, seed) == (high[i], low[i])
+                assert one_row_counts(rows_p[i], rows_a[i], 5000, seed) == (high[i], low[i])
 
     def test_rows_must_match_seeds(self):
         with pytest.raises(InvalidArgument, match=r"rows of shape \(3,\) for 2 seeds"):
@@ -494,16 +508,15 @@ class TestStackedShots:
             estimates, std_errors = relations.mixedness_estimates_from_counts(
                 counts_a, counts_b, counts_c, rows_a, rows_b
             )
-            # the one-row form takes (high, low) ints, as simulate_shots returns them
+            # a one-row call takes (high, low) ints, as one_row_counts returns them
             pairs_a, pairs_b = (list(zip(*(x.tolist() for x in n))) for n in (counts_a, counts_b))
             pairs_c = [None] * len(p)
             if counts_c is not None:
                 pairs_c = list(zip(*(x.tolist() for x in counts_c)))
             one_row = [
-                estimate_mixedness_from_counts(
+                one_row_estimate(
                     pairs_a[i], pairs_b[i], pairs_c[i],
-                    PauliObservable(*np.broadcast_to(rows_a, a.shape)[i]),
-                    PauliObservable(*np.broadcast_to(rows_b, b.shape)[i]),
+                    np.broadcast_to(rows_a, a.shape)[i], np.broadcast_to(rows_b, b.shape)[i],
                 )
                 for i in range(len(p))
             ]
@@ -531,21 +544,19 @@ class TestReport:
             p, a, b = random_triple(rng, span=2.0)
             if min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) < 1e-3:
                 continue
-            state = QubitState(BlochVector(*p.tolist()))
-            obs_a, obs_b = PauliObservable(*a), PauliObservable(*b)
-            report = compute_report(state, obs_a, obs_b)
-            assert report.product == pytest.approx(report.varA * report.varB, abs=1e-12)
-            assert report.product >= report.rur_bound - 1e-10
-            assert report.product >= report.sur_bound - 1e-10
-            assert report.product >= report.eq19_bound - 1e-10
-            assert abs(report.equality_residual) <= 1e-10
-            assert report.sum_lhs >= report.sum_bound - 1e-10
-            assert report.entropy_sum >= report.entropy_bound - 1e-10
+            f = {k: float(v) for k, v in reports(p, a, b).items()}
+            assert f["product"] == pytest.approx(f["varA"] * f["varB"], abs=1e-12)
+            assert f["product"] >= f["rur_bound"] - 1e-10
+            assert f["product"] >= f["sur_bound"] - 1e-10
+            assert f["product"] >= f["eq19_bound"] - 1e-10
+            assert abs(f["equality_residual"]) <= 1e-10
+            assert f["sum_lhs"] >= f["sum_bound"] - 1e-10
+            assert f["entropy_sum"] >= f["entropy_bound"] - 1e-10
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["shared_pair", "pair_per_row"])
     def test_stack_matches_one_row_calls(self, rng, per_row):
-        # an (n, T, 3) stack keeps its leading shape in every field; each row,
-        # its one-row call and compute_report agree bit for bit, in field order
+        # an (n, T, 3) stack keeps its leading shape in every field; each row
+        # and its one-row call agree bit for bit, in field order
         n, steps = 5, 7
         p = random_bloch_vectors(rng, n * steps, "mixed").reshape(n, steps, 3)
         if per_row:
@@ -559,11 +570,6 @@ class TestReport:
             row = [(k, float(v[i, j]).hex()) for k, v in stacked.items()]
             one = reports(p[i, j], rows_a[i, j], rows_b[i, j])
             assert row == [(k, float(v).hex()) for k, v in one.items()]
-            report = compute_report(
-                QubitState(BlochVector(*p[i, j].tolist())),
-                PauliObservable(*rows_a[i, j].tolist()), PauliObservable(*rows_b[i, j].tolist()),
-            )
-            assert row == [(k, v.hex()) for k, v in dataclasses.asdict(report).items()]
 
 
 LAYOUTS = ["single_row", "stack_one_pair", "pairs_one_state"]

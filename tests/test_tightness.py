@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
 from qubitvar import relations
-from qubitvar.core import OBS_X, OBS_Z, PauliObservable, random_bloch_vectors
+from qubitvar.core import COEFF_MAX, OBS_X, OBS_Z, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, InvalidArgument
 from qubitvar.feedback import analytic_bloch
 from qubitvar.tightness import (
@@ -80,10 +80,9 @@ def same_ratio(one, stacked) -> bool:
 class TestArrayRatios:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(bloch_vectors(), min_size=1, max_size=12), observables(), observables())
-    def test_batch_equals_scalar_point_by_point(self, vectors, obs_a, obs_b):
+    def test_batch_equals_scalar_point_by_point(self, vectors, a, b):
         # one row through ratios() equals that row of the stacked call
-        p = np.array([v.as_array() for v in vectors])
-        a, b = obs_a.coeffs, obs_b.coeffs
+        p = np.array(vectors)
         try:
             batch = ratios(p, a, b)
         except DegenerateSpectrum:
@@ -306,9 +305,9 @@ class TestSweep:
         "obs_a, obs_b, defined",
         [
             # commuting, shared axis
-            (OBS_Z, PauliObservable(0.0, 0.0, 1.0, 1.0), (False, False, True)),
+            (OBS_Z, (0.0, 0.0, 1.0, 1.0), (False, False, True)),
             # B = -A: A + B = 0
-            (OBS_X, PauliObservable(-1.0, 0.0, 0.0, 0.0), (False, False, False)),
+            (OBS_X, (-1.0, 0.0, 0.0, 0.0), (False, False, False)),
         ],
     )
     def test_shared_axis_cells_stay_undefined(self, source, obs_a, obs_b, defined):
@@ -325,7 +324,7 @@ class TestSweep:
         # the grid path agrees with the per-point ratios
         for alpha, lam, t, *got in sweep(grid, source="analytic")[:6].tolist():
             bloch = analytic_bloch(alpha, lam, t)
-            want = [float(r) for r in ratios(bloch, obs_a.coeffs, obs_b.coeffs)]
+            want = [float(r) for r in ratios(bloch, obs_a, obs_b)]
             assert got == pytest.approx(want, rel=1e-12, nan_ok=True)
 
     def test_undefined_points_marked_not_raised(self):
@@ -335,11 +334,28 @@ class TestSweep:
             lambda_axis=GridAxis(1.0, 1.0, 1),
             t_axis=GridAxis(1.0, 2.0, 2),
             obs_a=OBS_Z,
-            obs_b=PauliObservable(0.0, 0.0, 1.0, 1.0),
+            obs_b=(0.0, 0.0, 1.0, 1.0),
         )
         table = sweep(grid, source="analytic")
         assert np.isnan(table[:, 4]).all()
         assert not np.isnan(table[:, 5]).any()
+
+    def test_grid_rows_are_checked_float_tuples(self):
+        # the observable pair is held as checked coefficient rows: tuples of
+        # floats, refused by the one observable row check
+        axes = GridAxis(0.5, 0.5, 1), GridAxis(1.0, 1.0, 1), GridAxis(1.0, 2.0, 2)
+        grid = SweepGrid(*axes, obs_a=[1, 0, 0, 0], obs_b=np.array([0.0, 0.0, 1.0, 0.5]))
+        assert grid.obs_a == (1.0, 0.0, 0.0, 0.0) and type(grid.obs_a[0]) is float
+        assert grid.obs_b == (0.0, 0.0, 1.0, 0.5) and type(grid.obs_b[3]) is float
+        assert SweepGrid(*axes) == SweepGrid(*axes, obs_a=OBS_X, obs_b=OBS_Z)
+        assert hash(SweepGrid(*axes)) == hash(SweepGrid(*axes, obs_a=[1, 0, 0, 0]))
+        for row, message in (
+            ((math.nan, 0.0, 0.0, 0.0), r"components must be finite, got \(nan, 0.0, 0.0, 0.0\)"),
+            ((0.0, 0.0, 2 * COEFF_MAX, 0.0), "coefficients above 1.16e[+]76 overflow the moments"),
+            ((1.0, 0.0, 0.0), "an observable has 4 coefficients, got 3"),
+        ):
+            with pytest.raises(InvalidArgument, match=message):
+                SweepGrid(*axes, obs_b=row)
 
 
 @pytest.mark.parametrize("name", ["reproduce_fig2", "reproduce_fig3"])
