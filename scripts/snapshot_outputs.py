@@ -24,6 +24,10 @@ SWEEPS = {
     "sweep_fig2_numeric_short": ["--fig2", "--steps", "8", "--source", "numeric",
                                  "--t-end", "2.37"],
     "sweep_fig2_obs": ["--fig2", "--steps", "6", "--obs-a", "1,0,1,0", "--obs-b", "1,0,1,0.5"],
+    # a sidecar holding -0.0, 1e-07, 1e+75, 1e-08 and 0.30000000000000004
+    "sweep_sidecar_edge_values": ["--fig2", "--steps", "2", "--t-end", "1e-8",
+                                  "--lambda", "0.30000000000000004",
+                                  "--obs-a=1e-7,0,0,-0.0", "--obs-b=0,0,1e75,1e75"],
 }
 
 COMMANDS = {
@@ -98,6 +102,9 @@ COMMANDS = {
     "error_flag_coeff_sweep": ["sweep", "--fig2", "--obs-b", "0,0,1,-1e77",
                                "--output", "{out}/error_flag_coeff_sweep.csv"],
     "error_verify_one_sample": ["verify", "--samples", "1"],
+    # an --output path in a missing directory, relative to the checkout root
+    "error_output_missing_dir": ["report", "--bloch", "0,0,0",
+                                 "--output", "no-such-dir/report.json"],
 }
 
 

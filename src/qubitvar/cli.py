@@ -59,12 +59,16 @@ def _write(path, text: str) -> None:
 
     Opened without O_TRUNC and cut to the new length once written, so an
     existing file is never cut to zero bytes; mode, symlinks and hard links
-    are kept, and devices and pipes are written but not truncated.
+    are kept, and devices and pipes are written but not truncated.  A path
+    that cannot be opened or written is refused as InvalidArgument.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as file:
-        file.write(text)
-        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-            file.truncate()
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as file:
+            file.write(text)
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                file.truncate()
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:

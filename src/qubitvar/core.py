@@ -245,14 +245,18 @@ def _result(x):
     return x if type(x) is np.ndarray else np.float64(x)
 
 
-def _components(x) -> np.ndarray | list:
-    """Rows along the last axis of x, component-major: (k,) + x.shape[:-1]; one row as a list.
+def _components(x, width: int) -> np.ndarray | list:
+    """Rows along the last axis of x, component-major: (width,) + x.shape[:-1]; one row as a list.
 
-    np.moveaxis(x, -1, 0) without its Python-level axis checks, which cost
-    microseconds a call; most stacks are (n, k), where the plain transpose
-    is the cheapest spelling.
+    InvalidArgument unless the last axis holds width components (3 for a
+    Bloch vector, 4 for observable coefficients).  np.moveaxis(x, -1, 0)
+    without its Python-level axis checks, which cost microseconds a call;
+    most stacks are (n, k), where the plain transpose is the cheapest
+    spelling.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (width,):
+        raise InvalidArgument(f"rows of {width} components expected, got shape {x.shape}")
     if x.ndim == 1:
         return x.tolist()
     return x.T if x.ndim <= 2 else x.transpose((-1, *range(x.ndim - 1)))
@@ -267,7 +271,7 @@ def _outside_ball(p):
 
 def _ball_components(p) -> np.ndarray:
     """Component-major view of Bloch vectors p, checked to lie in the Bloch ball."""
-    p = _components(p)
+    p = _components(p, 3)
     norm_sq, outside = _outside_ball(p)
     if _any(outside):
         raise InvalidArgument(
@@ -292,24 +296,24 @@ def variances(p, a) -> np.ndarray:
     The ball check bounds what the clamp can hide: |p|^2 <= 1 + 1e-12
     gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
     """
-    a = _components(a)
+    a = _components(a, 4)
     return _result(_variance(_dot(a, a), _dot(a, _ball_components(p))))
 
 
 def commutator_terms(p, a, b) -> np.ndarray:
     """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
-    return _result(_commutator_term(_components(a), _components(b), _ball_components(p)))
+    return _result(_commutator_term(_components(a, 4), _components(b, 4), _ball_components(p)))
 
 
 def anticommutator_terms(p, a, b) -> np.ndarray:
     """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
-    a, b, p = _components(a), _components(b), _ball_components(p)
+    a, b, p = _components(a, 4), _components(b, 4), _ball_components(p)
     return _result(_anticommutator_term(_dot(a, b), _dot(a, p), _dot(b, p)))
 
 
 def xi_values(r, s) -> np.ndarray:
     """Trace form 2 tr(RS) - tr(R) tr(S) = 4 r.s; identity shifts drop out."""
-    return _result(4.0 * _dot(_components(r), _components(s)))
+    return _result(4.0 * _dot(_components(r, 4), _components(s, 4)))
 
 
 def mixedness_values(p) -> np.ndarray:
@@ -356,7 +360,7 @@ def _symmetrized(a, b, ab) -> list:
 
 def symmetrized_products(a, b) -> np.ndarray:
     """Coefficients of (AB + BA)/2: (a4 b + b4 a, a.b + a4 b4)."""
-    a, b = _components(a), _components(b)
+    a, b = _components(a, 4), _components(b, 4)
     # back to rows by one transpose: np.stack(..., axis=-1) costs microseconds more a call
     c = np.array(_symmetrized(a, b, _dot(a, b)))
     return c.T if c.ndim <= 2 else c.transpose((*range(1, c.ndim), 0))

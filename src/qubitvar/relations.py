@@ -91,7 +91,7 @@ def _gram(aa, bb, ab) -> tuple[np.ndarray, np.ndarray]:
 
 def gram_determinants(a, b) -> np.ndarray:
     """xi(A,A) xi(B,B) - xi(A,B)^2 = 16 |a x b|^2, zero iff Pauli parts collinear."""
-    return _result(_gram(*_pair(_components(a), _components(b)))[0])
+    return _result(_gram(*_pair(_components(a, 4), _components(b, 4)))[0])
 
 
 def _noncollinear_gram(aa, bb, ab) -> np.ndarray:
@@ -132,11 +132,11 @@ def _gap_closed(norm):
 
 
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
-    """Unit Bloch axes (component-major) and |a|.
+    """Unit Bloch axes and |a| of component-major coefficient rows a.
 
     DegenerateSpectrum, before any other work, when some row's gap is closed.
     """
-    vec = _components(a)[:3]
+    vec = a[:3]
     norm = _sqrt(_dot(vec, vec))
     closed = _gap_closed(norm)
     if _any(closed):
@@ -169,20 +169,20 @@ def _complementarity(axis_a, axis_b) -> np.ndarray:
 
 def high_outcome_probabilities(p, a) -> np.ndarray:
     """Probability of the a4 + |a| outcome when A is measured."""
-    axis, _ = _axes(a)
+    axis, _ = _axes(_components(a, 4))
     return _result(_high_probability(axis, _ball_components(p)))
 
 
 def measurement_entropies(p, a) -> np.ndarray:
     """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
-    axis, _ = _axes(a)
+    axis, _ = _axes(_components(a, 4))
     return _result(_entropy(axis, _ball_components(p)))
 
 
 def complementarities(a, b) -> np.ndarray:
     """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
-    axis_a, _ = _axes(a)
-    axis_b, _ = _axes(b)
+    axis_a, _ = _axes(_components(a, 4))
+    axis_b, _ = _axes(_components(b, 4))
     return _result(_complementarity(axis_a, axis_b))
 
 
@@ -193,7 +193,7 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     Gram determinant; equal to the mixedness for every valid input.
     CollinearObservables is checked before the state.
     """
-    a, b = _components(a), _components(b)
+    a, b = _components(a, 4), _components(b, 4)
     aa, bb, ab = _pair(a, b)
     det = _noncollinear_gram(aa, bb, ab)
     var_a, var_b, rur, anti = _moment_terms(_ball_components(p), a, b, aa, bb, ab)
@@ -230,7 +230,9 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _require_shots(shots: int) -> None:
-    """InvalidArgument unless 1 <= shots <= MAX_SHOTS."""
+    """InvalidArgument unless shots is an integer (Python or numpy) in [1, MAX_SHOTS]."""
+    if type(shots) is not int and not isinstance(shots, np.integer):
+        raise InvalidArgument(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise InvalidArgument("shots must be >= 1")
     if shots > MAX_SHOTS:
@@ -269,10 +271,16 @@ def _frequencies(counts):
     """High-outcome frequencies and shot totals of (high, low) counts or count arrays.
 
     A pair of ints stays in Python ints: up to MAX_SHOTS, n_hi / shots
-    has the bits it has on int64.  InvalidArgument, naming the first
-    offending row's counts, where a count is negative or a total is zero.
+    has the bits it has on int64.  InvalidArgument where a count is not
+    an integer, and, naming the first offending row's counts, where a
+    count is negative or a total is zero.
     """
-    n_hi, n_lo = counts if type(counts[0]) is type(counts[1]) is int else np.asarray(counts)
+    if type(counts[0]) is type(counts[1]) is int:
+        n_hi, n_lo = counts
+    else:
+        n_hi, n_lo = counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu":
+            raise InvalidArgument(f"counts must be integers, got {counts.dtype} counts")
     shots = n_hi + n_lo
     bad = (n_hi < 0) | (n_lo < 0) | (shots == 0)
     if _any(bad):
@@ -337,7 +345,7 @@ def mixedness_estimates_from_counts(
     otherwise.  Standard errors come from first-order propagation of the
     binomial outcome-frequency variances.
     """
-    a, b = _components(a), _components(b)
+    a, b = _components(a, 4), _components(b, 4)
     aa, bb, ab = _pair(a, b)
     det = _noncollinear_gram(aa, bb, ab)
     setting_a = _moments(_sqrt(aa), a[3], *_frequencies(counts_a))
@@ -398,9 +406,10 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     """
     p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     p_c = _ball_components(p)
-    axis_a, _ = _axes(a)
-    axis_b, _ = _axes(b)
-    a_c, b_c, s_c = _components(a), _components(b), _components(a + b)
+    a_c, b_c = _components(a, 4), _components(b, 4)
+    axis_a, _ = _axes(a_c)
+    axis_b, _ = _axes(b_c)
+    s_c = _components(a + b, 4)
     aa, bb, ab = _pair(a_c, b_c)
     ss = _dot(s_c, s_c)
     var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)

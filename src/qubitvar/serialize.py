@@ -45,42 +45,6 @@ def sweep_csv(table: np.ndarray) -> str:
     return text.replace("nan", "")
 
 
-def _lay_out(item, pad: str, layout: list, tokens: list) -> None:
-    """Append item's indent=2 layout, from the line start pad, to layout,
-    with a "%s" slot for each key and scalar, and those to tokens."""
-    is_dict = isinstance(item, dict)
-    if not (item and (is_dict or isinstance(item, (list, tuple)))):
-        layout.append("%s")  # the layout holds no other %: brackets, commas and spaces
-        tokens.append(item)
-        return
-    inner = pad + "  "
-    layout.append("{" if is_dict else "[")
-    for i, entry in enumerate(item.items() if is_dict else item):
-        layout.append("," + inner if i else inner)
-        if is_dict:
-            key, entry = entry
-            layout.append("%s: ")
-            tokens.append(key)
-        _lay_out(entry, inner, layout, tokens)
-    layout.append(pad + ("}" if is_dict else "]"))
-
-
-def _indented_json(value) -> str:
-    """json.dumps(value, indent=2, allow_nan=False) of dicts with str keys,
-    lists, tuples and scalars, through json's C encoder.
-
-    indent makes json fall back to its pure-Python encoder.  Here
-    _lay_out lays out the brackets and line breaks, and one C-encoder
-    call encodes every key and scalar.  No JSON token holds a raw
-    newline, so newline separators split that call's output back into
-    tokens.
-    """
-    layout, tokens = [], []
-    _lay_out(value, "\n", layout, tokens)
-    encoded = json.dumps(tokens, separators=("\n", ": "), allow_nan=False)
-    return "".join(layout) % tuple(encoded[1:-1].split("\n"))
-
-
 def sweep_sidecar_json(
     grid: SweepGrid, source: str, seed: int, violations: dict[str, int]
 ) -> str:
@@ -103,7 +67,7 @@ def sweep_sidecar_json(
         "seed": seed,
         "violations": violations,
     }
-    return _indented_json(payload) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def simulate_csv(columns: list[np.ndarray]) -> str:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CLI_ENV, cli_outputs, cli_processes
+from conftest import CLI_ENV, cli_processes
 from qubitvar import cli, serialize, verify
 from qubitvar.cli import build_parser, main
 from qubitvar.tightness import GridAxis, SweepGrid, fig2_grid, sweep
@@ -564,6 +564,33 @@ class TestOutputFiles:
         assert received == [run_cli(args, capsys)[1].encode()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
+    @staticmethod
+    def assert_refused(args, out_file, capsys):
+        code, out, err = run_cli(args + ["--output", str(out_file)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(out_file)!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["report", "--bloch", "0,0,0"],
+        ["sweep", "--fig2", "--steps", "3"],
+    ])
+    def test_missing_directory_exits_two(self, args, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        self.assert_refused(args, missing / "out.csv", capsys)
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate"],
+        ["sweep", "--fig2", "--steps", "3"],
+    ])
+    def test_directory_as_output_exits_two(self, args, tmp_path, capsys):
+        directory = tmp_path / "out.csv"
+        directory.mkdir()
+        self.assert_refused(args, directory, capsys)
+        # the sweep's sidecar would sit beside the directory: none is written
+        assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+        assert not any(directory.iterdir())
+
 
 class TestOneProcess:
     """main may be called repeatedly in one process; no call changes the next."""
@@ -723,8 +750,7 @@ def sidecar_payload(grid, source, seed, violations):
 
 
 class TestSidecarJson:
-    """sweep_sidecar_json writes the bytes of json.dumps(payload, indent=2) + "\\n"
-    through the C encoder."""
+    """sweep_sidecar_json writes the bytes of json.dumps(payload, indent=2) + "\\n"."""
 
     @pytest.mark.parametrize("flags", list(SNAPSHOT_SWEEPS.values()), ids=list(SNAPSHOT_SWEEPS))
     def test_snapshot_sweeps(self, flags, tmp_path, monkeypatch):
@@ -827,35 +853,3 @@ class TestSweepCsv:
         assert texts == [per_cell_csv(first), per_cell_csv(second)] and texts[0] != texts[1]
         assert [serialize.sweep_csv(second), serialize.sweep_csv(first)] == texts[::-1]
 
-
-class TestDeterminism:
-    """Fixed seed + fixed flags must give byte-identical output; the two
-    processes of each comparison start together."""
-
-    def test_report_bytes_stable(self):
-        args = ["report", "--bloch", "0.3,0.1,-0.2"]
-        first, second = cli_outputs(args, args)
-        assert first == second
-
-    def test_estimate_bytes_stable(self):
-        args = ["estimate", "--bloch", "0.2,0,0.4", "--shots", "20000", "--seed", "7"]
-        first, second = cli_outputs(args, args)
-        assert first == second
-
-    def test_simulate_bytes_stable(self):
-        args = ["simulate", "--alpha", "0.6", "--lambda", "0.8", "--t-end", "0.05",
-                "--step", "0.005", "--source", "both"]
-        first, second = cli_outputs(args, args)
-        assert first == second
-
-    def test_sweep_files_stable(self, tmp_path):
-        out_files = [tmp_path / name for name in ("a.csv", "b.csv")]
-        cli_outputs(*(
-            ["sweep", "--fig3", "--steps", "6", "--seed", "3", "--output", str(out_file)]
-            for out_file in out_files
-        ))
-        blobs = [
-            (out_file.read_bytes(), out_file.with_suffix(".meta.json").read_bytes())
-            for out_file in out_files
-        ]
-        assert blobs[0] == blobs[1]

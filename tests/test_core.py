@@ -253,6 +253,20 @@ class TestArrayMoments:
         with pytest.raises(InvalidArgument, match="an observable has 4 coefficients, got 3"):
             core._observable_row([1.0, 0.0, 0.0])
 
+    def test_row_width_refused(self):
+        # 3 components a Bloch vector, 4 an observable, checked once per argument
+        for call in (
+            lambda: variances([0.1, 0.0], X),
+            lambda: variances([0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            lambda: variances([[0.1, 0.0, 0.0, 0.0]], X),
+            lambda: symmetrized_products((1, 0, 0), (0, 1, 0)),
+            lambda: commutator_terms([0.0, 0.0, 0.0], X, [[0.0, 1.0, 0.0]]),
+            lambda: xi_values(X, 1.0),
+            lambda: bloch_array(0.5),
+        ):
+            with pytest.raises(InvalidArgument, match="^rows of [34] components expected"):
+                call()
+
     def test_bloch_array_rejects_rows_outside_ball_and_nan(self):
         assert bloch_array([[0.0, 0.0, 1.0], [0.1, 0.2, 0.3]]).shape == (2, 3)
         with pytest.raises(InvalidArgument, match=r"\|p\|\^2 = 1.01 exceeds"):

@@ -347,6 +347,11 @@ class TestShots:
         assert sum(counts) == MAX_SHOTS == 2**53
         with pytest.raises(InvalidArgument, match="shots are more than 9007199254740992"):
             shot_counts(ORIGIN, X, MAX_SHOTS + 1, [3])
+        # a whole number of shots, as a Python or numpy integer
+        assert one_row_counts(ORIGIN, X, np.int64(10), 3) == one_row_counts(ORIGIN, X, 10, 3)
+        for shots in (10.5, 10.0, True, "10"):
+            with pytest.raises(InvalidArgument, match="shots must be an integer"):
+                shot_counts(ORIGIN, X, shots, [3])
 
     def test_counts_validation(self):
         for bad in ((0, 0), (-1, 3)):
@@ -354,6 +359,9 @@ class TestShots:
                 mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
             with pytest.raises(ValueError):
                 mixedness_estimates_from_counts((5, 5), bad, None, X, Z)
+        for bad in ((10.5, 0), (5.0, 5), (np.array([10.5]), np.array([0.0]))):
+            with pytest.raises(InvalidArgument, match="counts must be integers"):
+                mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
 
 
 def exact_counts(p, a, shots):
