@@ -11,13 +11,14 @@ to the new length, never truncated to zero first. ext4 flushes a file that
 was truncated to zero and rewritten: overwriting 700 bytes with O_TRUNC
 measured 48-70 us there, against 7-12 us on tmpfs and about 10 us in place
 on ext4. An interrupted rewrite can leave the new text followed by the old
-file's tail, where truncation would have left a short file.
+file's tail, where truncation would have left a short file.  A sweep opens
+both of its files before it writes either, so it writes both or neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import functools
 import math
 import os
@@ -28,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import feedback, relations, serialize, tightness
-from .core import _observable_row, _state_row, mixedness_values, symmetrized_products
-from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
+from .core import _observable_row, _state_row, mixedness_values
+from .errors import CollinearObservables, InvalidArgument, QubitVarError
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -54,20 +55,36 @@ def _report_json(fields: dict) -> str:
         raise InvalidArgument(f"result is not finite: {exc}") from exc
 
 
-def _write(path, text: str) -> None:
-    """Path(path).write_text(text), rewriting an existing file in place.
+def _write(*outputs: tuple) -> None:
+    """Path(path).write_text(text) for each (path, text), all or none.
 
-    Opened without O_TRUNC and cut to the new length once written, so an
-    existing file is never cut to zero bytes; mode, symlinks and hard links
-    are kept, and devices and pipes are written but not truncated.  A path
-    that cannot be opened or written is refused as InvalidArgument.
+    Every path is opened before any is written.  An existing file is
+    rewritten in place and cut to the new length once written, so it is
+    never cut to zero bytes; mode, symlinks and hard links are kept, and
+    devices and pipes are written but not truncated.  A path that cannot be
+    opened or written is refused as InvalidArgument, after the files this
+    call created are removed; when an open fails, nothing was written.
     """
+    created = []
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as file:
-            file.write(text)
-            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
-                file.truncate()
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, _ in outputs:
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    created.append(path)
+                except FileExistsError:  # rewritten in place: no O_TRUNC
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                files.append(stack.enter_context(open(fd, "w")))
+            for file, (path, text) in zip(files, outputs):
+                file.write(text)
+                file.flush()
+                if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                    file.truncate()
     except OSError as exc:
+        for new in created:
+            with contextlib.suppress(OSError):
+                os.unlink(new)
         raise InvalidArgument(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
@@ -75,7 +92,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        _write(output, text)
+        _write((output, text))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -162,20 +179,19 @@ def cmd_sweep(args) -> int:
         raise InvalidArgument("--t-end must be > 0")
     if args.output is None:
         raise InvalidArgument("sweep writes a CSV plus a JSON sidecar; --output is required")
+    rows = (_parse(args.obs_a, _observable_row, 4, "--obs-a"),
+            _parse(args.obs_b, _observable_row, 4, "--obs-b"))
     if args.fig2:
-        grid = tightness.fig2_grid(steps=args.steps, lam=args.lam, t_max=args.t_end)
+        grid = tightness.fig2_grid(args.steps, args.lam, args.t_end, *rows)
     else:
-        grid = tightness.fig3_grid(steps=args.steps, alpha=args.alpha, t_max=args.t_end)
-    grid = dataclasses.replace(
-        grid,
-        obs_a=_parse(args.obs_a, _observable_row, 4, "--obs-a"),
-        obs_b=_parse(args.obs_b, _observable_row, 4, "--obs-b"),
-    )
+        grid = tightness.fig3_grid(args.steps, args.alpha, args.t_end, *rows)
     points = tightness.sweep(grid, source=args.source, h=args.step)
     violations = tightness.count_ordering_violations(points)
-    _emit(serialize.sweep_csv(points), args.output)
-    sidecar = Path(args.output).with_suffix(".meta.json")
-    _write(sidecar, serialize.sweep_sidecar_json(grid, args.source, args.seed, violations))
+    _write(
+        (args.output, serialize.sweep_csv(points)),
+        (Path(args.output).with_suffix(".meta.json"),
+         serialize.sweep_sidecar_json(grid, args.source, args.seed, violations)),
+    )
     return EXIT_OK
 
 
@@ -190,19 +206,11 @@ def cmd_estimate(args) -> int:
     if args.shots < 1:
         raise InvalidArgument("--shots must be >= 1")
     try:
-        # derived seeds: one measurement task index per observable
-        counts_a = relations.shot_counts(p, a, args.shots, [[args.seed, 0]])
-        counts_b = relations.shot_counts(p, b, args.shots, [[args.seed, 1]])
-        # C = (AB + BA)/2 stays a coefficient row: its entries are products
-        # of A's and B's, which may exceed what an observable accepts
-        c = symmetrized_products(a, b)
-        try:
-            counts_c = relations.shot_counts(p, c, args.shots, [[args.seed, 2]])
-        except DegenerateSpectrum:  # C is proportional to I: its moment needs no shots
-            counts_c = None
-        estimates, std_errors = relations.mixedness_estimates_from_counts(
-            counts_a, counts_b, counts_c, a, b
-        )
+        # derived seeds: one measurement task index per setting
+        counts = [None if rows is None
+                  else relations.shot_counts(p, rows, args.shots, [[args.seed, k]])
+                  for k, rows in enumerate(relations.meter_settings(a, b))]
+        estimates, std_errors = relations.mixedness_estimates_from_counts(*counts, a, b)
     except CollinearObservables as exc:
         sys.stderr.write(f"collinear observables: {exc}\n")
         return EXIT_FAILURE

@@ -17,9 +17,9 @@ route: it evaluates every side and bound of the relations over stacked
 observable once per call, and builds every field from the shared
 projections; tightness.ratios divides its fields.  mixedness_estimates
 likewise checks collinearity, then the state, once each.  The
-finite-shot pathway is stacked as well: shot_counts draws one row of
-(high, low) counts per seed, and mixedness_estimates_from_counts reads
-estimates and standard errors off count arrays.  compute_report,
+finite-shot pathway is stacked as well: meter_settings names the
+settings, shot_counts draws one row of counts per seed, and
+mixedness_estimates_from_counts reads estimates off them.  compute_report,
 estimate_mixedness, estimate_mixedness_from_counts, simulate_shots and
 symmetrized_product are per-object one-row adapters of these, kept for
 the benchmark's meter workload (perfbench MeterStream.read_one) until it
@@ -278,9 +278,11 @@ def _frequencies(counts):
     if type(counts[0]) is type(counts[1]) is int:
         n_hi, n_lo = counts
     else:
-        n_hi, n_lo = counts = np.asarray(counts)
-        if counts.dtype.kind not in "iu":
-            raise InvalidArgument(f"counts must be integers, got {counts.dtype} counts")
+        # each count on its own: numpy would promote a bool beside an int
+        n_hi, n_lo = np.asarray(counts[0]), np.asarray(counts[1])
+        for n in (n_hi, n_lo):
+            if n.dtype.kind not in "iu":
+                raise InvalidArgument(f"counts must be integers, got {n.dtype} counts")
     shots = n_hi + n_lo
     bad = (n_hi < 0) | (n_lo < 0) | (shots == 0)
     if _any(bad):
@@ -323,6 +325,17 @@ def _delta_method(det, setting_a, setting_b, setting_c) -> tuple:
 
 
 _OMITTED_C = "counts_c may be omitted only when (AB+BA)/2 is proportional to I"
+
+
+def meter_settings(a, b) -> list:
+    """[a, b, c]: the settings whose counts mixedness_estimates_from_counts takes.
+
+    c is C = (AB + BA)/2 as coefficient rows (products of A's and B's, which may exceed
+    what an observable accepts), or None when every row of C is proportional to I.
+    """
+    c = symmetrized_products(a, b)
+    vec = _components(c, 4)[:3]
+    return [a, b, None if np.all(_gap_closed(_sqrt(_dot(vec, vec)))) else c]
 
 
 def mixedness_estimates_from_counts(

@@ -97,21 +97,23 @@ class SweepGrid:
             raise InvalidArgument("lambda axis must be non-negative")
 
 
-def fig2_grid(steps: int = 50, lam: float = 1.0, t_max: float = 3.0) -> SweepGrid:
+def fig2_grid(steps: int = 50, lam: float = 1.0, t_max: float = 3.0,
+              obs_a=OBS_X, obs_b=OBS_Z) -> SweepGrid:
     """(alpha, t) grid at fixed lambda: alpha in (0, pi), t in (0, t_max]."""
     return SweepGrid(
         alpha_axis=GridAxis(0.0, math.pi, steps, include_lo=False, include_hi=False),
         lambda_axis=GridAxis(lam, lam, 1),
-        t_axis=GridAxis(0.0, t_max, steps, include_lo=False),
+        t_axis=GridAxis(0.0, t_max, steps, include_lo=False), obs_a=obs_a, obs_b=obs_b,
     )
 
 
-def fig3_grid(steps: int = 50, alpha: float = math.pi / 4, t_max: float = 3.0) -> SweepGrid:
+def fig3_grid(steps: int = 50, alpha: float = math.pi / 4, t_max: float = 3.0,
+              obs_a=OBS_X, obs_b=OBS_Z) -> SweepGrid:
     """(lambda, t) grid at fixed alpha: lambda in (0, 1], t in (0, t_max]."""
     return SweepGrid(
         alpha_axis=GridAxis(alpha, alpha, 1),
         lambda_axis=GridAxis(0.0, 1.0, steps, include_lo=False),
-        t_axis=GridAxis(0.0, t_max, steps, include_lo=False),
+        t_axis=GridAxis(0.0, t_max, steps, include_lo=False), obs_a=obs_a, obs_b=obs_b,
     )
 
 

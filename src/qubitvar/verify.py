@@ -318,11 +318,10 @@ def check_estimator_shot_scaling(samples: int, seed: int) -> tuple:
     p = np.array([0.3, 0.0, 0.5])
     ses = {}
     for shots in (10_000, 1_000_000):
-        counts_a, counts_b = (
-            relations.shot_counts(p, rows, shots, [[seed, 14, shots, k, j] for k in range(seeds)])
-            for j, rows in enumerate((OBS_X, OBS_Z))
-        )
-        _, se = relations.mixedness_estimates_from_counts(counts_a, counts_b, None, OBS_X, OBS_Z)
+        counts = [None if rows is None else relations.shot_counts(
+            p, rows, shots, [[seed, 14, shots, k, j] for k in range(seeds)])
+            for j, rows in enumerate(relations.meter_settings(OBS_X, OBS_Z))]
+        _, se = relations.mixedness_estimates_from_counts(*counts, OBS_X, OBS_Z)
         ses[shots] = float(np.mean(se))
     return ses[10_000] / ses[1_000_000], seeds
 

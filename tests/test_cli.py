@@ -591,6 +591,24 @@ class TestOutputFiles:
         assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
         assert not any(directory.iterdir())
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unwritable_sidecar_leaves_the_csv_as_it_was(self, existing, tmp_path, capsys):
+        # both sweep files or neither: a directory at the sidecar's path
+        # refuses the sweep before its CSV is written
+        out_file, sidecar = tmp_path / "x.csv", tmp_path / "x.meta.json"
+        sidecar.mkdir()
+        if existing:
+            out_file.write_text("old,bytes\n")
+        args = ["sweep", "--fig2", "--steps", "3", "--output", str(out_file)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(sidecar)!r}: ") and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["x.csv", "x.meta.json"][not existing:]
+        if existing:
+            assert out_file.read_text() == "old,bytes\n"
+        assert not any(sidecar.iterdir())
+
 
 class TestOneProcess:
     """main may be called repeatedly in one process; no call changes the next."""

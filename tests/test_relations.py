@@ -313,6 +313,26 @@ class TestSymmetrizedProduct:
             assert np.abs(got - want).max() <= 1e-12
 
 
+class TestMeterSettings:
+    def test_c_proportional_to_identity_is_none(self):
+        assert relations.meter_settings(OBS_X, OBS_Z) == [OBS_X, OBS_Z, None]
+        # a stack whose every C is a multiple of I: sx with sz, sy with 2 sy
+        a, b = np.array([OBS_X, [0, 1, 0, 0]]), np.array([OBS_Z, [0, 2, 0, 0]])
+        settings = relations.meter_settings(a, b)
+        assert settings[0] is a and settings[1] is b and settings[2] is None
+        assert symmetrized_products(a, b).tolist() == [[0, 0, 0, 0], [0, 0, 0, 2]]
+
+    def test_c_row_otherwise(self, rng):
+        assert relations.meter_settings(X + I, Z)[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        # one row of a stack off the identity is enough to measure C
+        a, b = np.array([OBS_X, X + I]), np.array([OBS_Z, Z])
+        assert relations.meter_settings(a, b)[2].tolist() == [[0, 0, 0, 0], [0, 0, 1, 0]]
+        for _ in range(20):
+            _, a, b = random_triple(rng)
+            c = relations.meter_settings(a, b)[2]
+            assert c.tolist() == symmetrized_products(a, b).tolist()
+
+
 def one_row_counts(p, a, shots, seed):
     """shot_counts for one (state, A) row and one seed, as a (high, low) pair of ints."""
     high, low = shot_counts(p, a, shots, [seed])
@@ -359,9 +379,19 @@ class TestShots:
                 mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
             with pytest.raises(ValueError):
                 mixedness_estimates_from_counts((5, 5), bad, None, X, Z)
-        for bad in ((10.5, 0), (5.0, 5), (np.array([10.5]), np.array([0.0]))):
+        # a bool beside an int would be promoted to int64 if the pair were one array
+        for bad in ((10.5, 0), (5.0, 5), (np.array([10.5]), np.array([0.0])),
+                    (True, 5), (5, False), (np.True_, 5), (np.int64(5), np.False_),
+                    (np.array([True]), np.array([5])), (np.array([5]), np.array([False]))):
             with pytest.raises(InvalidArgument, match="counts must be integers"):
                 mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
+            with pytest.raises(InvalidArgument, match="counts must be integers"):
+                mixedness_estimates_from_counts((5, 5), bad, None, X, Z)
+        # integer counts keep their bits, as Python ints, numpy scalars or arrays
+        want = one_row_estimate((3, 7), (6, 4), None, X, Z)
+        for counts in ((np.int64(3), np.int64(7)), (np.uint32(3), 7),
+                       (np.array(3), np.array(7))):
+            assert one_row_estimate(counts, (6, 4), None, X, Z) == want
 
 
 def exact_counts(p, a, shots):

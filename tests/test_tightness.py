@@ -1,5 +1,6 @@
 """Tightness ratios, the closed-form ti1 expressions and grid sweeps."""
 
+import dataclasses
 import importlib.util
 import math
 from functools import partial
@@ -242,6 +243,16 @@ class TestGrid:
         grid = fig3_grid(steps=50)
         assert grid.alpha_axis.values() == pytest.approx([math.pi / 4])
         assert grid.lambda_axis.values()[0] == pytest.approx(0.02)
+
+    def test_fig_presets_take_the_rows(self):
+        a, b = [1, 0, 1, 0], [1, 0, 1, 0.5]
+        for build in (fig2_grid, fig3_grid):
+            grid = build(4, 1.0, 3.0, a, b)
+            assert grid == dataclasses.replace(build(4, 1.0, 3.0), obs_a=a, obs_b=b)
+            assert (grid.obs_a, grid.obs_b) == ((1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.5))
+            assert (build().obs_a, build().obs_b) == (OBS_X, OBS_Z)
+            with pytest.raises(InvalidArgument, match="4 coefficients"):
+                build(4, 1.0, 3.0, a, b[:3])
 
 
 class TestSweep:
