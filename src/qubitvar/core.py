@@ -4,8 +4,10 @@ A qubit density matrix is rho = (I + px*sx + py*sy + pz*sz)/2 with
 px^2 + py^2 + pz^2 <= 1, and any 2x2 Hermitian observable is a real
 combination a1*sx + a2*sy + a3*sz + a4*I.  Every moment is a closed form
 in these coefficients, evaluated over stacked rows; one row runs on
-Python floats, with a stack's bits.  The representation changes map
-stacks of Bloch vectors or coefficients to stacks of dense matrices and
+Python floats, with a stack's bits.  A checked row (_state_row,
+_observable_row) is a _Row, a tuple of Python floats that reaches the
+closed forms without passing through numpy.  The representation changes
+map stacks of Bloch vectors or coefficients to stacks of dense matrices and
 back; dense matrices otherwise serve, in verify and the tests, as the
 independent oracle.  General d-dimensional density matrices appear only
 for the mixedness convexity property, as (..., d, d) stacks.
@@ -45,24 +47,34 @@ def _require_finite(*values: float) -> None:
         raise InvalidArgument(f"components must be finite, got {values}")
 
 
-def _state_row(values) -> np.ndarray:
-    """A Bloch vector (px, py, pz) as a float array, checked finite and in the ball."""
+class _Row(tuple):
+    """A checked row: a tuple of Python floats.  Only _state_row and
+    _observable_row build one, so _components takes it as it is."""
+
+    __slots__ = ()
+
+
+def _state_row(values) -> _Row:
+    """A Bloch vector (px, py, pz) as a _Row, checked: three, finite, in the ball."""
     _require_finite(*values)
-    return bloch_array(values)
+    row = _Row(map(float, values))
+    _ball_components(row)
+    return row
 
 
-def _observable_row(values) -> tuple[float, ...]:
-    """(a1, a2, a3, a4) as a tuple of floats, checked: four, finite, |a_k| <= COEFF_MAX."""
+def _observable_row(values) -> _Row:
+    """(a1, a2, a3, a4) as a _Row, checked: four, finite, |a_k| <= COEFF_MAX."""
     if len(values) != 4:
         raise InvalidArgument(f"an observable has 4 coefficients, got {len(values)}")
     _require_finite(*values)
     if max(map(abs, values)) > COEFF_MAX:
         raise InvalidArgument(f"coefficients above {COEFF_MAX:.3g} overflow the moments")
-    return tuple(map(float, values))
+    return _Row(map(float, values))
 
 
 # Per-object forms: one-row adapters kept for the benchmark's meter
-# workload (perfbench MeterStream.read_one) until it reads rows.
+# workload (perfbench MeterStream.read_one) until it reads rows.  Each
+# keeps the _Row its check built, as _row, and passes that inward.
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -73,7 +85,7 @@ class BlochVector:
     pz: float
 
     def __post_init__(self):
-        _state_row((self.px, self.py, self.pz))
+        object.__setattr__(self, "_row", _state_row((self.px, self.py, self.pz)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.pz])
@@ -96,7 +108,7 @@ class PauliObservable:
     a4: float
 
     def __post_init__(self):
-        _observable_row((self.a1, self.a2, self.a3, self.a4))
+        object.__setattr__(self, "_row", _observable_row((self.a1, self.a2, self.a3, self.a4)))
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -252,8 +264,10 @@ def _components(x, width: int) -> np.ndarray | list:
     Bloch vector, 4 for observable coefficients).  np.moveaxis(x, -1, 0)
     without its Python-level axis checks, which cost microseconds a call;
     most stacks are (n, k), where the plain transpose is the cheapest
-    spelling.
+    spelling.  A _Row of width components is already checked: it is listed as it is.
     """
+    if type(x) is _Row and len(x) == width:
+        return list(x)
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (width,):
         raise InvalidArgument(f"rows of {width} components expected, got shape {x.shape}")
@@ -368,7 +382,7 @@ def symmetrized_products(a, b) -> np.ndarray:
 
 def mixedness(state: QubitState) -> float:
     """mixedness_values for one state object, as a float: a per-object form."""
-    return float(mixedness_values(state.bloch.as_array()))
+    return float(mixedness_values(state.bloch._row))
 
 
 def mixedness_general(rho) -> np.ndarray:

@@ -225,6 +225,8 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
     """
     alpha, lam, omega = _parameters(alpha, lam, omega)
     times = np.array(sample_times, dtype=float)
+    if times.ndim != 1:
+        raise InvalidArgument(f"sample_times must be 1-D, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise InvalidArgument("sample_times must be finite")
     if times.size == 0 or np.any(np.diff(times) <= 0):

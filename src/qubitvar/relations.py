@@ -11,7 +11,8 @@ core.  Each closed form is written once, as a private helper on checked
 component-major rows or on their projections (a.p, |a|^2, a.b, the
 triple product); each public one-quantity function is its input check
 plus that helper.  One row runs in Python floats and a stack in
-columns, with the same bits.  reports(p, a, b) is the one relation
+columns, with the same bits; a checked row (a core._Row) reaches them
+with no numpy conversion.  reports(p, a, b) is the one relation
 route: it evaluates every side and bound of the relations over stacked
 (state, A, B) rows, checking the state once and normalising each
 observable once per call, and builds every field from the shared
@@ -23,7 +24,8 @@ mixedness_estimates_from_counts reads estimates off them.  compute_report,
 estimate_mixedness, estimate_mixedness_from_counts, simulate_shots and
 symmetrized_product are per-object one-row adapters of these, kept for
 the benchmark's meter workload (perfbench MeterStream.read_one) until it
-reads rows.  Nothing here is computed through dense matrices.
+reads rows; they pass the checked rows their objects hold.  Nothing here
+is computed through dense matrices.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
 
 def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
     """mixedness_estimates for one triple of objects, as a float: a per-object form."""
-    return float(mixedness_estimates(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs))
+    return float(mixedness_estimates(state.bloch._row, obs_a._row, obs_b._row))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliOb
 
 def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> PauliObservable:
     """Observable (AB + BA)/2 of two objects: the per-object form of symmetrized_products."""
-    return PauliObservable(*symmetrized_products(obs_a.coeffs, obs_b.coeffs).tolist())
+    return PauliObservable(*symmetrized_products(obs_a._row, obs_b._row).tolist())
 
 
 def _generator(seed) -> np.random.Generator:
@@ -262,7 +264,7 @@ def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) ->
     """shot_counts for one (state, A) pair of objects and one seed, as ints:
     a per-object form, drawing as shot_counts does without building arrays."""
     _require_shots(shots)
-    p_hi = float(high_outcome_probabilities(state.bloch.as_array(), obs.coeffs))
+    p_hi = float(high_outcome_probabilities(state.bloch._row, obs._row))
     n_hi = int(_generator(seed).binomial(shots, p_hi))
     return n_hi, shots - n_hi
 
@@ -272,17 +274,22 @@ def _frequencies(counts):
 
     A pair of ints stays in Python ints: up to MAX_SHOTS, n_hi / shots
     has the bits it has on int64.  InvalidArgument where a count is not
-    an integer, and, naming the first offending row's counts, where a
-    count is negative or a total is zero.
+    an integer (a bool included), and, naming the first offending row's
+    counts, where a count is negative or a total is zero.
     """
     if type(counts[0]) is type(counts[1]) is int:
         n_hi, n_lo = counts
     else:
         # each count on its own: numpy would promote a bool beside an int
         n_hi, n_lo = np.asarray(counts[0]), np.asarray(counts[1])
-        for n in (n_hi, n_lo):
+        for n, given in ((n_hi, counts[0]), (n_lo, counts[1])):
             if n.dtype.kind not in "iu":
                 raise InvalidArgument(f"counts must be integers, got {n.dtype} counts")
+            # and so would a bool inside a sequence of ints
+            if type(given) is not np.ndarray and any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat
+            ):
+                raise InvalidArgument(f"counts must be integers, got a bool in {given!r}")
     shots = n_hi + n_lo
     bad = (n_hi < 0) | (n_lo < 0) | (shots == 0)
     if _any(bad):
@@ -381,7 +388,7 @@ def estimate_mixedness_from_counts(
 ) -> tuple[float, float]:
     """mixedness_estimates_from_counts for one (A, B) pair of objects, as floats."""
     estimate, std_error = mixedness_estimates_from_counts(
-        counts_a, counts_b, counts_c, obs_a.coeffs, obs_b.coeffs
+        counts_a, counts_b, counts_c, obs_a._row, obs_b._row
     )
     return float(estimate), float(std_error)
 
@@ -417,12 +424,14 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     normalised once (DegenerateSpectrum); every field reads the shared
     projections.
     """
-    p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     p_c = _ball_components(p)
     a_c, b_c = _components(a, 4), _components(b, 4)
     axis_a, _ = _axes(a_c)
     axis_b, _ = _axes(b_c)
-    s_c = _components(a + b, 4)
+    if type(a_c) is type(b_c) is list:  # one row each: an IEEE add has a stack's bits
+        s_c = [x + y for x, y in zip(a_c, b_c)]
+    else:
+        s_c = _components(np.asarray(a, dtype=float) + np.asarray(b, dtype=float), 4)
     aa, bb, ab = _pair(a_c, b_c)
     ss = _dot(s_c, s_c)
     var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)
@@ -450,5 +459,5 @@ def compute_report(
     estimate is not part of the report because it can fail (collinear
     observables) while every bound here is always defined.
     """
-    fields = _reports(state.bloch.as_array(), obs_a.coeffs, obs_b.coeffs)[0]
+    fields = _reports(state.bloch._row, obs_a._row, obs_b._row)[0]
     return RelationReport(**{k: float(v) for k, v in fields.items()})

@@ -54,6 +54,8 @@ class GridAxis:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidArgument(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
+        if type(self.steps) is not int and not isinstance(self.steps, np.integer):
+            raise InvalidArgument(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise InvalidArgument("steps must be >= 1")
         if self.steps == 1:

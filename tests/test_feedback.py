@@ -1,6 +1,7 @@
 """Feedback master equation, closed-form solution and RK4 integrator."""
 
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -298,6 +299,13 @@ class TestIntegrator:
                 step_times(bad, 1e-3)
             with pytest.raises(InvalidArgument, match="sample_times must be finite"):
                 evolve(0.5, 0.5, [0.1, bad], h=1e-3)
+
+    def test_times_not_one_dimensional_rejected(self):
+        # refused before the other time checks, which would compare arrays
+        for bad, shape in (([[0.1, 0.2]], "(1, 2)"), (0.1, "()"), ([[-1.0]], "(1, 1)")):
+            message = f"sample_times must be 1-D, got shape {shape}"
+            with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+                evolve(0.3, 0.5, bad, h=1e-3)
 
     def test_driven_matches_dense_oracle(self):
         # omega > 0 has no closed form; the dense RK4 is the reference

@@ -379,10 +379,12 @@ class TestShots:
                 mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
             with pytest.raises(ValueError):
                 mixedness_estimates_from_counts((5, 5), bad, None, X, Z)
-        # a bool beside an int would be promoted to int64 if the pair were one array
+        # a bool beside an int would be promoted to int64 if the pair were one
+        # array, and so would a bool inside a sequence of ints
         for bad in ((10.5, 0), (5.0, 5), (np.array([10.5]), np.array([0.0])),
                     (True, 5), (5, False), (np.True_, 5), (np.int64(5), np.False_),
-                    (np.array([True]), np.array([5])), (np.array([5]), np.array([False]))):
+                    (np.array([True]), np.array([5])), (np.array([5]), np.array([False])),
+                    ([True, 3], [5, 5]), ([5, 5], [3, np.False_]), ([[5], [True]], [[5], [5]])):
             with pytest.raises(InvalidArgument, match="counts must be integers"):
                 mixedness_estimates_from_counts(bad, (5, 5), None, X, Z)
             with pytest.raises(InvalidArgument, match="counts must be integers"):
@@ -392,6 +394,12 @@ class TestShots:
         for counts in ((np.int64(3), np.int64(7)), (np.uint32(3), 7),
                        (np.array(3), np.array(7))):
             assert one_row_estimate(counts, (6, 4), None, X, Z) == want
+        # and in sequences, the bits of their arrays
+        want = mixedness_estimates_from_counts((np.array([1, 3]), np.array([5, 5])), (6, 4),
+                                               None, X, Z)
+        for counts in (([1, 3], [5, 5]), ((np.int64(1), 3), [np.uint8(5), 5])):
+            got = mixedness_estimates_from_counts(counts, (6, 4), None, X, Z)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 def exact_counts(p, a, shots):
@@ -734,6 +742,19 @@ def _one_row(stack, i):
     }
 
 
+def _one_rows(stack, i):
+    """Row i of stacked inputs as _one_row gives it and, where the row
+    checks accept it, with p, a and b as the checked rows the CLI passes."""
+    row = _one_row(stack, i)
+    forms = [row]
+    try:
+        forms.append(dict(row, p=core._state_row(row["p"]), a=core._observable_row(row["a"]),
+                          b=core._observable_row(row["b"])))
+    except InvalidArgument:
+        pass
+    return forms
+
+
 def _cells(result):
     """A result's values: a dict's or a tuple's entries, or the result itself."""
     if isinstance(result, dict):
@@ -775,12 +796,28 @@ class TestOneRowRoute:
         stacked = _outcome(fn, args, random_rows)
         assert isinstance(stacked, list), stacked
         for i in range(n):
-            one = _outcome(fn, args, _one_row(random_rows, i))
-            assert [_bits(v) for v in one] == [_bits(v[i]) for v in stacked]
+            forms = _one_rows(random_rows, i)
+            assert len(forms) == 2
+            for inputs in forms:
+                one = _outcome(fn, args, inputs)
+                assert [_bits(v) for v in one] == [_bits(v[i]) for v in stacked]
         for name, edge in EDGE_ROWS.items():  # at the head of a stack with a random row
             edge_rows = _stacked([edge, rows[0]])
-            stacked, one = _outcome(fn, args, edge_rows), _outcome(fn, args, _one_row(edge_rows, 0))
-            if isinstance(stacked, tuple):  # refused: same type, same message
-                assert one == stacked, name
-            else:
-                assert [_bits(v) for v in one] == [_bits(v[0]) for v in stacked], name
+            stacked = _outcome(fn, args, edge_rows)
+            for inputs in _one_rows(edge_rows, 0):
+                one = _outcome(fn, args, inputs)
+                if isinstance(stacked, tuple):  # refused: same type, same message
+                    assert one == stacked, name
+                else:
+                    assert [_bits(v) for v in one] == [_bits(v[0]) for v in stacked], name
+
+    def test_checked_rows_are_marked(self):
+        # the row checks build a _Row; one of the wrong width takes the
+        # unchecked route and its refusal
+        state, obs = core._state_row(np.array([0.1, 0.2, 0.3])), core._observable_row([1, 0, 0, 2])
+        assert type(state) is type(obs) is core._Row
+        assert all(type(v) is float for v in (*state, *obs))
+        with pytest.raises(
+            InvalidArgument, match=re.escape("rows of 4 components expected, got shape (3,)")
+        ):
+            variances(state, state)

@@ -226,6 +226,13 @@ class TestGrid:
             GridAxis(0.0, 1.0, 0)
         with pytest.raises(InvalidArgument, match=r"axis ends must be finite, got \[0.0, inf\]"):
             GridAxis(0.0, math.inf, 10)
+        # a Python or numpy int, not a bool: True would pin the axis
+        for steps in (2.5, 3.0, True, np.True_, "3"):
+            with pytest.raises(InvalidArgument, match="^steps must be an integer, got "):
+                GridAxis(0.0, 1.0, steps)
+        with pytest.raises(InvalidArgument, match="^steps must be an integer, got 2.5$"):
+            fig2_grid(2.5)
+        assert np.array_equal(GridAxis(0.0, 1.0, np.int64(3)).values(), [0.0, 0.5, 1.0])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
