@@ -428,10 +428,7 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     a_c, b_c = _components(a, 4), _components(b, 4)
     axis_a, _ = _axes(a_c)
     axis_b, _ = _axes(b_c)
-    if type(a_c) is type(b_c) is list:  # one row each: an IEEE add has a stack's bits
-        s_c = [x + y for x, y in zip(a_c, b_c)]
-    else:
-        s_c = _components(np.asarray(a, dtype=float) + np.asarray(b, dtype=float), 4)
+    s_c = [x + y for x, y in zip(a_c, b_c)]  # component by component: the bits of a whole-row add
     aa, bb, ab = _pair(a_c, b_c)
     ss = _dot(s_c, s_c)
     var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)
