@@ -28,6 +28,8 @@ SWEEPS = {
     "sweep_sidecar_edge_values": ["--fig2", "--steps", "2", "--t-end", "1e-8",
                                   "--lambda", "0.30000000000000004",
                                   "--obs-a=1e-7,0,0,-0.0", "--obs-b=0,0,1e75,1e75"],
+    # sx in units of 1e-10: the same ti1 and ti2 as at unit scale
+    "sweep_fig2_nano_obs": ["--fig2", "--steps", "4", "--obs-a", "1e-10,0,0,0"],
 }
 
 COMMANDS = {
@@ -44,6 +46,8 @@ COMMANDS = {
     # sx and sz in milli-units: the same estimate as at unit scale
     "report_milli_units": ["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "0.001,0,0,0",
                            "--obs-b", "0,0,0.001,0"],
+    # sx in units of 1e-10: the same entropic fields and estimate as at unit scale
+    "report_nano_units": ["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "1e-10,0,0,0"],
     # a state at the edge of the ball's tolerance: varA clamps to 0 at any scale
     "report_ball_edge_large_obs": ["report", "--bloch", "1.0000000000004,0,0",
                                    "--obs-a", "100,0,0,0"],

@@ -31,7 +31,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 # Tolerance policy: exact-algebra representation checks at 1e-12,
-# positivity at -1e-10 (eigenvalue scale).
+# positivity at -1e-10 (eigenvalue scale).  Every tolerance on
+# observables is dimensionless (HERMITIAN_TOL in units of max |m|;
+# relations.COLLINEAR_TOL, tightness.BOUND_FLOOR and C_ONE_TOL); only the
+# float range bounds coefficients: COEFF_MAX above, and |a|^2 at least
+# the smallest normal float below (_degenerate).
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-12
@@ -40,6 +44,11 @@ POSITIVITY_TOL = 1e-10
 # most four coefficients, e.g. the Gram determinant's 16 |a|^2 |b|^2 <=
 # 144 c^4; c^4 a factor 1e4 below the largest float keeps them all finite.
 COEFF_MAX = (sys.float_info.max / 1e4) ** 0.25
+
+
+def _degenerate(aa):
+    """Where a Pauli part is zero in double precision: |a|^2 below the smallest normal float."""
+    return aa < sys.float_info.min
 
 
 def _require_finite(*values: float) -> None:
@@ -125,15 +134,20 @@ OBS_I = (0.0, 0.0, 0.0, 1.0)
 
 
 # Validation rules over (..., d, d) stacks; each error names the first
-# offending matrix (the largest deviation for Hermiticity).
+# offending matrix.
 
 def _require_hermitian(matrix: np.ndarray) -> None:
-    """Finite entries and max |m - m^dag| <= HERMITIAN_TOL."""
+    """Finite entries and max |m - m^dag| <= HERMITIAN_TOL max |m|, per matrix."""
     if not np.isfinite(matrix).all():
         raise InvalidArgument("matrix entries must be finite")
-    dev = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(initial=0.0)
-    if dev > HERMITIAN_TOL:
-        raise InvalidArgument(f"max |m - m^dag| = {dev:.3e}")
+    dev = np.abs(matrix - np.swapaxes(matrix.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+    skew = dev > HERMITIAN_TOL * scale
+    if _any(skew):
+        raise InvalidArgument(
+            f"max |m - m^dag| = {np.extract(skew, dev)[0]:.3e} exceeds "
+            f"{HERMITIAN_TOL:g} of max |m| = {np.extract(skew, scale)[0]:.3e}"
+        )
 
 
 def _require_state(matrix: np.ndarray) -> None:
@@ -265,12 +279,15 @@ def _components(x, width: int) -> np.ndarray | list:
     without its Python-level axis checks, which cost microseconds a call;
     most stacks are (n, k), where the plain transpose is the cheapest
     spelling.  A _Row of width components is already checked: it is listed as it is.
+    Coefficient rows (width 4) must be finite; Bloch vectors meet the ball check.
     """
     if type(x) is _Row and len(x) == width:
         return list(x)
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (width,):
         raise InvalidArgument(f"rows of {width} components expected, got shape {x.shape}")
+    if width == 4 and not np.isfinite(x).all():
+        raise InvalidArgument(f"coefficients must be finite, got {x[~np.isfinite(x)][0]}")
     if x.ndim == 1:
         return x.tolist()
     return x.T if x.ndim <= 2 else x.transpose((-1, *range(x.ndim - 1)))

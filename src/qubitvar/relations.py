@@ -36,14 +36,10 @@ import numpy as np
 
 from .core import (
     PauliObservable, QubitState, _anticommutator_term, _any, _ball_components,
-    _commutator_term, _components, _dot, _mixedness, _result, _scaled, _sqrt, _symmetrized,
-    _unit_interval, _variance, _where, symmetrized_products
+    _commutator_term, _components, _degenerate, _dot, _mixedness, _result, _scaled, _sqrt,
+    _symmetrized, _unit_interval, _variance, _where, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
-
-# An observable's two outcomes are distinguishable only if the eigenvalue
-# gap 2|a| clears this; below it the spectrum counts as degenerate.
-SPECTRUM_GAP_TOL = 1e-9
 
 # Threshold on xi(A,A) xi(B,B) - xi(A,B)^2, in units of |a|^2 |b|^2 (as
 # tightness.BOUND_FLOOR), separating genuine collinearity of the Pauli
@@ -127,20 +123,16 @@ def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
     )
 
 
-def _gap_closed(norm):
-    """The one degeneracy rule, per row: the eigenvalue gap 2|a| is at most
-    SPECTRUM_GAP_TOL, i.e. A is proportional to I."""
-    return 2.0 * norm <= SPECTRUM_GAP_TOL
-
-
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     """Unit Bloch axes and |a| of component-major coefficient rows a.
 
-    DegenerateSpectrum, before any other work, when some row's gap is closed.
+    DegenerateSpectrum, before any other work, when some row is proportional to
+    I: its Pauli part is zero in double precision (core._degenerate), at any units.
     """
     vec = a[:3]
-    norm = _sqrt(_dot(vec, vec))
-    closed = _gap_closed(norm)
+    aa = _dot(vec, vec)
+    norm = _sqrt(aa)
+    closed = _degenerate(aa)
     if _any(closed):
         raise DegenerateSpectrum(
             "degenerate observable spectrum: "
@@ -251,10 +243,14 @@ def shot_counts(p, a, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     seeds.
     """
     _require_shots(shots)
+    try:
+        n_seeds = len(seeds)
+    except TypeError:
+        raise InvalidArgument(f"seeds must be a sequence, one per row, got {seeds!r}") from None
     p_hi = high_outcome_probabilities(p, a)
-    if p_hi.shape not in ((), (len(seeds),)):
-        raise InvalidArgument(f"(state, A) rows of shape {p_hi.shape} for {len(seeds)} seeds")
-    probs = p_hi.tolist() if p_hi.ndim else [float(p_hi)] * len(seeds)
+    if p_hi.shape not in ((), (n_seeds,)):
+        raise InvalidArgument(f"(state, A) rows of shape {p_hi.shape} for {n_seeds} seeds")
+    probs = p_hi.tolist() if p_hi.ndim else [float(p_hi)] * n_seeds
     draws = [_generator(seed).binomial(shots, q) for seed, q in zip(seeds, probs)]
     high = np.array(draws, dtype=np.int64)
     return high, shots - high
@@ -337,12 +333,13 @@ _OMITTED_C = "counts_c may be omitted only when (AB+BA)/2 is proportional to I"
 def meter_settings(a, b) -> list:
     """[a, b, c]: the settings whose counts mixedness_estimates_from_counts takes.
 
-    c is C = (AB + BA)/2 as coefficient rows (products of A's and B's, which may exceed
-    what an observable accepts), or None when every row of C is proportional to I.
+    c is C = (AB + BA)/2 as coefficient rows (products of A's and B's, which may
+    exceed what an observable accepts), or None when every row of C is proportional
+    to I (core._degenerate).
     """
     c = symmetrized_products(a, b)
     vec = _components(c, 4)[:3]
-    return [a, b, None if np.all(_gap_closed(_sqrt(_dot(vec, vec)))) else c]
+    return [a, b, None if np.all(_degenerate(_dot(vec, vec))) else c]
 
 
 def mixedness_estimates_from_counts(
@@ -371,10 +368,10 @@ def mixedness_estimates_from_counts(
     setting_a = _moments(_sqrt(aa), a[3], *_frequencies(counts_a))
     setting_b = _moments(_sqrt(bb), b[3], *_frequencies(counts_b))
     c = _symmetrized(a, b, ab)
-    norm_c = _sqrt(_dot(c, c))
+    cc = _dot(c, c)
     if counts_c is not None:
-        setting_c = _moments(norm_c, c[3], *_frequencies(counts_c))
-    elif np.all(_gap_closed(norm_c)):
+        setting_c = _moments(_sqrt(cc), c[3], *_frequencies(counts_c))
+    elif np.all(_degenerate(cc)):
         setting_c = (c[3], 0.0, 0.0, 0.0, 0.0)  # C = c4 I: its moment is exact
     else:
         raise InvalidArgument(_OMITTED_C)

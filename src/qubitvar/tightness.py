@@ -52,6 +52,9 @@ class GridAxis:
     include_hi: bool = True
 
     def __post_init__(self):
+        for name, end in (("lo", self.lo), ("hi", self.hi)):
+            if type(end) not in (int, float) and not isinstance(end, (np.integer, np.floating)):
+                raise InvalidArgument(f"axis end {name} must be a real number, got {end!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidArgument(f"axis ends must be finite, got [{self.lo}, {self.hi}]")
         if type(self.steps) is not int and not isinstance(self.steps, np.integer):

@@ -72,6 +72,17 @@ class TestReport:
         assert payload["mixedness_estimate"] is None
         assert payload["reason"] == "collinear"
 
+    def test_nano_units_report_as_unit_scale(self, capsys):
+        # A = 1e-10 sx has sx's eigenbasis, so its entropic fields and the estimate are sx's
+        payloads = []
+        for obs_a in ("1,0,0,0", "1e-10,0,0,0"):
+            code, out, _ = run_cli(["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", obs_a], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        for key, value in (("entropy_sum", 1.9050186498301596), ("entropy_bound", 1.0),
+                           ("mixedness_estimate", 0.43)):
+            assert payloads[0][key] == payloads[1][key] == value
+
     def test_invalid_bloch_is_config_error(self, capsys):
         code, _, err = run_cli(["report", "--bloch", "1,1,1"], capsys)
         assert code == 2
@@ -274,6 +285,19 @@ class TestSweep:
         assert set(sidecar["violations"]) == {
             "points_all_defined", "ti1_gt_ti2", "ti1_gt_ti3",
         }
+
+    def test_fig2_in_nano_units(self, tmp_path, capsys):
+        # ti1 and ti2 do not depend on the units of A
+        columns = []
+        for units, obs_a in (("unit", "1,0,0,0"), ("nano", "1e-10,0,0,0")):
+            out_file = tmp_path / f"fig2_{units}.csv"
+            code, _, _ = run_cli(["sweep", "--fig2", "--steps", "4", "--obs-a", obs_a,
+                                  "--output", str(out_file)], capsys)
+            assert code == 0
+            assert out_file.with_suffix(".meta.json").exists()
+            rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+            columns.append([[float(cell) for cell in row[3:5]] for row in rows])
+        np.testing.assert_allclose(columns[1], columns[0], rtol=1e-9)
 
     def test_fig3_all_defined(self, tmp_path, capsys):
         out_file = tmp_path / "fig3.csv"

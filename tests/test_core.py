@@ -134,6 +134,20 @@ class TestObservables:
         with pytest.raises(InvalidArgument, match=r"\|m - m\^dag\| = 1"):
             decompose_observable(np.stack([SX, np.array([[0, 1], [0, 0]], dtype=complex)]))
 
+    def test_hermiticity_is_judged_in_the_matrix_units(self, rng):
+        # a rotated Hermitian matrix in large units keeps its rounding relative to its size
+        for scale in (1e-9, 1.0, 1e9):
+            for _ in range(200):
+                unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                matrix = scale * (unitary @ oracle_obs(*rng.normal(size=4)) @ unitary.conj().T)
+                decompose_observable(matrix)
+        # and a small anti-Hermitian part is refused rather than dropped, naming its matrix
+        tiny = 1e-14 * np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(InvalidArgument, match=(
+            r"^max \|m - m\^dag\| = 1.000e-14 exceeds 1e-12 of max \|m\| = 1.000e-14$"
+        )):
+            decompose_observable(np.stack([SX, tiny, 2 * SX + SY]))
+
     @settings(deadline=None)
     @given(observables())
     def test_decompose_reconstruct_roundtrip(self, a):
@@ -457,11 +471,16 @@ GENERAL_B = (0.5, 0.0, 1.0, 0.7)  # (A B + B A)/2 with A = sx is not prop. to I
         lambda: tightness.SweepGrid(AXIS(0.1, 0.1, 1), AXIS(-1.0, -1.0, 1), AXIS(0.0, 1.0, 3)),
         lambda: tightness.sweep(tightness.fig2_grid(steps=2), source="exact"),
         lambda: relations.shot_counts(ORIGIN, OBS_X, 0, [0]),
+        lambda: relations.shot_counts(ORIGIN, OBS_X, 10, 5),
+        lambda: AXIS("0", 1.0, 3),
+        lambda: AXIS(0.0, True, 3),
+        lambda: tightness.fig3_grid(4, alpha="x"),
         lambda: relations.mixedness_estimates_from_counts((0, 0), (5, 5), None, OBS_X, OBS_Z),
         lambda: relations.mixedness_estimates_from_counts((5, 5), (5, 5), None, OBS_X, GENERAL_B),
     ],
     ids=["sample_kind", "sample_times", "axis_steps", "pinned_axis", "axis_order", "t_axis",
-         "lambda_axis", "sweep_source", "shots", "counts", "omitted_c"],
+         "lambda_axis", "sweep_source", "shots", "seeds", "axis_end", "bool_axis_end",
+         "grid_alpha", "counts", "omitted_c"],
 )
 def test_invalid_arguments_are_typed(call):
     # one type for every refused argument: a QubitVarError that is still a ValueError

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from qubitvar.errors import (
 )
 from qubitvar.relations import (
     MAX_SHOTS,
-    SPECTRUM_GAP_TOL,
     complementarities,
     equality_remainders,
     gram_determinants,
@@ -148,8 +148,9 @@ class TestSumRelation:
         try:
             lhs, bound = sum_fields(p, a, b)
         except DegenerateSpectrum:
-            # reports needs both eigenbases (its entropic fields): A or B is proportional to I
-            assert min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) <= SPECTRUM_GAP_TOL
+            # reports needs both eigenbases (its entropic fields): A or B is proportional
+            # to I, its Pauli part zero in double precision
+            assert min(core._dot(a, a), core._dot(b, b)) < sys.float_info.min
             return
         assert lhs >= bound - 1e-10
 
@@ -173,16 +174,34 @@ class TestEntropic:
         with pytest.raises(DegenerateSpectrum):
             complementarities(I, X)
 
-    @pytest.mark.parametrize("stack, gap", [
-        # a NaN row before the degenerate one is not itself refused here
-        ([[math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], "0.000e+00"),
-        # the first closed row, 2e-13, is not the smallest, 0
-        ([[1.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], "2.000e-13"),
+    @pytest.mark.parametrize("stack, error, message", [
+        # a NaN row is refused before any spectrum is looked at
+        pytest.param([[math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]], InvalidArgument,
+                     "coefficients must be finite, got nan", id="nan_row"),
+        # the first closed row, 2e-160 (|a|^2 subnormal), is not the smallest, 0
+        pytest.param([[1.0, 0.0, 0.0, 0.0], [1e-160, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                     DegenerateSpectrum,
+                     "degenerate observable spectrum: eigenvalue gap 2|a| = 2.000e-160",
+                     id="subnormal_square"),
+        # |a|^2 = 1e-300 is a normal float: the spectrum is resolved, at any scale
+        pytest.param([[1e-150, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], None, None,
+                     id="normal_square"),
     ])
-    def test_degenerate_message_names_first_closed_row(self, stack, gap):
-        message = f"degenerate observable spectrum: eigenvalue gap 2|a| = {gap}"
-        with pytest.raises(DegenerateSpectrum, match=f"^{re.escape(message)}$"):
+    def test_degenerate_message_names_first_closed_row(self, stack, error, message):
+        if error is None:
+            assert high_outcome_probabilities([0.1, 0.0, 0.0], stack).tolist() == [0.55, 0.55]
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             high_outcome_probabilities([0.1, 0.0, 0.0], stack)
+
+    def test_non_finite_coefficient_rows_are_refused(self):
+        p = [0.1, 0.0, 0.0]
+        for bad in (math.nan, math.inf, -math.inf):
+            stack = [[1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0]]
+            for call in (lambda: reports(p, stack, Z), lambda: ratios(p, X, stack),
+                         lambda: variances(p, stack), lambda: mixedness_estimates(p, stack, Z)):
+                with pytest.raises(InvalidArgument, match=f"^coefficients must be finite, got {bad}$"):
+                    call()
 
     def test_complementarity_examples(self):
         assert complementarities(X, Z) == pytest.approx(0.5, abs=1e-15)

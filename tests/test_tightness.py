@@ -71,6 +71,27 @@ class TestRatios:
             assert ratios(p, a + shift * I, b)[0] == pytest.approx(base, rel=1e-10, abs=1e-10)
 
 
+def test_ratios_and_estimates_are_unit_free(rng):
+    # the ratios and the meter are homogeneous in the scales of A and B: no
+    # refusal and no undefined point may depend on the units (ti3 only when
+    # both scale, as the sum relation adds A and B); pyproject makes any
+    # RuntimeWarning an error
+    n = 400
+    p = random_bloch_vectors(rng, n)
+    a, b = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    base, base_estimates = ratios(p, a, b), relations.mixedness_estimates(p, a, b)
+    for s in (1e-60, 1e-10, 1e10, 1e60):
+        scaled_a, scaled_both = ratios(p, s * a, b), ratios(p, s * a, s * b)
+        estimates = relations.mixedness_estimates(p, s * a, b)
+        one_row = [ratios(p[i], s * a[i], b[i]) for i in range(20)]
+        for got, want in zip(scaled_a[:2] + scaled_both[2:], base):
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+        np.testing.assert_allclose(estimates, base_estimates, rtol=1e-9)
+        for i, row in enumerate(one_row):
+            np.testing.assert_allclose(row[:2], [base[0][i], base[1][i]], rtol=1e-9)
+
+
 def same_ratio(one, stacked) -> bool:
     """Both undefined, or equal up to an ulp (SIMD and scalar libm paths may differ)."""
     if math.isnan(one):
@@ -233,6 +254,7 @@ class TestGrid:
         with pytest.raises(InvalidArgument, match="^steps must be an integer, got 2.5$"):
             fig2_grid(2.5)
         assert np.array_equal(GridAxis(0.0, 1.0, np.int64(3)).values(), [0.0, 0.5, 1.0])
+
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
