@@ -48,6 +48,9 @@ COMMANDS = {
                            "--obs-b", "0,0,0.001,0"],
     # sx in units of 1e-10: the same entropic fields and estimate as at unit scale
     "report_nano_units": ["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "1e-10,0,0,0"],
+    # sx and sz in units of 1e-80: |a|^2 |b|^2 underflows, so no estimate
+    "report_underflow_pair": ["report", "--bloch", "0.3,0.1,-0.2", "--obs-a", "1e-80,0,0,0",
+                              "--obs-b", "0,0,1e-80,0"],
     # a state at the edge of the ball's tolerance: varA clamps to 0 at any scale
     "report_ball_edge_large_obs": ["report", "--bloch", "1.0000000000004,0,0",
                                    "--obs-a", "100,0,0,0"],

@@ -72,7 +72,10 @@ def _state_row(values) -> _Row:
 
 
 def _observable_row(values) -> _Row:
-    """(a1, a2, a3, a4) as a _Row, checked: four, finite, |a_k| <= COEFF_MAX."""
+    """(a1, a2, a3, a4) as a _Row, checked: four, finite, |a_k| <= COEFF_MAX.
+    A _Row of four is already checked and is returned as it is."""
+    if type(values) is _Row and len(values) == 4:
+        return values
     if len(values) != 4:
         raise InvalidArgument(f"an observable has 4 coefficients, got {len(values)}")
     _require_finite(*values)

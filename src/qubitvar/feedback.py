@@ -31,7 +31,9 @@ run that stores every step takes each step as that sum.  A single run
 takes scalar parameters: evolve(alpha, lam, step_times(t_end, h), h).
 
 Every public function broadcasts (alpha, lam, omega) in front of its own
-axes and checks them once per call by one rule, _parameters.
+axes and checks them once per call by one rule, _parameters: one accept
+test on the whole set (2 alpha + 2 lam^2 + omega finite, lam and omega
+>= 0), and only when it fails the per-name checks that name the refusal.
 """
 
 from __future__ import annotations
@@ -56,8 +58,21 @@ _CHECK_BLOCK = 128
 def _parameters(alpha, lam, omega=0.0):
     """alpha, lam and omega broadcast to one float shape, refused unless
     finite, lam and omega >= 0, and the angle 2 alpha and the decay rate
-    1 + 2 lam^2 finite."""
+    1 + 2 lam^2 finite: one test accepts a set, and _refuse names the
+    refusal only when that test fails."""
     values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, omega)))
+    alpha, lam, omega = values
+    with np.errstate(over="ignore", invalid="ignore"):
+        accepted = (np.isfinite(2.0 * alpha + 2.0 * lam * lam + omega).all()
+                    and (lam >= 0).all() and (omega >= 0).all())
+    if not accepted:
+        _refuse(values)
+    return values
+
+
+def _refuse(values) -> None:
+    """InvalidArgument naming the first of the refusals _parameters makes;
+    returns when there is none (a finite set whose sum overflows)."""
     for name, value in zip(("alpha", "lam", "omega"), values):
         bad = ~np.isfinite(value)
         if bad.any():
@@ -73,7 +88,6 @@ def _parameters(alpha, lam, omega=0.0):
         overflow = ~np.isfinite(term)
         if overflow.any():
             raise InvalidArgument(f"{name} = {value[overflow][0]} overflows {what}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +110,12 @@ def _generator(lam: np.ndarray, omega: np.ndarray) -> np.ndarray:
     heat = 2.0 * lam * lam
     gen = np.zeros(lam.shape + (4, 4))
     gen[..., 0, 0] = -0.5
-    gen[..., 1, :3] = np.stack([-2.0 * lam, -(0.5 + heat), -2.0 * omega], axis=-1)
-    gen[..., 2, 1:] = np.stack([2.0 * omega, -(1.0 + heat), np.ones_like(lam)], axis=-1)
+    gen[..., 1, 0] = -2.0 * lam
+    gen[..., 1, 1] = -(0.5 + heat)
+    gen[..., 1, 2] = -2.0 * omega
+    gen[..., 2, 1] = 2.0 * omega
+    gen[..., 2, 2] = -(1.0 + heat)
+    gen[..., 2, 3] = 1.0
     return gen
 
 
@@ -229,21 +247,26 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
         raise InvalidArgument(f"sample_times must be 1-D, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise InvalidArgument("sample_times must be finite")
-    if times.size == 0 or np.any(np.diff(times) <= 0):
+    edges = np.concatenate(([0.0], times))
+    spans = edges[1:] - edges[:-1]
+    if times.size == 0 or (spans[1:] <= 0).any():
         raise InvalidArgument("sample_times must be non-empty and strictly increasing")
     if times[0] < 0:
         raise InvalidArgument(f"t must be >= 0, got {times[0]}")
     _check_steps(times[-1], h)
     with np.errstate(over="ignore", invalid="ignore"):
-        spans = np.diff(times, prepend=0.0)
         counts = _full_steps(spans, h)
         rests = spans - counts * h
         has_rest = rests > 1e-12
         increments = _increment(_generator(lam, omega), np.concatenate(([h], rests[has_rest])))
         full, rest_increments = increments[0], iter(increments[1:])
         powers = {1: np.eye(4) + full}
-        y = np.stack([np.sin(2.0 * alpha), np.zeros_like(alpha), np.cos(2.0 * alpha),
-                      np.ones_like(alpha)], axis=-1)[..., None]
+        y = np.zeros(alpha.shape + (4, 1))
+        y[..., 0, 0] = np.sin(2.0 * alpha)
+        y[..., 2, 0] = np.cos(2.0 * alpha)
+        y[..., 3, 0] = 1.0
+        # each block (..., 3, rows) read component-major: (3, ..., rows)
+        components = (alpha.ndim, *range(alpha.ndim), alpha.ndim + 1)
         intervals = zip(counts.astype(int).tolist(), has_rest.tolist())
         blocks = []
         for start in range(0, len(times), _CHECK_BLOCK):
@@ -257,7 +280,7 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
                     y = y + next(rest_increments) @ y
                 ys.append(y)
             blocks.append(np.concatenate(ys, axis=-1)[..., :3, :])  # (..., 3, rows)
-            norm_sq, outside = _outside_ball(np.moveaxis(blocks[-1], -2, 0))
+            norm_sq, outside = _outside_ball(blocks[-1].transpose(components))
             if outside.any():
                 break
     if outside.any():

@@ -92,9 +92,23 @@ def gram_determinants(a, b) -> np.ndarray:
     return _result(_gram(*_pair(_components(a, 4), _components(b, 4)))[0])
 
 
+def _underflows(aa, bb):
+    """Where a pair is zero in double precision: |a|^2 |b|^2 below the
+    smallest normal float (core._degenerate), so the Gram determinant and
+    every quantity of its size have lost digits to underflow."""
+    return _degenerate(aa * bb)
+
+
 def _noncollinear_gram(aa, bb, ab) -> np.ndarray:
     """The Gram determinant, checked by the one collinearity rule:
-    CollinearObservables where it is at most COLLINEAR_TOL |a|^2 |b|^2."""
+    CollinearObservables where |a|^2 |b|^2 underflows (_underflows) or the
+    determinant is at most COLLINEAR_TOL |a|^2 |b|^2."""
+    underflow = _underflows(aa, bb)
+    if _any(underflow):
+        raise CollinearObservables(
+            f"|a|^2 |b|^2 = {np.extract(underflow, aa * bb)[0]:.3e} "
+            "underflows the smallest normal float"
+        )
     det, scale = _gram(aa, bb, ab)
     collinear = 16.0 * det <= COLLINEAR_TOL * scale
     if _any(collinear):

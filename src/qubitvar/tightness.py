@@ -8,21 +8,23 @@ evaluates all three over a stack of Bloch vectors, one state in Python
 floats, by dividing fields of relations.reports.  Sweeps walk an
 (alpha, lambda, t) product grid in row-major order over states of the
 feedback model, either from the closed-form solution or the
-integrator, evaluate the whole grid in one ratios() call and return it
-as one table.
+integrator, both called once on the broadcast (alpha, 1) and
+(1, lambda) axes, evaluate the whole grid in one ratios() call and fill
+one table with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import OBS_X, OBS_Z, _observable_row, _result, _where
 from .errors import InvalidArgument
 from .feedback import analytic_bloch, evolve
-from .relations import _reports
+from .relations import _reports, _underflows
 
 # A bound at or below this, in the bound's own units (|a|^2 |b|^2 for ti1,
 # |a + b|^2 for ti3), is treated as vanished and the ratio undefined; so
@@ -68,14 +70,21 @@ class GridAxis:
             raise InvalidArgument("swept axes need lo < hi")
 
     def values(self) -> np.ndarray:
+        """The axis points, one read-only array built once per axis."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
         if self.steps == 1:
-            return np.array([self.lo])
-        extra = (not self.include_lo) + (not self.include_hi)
-        pts = np.linspace(self.lo, self.hi, self.steps + extra)
-        if not self.include_lo:
-            pts = pts[1:]
-        if not self.include_hi:
-            pts = pts[:-1]
+            pts = np.array([self.lo])
+        else:
+            extra = (not self.include_lo) + (not self.include_hi)
+            pts = np.linspace(self.lo, self.hi, self.steps + extra)
+            if not self.include_lo:
+                pts = pts[1:]
+            if not self.include_hi:
+                pts = pts[:-1]
+        pts.flags.writeable = False
         return pts
 
 
@@ -136,14 +145,17 @@ def ratios(p, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     a and b are observable coefficient rows (a1, a2, a3, a4), one pair for
     all states or one per state.  Each ratio divides two fields of
-    relations.reports.  Raises DegenerateSpectrum when A or B has a
-    degenerate spectrum (ti2 needs both eigenbases).
+    relations.reports.  ti1 is also undefined where |a|^2 |b|^2, the size
+    of its bound, underflows (the estimators' pair rule).  Raises
+    DegenerateSpectrum when A or B has a degenerate spectrum (ti2 needs
+    both eigenbases).
     """
     fields, complementarity, (aa, bb, ss) = _reports(p, a, b)
     eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
     distinct_bases = complementarity < 1.0 - C_ONE_TOL
+    eq19_defined = _where(_underflows(aa, bb), False, eq19 > BOUND_FLOOR * aa * bb)
     return (
-        _ratio(fields["product"], eq19, eq19 > BOUND_FLOOR * aa * bb),
+        _ratio(fields["product"], eq19, eq19_defined),
         _ratio(fields["entropy_sum"], fields["entropy_bound"], distinct_bases),
         _ratio(fields["sum_lhs"], sum_bound, sum_bound > BOUND_FLOOR * ss),
     )
@@ -207,20 +219,24 @@ def sweep(grid: SweepGrid, source: str = "analytic", h: float = 1e-3) -> np.ndar
     Rows run alpha (outer), lambda, t (inner), so output order is
     deterministic regardless of how points are evaluated.  source
     selects the closed-form feedback solution or the RK4 integrator with
-    step h; either takes every (alpha, lambda) row in one call, at
-    omega = 0.  The ratios of the whole grid come from one call.
+    step h; either takes the (alpha, 1) and (1, lambda) axes broadcast,
+    every (alpha, lambda) pair in one call, at omega = 0.  The ratios of
+    the whole grid come from one call, and one table is filled in place:
+    the coordinates broadcast from the axes, then the ratio columns.
     Undefined ratios are NaN.
     """
     if source not in ("analytic", "numeric"):
         raise InvalidArgument(f"source must be 'analytic' or 'numeric', got {source!r}")
     alphas, lams, ts = (axis.values() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis))
-    alpha, lam = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
+    alpha, lam = alphas[:, None], lams[None, :]
     bloch = analytic_bloch(alpha, lam, ts) if source == "analytic" else evolve(alpha, lam, ts, h)
+    cells = np.empty((len(alphas), len(lams), len(ts), 6))
+    cells[..., 0], cells[..., 1], cells[..., 2] = alpha[..., None], lam[..., None], ts
+    table = cells.reshape(-1, 6)
     # the table is flat, so the ratios take the states flat: the same bits
-    # as the (rows, T, 3) stack without its per-call multi-axis overhead
-    coords = [np.repeat(alpha, len(ts)), np.repeat(lam, len(ts)), np.tile(ts, len(alpha))]
-    values = ratios(bloch.reshape(-1, 3), grid.obs_a, grid.obs_b)
-    return np.column_stack(coords + list(values))
+    # as the (alphas, lams, T, 3) stack without its per-call multi-axis overhead
+    table[:, 3], table[:, 4], table[:, 5] = ratios(bloch.reshape(-1, 3), grid.obs_a, grid.obs_b)
+    return table
 
 
 def count_ordering_violations(table: np.ndarray) -> dict[str, int]:

@@ -72,6 +72,18 @@ class TestReport:
         assert payload["mixedness_estimate"] is None
         assert payload["reason"] == "collinear"
 
+    def test_underflowing_pair_null_estimate(self, capsys):
+        # |a|^2 |b|^2 = 1e-320 is subnormal: no estimate, as for a collinear pair
+        pair = ["--obs-a", "1e-80,0,0,0", "--obs-b", "0,0,1e-80,0"]
+        code, out, _ = run_cli(["report", "--bloch", "0.3,0.1,-0.2"] + pair, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["mixedness_estimate"], payload["reason"]) == (None, "collinear")
+        code, out, err = run_cli(["estimate", "--bloch", "0.3,0.1,-0.2"] + pair, capsys)
+        assert (code, out) == (1, "")
+        assert err == "collinear observables: |a|^2 |b|^2 = 1.000e-320 underflows " \
+            "the smallest normal float\n"
+
     def test_nano_units_report_as_unit_scale(self, capsys):
         # A = 1e-10 sx has sx's eigenbasis, so its entropic fields and the estimate are sx's
         payloads = []
@@ -587,6 +599,37 @@ class TestOutputFiles:
         assert not reader.is_alive()
         assert received == [run_cli(args, capsys)[1].encode()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_mebibyte_through_a_fifo_arrives_whole(self, tmp_path):
+        # the pipe holds far less than the text: every byte must be written
+        fifo = tmp_path / "big.fifo"
+        os.mkfifo(fifo)
+        text = "".join(f"{i:07d}\n" for i in range(2**17))
+        assert len(text.encode()) == 2**20
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cli._write((fifo, text))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [text.encode()]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        # a descriptor may take fewer bytes than offered; _write offers the rest
+        out_file = tmp_path / "x.csv"
+        out_file.write_text("y" * 9000)
+        write, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:1000]))
+
+        text = "".join(f"{i:04d}," for i in range(1000))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.os, "write", short_write)
+            cli._write((out_file, text))
+        assert sizes == list(range(5000, 0, -1000))
+        assert out_file.read_text() == text
 
     @staticmethod
     def assert_refused(args, out_file, capsys):

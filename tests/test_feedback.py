@@ -3,6 +3,7 @@
 import math
 import re
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,67 @@ class TestAnalyticSolution:
             if name in ("evolve", "generator"):
                 with pytest.raises(InvalidArgument, match="omega must be >= 0"):
                     call(0.0, 0.0, -1.0)
+
+
+# (parameter, value, the exact message of its refusal)
+PARAMETER_REFUSALS = [
+    *[(name, bad, f"{name} must be finite, got {bad}")
+      for name in ("alpha", "lam", "omega") for bad in (math.nan, math.inf, -math.inf)],
+    ("lam", -1.0, "lam must be >= 0"),
+    ("omega", -1.0, "omega must be >= 0"),
+    ("alpha", 1e308, "alpha = 1e+308 overflows the angle 2 alpha"),
+    ("lam", 1e200, "lam = 1e+200 overflows the decay rate 1 + 2 lam^2"),
+]
+
+# every public entry point by the parameters it takes
+PARAMETER_ENTRY_POINTS = [
+    (("alpha", "lam", "omega"), lambda alpha, lam, omega: evolve(alpha, lam, [0.01], 1e-3, omega)),
+    (("alpha", "lam"), lambda alpha, lam, omega: analytic_bloch(alpha, lam, 1.0)),
+    (("lam", "omega"), lambda alpha, lam, omega: generator(lam, omega)),
+    (("lam",), lambda alpha, lam, omega: steady_state(lam)),
+]
+
+
+class TestParameterRule:
+    """One accept test per parameter set; the named refusals only when it fails."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("name, value, message", PARAMETER_REFUSALS)
+    def test_refusal_messages(self, name, value, message, stacked):
+        params = {"alpha": 0.3, "lam": 0.5, "omega": 0.0}
+        params[name] = [params[name], value] if stacked else value
+        for takes, call in PARAMETER_ENTRY_POINTS:
+            if name not in takes:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgument) as refused:
+                    call(**params)
+            assert str(refused.value) == message
+
+    def test_finite_set_with_overflowing_sum_accepted(self):
+        # 2 alpha + 2 lam^2 (+ omega) overflows while every term is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bloch = analytic_bloch(8e307, 9e153, [0.0, 1.0])
+            gen = generator(9.2e153, 1e307)
+            both = analytic_bloch([0.3, 8e307], [0.5, 9e153], 1.0)
+        assert np.isfinite(bloch).all() and np.isfinite(gen).all()
+        assert np.array_equal(both[1], bloch[1])
+        assert np.array_equal(both[0], analytic_bloch(0.3, 0.5, 1.0))
+
+
+def test_broadcast_parameters_match_flat_parameters():
+    # (A, 1) x (1, L) parameters give the bits of the repeated and tiled flat sets
+    alphas = np.array([0.0, 0.4, math.pi / 4, 2.9])
+    lams = np.array([0.0, 1e-7, 0.3, 1.0, 2.5])
+    flat = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
+    times = np.array([0.05, 0.2, 0.33, 0.7])
+    for fn in (lambda a, lam: analytic_bloch(a, lam, times),
+               lambda a, lam: evolve(a, lam, times, 1e-2)):
+        broadcast = fn(alphas[:, None], lams[None, :])
+        assert broadcast.shape == (len(alphas), len(lams), len(times), 3)
+        assert broadcast.tobytes() == fn(*flat).tobytes()
 
 
 class TestSteadyState:

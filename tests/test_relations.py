@@ -227,6 +227,10 @@ class TestEntropic:
         assert (entropy_sum, bound) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
+# the refusal of a pair whose |a|^2 |b|^2 is subnormal
+UNDERFLOW = r"\|a\|\^2 \|b\|\^2 = \S+ underflows the smallest normal float"
+
+
 class TestEstimator:
     def test_examples(self):
         # the estimate is a ratio of variance data: A and B in other units
@@ -242,6 +246,45 @@ class TestEstimator:
             for parallel in parallels:
                 with pytest.raises(CollinearObservables, match="gram determinant = 0.000e"):
                     mixedness_estimates(p, a, scale * np.array(parallel))
+
+    def test_underflowing_pair_refused(self):
+        # A = s sx, B = s sz: below s = 1.2e-77 |a|^2 |b|^2 = s^4 is subnormal,
+        # and there the estimators refuse the pair and ti1 is undefined
+        p, counts = [0.3, 0.1, -0.2], ((600, 400), (350, 650), None)
+        scales = 10.0 ** -np.arange(70.0, 100.5, 0.5)
+        underflows = (scales * scales) * (scales * scales) < sys.float_info.min
+        assert not underflows[0] and underflows[-1] and 0 < underflows.sum() < len(scales)
+        unit = (float(mixedness_estimates(p, X, Z)),
+                float(mixedness_estimates_from_counts(*counts, X, Z)[0]),
+                float(ratios(p, X, Z)[0]))
+        for s, underflow in zip(scales, underflows):
+            a, b = s * X, s * Z
+            ti1 = ratios(p, a, b)[0]
+            if underflow:
+                for estimate in (lambda: mixedness_estimates(p, a, b),
+                                 lambda: mixedness_estimates_from_counts(*counts, a, b)):
+                    with pytest.raises(CollinearObservables, match=UNDERFLOW):
+                        estimate()
+                assert math.isnan(ti1)
+            else:
+                scaled = (float(mixedness_estimates(p, a, b)),
+                          float(mixedness_estimates_from_counts(*counts, a, b)[0]), float(ti1))
+                assert scaled == pytest.approx(unit, abs=1e-9)
+        # stacked: the same ti1 row by row, and a stack holding one underflowing pair is refused
+        a, b = scales[:, None] * X, scales[:, None] * Z
+        ti1 = ratios(p, a, b)[0]
+        assert np.array_equal(np.isnan(ti1), underflows)
+        assert ti1[~underflows] == pytest.approx(unit[2], abs=1e-9)
+        kept = ~underflows
+        assert mixedness_estimates(p, a[kept], b[kept]) == pytest.approx(unit[0], abs=1e-9)
+        estimates = mixedness_estimates_from_counts(*counts, a[kept], b[kept])[0]
+        assert estimates == pytest.approx(unit[1], abs=1e-9)
+        for i in np.flatnonzero(underflows):
+            rows = np.flatnonzero(kept).tolist() + [i]
+            with pytest.raises(CollinearObservables, match=UNDERFLOW):
+                mixedness_estimates(p, a[rows], b[rows])
+            with pytest.raises(CollinearObservables, match=UNDERFLOW):
+                mixedness_estimates_from_counts(*counts, a[rows], b[rows])
 
     def test_matches_mixedness_for_any_pair(self, rng):
         for _ in range(1000):

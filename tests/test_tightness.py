@@ -15,7 +15,7 @@ from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables
 from qubitvar import relations
 from qubitvar.core import COEFF_MAX, OBS_X, OBS_Z, random_bloch_vectors
 from qubitvar.errors import DegenerateSpectrum, InvalidArgument
-from qubitvar.feedback import analytic_bloch
+from qubitvar.feedback import analytic_bloch, evolve
 from qubitvar.tightness import (
     GridAxis,
     SweepGrid,
@@ -282,6 +282,54 @@ class TestGrid:
             assert (build().obs_a, build().obs_b) == (OBS_X, OBS_Z)
             with pytest.raises(InvalidArgument, match="4 coefficients"):
                 build(4, 1.0, 3.0, a, b[:3])
+
+
+class TestAxisValues:
+    @pytest.mark.parametrize("axis", [GridAxis(0.0, 1.0, 5), GridAxis(0.3, 0.3, 1),
+                                      GridAxis(0.0, math.pi, 4, include_lo=False,
+                                               include_hi=False)])
+    def test_one_read_only_array_per_axis(self, axis):
+        values = axis.values()
+        assert axis.values() is values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 2.0
+
+
+def column_stack_table(grid, source, h):
+    """The sweep table as flat repeated and tiled parameters and
+    np.column_stack assemble it: the reference for sweep's in-place table."""
+    alphas, lams, ts = (axis.values() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis))
+    alpha, lam = np.repeat(alphas, len(lams)), np.tile(lams, len(alphas))
+    if source == "analytic":
+        bloch = analytic_bloch(alpha, lam, ts)
+    else:
+        bloch = evolve(alpha, lam, ts, h)
+    coords = [np.repeat(alpha, len(ts)), np.repeat(lam, len(ts)), np.tile(ts, len(alpha))]
+    return np.column_stack(coords + list(ratios(bloch.reshape(-1, 3), grid.obs_a, grid.obs_b)))
+
+
+SWEEP_TABLE_GRIDS = {
+    "fig2_steps2": fig2_grid(2),
+    "fig2_steps7_obs": fig2_grid(7, 0.4, 2.0, (1.0, 0.0, 0.3, 0.5), (-0.2, 0.7, 1.1, -0.4)),
+    "fig3_steps3": fig3_grid(3, t_max=0.2),
+    "fig3_steps12": fig3_grid(12, 0.3, 1.5),
+    "pinned_alpha_and_t": SweepGrid(GridAxis(0.7, 0.7, 1), GridAxis(0.0, 2.0, 5),
+                                    GridAxis(0.4, 0.4, 1)),
+    "all_swept": SweepGrid(GridAxis(0.1, 3.0, 3), GridAxis(0.0, 1.5, 4),
+                           GridAxis(0.0, 0.6, 5, include_lo=False)),
+    "all_pinned": SweepGrid(GridAxis(1.1, 1.1, 1), GridAxis(0.8, 0.8, 1), GridAxis(0.5, 0.5, 1)),
+}
+
+
+class TestSweepTable:
+    @pytest.mark.parametrize("source", ["analytic", "numeric"])
+    @pytest.mark.parametrize("grid", list(SWEEP_TABLE_GRIDS.values()), ids=list(SWEEP_TABLE_GRIDS))
+    def test_matches_column_stack_assembly(self, grid, source):
+        table = sweep(grid, source, h=1e-2)
+        reference = column_stack_table(grid, source, 1e-2)
+        assert table.shape == reference.shape and table.dtype == reference.dtype
+        assert table.tobytes() == reference.tobytes()
 
 
 class TestSweep:
