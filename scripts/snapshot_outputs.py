@@ -79,6 +79,8 @@ COMMANDS = {
     "error_negative_omega": ["simulate", "--omega", "-1"],
     "error_lambda_overflow_numeric": ["simulate", "--lambda", "1e200", "--source", "numeric"],
     "error_alpha_overflow": ["simulate", "--alpha", "1e308", "--source", "numeric"],
+    "error_omega_overflow_numeric": ["simulate", "--source", "numeric", "--omega", "1e308",
+                                     "--t-end", "0.01"],
     "error_alpha_overflow_sweep": ["sweep", "--fig3", "--alpha", "1e308",
                                    "--output", "{out}/error_alpha_overflow_sweep.csv"],
     "error_positivity_sweep": ["sweep", "--fig2", "--lambda", "100", "--source", "numeric",

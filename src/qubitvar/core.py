@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -84,50 +82,23 @@ def _observable_row(values) -> _Row:
     return _Row(map(float, values))
 
 
-# Per-object forms: one-row adapters kept for the benchmark's meter
-# workload (perfbench MeterStream.read_one) until it reads rows.  Each
-# keeps the _Row its check built, as _row, and passes that inward.
+# Per-object forms: one-row entry points over the checked rows, kept for
+# the benchmark's meter workload (perfbench MeterStream.read_one) until it
+# reads rows.  A state is its Bloch vector's row.
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector (px, py, pz) inside the closed unit ball."""
-
-    px: float
-    py: float
-    pz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "_row", _state_row((self.px, self.py, self.pz)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
+def BlochVector(px, py, pz) -> _Row:
+    """The checked row of a Bloch vector (px, py, pz): _state_row."""
+    return _state_row((px, py, pz))
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Qubit density matrix, stored as a Bloch vector."""
-
-    bloch: BlochVector
+def QubitState(bloch: _Row) -> _Row:
+    """A qubit state, held as its Bloch vector's row: bloch itself."""
+    return bloch
 
 
-@dataclass(frozen=True)
-class PauliObservable:
-    """Hermitian observable a1*sx + a2*sy + a3*sz + a4*I with real coefficients."""
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "_row", _observable_row((self.a1, self.a2, self.a3, self.a4)))
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """(a1, a2, a3, a4) as a read-only array, the form the moment functions take."""
-        c = np.array([self.a1, self.a2, self.a3, self.a4])
-        c.flags.writeable = False
-        return c
+def PauliObservable(a1, a2, a3, a4) -> _Row:
+    """The checked row of a1*sx + a2*sy + a3*sz + a4*I: _observable_row."""
+    return _observable_row((a1, a2, a3, a4))
 
 
 OBS_X = (1.0, 0.0, 0.0, 0.0)
@@ -400,9 +371,9 @@ def symmetrized_products(a, b) -> np.ndarray:
     return c.T if c.ndim <= 2 else c.transpose((*range(1, c.ndim), 0))
 
 
-def mixedness(state: QubitState) -> float:
-    """mixedness_values for one state object, as a float: a per-object form."""
-    return float(mixedness_values(state.bloch._row))
+def mixedness(state) -> float:
+    """mixedness_values for one state row, as a float: a per-object form."""
+    return float(mixedness_values(state))
 
 
 def mixedness_general(rho) -> np.ndarray:

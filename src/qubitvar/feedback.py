@@ -32,7 +32,7 @@ takes scalar parameters: evolve(alpha, lam, step_times(t_end, h), h).
 
 Every public function broadcasts (alpha, lam, omega) in front of its own
 axes and checks them once per call by one rule, _parameters: one accept
-test on the whole set (2 alpha + 2 lam^2 + omega finite, lam and omega
+test on the whole set (2 alpha + 2 lam^2 + 2 omega finite, lam and omega
 >= 0), and only when it fails the per-name checks that name the refusal.
 """
 
@@ -57,13 +57,13 @@ _CHECK_BLOCK = 128
 
 def _parameters(alpha, lam, omega=0.0):
     """alpha, lam and omega broadcast to one float shape, refused unless
-    finite, lam and omega >= 0, and the angle 2 alpha and the decay rate
-    1 + 2 lam^2 finite: one test accepts a set, and _refuse names the
-    refusal only when that test fails."""
+    finite, lam and omega >= 0, and the angle 2 alpha, the decay rate
+    1 + 2 lam^2 and the drive 2 omega finite: one test accepts a set, and
+    _refuse names the refusal only when that test fails."""
     values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, lam, omega)))
     alpha, lam, omega = values
     with np.errstate(over="ignore", invalid="ignore"):
-        accepted = (np.isfinite(2.0 * alpha + 2.0 * lam * lam + omega).all()
+        accepted = (np.isfinite(2.0 * alpha + 2.0 * lam * lam + 2.0 * omega).all()
                     and (lam >= 0).all() and (omega >= 0).all())
     if not accepted:
         _refuse(values)
@@ -80,11 +80,12 @@ def _refuse(values) -> None:
     for name, value in zip(("lam", "omega"), values[1:]):
         if (value < 0).any():
             raise InvalidArgument(f"{name} must be >= 0")
-    alpha, lam, _ = values
+    alpha, lam, omega = values
     with np.errstate(over="ignore"):
-        derived = (2.0 * alpha, 2.0 * lam * lam)
-    for name, value, term, what in zip(("alpha", "lam"), values, derived,
-                                       ("the angle 2 alpha", "the decay rate 1 + 2 lam^2")):
+        derived = (2.0 * alpha, 2.0 * lam * lam, 2.0 * omega)
+    for name, value, term, what in zip(("alpha", "lam", "omega"), values, derived,
+                                       ("the angle 2 alpha", "the decay rate 1 + 2 lam^2",
+                                        "the drive 2 omega")):
         overflow = ~np.isfinite(term)
         if overflow.any():
             raise InvalidArgument(f"{name} = {value[overflow][0]} overflows {what}")

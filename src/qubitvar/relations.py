@@ -22,22 +22,23 @@ finite-shot pathway is stacked as well: meter_settings names the
 settings, shot_counts draws one row of counts per seed, and
 mixedness_estimates_from_counts reads estimates off them.  compute_report,
 estimate_mixedness, estimate_mixedness_from_counts, simulate_shots and
-symmetrized_product are per-object one-row adapters of these, kept for
-the benchmark's meter workload (perfbench MeterStream.read_one) until it
-reads rows; they pass the checked rows their objects hold.  Nothing here
-is computed through dense matrices.
+symmetrized_product are one-row entry points over checked rows (core's
+BlochVector, QubitState and PauliObservable build them), kept for the
+benchmark's meter workload (perfbench MeterStream.read_one) until it
+reads rows; they pass their rows straight in.  Nothing here is computed
+through dense matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (
-    PauliObservable, QubitState, _anticommutator_term, _any, _ball_components,
-    _commutator_term, _components, _degenerate, _dot, _mixedness, _result, _scaled, _sqrt,
-    _symmetrized, _unit_interval, _variance, _where, symmetrized_products
+    _anticommutator_term, _any, _ball_components, _commutator_term, _components, _degenerate,
+    _dot, _mixedness, _observable_row, _result, _scaled, _sqrt, _symmetrized, _unit_interval,
+    _variance, _where, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
@@ -50,24 +51,6 @@ COLLINEAR_TOL = 1e-9
 # Shots one simulated measurement may take.  Counts and their frequencies
 # are computed as floats, which hold every integer only up to 2^53.
 MAX_SHOTS = 2**53
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    """compute_report's per-object result: every bound, the remainder and the residual."""
-
-    varA: float
-    varB: float
-    product: float
-    rur_bound: float
-    sur_bound: float
-    eq19_bound: float
-    remainder: float
-    equality_residual: float
-    sum_lhs: float
-    sum_bound: float
-    entropy_sum: float
-    entropy_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +191,18 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     return _result(8.0 * (var_a * var_b - rur - anti) / det)
 
 
-def estimate_mixedness(state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable) -> float:
-    """mixedness_estimates for one triple of objects, as a float: a per-object form."""
-    return float(mixedness_estimates(state.bloch._row, obs_a._row, obs_b._row))
+def estimate_mixedness(state, obs_a, obs_b) -> float:
+    """mixedness_estimates for one (state, A, B) triple of rows, as a float: a per-object form."""
+    return float(mixedness_estimates(state, obs_a, obs_b))
 
 
 # ---------------------------------------------------------------------------
 # finite-shot estimator
 # ---------------------------------------------------------------------------
 
-def symmetrized_product(obs_a: PauliObservable, obs_b: PauliObservable) -> PauliObservable:
-    """Observable (AB + BA)/2 of two objects: the per-object form of symmetrized_products."""
-    return PauliObservable(*symmetrized_products(obs_a._row, obs_b._row).tolist())
+def symmetrized_product(obs_a, obs_b):
+    """The checked row of (AB + BA)/2 for two rows: the per-object form of symmetrized_products."""
+    return _observable_row(symmetrized_products(obs_a, obs_b).tolist())
 
 
 def _generator(seed) -> np.random.Generator:
@@ -270,11 +253,11 @@ def shot_counts(p, a, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return high, shots - high
 
 
-def simulate_shots(state: QubitState, obs: PauliObservable, shots: int, seed) -> tuple[int, int]:
-    """shot_counts for one (state, A) pair of objects and one seed, as ints:
+def simulate_shots(state, obs, shots: int, seed) -> tuple[int, int]:
+    """shot_counts for one (state, A) pair of rows and one seed, as ints:
     a per-object form, drawing as shot_counts does without building arrays."""
     _require_shots(shots)
-    p_hi = float(high_outcome_probabilities(state.bloch._row, obs._row))
+    p_hi = float(high_outcome_probabilities(state, obs))
     n_hi = int(_generator(seed).binomial(shots, p_hi))
     return n_hi, shots - n_hi
 
@@ -393,15 +376,10 @@ def mixedness_estimates_from_counts(
     return _result(estimate), _result(_sqrt(se_sq))
 
 
-def estimate_mixedness_from_counts(
-    counts_a: tuple[int, int], counts_b: tuple[int, int], counts_c: tuple[int, int] | None,
-    obs_a: PauliObservable, obs_b: PauliObservable,
-) -> tuple[float, float]:
-    """mixedness_estimates_from_counts for one (A, B) pair of objects, as floats."""
-    estimate, std_error = mixedness_estimates_from_counts(
-        counts_a, counts_b, counts_c, obs_a._row, obs_b._row
-    )
-    return float(estimate), float(std_error)
+def estimate_mixedness_from_counts(counts_a, counts_b, counts_c, obs_a, obs_b) -> tuple:
+    """mixedness_estimates_from_counts for one (A, B) pair of rows, as floats."""
+    estimates = mixedness_estimates_from_counts(counts_a, counts_b, counts_c, obs_a, obs_b)
+    return float(estimates[0]), float(estimates[1])
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +436,12 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     return fields, complementarity, (aa, bb, ss)
 
 
-def compute_report(
-    state: QubitState, obs_a: PauliObservable, obs_b: PauliObservable
-) -> RelationReport:
-    """Every relation for one (state, A, B) triple of objects: the one-row form of reports.
+def compute_report(state, obs_a, obs_b) -> SimpleNamespace:
+    """Every relation for one (state, A, B) triple of rows: the one-row form of
+    reports, its fields as float attributes.
 
     Requires nondegenerate spectra for the entropic fields; the mixedness
     estimate is not part of the report because it can fail (collinear
     observables) while every bound here is always defined.
     """
-    fields = _reports(state.bloch._row, obs_a._row, obs_b._row)[0]
-    return RelationReport(**{k: float(v) for k, v in fields.items()})
+    return SimpleNamespace(**{k: float(v) for k, v in _reports(state, obs_a, obs_b)[0].items()})

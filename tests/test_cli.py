@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import random
+import re
 import runpy
 import stat
 import subprocess
@@ -525,6 +527,68 @@ class TestExitCodes:
     ], ids=["count", "number", "finite", "ball"])
     def test_state_flag_refusals(self, command, value, message, capsys):
         assert run_cli(command + ["--bloch", value], capsys) == (2, "", f"error: {message}\n")
+
+
+# Values the CLI contract must hold at: the float format's edges beside in-domain numbers.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 1e76, -1e76, -0.0]
+NON_FINITE = re.compile(r"(?i)\b-?(nan|inf|infinity)\b")
+
+
+def contract_argv(rng, out_file):
+    """One seeded argv for cli.main: a command whose flags take in-domain values
+    or, each with probability 0.1, a float edge.  Every flag is written as
+    --FLAG=VALUE, so argparse parses every argv and only the program refuses."""
+    def value(*plain):
+        return repr(rng.choice(EDGE_VALUES) if rng.random() < 0.1 else rng.choice(plain))
+
+    def row(flag, n, *plain):
+        return f"--{flag}=" + ",".join(value(*plain) for _ in range(n))
+
+    def observables():
+        return [row(flag, 4, 0.0, 1.0, -0.5, 2.0, 1e-10) for flag in ("obs-a", "obs-b")
+                if rng.random() < 0.5]
+
+    command = rng.choice(["report", "estimate", "simulate", "sweep"])
+    if command in ("report", "estimate"):
+        argv = [command, row("bloch", 3, 0.0, 0.1, -0.3, 0.5), *observables()]
+        if command == "estimate":
+            argv += [f"--shots={rng.choice([1, 10, 1000, 0])}", f"--seed={rng.choice([0, 7, 11, -1])}"]
+        return argv
+    source = rng.choice(["analytic", "numeric"] + ["both"] * (command == "simulate"))
+    argv = [command, f"--source={source}", "--t-end=" + value(0.01, 0.05),
+            "--step=" + value(1e-3, 1e-2), "--lambda=" + value(0.0, 0.5, 3.0),
+            "--alpha=" + value(0.0, 0.7, -2.0)]
+    if command == "simulate":
+        return argv + ["--omega=" + value(0.7, 5.0)] * (source == "numeric")
+    return argv + [rng.choice(["--fig2", "--fig3"]), f"--steps={rng.choice([2, 3, 4, 1])}",
+                   *observables(), f"--output={out_file}"]
+
+
+class TestContractProperty:
+    def test_seeded_argvs_keep_the_contract(self, tmp_path, capsys):
+        # every argv exits 0, 1 or 2; an exit 2 writes one error line and no
+        # output; no exit-0 stdout, CSV or sidecar holds a non-finite number
+        out_file = tmp_path / "x.csv"
+        sidecar = out_file.with_suffix(".meta.json")
+        rng = random.Random(33)
+        argvs = [contract_argv(rng, out_file) for _ in range(300)]
+        argvs.append(["simulate", "--source=numeric", "--omega=1e308", "--t-end=0.01"])
+        exits = []
+        for argv in argvs:
+            for path in (out_file, sidecar):
+                path.unlink(missing_ok=True)
+            code, out, err = run_cli(argv, capsys)
+            exits.append(code)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+                assert not out_file.exists() and not sidecar.exists(), argv
+            elif code == 0:
+                written = [out] + [path.read_text() for path in (out_file, sidecar)
+                                   if argv[0] == "sweep"]
+                assert err == "" and not any(map(NON_FINITE.search, written)), argv
+        # the seeded argvs reach each exit
+        assert {0, 1, 2} <= set(exits)
 
 
 class TestOutputFiles:

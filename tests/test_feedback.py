@@ -195,6 +195,7 @@ PARAMETER_REFUSALS = [
     ("omega", -1.0, "omega must be >= 0"),
     ("alpha", 1e308, "alpha = 1e+308 overflows the angle 2 alpha"),
     ("lam", 1e200, "lam = 1e+200 overflows the decay rate 1 + 2 lam^2"),
+    ("omega", 1e308, "omega = 1e+308 overflows the drive 2 omega"),
 ]
 
 # every public entry point by the parameters it takes
@@ -224,7 +225,7 @@ class TestParameterRule:
             assert str(refused.value) == message
 
     def test_finite_set_with_overflowing_sum_accepted(self):
-        # 2 alpha + 2 lam^2 (+ omega) overflows while every term is finite
+        # 2 alpha + 2 lam^2 (+ 2 omega) overflows while every term is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bloch = analytic_bloch(8e307, 9e153, [0.0, 1.0])

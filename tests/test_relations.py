@@ -1,15 +1,17 @@
 """Uncertainty relations, the equality residual and the mixedness estimator."""
 
-import dataclasses
+import importlib.util
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables, oracle_obs
+import qubitvar.serialize  # the meter workload's read_one reads it
 from qubitvar import core, relations
 from qubitvar.core import (
     OBS_X,
@@ -305,10 +307,11 @@ class TestEstimator:
 
 
     def test_per_object_forms_match_array_rows(self, rng):
-        # the ten per-object forms are one-row adapters of the array route,
-        # kept for the benchmark's meter workload: each equals its one-row
-        # array call bit for bit, with one pair for all states and one pair
-        # per state, and each constructor refuses with its row check's message
+        # the ten per-object forms are one-row entry points over checked rows,
+        # kept for the benchmark's meter workload: each constructor returns
+        # its checked row (a state is its Bloch vector's row) and refuses with
+        # its row check's message, and each function equals its one-row array
+        # call bit for bit, with one pair for all states and one pair per state
         p = random_bloch_vectors(rng, 300, "mixed")
         a, b = rng.uniform(-2, 2, (300, 4)), rng.uniform(-2, 2, (300, 4))
         kept = gram_determinants(a, b) > 1.0
@@ -320,20 +323,20 @@ class TestEstimator:
                 vector = core.BlochVector(*row.tolist())
                 state = core.QubitState(vector)
                 obs_a, obs_b = core.PauliObservable(*a_i), core.PauliObservable(*b_i)
-                assert state.bloch is vector and np.array_equal(vector.as_array(), row)
-                assert np.array_equal(obs_a.coeffs, a_i) and not obs_a.coeffs.flags.writeable
+                assert state is vector and type(vector) is core._Row and vector == tuple(row)
+                for obs, coeffs in ((obs_a, a_i), (obs_b, b_i)):
+                    assert type(obs) is core._Row and obs == tuple(coeffs)
                 assert core.mixedness(state).hex() == float(mixedness_values(row)).hex()
                 assert relations.estimate_mixedness(state, obs_a, obs_b).hex() == (
                     float(mixedness_estimates(row, a_i, b_i)).hex()
                 )
                 report = relations.compute_report(state, obs_a, obs_b)
-                assert type(report) is relations.RelationReport
-                assert [(k, v.hex()) for k, v in dataclasses.asdict(report).items()] == [
+                assert [(k, v.hex()) for k, v in vars(report).items()] == [
                     (k, float(v).hex()) for k, v in reports(row, a_i, b_i).items()
                 ]
                 obs_c = relations.symmetrized_product(obs_a, obs_b)
                 c_i = symmetrized_products(a_i, b_i)
-                assert np.array_equal(obs_c.coeffs, c_i)
+                assert type(obs_c) is core._Row and obs_c == tuple(c_i)
                 counts = []
                 for obs, coeffs in ((obs_a, a_i), (obs_b, b_i), (obs_c, c_i)):
                     if obs is obs_c and pair[0] is OBS_X:  # C = 0 I for sx, sz: no shots
@@ -359,6 +362,19 @@ class TestEstimator:
         for cls, values, message in refusals:
             with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
                 cls(*values)
+
+    def test_benchmark_meter_reads_every_smoke_triple(self, tmp_path):
+        # the benchmark's meter workload, loaded by path as it is, reads each
+        # of its 40 smoke triples through the per-object names and passes its
+        # own check: a renamed name fails here, not only inside a benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        meter = workloads.MeterStream(5, "smoke", tmp_path)
+        assert len(meter.triples) == 40
+        for index, triple in enumerate(meter.triples):
+            assert workloads.check_reading(meter.read_one(qubitvar, index, *triple)), index
 
 
 class TestSymmetrizedProduct:
