@@ -307,7 +307,7 @@ class TestEstimator:
 
 
     def test_per_object_forms_match_array_rows(self, rng):
-        # the ten per-object forms are one-row entry points over checked rows,
+        # the nine per-object forms are one-row entry points over checked rows,
         # kept for the benchmark's meter workload: each constructor returns
         # its checked row (a state is its Bloch vector's row) and refuses with
         # its row check's message, and each function equals its one-row array
