@@ -552,7 +552,8 @@ def contract_argv(rng, out_file):
     if command in ("report", "estimate"):
         argv = [command, row("bloch", 3, 0.0, 0.1, -0.3, 0.5), *observables()]
         if command == "estimate":
-            argv += [f"--shots={rng.choice([1, 10, 1000, 0])}", f"--seed={rng.choice([0, 7, 11, -1])}"]
+            argv += [f"--shots={rng.choice([1, 10, 1000, 0])}",
+                     f"--seed={rng.choice([0, 7, 11, -1])}"]
         return argv
     source = rng.choice(["analytic", "numeric"] + ["both"] * (command == "simulate"))
     argv = [command, f"--source={source}", "--t-end=" + value(0.01, 0.05),
