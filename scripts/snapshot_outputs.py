@@ -30,6 +30,8 @@ SWEEPS = {
                                   "--obs-a=1e-7,0,0,-0.0", "--obs-b=0,0,1e75,1e75"],
     # sx in units of 1e-10: the same ti1 and ti2 as at unit scale
     "sweep_fig2_nano_obs": ["--fig2", "--steps", "4", "--obs-a", "1e-10,0,0,0"],
+    # a pinned alpha of -0.0: the signed coordinate on every row
+    "sweep_fig3_negative_zero_alpha": ["--fig3", "--alpha=-0.0", "--steps", "3"],
 }
 
 COMMANDS = {
@@ -81,6 +83,9 @@ COMMANDS = {
     "error_alpha_overflow": ["simulate", "--alpha", "1e308", "--source", "numeric"],
     "error_omega_overflow_numeric": ["simulate", "--source", "numeric", "--omega", "1e308",
                                      "--t-end", "0.01"],
+    # 2 omega is finite, but the RK4 step map overflows
+    "error_omega_step_overflow": ["simulate", "--source", "numeric", "--omega", "1e200",
+                                  "--t-end", "0.01"],
     "error_alpha_overflow_sweep": ["sweep", "--fig3", "--alpha", "1e308",
                                    "--output", "{out}/error_alpha_overflow_sweep.csv"],
     "error_positivity_sweep": ["sweep", "--fig2", "--lambda", "100", "--source", "numeric",
@@ -89,6 +94,12 @@ COMMANDS = {
     "error_degenerate_estimate": ["estimate", "--bloch", "0,0,0", "--obs-a", "0,0,0,1"],
     "error_degenerate_sweep": ["sweep", "--fig2", "--obs-a", "0,0,0,1",
                                "--output", "{out}/error_degenerate_sweep.csv"],
+    # a t axis too narrow for 3 distinct points: refused alike by both sources
+    "error_sweep_narrow_t_axis": ["sweep", "--fig2", "--t-end", "5e-324", "--steps", "3",
+                                  "--output", "{out}/error_sweep_narrow_t_axis.csv"],
+    "error_sweep_narrow_t_axis_numeric": ["sweep", "--fig2", "--t-end", "5e-324", "--steps", "3",
+                                          "--source", "numeric", "--output",
+                                          "{out}/error_sweep_narrow_t_axis_numeric.csv"],
     "error_zero_shots": ["estimate", "--bloch", "0,0,0", "--shots", "0"],
     # refused vector flags: a wrong count, a non-number, a non-finite value,
     # a state outside the ball, a coefficient above COEFF_MAX

@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
     points = tightness.sweep(grid, source=args.source, h=args.step)
     violations = tightness.count_ordering_violations(points)
     _write(
-        (args.output, serialize.sweep_csv(points)),
+        (args.output, serialize.sweep_csv(grid, points)),
         (Path(args.output).with_suffix(".meta.json"),
          serialize.sweep_sidecar_json(grid, args.source, args.seed, violations)),
     )

@@ -240,7 +240,9 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
     eigenvalue below -1e-6 always does), the sign of an unresolved step;
     stored rows are checked every _CHECK_BLOCK intervals, and stepping
     stops at the first block holding such a row.  A step that overflows
-    carries states to inf or NaN, so the warnings on the way are silenced.
+    carries states to inf or NaN, so the warnings on the way are silenced,
+    and the refusal of a state whose |p|^2 is not finite names the step h
+    and the parameter set.
     """
     alpha, lam, omega = _parameters(alpha, lam, omega)
     times = np.array(sample_times, dtype=float)
@@ -289,7 +291,10 @@ def evolve(alpha, lam, sample_times, h: float = 1e-3, omega=0.0) -> np.ndarray:
         i = int(np.argmax(outside.any(axis=0)))  # outside is (sets, rows): earliest row
         k = int(np.argmax(outside[:, i]))
         named = tuple(float(v.flat[k]) for v in (alpha, lam, omega))
-        where = f" for (alpha, lam, omega) = {named}" if alpha.size > 1 else ""
+        at, where = f"at t = {times[start + i]:g}", f" for (alpha, lam, omega) = {named}"
+        if not math.isfinite(norm_sq[k, i]):  # the step map overflowed: name what set it
+            raise PositivityLost(f"the step h = {h:g} overflows the state {at}{where}")
         eigenvalue = (1.0 - math.sqrt(norm_sq[k, i])) / 2.0
-        raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} at t = {times[start + i]:g}{where}")
+        where = where if alpha.size > 1 else ""
+        raise PositivityLost(f"min eigenvalue {eigenvalue:.3e} {at}{where}")
     return np.ascontiguousarray(np.concatenate(blocks, axis=-1).swapaxes(-1, -2))

@@ -3,12 +3,14 @@
 Floats are rendered with repr (shortest round-trip form) so identical
 inputs always produce byte-identical files; undefined values become
 empty CSV cells or JSON nulls.  repr is nearly all of a sweep CSV's
-cost, so the sweep writer formats each distinct coordinate value once;
-its bytes are still repr of each cell, empty for NaN.
+cost, so the sweep writer takes its coordinates from the grid's axes and
+formats each axis value once; its bytes are still repr of each cell,
+empty for NaN.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -20,25 +22,17 @@ SIMULATE_HEADER = "t,rho11,re_rho12,im_rho12,mixedness"
 SIMULATE_HEADER_BOTH = SIMULATE_HEADER + ",rho11_numeric,max_abs_dev"
 
 
-def _reprs_by_bits(column: np.ndarray):
-    """repr of each value of a float column, each distinct 64-bit pattern
-    formatted once; keying on the bits keeps 0.0 and -0.0 apart."""
-    bits = column.view(np.int64).tolist()
-    first = dict(zip(bits, column.tolist()))  # one value per distinct pattern
-    text = dict(zip(first, map(repr, first.values())))
-    return map(text.__getitem__, bits)
-
-
-def sweep_csv(table: np.ndarray) -> str:
-    """A sweep table's rows under SWEEP_HEADER: repr of each cell, NaN
-    (undefined) cells empty.
-
-    The coordinate columns (alpha, lambda, t) repeat a few values over
-    the grid, so each of their distinct values is formatted once; the
-    ratio columns are nearly all distinct and are formatted cell by cell.
-    """
-    coords, values = table[:, :3].T, table[:, 3:].T.tolist()
-    columns = [*map(_reprs_by_bits, coords), *(map(repr, column) for column in values)]
+def sweep_csv(grid: SweepGrid, table: np.ndarray) -> str:
+    """grid's sweep table, tightness.sweep(grid), under SWEEP_HEADER: repr
+    of each cell, NaN (undefined) cells empty.  The coordinates come from
+    the grid's axes, each value formatted once, in the table's row-major
+    order; a table whose shape is not (points, 6) raises ValueError."""
+    values = [axis.values().tolist() for axis in (grid.alpha_axis, grid.lambda_axis, grid.t_axis)]
+    shape = (len(values[0]) * len(values[1]) * len(values[2]), 6)
+    if table.shape != shape:
+        raise ValueError(f"the grid's table has shape {shape}, got {table.shape}")
+    coords = itertools.product(*(map(repr, axis) for axis in values))  # reads each axis once
+    columns = [map(",".join, coords), *(map(repr, column) for column in table[:, 3:].T.tolist())]
     text = "\n".join([SWEEP_HEADER, *map(",".join, zip(*columns))]) + "\n"
     # repr writes every NaN as "nan", which no other float's repr and not
     # the header contain, so this empties exactly the NaN cells

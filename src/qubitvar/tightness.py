@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +43,10 @@ class GridAxis:
 
     steps == 1 pins the axis to the single value lo (== hi).  Open
     endpoints are sampled by distributing the requested number of points
-    strictly inside the interval.
+    strictly inside the interval.  The points are built once, at
+    construction: an axis of more than MAX_GRID_POINTS steps is refused
+    before, and a swept axis whose points, its dropped endpoints among
+    them, are not strictly increasing after.
     """
 
     lo: float
@@ -63,29 +65,28 @@ class GridAxis:
             raise InvalidArgument(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise InvalidArgument("steps must be >= 1")
+        if self.steps > MAX_GRID_POINTS:  # no grid holds it: refused before any array is built
+            raise InvalidArgument(f"an axis has at most {MAX_GRID_POINTS} points, "
+                                  f"got steps = {self.steps}")
         if self.steps == 1:
             if self.lo != self.hi:
                 raise InvalidArgument("a pinned axis (steps == 1) needs lo == hi")
+            pts = np.array([self.lo])
         elif not self.lo < self.hi:
             raise InvalidArgument("swept axes need lo < hi")
+        else:
+            extra = (not self.include_lo) + (not self.include_hi)
+            pts = np.linspace(self.lo, self.hi, self.steps + extra)
+            if not (pts[1:] > pts[:-1]).all():
+                raise InvalidArgument(f"the axis [{self.lo}, {self.hi}] is too narrow for "
+                                      f"steps = {self.steps} distinct points")
+            pts = pts[(not self.include_lo):len(pts) - (not self.include_hi)]
+        pts.flags.writeable = False
+        object.__setattr__(self, "_values", pts)
 
     def values(self) -> np.ndarray:
         """The axis points, one read-only array built once per axis."""
         return self._values
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        if self.steps == 1:
-            pts = np.array([self.lo])
-        else:
-            extra = (not self.include_lo) + (not self.include_hi)
-            pts = np.linspace(self.lo, self.hi, self.steps + extra)
-            if not self.include_lo:
-                pts = pts[1:]
-            if not self.include_hi:
-                pts = pts[:-1]
-        pts.flags.writeable = False
-        return pts
 
 
 @dataclass(frozen=True)

@@ -519,7 +519,8 @@ def check_serialization_determinism(samples: int, seed: int) -> tuple:
     for _ in range(2):
         table = tightness.sweep(grid, source="analytic")
         violations = tightness.count_ordering_violations(table)
-        outputs.append(sweep_csv(table) + sweep_sidecar_json(grid, "analytic", seed, violations))
+        outputs.append(sweep_csv(grid, table)
+                       + sweep_sidecar_json(grid, "analytic", seed, violations))
     return (0.0 if outputs[0] == outputs[1] else 1.0), 2
 
 

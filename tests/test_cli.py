@@ -271,6 +271,18 @@ class TestSimulate:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags", [["--omega", "1e200"], ["--omega", "1e50"],
+                                       ["--omega", "1e76", "--lambda", "5e-324"]])
+    def test_overflowing_step_names_step_and_parameters(self, flags, capsys):
+        # 2 omega is finite but the RK4 step map overflows: the refusal names
+        # h and the parameter set, not a non-finite eigenvalue
+        code, out, err = run_cli(["simulate", "--source", "numeric", "--t-end", "0.01",
+                                  *flags], capsys)
+        omega, lam = float(flags[1]), float(flags[3]) if len(flags) > 2 else 0.0
+        assert code == 2 and out == ""
+        assert err == (f"error: the step h = 0.001 overflows the state at t = 0.001 for "
+                       f"(alpha, lam, omega) = {(math.pi / 4, lam, omega)}\n")
+
     def test_numeric_with_drive_works(self, capsys):
         code, out, _ = run_cli(
             [
@@ -389,6 +401,18 @@ class TestSweep:
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
             assert not out_file.exists()
+
+
+    @pytest.mark.parametrize("source", ["analytic", "numeric"])
+    def test_narrow_t_axis_refused_by_both_sources(self, source, tmp_path, capsys):
+        # [0, 5e-324] holds no 3 distinct points past its excluded 0: both
+        # sources refuse the axis by its ends and steps, before any state
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(["sweep", "--fig2", "--t-end", "5e-324", "--steps", "3",
+                                  "--source", source, "--output", str(out_file)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: the axis [0.0, 5e-324] is too narrow for steps = 3 distinct points\n"
+        assert not out_file.exists()
 
 
 class TestEstimate:
@@ -946,38 +970,46 @@ nan, inf = math.nan, math.inf
 
 
 class TestSweepCsv:
-    """sweep_csv formats each distinct coordinate value once and writes the
-    per-cell rule's bytes."""
+    """sweep_csv writes the coordinates from the grid's axes, formats each
+    axis value once, and writes the per-cell rule's bytes."""
 
     def test_paper_size_fig2(self):
-        table = sweep(fig2_grid())
-        assert serialize.sweep_csv(table) == per_cell_csv(table)
+        grid = fig2_grid()
+        table = sweep(grid)
+        assert serialize.sweep_csv(grid, table) == per_cell_csv(table)
 
     @pytest.mark.parametrize(
-        "rows",
+        "grid, cells",
         [
-            [[0.0, -0.0, 0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
-             [0.0, 0.0, -0.0, -0.0, 0.0, 0.0]],
-            [[nan, 1.0, nan, nan, 0.5, nan], [0.1, nan, 0.1, 1.5, nan, 2.0],
-             [-nan, 1.0, 0.2, -nan, nan, 2.0]],
-            [[inf, -inf, 1.0, inf, -inf, nan], [-inf, inf, inf, 1.0, inf, -inf]],
-            [[5e-324, -5e-324, 5e-324, 5e-324, -5e-324, 1e308],
-             [5e-324, 0.0, -0.0, 5e-324, 5e-324, -1e308]],
+            (SweepGrid(GridAxis(-0.0, -0.0, 1), GridAxis(0.0, 0.0, 1), GridAxis(-0.0, 1.0, 3)),
+             [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]),
+            (fig2_grid(3), [[nan, 0.5, nan], [1.5, nan, 2.0], [-nan, nan, 2.0]]),
+            (fig2_grid(2), [[inf, -inf, nan], [1.0, inf, -inf]]),
+            (SweepGrid(GridAxis(5e-324, 5e-324, 1), GridAxis(5e-324, 5e-324, 1),
+                       GridAxis(0.0, 5e-324, 2)),
+             [[5e-324, -5e-324, 1e308], [5e-324, 5e-324, -1e308]]),
         ],
         ids=["signed_zeros", "nan_everywhere", "infinities", "subnormal"],
     )
-    def test_bytes_match_per_cell_rule(self, rows):
-        table = np.array(rows)
-        assert serialize.sweep_csv(table) == per_cell_csv(table)
+    def test_bytes_match_per_cell_rule(self, grid, cells):
+        table = sweep(grid)
+        table[:, 3:] = np.resize(cells, (len(table), 3))
+        assert serialize.sweep_csv(grid, table) == per_cell_csv(table)
 
     def test_non_contiguous_slice(self):
-        table = np.repeat(sweep(fig2_grid(6)), 2, axis=1)[::3, ::2]
-        assert table.shape == (12, 6) and not table.flags.c_contiguous
-        assert serialize.sweep_csv(table) == per_cell_csv(table)
+        grid = fig2_grid(6)
+        table = np.repeat(sweep(grid), 2, axis=1)[:, ::2]
+        assert table.shape == (36, 6) and not table.flags.c_contiguous
+        assert serialize.sweep_csv(grid, table) == per_cell_csv(table)
 
     def test_empty_table(self):
-        table = np.empty((0, 6))
-        assert serialize.sweep_csv(table) == per_cell_csv(table) == serialize.SWEEP_HEADER + "\n"
+        # a table of another shape than the grid's (points, 6) is refused,
+        # the empty one among them, naming both shapes
+        grid = fig2_grid(6)
+        table = sweep(grid)
+        for other in (np.empty((0, 6)), table[:-1], table[:, :5], table.T):
+            with pytest.raises(ValueError, match=re.escape(f"(36, 6), got {other.shape}")):
+                serialize.sweep_csv(grid, other)
 
     def test_coordinates_formatted_once_per_distinct_value(self, monkeypatch):
         calls = []
@@ -987,19 +1019,23 @@ class TestSweepCsv:
             return repr(value)
 
         monkeypatch.setattr(serialize, "repr", counting, raising=False)
-        table = sweep(fig2_grid(12))
-        text = serialize.sweep_csv(table)
+        grid = fig2_grid(12)
+        table = sweep(grid)
+        text = serialize.sweep_csv(grid, table)
         monkeypatch.undo()
         assert text == per_cell_csv(table)
         # 12 alphas, one lambda and 12 times, then every ratio cell
         assert len(calls) == 12 + 1 + 12 + 3 * 144
 
     def test_no_state_between_calls(self):
-        # the tables share coordinates, and -0.0 in one sits where the other
-        # holds 0.0; either order of calls gives each table's own bytes
-        first = np.array([[0.0, 1.0, 0.5, 0.0, nan, 2.0], [0.25, 1.0, 0.5, 1.5, 1.5, 2.0]])
-        second = first * np.array([-1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-        texts = [serialize.sweep_csv(first), serialize.sweep_csv(second)]
-        assert texts == [per_cell_csv(first), per_cell_csv(second)] and texts[0] != texts[1]
-        assert [serialize.sweep_csv(second), serialize.sweep_csv(first)] == texts[::-1]
+        # the grids differ only in a pinned alpha of 0.0 against -0.0; either
+        # order of calls gives each grid's own bytes
+        first, second = (SweepGrid(GridAxis(zero, zero, 1), GridAxis(0.5, 1.0, 2),
+                                   GridAxis(0.0, 1.0, 2, include_lo=False))
+                         for zero in (0.0, -0.0))
+        tables = sweep(first), sweep(second)
+        texts = [serialize.sweep_csv(first, tables[0]), serialize.sweep_csv(second, tables[1])]
+        assert texts == [*map(per_cell_csv, tables)] and texts[0] != texts[1]
+        assert [serialize.sweep_csv(second, tables[1]),
+                serialize.sweep_csv(first, tables[0])] == texts[::-1]
 

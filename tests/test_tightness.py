@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import re
 from functools import partial
 from pathlib import Path
 
@@ -254,6 +255,16 @@ class TestGrid:
         with pytest.raises(InvalidArgument, match="^steps must be an integer, got 2.5$"):
             fig2_grid(2.5)
         assert np.array_equal(GridAxis(0.0, 1.0, np.int64(3)).values(), [0.0, 0.5, 1.0])
+        # points that repeat, a dropped endpoint among them, are refused at construction
+        for steps, include_lo, include_hi in ((3, True, True), (2, False, True), (2, True, False)):
+            with pytest.raises(InvalidArgument, match=re.escape(
+                    f"the axis [1.0, 1.0000000000000002] is too narrow for steps = {steps} ")):
+                GridAxis(1.0, 1.0000000000000002, steps, include_lo, include_hi)
+        assert np.array_equal(GridAxis(1.0, 1.0000000000000002, 2).values(),
+                              [1.0, 1.0000000000000002])
+        # an axis no grid can hold is refused before its points are built
+        with pytest.raises(InvalidArgument, match="^an axis has at most 1000000 points, "):
+            GridAxis(0.0, 1.0, 10**11)
 
 
     def test_grid_validation(self):
