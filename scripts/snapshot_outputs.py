@@ -125,11 +125,19 @@ COMMANDS = {
     # an --output path in a missing directory, relative to the checkout root
     "error_output_missing_dir": ["report", "--bloch", "0,0,0",
                                  "--output", "no-such-dir/report.json"],
+    # argparse's own routes: usage errors exit 2 with the usage on stderr, help exits 0
+    "usage_no_command": [],
+    "usage_unknown_command": ["bogus"],
+    "usage_extra_argument": ["report", "--bloch", "0,0,0", "extra"],
+    "usage_missing_flag": ["report"],
+    "usage_help_sweep": ["sweep", "--help"],
+    "usage_dash_dash": ["--", "report", "--bloch", "0,0,0"],
 }
 
 
 def run(outdir: Path, name: str, argv: list) -> None:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # argparse wraps usage and help at COLUMNS, so it is pinned
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
     done = subprocess.run([sys.executable, *argv], capture_output=True, env=env, cwd=ROOT)
     (outdir / f"{name}.stdout").write_bytes(done.stdout)
     (outdir / f"{name}.stderr").write_bytes(done.stderr)

@@ -244,6 +244,13 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new top-level parser."""
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A new top-level parser and its command parsers by name, the choices
+    of its add_subparsers action."""
     parser = argparse.ArgumentParser(
         prog="qubitvar",
         description="Variance-based uncertainty relations, mixedness metering "
@@ -300,13 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shots per measured observable")
     _add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's parser, built on first use: parsing leaves it unchanged."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The process's parser and its command parsers, built on first use:
+    parsing leaves them unchanged."""
+    return _build()
 
 
 def _negative_list(token: str) -> bool:
@@ -340,9 +348,28 @@ def _join_negative_lists(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), parsing each token once.
+
+    The top-level parser hands every token after a command's name to that
+    command's parser, which parses them again; so when argv starts with a
+    command's name, its parser parses the rest directly, and leftover
+    tokens meet the top-level parser's own error.  Every other argv (none,
+    an unknown command, an option or '--' first) takes the top-level route.
+    """
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(_join_negative_lists(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

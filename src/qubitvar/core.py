@@ -336,13 +336,14 @@ def _variance(aa, ap):
     return _nonnegative(aa - ap * ap)
 
 
+def _cross(a, b) -> list:
+    """Components of a x b from components 0-2 of component-major a and b."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def _commutator_term(a, b, p):
     """((a x b) . p)^2."""
-    triple = (
-        (a[1] * b[2] - a[2] * b[1]) * p[0]
-        + (a[2] * b[0] - a[0] * b[2]) * p[1]
-        + (a[0] * b[1] - a[1] * b[0]) * p[2]
-    )
+    triple = _dot(_cross(a, b), p)
     return triple * triple
 
 

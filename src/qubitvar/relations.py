@@ -15,8 +15,11 @@ columns, with the same bits; a checked row (a core._Row) reaches them
 with no numpy conversion.  reports(p, a, b) is the one relation
 route: it evaluates every side and bound of the relations over stacked
 (state, A, B) rows, checking the state once and normalising each
-observable once per call, and builds every field from the shared
-projections; tightness.ratios divides its fields.  mixedness_estimates
+observable once per call, which forms |a|^2 and |b|^2.  It projects the
+state once onto a, b, a x b, a + b and the two unit axes (one _dot each
+for a row, one block of three broadcast multiply-adds for a stack, with
+the same bits) and builds every field from those projections;
+tightness.ratios divides its fields.  mixedness_estimates
 likewise checks collinearity, then the state, once each.  The
 finite-shot pathway is stacked as well: meter_settings names the
 settings, shot_counts draws one row of counts per seed, and
@@ -36,9 +39,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (
-    _anticommutator_term, _any, _ball_components, _commutator_term, _components, _degenerate,
-    _dot, _mixedness, _observable_row, _result, _scaled, _sqrt, _symmetrized, _unit_interval,
-    _variance, _where, symmetrized_products
+    _anticommutator_term, _any, _ball_components, _commutator_term, _components, _cross,
+    _degenerate, _dot, _mixedness, _observable_row, _result, _scaled, _sqrt, _symmetrized,
+    _unit_interval, _variance, _where, symmetrized_products
 )
 from .errors import CollinearObservables, DegenerateSpectrum, InvalidArgument
 
@@ -121,7 +124,7 @@ def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
 
 
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
-    """Unit Bloch axes and |a| of component-major coefficient rows a.
+    """Unit Bloch axes and |a|^2 of component-major coefficient rows a.
 
     DegenerateSpectrum, before any other work, when some row is proportional to
     I: its Pauli part is zero in double precision (core._degenerate), at any units.
@@ -135,17 +138,18 @@ def _axes(a) -> tuple[np.ndarray, np.ndarray]:
             "degenerate observable spectrum: "
             f"eigenvalue gap 2|a| = {2 * np.extract(closed, norm)[0]:.3e}"
         )
-    return _scaled(vec, norm), norm
+    return _scaled(vec, norm), aa
 
 
-def _high_probability(axis, p) -> np.ndarray:
-    """Probability of the high outcome along unit axes, for checked component-major p."""
-    return _unit_interval(0.5 * (1.0 + _dot(axis, p)))
+def _high_probability(projection) -> np.ndarray:
+    """Probability of the high outcome along unit axes, from the state's projections on them."""
+    return _unit_interval(0.5 * (1.0 + projection))
 
 
-def _entropy(axis, p) -> np.ndarray:
-    """Shannon entropy (bits) of the outcomes along unit axes, with 0 log 0 = 0."""
-    p_hi = _high_probability(axis, p)
+def _entropy(projection) -> np.ndarray:
+    """Shannon entropy (bits) of the outcomes along unit axes, from the
+    state's projections on them, with 0 log 0 = 0."""
+    p_hi = _high_probability(projection)
     total = 0.0
     for prob in (p_hi, 1.0 - p_hi):
         prob = _where(prob > 0.0, prob, 1.0)  # 1 log 1 = 0 stands in for 0 log 0
@@ -161,13 +165,13 @@ def _complementarity(axis_a, axis_b) -> np.ndarray:
 def high_outcome_probabilities(p, a) -> np.ndarray:
     """Probability of the a4 + |a| outcome when A is measured."""
     axis, _ = _axes(_components(a, 4))
-    return _result(_high_probability(axis, _ball_components(p)))
+    return _result(_high_probability(_dot(axis, _ball_components(p))))
 
 
 def measurement_entropies(p, a) -> np.ndarray:
     """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
     axis, _ = _axes(_components(a, 4))
-    return _result(_entropy(axis, _ball_components(p)))
+    return _result(_entropy(_dot(axis, _ball_components(p))))
 
 
 def complementarities(a, b) -> np.ndarray:
@@ -404,33 +408,61 @@ def reports(p, a, b) -> dict[str, np.ndarray]:
     return fields
 
 
+def _projection_block(directions, p) -> np.ndarray:
+    """x . p for each component-major direction x, as one (len(directions), ...)
+    array: the directions' components broadcast to a common leading shape and
+    stacked, then three broadcast multiply-adds.  Each projection has the
+    bits _dot gives it, x0*p0 + x1*p1 + x2*p2 rounded term by term.
+    """
+    components = [c for x in directions for c in x[:3]]
+    if len({getattr(x[0], "shape", ()) for x in directions}) > 1:  # a row beside a stack
+        components = np.broadcast_arrays(*components)
+    block = np.array(components)
+    lead = block.shape[1:]
+    # p's leading axes beyond the directions' come first, as in a broadcast
+    block = block.reshape((len(directions), 3) + (1,) * (np.ndim(p[0]) - len(lead)) + lead)
+    return block[:, 0] * p[0] + block[:, 1] * p[1] + block[:, 2] * p[2]
+
+
 def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     """reports(p, a, b), unbroadcast and one row's in Python numbers, the
     complementarities its entropy bound is read from, and the scales
     |a|^2, |b|^2 and |a + b|^2 of the rows.
 
     p is checked against the Bloch ball once, then each observable is
-    normalised once (DegenerateSpectrum); every field reads the shared
-    projections.
+    normalised once (DegenerateSpectrum), which forms |a|^2 and |b|^2.
+    p is projected once onto a, b, a x b, a + b and the two unit axes,
+    one _dot each for one row in Python floats and one _projection_block
+    otherwise, and every field reads those projections; a stack's two
+    entropies come from one (2, ...) block.
     """
     p_c = _ball_components(p)
     a_c, b_c = _components(a, 4), _components(b, 4)
-    axis_a, _ = _axes(a_c)
-    axis_b, _ = _axes(b_c)
+    axis_a, aa = _axes(a_c)
+    axis_b, bb = _axes(b_c)
     s_c = [x + y for x, y in zip(a_c, b_c)]  # component by component: the bits of a whole-row add
-    aa, bb, ab = _pair(a_c, b_c)
-    ss = _dot(s_c, s_c)
-    var_a, var_b, rur, anti = _moment_terms(p_c, a_c, b_c, aa, bb, ab)
+    ab, ss = _dot(a_c, b_c), _dot(s_c, s_c)
+    if type(p_c) is type(a_c) is type(b_c) is list:  # one row
+        ap, bp, sp = _dot(a_c, p_c), _dot(b_c, p_c), _dot(s_c, p_c)
+        triple = _dot(_cross(a_c, b_c), p_c)
+        entropies = _entropy(_dot(axis_a, p_c)), _entropy(_dot(axis_b, p_c))
+    else:
+        directions = (a_c, b_c, _cross(a_c, b_c), s_c, axis_a, axis_b)
+        projections = _projection_block(directions, p_c)
+        ap, bp, triple, sp = projections[:4]
+        entropies = _entropy(projections[4:])
+    var_a, var_b = _variance(aa, ap), _variance(bb, bp)
+    rur = triple * triple
     product = var_a * var_b
-    sur = rur + anti
+    sur = rur + _anticommutator_term(ab, ap, bp)
     remainder = _remainder(_mixedness(p_c), _gram(aa, bb, ab)[0])
     complementarity = _complementarity(axis_a, axis_b)
     fields = dict(
         varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
         eq19_bound=rur + remainder, remainder=remainder,
         equality_residual=product - sur - remainder,
-        sum_lhs=var_a + var_b, sum_bound=0.5 * _variance(ss, _dot(s_c, p_c)),
-        entropy_sum=_entropy(axis_a, p_c) + _entropy(axis_b, p_c),
+        sum_lhs=var_a + var_b, sum_bound=0.5 * _variance(ss, sp),
+        entropy_sum=entropies[0] + entropies[1],
         entropy_bound=np.log2(1.0 / complementarity),
     )
     return fields, complementarity, (aa, bb, ss)

@@ -1,5 +1,6 @@
 """CLI contract: flags, exact headers, exit codes, reproducible bytes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -846,6 +847,33 @@ class TestOneProcess:
         ]
         assert [r[0] for r in in_process] == [0, 2, 0, 0, 0, 2]
         assert in_process == fresh
+
+
+class TestSingleParse:
+    """A command's tokens are parsed once, by its own parser; every other
+    argv is parsed as the top-level parser alone parses it."""
+
+    def test_a_known_command_is_parsed_once(self, capsys, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+        assert calls == ["qubitvar report"]
+
+    @pytest.mark.parametrize("args", [
+        [], ["bogus"], ["--help"], ["-h", "sweep"], ["--", "report", "--bloch", "0,0,0"],
+        ["report", "--bloch", "0,0,0", "extra"], ["sweep", "--fig2", "--st", "3"],
+    ], ids=["no_tokens", "unknown", "help", "option_first", "dash_dash", "extra", "ambiguous"])
+    def test_usage_matches_the_top_level_parser(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(args)
+        expected = (int(exc.value.code or 0), *capsys.readouterr())
+        assert run_cli(args, capsys) == expected
 
 
 def _files(out_file):

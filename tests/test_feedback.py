@@ -459,6 +459,57 @@ class TestIntegrator:
         assert np.abs(density_matrices(bloch) - np.outer(psi, psi)).max() <= 1e-15
 
 
+def expm(m):
+    """exp(m) of each matrix of a (..., n, n) stack: scaling and squaring with
+    an order-16 Taylor polynomial, scaled by the largest 1-norm in the stack."""
+    norm = np.abs(m).sum(axis=-2).max()
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    a = m / 2.0**squarings
+    result = term = np.eye(m.shape[-1])
+    for k in range(1, 17):
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def exact_bloch(alpha, lam, omega, times):
+    """Bloch vectors exp(t L) (p0, 1) from cos(alpha)|0> + sin(alpha)|1>, one row per time."""
+    start = np.array([math.sin(2 * alpha), 0.0, math.cos(2 * alpha), 1.0])
+    return (expm(np.multiply.outer(times, generator(lam, omega))) @ start)[:, :3]
+
+
+DRIVEN = [(0.8, 0.7), (0.3, 1.5)]
+
+
+class TestExactPropagator:
+    """evolve against exp(t L) of the 4x4 generator, for driven runs too."""
+
+    def test_reference_matches_closed_form(self):
+        times = np.linspace(0.0, 5.0, 11)
+        for lam in (0.0, 0.4, 1.0):
+            exact = exact_bloch(math.pi / 5, lam, 0.0, times)
+            assert np.abs(exact - analytic_bloch(math.pi / 5, lam, times)).max() <= 1e-13
+
+    @pytest.mark.parametrize("lam, omega", DRIVEN)
+    def test_driven_run_matches_exact(self, lam, omega):
+        # on every step, and on a sparse grid whose intervals take the cached
+        # powers S^k of the step map and remainder steps
+        for times in (step_times(5.0, 1e-3), np.array([0.3337, 0.5, 1.25, 2.0, 3.3333, 5.0])):
+            numeric = evolve(math.pi / 5, lam, times, 1e-3, omega)
+            assert np.abs(numeric - exact_bloch(math.pi / 5, lam, omega, times)).max() <= 1e-10
+
+    @pytest.mark.parametrize("lam, omega", DRIVEN)
+    def test_driven_halving_ratio(self, lam, omega):
+        # at h = 1e-2 and 5e-3 truncation, not rounding, sets the error: RK4's 2^4
+        times = np.linspace(0.5, 5.0, 10)
+        exact = exact_bloch(math.pi / 5, lam, omega, times)
+        coarse, fine = (np.abs(evolve(math.pi / 5, lam, times, h, omega) - exact).max()
+                        for h in (1e-2, 5e-3))
+        assert 8.0 <= coarse / fine <= 32.0
+
+
 def _every_step(times, h):
     """A grid on which evolve stores each step it takes on times, and the
     indices of times in it: full steps of h, then any remainder step."""

@@ -38,7 +38,7 @@ from qubitvar.relations import (
     reports,
     shot_counts,
 )
-from qubitvar.tightness import ratios
+from qubitvar.tightness import BOUND_FLOOR, C_ONE_TOL, ratios
 from qubitvar.verify import check_remainder_sign
 
 
@@ -662,6 +662,84 @@ class TestStackedShots:
             relations.mixedness_estimates_from_counts(counts, counts, None, X, b)
 
 
+def _dot(x, y):
+    """x . y over components 0-2 of row-major x and y, term by term: the
+    projection route the reference pins, one dot product at a time."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def _entropy_bits(projection):
+    p_hi = np.minimum(np.maximum(0.5 * (1.0 + projection), 0.0), 1.0)
+    total = 0.0
+    for prob in (p_hi, 1.0 - p_hi):
+        prob = np.where(prob > 0.0, prob, 1.0)
+        total = total - prob * np.log2(prob)
+    return total
+
+
+def reference_reports(p, a, b):
+    """Every reports field and the three ratios, each projection from its own _dot."""
+    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
+    aa, bb, ab = _dot(a, a), _dot(b, b), _dot(a, b)
+    axis_a, axis_b = a[..., :3] / np.sqrt(aa)[..., None], b[..., :3] / np.sqrt(bb)[..., None]
+    s = a + b
+    ss = _dot(s, s)
+    cross = np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                      a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+    ap, bp, triple, sp = _dot(a, p), _dot(b, p), _dot(cross, p), _dot(s, p)
+    var_a, var_b = np.maximum(aa - ap * ap, 0.0), np.maximum(bb - bp * bp, 0.0)
+    rur = triple * triple
+    covariance = ab - ap * bp
+    product, sur = var_a * var_b, rur + covariance * covariance
+    xi_ab = 4.0 * ab
+    scale = (4.0 * aa) * (4.0 * bb)
+    remainder = np.maximum(0.5 * (1.0 - _dot(p, p)), 0.0) * (scale - xi_ab * xi_ab) / 8.0
+    complementarity = 0.5 * (1.0 + abs(_dot(axis_a, axis_b)))
+    fields = dict(
+        varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
+        eq19_bound=rur + remainder, remainder=remainder,
+        equality_residual=product - sur - remainder,
+        sum_lhs=var_a + var_b, sum_bound=0.5 * np.maximum(ss - sp * sp, 0.0),
+        entropy_sum=_entropy_bits(_dot(axis_a, p)) + _entropy_bits(_dot(axis_b, p)),
+        entropy_bound=np.log2(1.0 / complementarity),
+    )
+    shape = np.shape(product)
+    fields = {k: np.broadcast_to(v, shape) for k, v in fields.items()}
+
+    def ratio(lhs, bound, defined):
+        return np.where(defined, lhs / np.where(defined, bound, 1.0), math.nan)
+
+    eq19, sum_bound = fields["eq19_bound"], fields["sum_bound"]
+    return fields, (
+        ratio(product, eq19, (aa * bb >= sys.float_info.min) & (eq19 > BOUND_FLOOR * aa * bb)),
+        ratio(fields["entropy_sum"], fields["entropy_bound"], complementarity < 1.0 - C_ONE_TOL),
+        ratio(fields["sum_lhs"], sum_bound, sum_bound > BOUND_FLOOR * ss),
+    )
+
+
+def projection_layouts(rng, pure):
+    """(state, A, B) inputs of every layout the projections meet: one row,
+    a stack against one pair, a stack of triples, one A row beside B rows,
+    an (n, 1, 3) stack against A rows, and one state against A rows."""
+    n = int(rng.integers(1, 6))
+
+    def states(k):
+        return random_bloch_vectors(rng, k, "pure" if pure else "mixed")
+
+    def obs(*lead):
+        return rng.normal(size=(*lead, 4)) * rng.choice([1e-3, 1.0, 10.0])
+
+    return [
+        (states(1)[0], obs(), obs()),
+        (states(n), obs(), obs()),
+        (states(n), obs(n), obs(n)),
+        (states(n), obs(), obs(n)),
+        (states(n).reshape(n, 1, 3), obs(n + 1), obs()),
+        (states(1)[0], obs(n), obs()),
+    ]
+
+
 class TestReport:
     def test_report_fields_consistent(self, rng):
         for _ in range(100):
@@ -695,6 +773,24 @@ class TestReport:
             one = reports(p[i, j], rows_a[i, j], rows_b[i, j])
             assert row == [(k, float(v).hex()) for k, v in one.items()]
 
+
+    def test_projection_bits(self):
+        # every field and ratio has the bits of one _dot per projection, on
+        # each layout and on pure states, as arrays and as checked rows
+        rng = np.random.default_rng(1705)
+        for case in range(100):
+            for p, a, b in projection_layouts(rng, pure=case % 5 == 0):
+                fields, want_ratios = reference_reports(p, a, b)
+                for args in ((p, a, b), (p, core._observable_row(a.tolist()) if a.ndim == 1 else a,
+                                         core._observable_row(b.tolist()) if b.ndim == 1 else b)):
+                    got = reports(*args)
+                    assert list(got) == list(fields)
+                    for key, value in got.items():
+                        assert value.shape == fields[key].shape, key
+                        assert value.tobytes() == fields[key].tobytes(), key
+                    for value, want in zip(ratios(*args), want_ratios):
+                        assert value.shape == want.shape
+                        assert value.tobytes() == want.tobytes()
 
 LAYOUTS = ["single_row", "stack_one_pair", "pairs_one_state"]
 
