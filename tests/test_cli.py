@@ -865,6 +865,16 @@ class TestSingleParse:
         assert main(["report", "--bloch", "0,0,0"]) == 0
         assert calls == ["qubitvar report"]
 
+    def test_command_parsers_are_built_once(self, capsys, monkeypatch):
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+
+        def must_not_run():
+            raise AssertionError("main built its parsers again")
+
+        monkeypatch.setattr(cli, "_build", must_not_run)
+        assert main(["report", "--bloch", "0,0,0"]) == 0
+        assert main(["bogus"]) == 2
+
     @pytest.mark.parametrize("args", [
         [], ["bogus"], ["--help"], ["-h", "sweep"], ["--", "report", "--bloch", "0,0,0"],
         ["report", "--bloch", "0,0,0", "extra"], ["sweep", "--fig2", "--st", "3"],
