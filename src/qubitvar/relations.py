@@ -441,14 +441,13 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     axis_a, aa = _axes(a_c)
     axis_b, bb = _axes(b_c)
     s_c = [x + y for x, y in zip(a_c, b_c)]  # component by component: the bits of a whole-row add
-    ab, ss = _dot(a_c, b_c), _dot(s_c, s_c)
+    ab, ss, cross = _dot(a_c, b_c), _dot(s_c, s_c), _cross(a_c, b_c)
     if type(p_c) is type(a_c) is type(b_c) is list:  # one row
-        ap, bp, sp = _dot(a_c, p_c), _dot(b_c, p_c), _dot(s_c, p_c)
-        triple = _dot(_cross(a_c, b_c), p_c)
+        ap, bp, triple, sp = (_dot(a_c, p_c), _dot(b_c, p_c), _dot(cross, p_c),
+                              _dot(s_c, p_c))
         entropies = _entropy(_dot(axis_a, p_c)), _entropy(_dot(axis_b, p_c))
     else:
-        directions = (a_c, b_c, _cross(a_c, b_c), s_c, axis_a, axis_b)
-        projections = _projection_block(directions, p_c)
+        projections = _projection_block((a_c, b_c, cross, s_c, axis_a, axis_b), p_c)
         ap, bp, triple, sp = projections[:4]
         entropies = _entropy(projections[4:])
     var_a, var_b = _variance(aa, ap), _variance(bb, bp)
