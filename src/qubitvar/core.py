@@ -274,15 +274,16 @@ def _outside_ball(p):
     return norm_sq, ~inside if type(inside) is np.ndarray else not inside
 
 
-def _ball_components(p) -> np.ndarray:
-    """Component-major view of Bloch vectors p, checked to lie in the Bloch ball."""
+def _ball_components(p) -> tuple:
+    """Component-major view of Bloch vectors p, checked to lie in the Bloch ball,
+    and the |p|^2 the check formed."""
     p = _components(p, 3)
     norm_sq, outside = _outside_ball(p)
     if _any(outside):
         raise InvalidArgument(
             f"|p|^2 = {np.extract(outside, norm_sq)[0]:.15g} exceeds 1 + {BLOCH_NORM_TOL:g}"
         )
-    return p
+    return p, norm_sq
 
 
 def bloch_array(p) -> np.ndarray:
@@ -295,27 +296,6 @@ def bloch_array(p) -> np.ndarray:
     return p
 
 
-def variances(p, a) -> np.ndarray:
-    """<A^2> - <A>^2 = |a|^2 - (a.p)^2, clamped at zero.
-
-    The ball check bounds what the clamp can hide: |p|^2 <= 1 + 1e-12
-    gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
-    """
-    a = _components(a, 4)
-    return _result(_variance(_dot(a, a), _dot(a, _ball_components(p))))
-
-
-def commutator_terms(p, a, b) -> np.ndarray:
-    """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
-    return _result(_commutator_term(_components(a, 4), _components(b, 4), _ball_components(p)))
-
-
-def anticommutator_terms(p, a, b) -> np.ndarray:
-    """Squared symmetrized covariance (<AB+BA>/2 - <A><B>)^2 = (a.b - (a.p)(b.p))^2."""
-    a, b, p = _components(a, 4), _components(b, 4), _ball_components(p)
-    return _result(_anticommutator_term(_dot(a, b), _dot(a, p), _dot(b, p)))
-
-
 def xi_values(r, s) -> np.ndarray:
     """Trace form 2 tr(RS) - tr(R) tr(S) = 4 r.s; identity shifts drop out."""
     return _result(4.0 * _dot(_components(r, 4), _components(s, 4)))
@@ -323,16 +303,20 @@ def xi_values(r, s) -> np.ndarray:
 
 def mixedness_values(p) -> np.ndarray:
     """1 - tr(rho^2) = (1 - |p|^2)/2, in [0, 1/2] for a qubit."""
-    return _result(_mixedness(_ball_components(p)))
+    return _result(_mixedness(_ball_components(p)[1]))
 
 
-# The closed forms behind the moment functions, each written once, on
-# checked component-major arrays or on their projections |a|^2, a.p, a.b.
+# The closed forms of the moments, each written once, on checked
+# component-major arrays or on their projections |p|^2, |a|^2, a.p, a.b.
 # relations builds every field of a report from them after checking its
 # inputs once.
 
 def _variance(aa, ap):
-    """Variance from |a|^2 and a.p, clamped at zero."""
+    """Variance <A^2> - <A>^2 = |a|^2 - (a.p)^2 from |a|^2 and a.p, clamped at zero.
+
+    The ball check bounds what the clamp can hide: |p|^2 <= 1 + 1e-12
+    gives |a|^2 - (a.p)^2 >= -1e-12 |a|^2 up to rounding, in A's own units.
+    """
     return _nonnegative(aa - ap * ap)
 
 
@@ -342,7 +326,7 @@ def _cross(a, b) -> list:
 
 
 def _commutator_term(a, b, p):
-    """((a x b) . p)^2."""
+    """|<[A,B]>/(2i)|^2 = ((a x b) . p)^2."""
     triple = _dot(_cross(a, b), p)
     return triple * triple
 
@@ -353,9 +337,9 @@ def _anticommutator_term(ab, ap, bp):
     return covariance * covariance
 
 
-def _mixedness(p):
-    """(1 - |p|^2)/2 of checked Bloch vectors, clamped at zero."""
-    return _nonnegative(0.5 * (1.0 - _dot(p, p)))
+def _mixedness(norm_sq):
+    """(1 - |p|^2)/2 from the |p|^2 of checked Bloch vectors, clamped at zero."""
+    return _nonnegative(0.5 * (1.0 - norm_sq))
 
 
 def _symmetrized(a, b, ab) -> list:

@@ -8,9 +8,10 @@ empirical moments into the mixedness formula.
 
 Every relation is an array function over the Bloch closed forms of
 core.  Each closed form is written once, as a private helper on checked
-component-major rows or on their projections (a.p, |a|^2, a.b, the
-triple product); each public one-quantity function is its input check
-plus that helper.  One row runs in Python floats and a stack in
+component-major rows or on their projections (|p|^2, a.p, |a|^2, a.b,
+the triple product); gram_determinants and high_outcome_probabilities,
+which the samplers and shot_counts call, are an input check plus such a
+helper.  One row runs in Python floats and a stack in
 columns, with the same bits; a checked row (a core._Row) reaches them
 with no numpy conversion.  reports(p, a, b) is the one relation
 route: it evaluates every side and bound of the relations over stacked
@@ -102,27 +103,6 @@ def _noncollinear_gram(aa, bb, ab) -> np.ndarray:
     return det
 
 
-def _remainder(mixedness, det):
-    """(1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2] from the mixedness and the Gram determinant."""
-    return mixedness * det / 8.0
-
-
-def equality_remainders(p, a, b) -> np.ndarray:
-    """Mixedness-weighted remainder (1/8) M [xi(A,A) xi(B,B) - xi(A,B)^2]."""
-    mixedness = _mixedness(_ball_components(p))
-    return _result(_remainder(mixedness, gram_determinants(a, b)))
-
-
-def _moment_terms(p, a, b, aa, bb, ab) -> tuple[np.ndarray, ...]:
-    """varA, varB and the commutator and anticommutator terms of checked
-    component-major p, a, b, given _pair(a, b)."""
-    ap, bp = _dot(a, p), _dot(b, p)
-    return (
-        _variance(aa, ap), _variance(bb, bp), _commutator_term(a, b, p),
-        _anticommutator_term(ab, ap, bp),
-    )
-
-
 def _axes(a) -> tuple[np.ndarray, np.ndarray]:
     """Unit Bloch axes and |a|^2 of component-major coefficient rows a.
 
@@ -157,28 +137,10 @@ def _entropy(projection) -> np.ndarray:
     return total
 
 
-def _complementarity(axis_a, axis_b) -> np.ndarray:
-    """(1 + |a_hat . b_hat|)/2 of unit axes."""
-    return 0.5 * (1.0 + abs(_dot(axis_a, axis_b)))
-
-
 def high_outcome_probabilities(p, a) -> np.ndarray:
     """Probability of the a4 + |a| outcome when A is measured."""
     axis, _ = _axes(_components(a, 4))
-    return _result(_high_probability(_dot(axis, _ball_components(p))))
-
-
-def measurement_entropies(p, a) -> np.ndarray:
-    """Shannon entropy (bits) of the two-outcome distribution, with 0 log 0 = 0."""
-    axis, _ = _axes(_components(a, 4))
-    return _result(_entropy(_dot(axis, _ball_components(p))))
-
-
-def complementarities(a, b) -> np.ndarray:
-    """Largest squared eigenvector overlap, (1 + |a_hat . b_hat|)/2 for a qubit."""
-    axis_a, _ = _axes(_components(a, 4))
-    axis_b, _ = _axes(_components(b, 4))
-    return _result(_complementarity(axis_a, axis_b))
+    return _result(_high_probability(_dot(axis, _ball_components(p)[0])))
 
 
 def mixedness_estimates(p, a, b) -> np.ndarray:
@@ -191,8 +153,10 @@ def mixedness_estimates(p, a, b) -> np.ndarray:
     a, b = _components(a, 4), _components(b, 4)
     aa, bb, ab = _pair(a, b)
     det = _noncollinear_gram(aa, bb, ab)
-    var_a, var_b, rur, anti = _moment_terms(_ball_components(p), a, b, aa, bb, ab)
-    return _result(8.0 * (var_a * var_b - rur - anti) / det)
+    p = _ball_components(p)[0]
+    ap, bp = _dot(a, p), _dot(b, p)
+    excess = _variance(aa, ap) * _variance(bb, bp) - _commutator_term(a, b, p)
+    return _result(8.0 * (excess - _anticommutator_term(ab, ap, bp)) / det)
 
 
 def estimate_mixedness(state, obs_a, obs_b) -> float:
@@ -361,7 +325,7 @@ def mixedness_estimates_from_counts(
     estimate is therefore exact (up to shot noise) for states with no
     Bloch component along a x b and an upper bound on the mixedness
     otherwise.  Standard errors come from first-order propagation of the
-    binomial outcome-frequency variances.
+    binomial variance of each outcome frequency.
     """
     a, b = _components(a, 4), _components(b, 4)
     aa, bb, ab = _pair(a, b)
@@ -426,17 +390,18 @@ def _projection_block(directions, p) -> np.ndarray:
 
 def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     """reports(p, a, b), unbroadcast and one row's in Python numbers, the
-    complementarities its entropy bound is read from, and the scales
+    complementarity its entropy bound is read from, and the scales
     |a|^2, |b|^2 and |a + b|^2 of the rows.
 
-    p is checked against the Bloch ball once, then each observable is
-    normalised once (DegenerateSpectrum), which forms |a|^2 and |b|^2.
+    p is checked against the Bloch ball once, which forms |p|^2 for the
+    mixedness; then each observable is normalised once (DegenerateSpectrum),
+    which forms |a|^2 and |b|^2.
     p is projected once onto a, b, a x b, a + b and the two unit axes,
     one _dot each for one row in Python floats and one _projection_block
     otherwise, and every field reads those projections; a stack's two
     entropies come from one (2, ...) block.
     """
-    p_c = _ball_components(p)
+    p_c, pp = _ball_components(p)
     a_c, b_c = _components(a, 4), _components(b, 4)
     axis_a, aa = _axes(a_c)
     axis_b, bb = _axes(b_c)
@@ -454,8 +419,9 @@ def _reports(p, a, b) -> tuple[dict, np.ndarray, tuple]:
     rur = triple * triple
     product = var_a * var_b
     sur = rur + _anticommutator_term(ab, ap, bp)
-    remainder = _remainder(_mixedness(p_c), _gram(aa, bb, ab)[0])
-    complementarity = _complementarity(axis_a, axis_b)
+    remainder = _mixedness(pp) * _gram(aa, bb, ab)[0] / 8.0  # (1/8) M G
+    # the largest squared overlap of A's and B's eigenvectors
+    complementarity = 0.5 * (1.0 + abs(_dot(axis_a, axis_b)))
     fields = dict(
         varA=var_a, varB=var_b, product=product, rur_bound=rur, sur_bound=sur,
         eq19_bound=rur + remainder, remainder=remainder,

@@ -6,12 +6,16 @@ residual, registered by the @_check line above its body, and the test
 suite runs every entry at its default sample count with seed 0.  Every
 check evaluates package code through its array functions, all samples
 in one call wherever the function takes a stack; none checks the dense
-oracle alone.  Oracles (moment traces, and master_rhs for the feedback
-model) are built from stacked dense 2x2 matrices, independent of the
-Bloch closed forms the library computes with.  The moment oracle,
-_batch_terms, writes every product and trace by the definition of the
-matrix product on the four (n,) entry arrays of each stack, since
-numpy's batched @ is slow on 2x2 blocks.
+oracle alone.  The relation checks read the fields of relations.reports,
+the route the report and sweep commands run.  Oracles (moment traces,
+eigenvectors, and master_rhs for the feedback model) are built from
+stacked dense 2x2 matrices, independent of the Bloch closed forms the
+library computes with.  The moment oracle, _batch_terms, writes every
+product and trace by the definition of the matrix product on the four
+(n,) entry arrays of each stack, since numpy's batched @ is slow on 2x2
+blocks.  The entropic fields' oracle, _batch_entropies, reads outcome
+probabilities and eigenbasis overlaps off the eigenvectors that
+np.linalg.eigh gives for the dense A and B.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ import numpy as np
 
 from . import feedback, relations, tightness
 from .core import (
-    _PAULI_BASIS, OBS_X, OBS_Z, PAULI_X, anticommutator_terms,
-    commutator_terms, decompose_observable, density_matrices, matrix_to_bloch,
-    mixedness_general, mixedness_values, random_bloch_vectors, variances, xi_values
+    _PAULI_BASIS, OBS_X, OBS_Z, PAULI_X, decompose_observable, density_matrices,
+    matrix_to_bloch, mixedness_general, mixedness_values, random_bloch_vectors, xi_values
 )
 from .errors import InvalidArgument
 
@@ -109,6 +112,17 @@ def _batch_terms(rho: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray) -> dict[
     }
 
 
+def _batch_entropies(rho: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray) -> tuple:
+    """H(A) + H(B) in bits, and log2 of 1 / max |<a_j|b_k>|^2, from the
+    eigenvectors np.linalg.eigh gives for stacked dense A and B (oracle route)."""
+    vecs = np.linalg.eigh(np.stack([a_mat, b_mat]))[1]
+    # outcome probabilities <v_k| rho |v_k>, with 0 log 0 = 0
+    probs = np.clip(np.einsum("snik,nij,snjk->snk", vecs.conj(), rho, vecs).real, 0.0, 1.0)
+    entropy_sum = -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=(0, 2))
+    overlaps = np.abs(np.einsum("nik,nij->nkj", vecs[0].conj(), vecs[1])) ** 2
+    return entropy_sum, -np.log2(overlaps.max(axis=(1, 2)))
+
+
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
@@ -184,9 +198,10 @@ def check_observable_roundtrip(samples: int, seed: int) -> float:
 @_check("variance_shift_invariance", 10_000, 1e-12)
 def check_variance_shift_invariance(samples: int, seed: int) -> float:
     rng = _rng(seed, 3)
-    p, a, _ = _sample_triples(rng, samples)
+    p, a, b = _sample_triples(rng, samples)
     shifted = a + np.outer(rng.uniform(-10, 10, size=samples), [0.0, 0.0, 0.0, 1.0])
-    return float(np.abs(variances(p, shifted) - variances(p, a)).max())
+    return float(np.abs(relations.reports(p, shifted, b)["varA"]
+                        - relations.reports(p, a, b)["varA"]).max())
 
 
 @_check("mixedness_trace_definition", 10_000, 1e-12)
@@ -203,11 +218,17 @@ def check_closed_forms(samples: int, seed: int) -> float:
     # span 2 keeps the squared terms at O(10), where a 1e-12 absolute
     # agreement floor is above double-precision noise
     p, a, b = _sample_triples(rng, samples, span=2.0)
-    oracle = _batch_terms(density_matrices(p), _batch_obs(a), _batch_obs(b))
+    rho, a_mat, b_mat = density_matrices(p), _batch_obs(a), _batch_obs(b)
+    oracle = _batch_terms(rho, a_mat, b_mat)
+    entropy_sum, entropy_bound = _batch_entropies(rho, a_mat, b_mat)
+    fields = relations.reports(p, a, b)
     return max(
-        float(np.abs(variances(p, a) - oracle["var_a"]).max()),
-        float(np.abs(commutator_terms(p, a, b) - oracle["comm"]).max()),
-        float(np.abs(anticommutator_terms(p, a, b) - oracle["anti"]).max()),
+        float(np.abs(fields["varA"] - oracle["var_a"]).max()),
+        float(np.abs(fields["varB"] - oracle["var_b"]).max()),
+        float(np.abs(fields["rur_bound"] - oracle["comm"]).max()),
+        float(np.abs(fields["sur_bound"] - fields["rur_bound"] - oracle["anti"]).max()),
+        float(np.abs(fields["entropy_sum"] - entropy_sum).max()),
+        float(np.abs(fields["entropy_bound"] - entropy_bound).max()),
     )
 
 
@@ -267,10 +288,7 @@ def check_equality_residual(samples: int, seed: int) -> float:
         - terms["anti"]
         - terms["mixedness"] * terms["gram"] / 8.0
     )
-    array_residual = (
-        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
-        - anticommutator_terms(p, a, b) - relations.equality_remainders(p, a, b)
-    )
+    array_residual = relations.reports(p, a, b)["equality_residual"]
     return float(max(np.abs(residual).max(), np.abs(array_residual).max()))
 
 
@@ -298,16 +316,16 @@ def check_remainder_sign(samples: int, seed: int) -> float:
     pure = random_bloch_vectors(rng, samples, "pure")
     scale = 2.0 * (np.cross(a[:, :3], b[:, :3]) ** 2).sum(axis=1)  # G/8
     return float(max(
-        (-relations.equality_remainders(p, a, b)).max(),
-        (np.abs(relations.equality_remainders(pure, a, b)) / scale).max(),
+        (-relations.reports(p, a, b)["remainder"]).max(),
+        (np.abs(relations.reports(pure, a, b)["remainder"]) / scale).max(),
     ))
 
 
 @_check("pure_state_sur_saturation", 10_000, 1e-10)
 def check_pure_sur_saturation(samples: int, seed: int) -> float:
     p, a, b = _sample_triples(_rng(seed, 12), samples, kind="pure")
-    sur = commutator_terms(p, a, b) + anticommutator_terms(p, a, b)
-    return float(np.abs(variances(p, a) * variances(p, b) - sur).max())
+    fields = relations.reports(p, a, b)
+    return float(np.abs(fields["product"] - fields["sur_bound"]).max())
 
 
 @_check("estimator_pair_independence", 10_000, 1e-10)
@@ -451,7 +469,8 @@ def check_ti1_identity(samples: int, seed: int) -> tuple:
     p, a, b = _sample_triples(rng, samples)
     value = tightness.ratios(p, a, b)[0]
     defined = ~np.isnan(value)
-    identity = 1.0 + anticommutator_terms(p, a, b) / relations.reports(p, a, b)["eq19_bound"]
+    fields = relations.reports(p, a, b)
+    identity = 1.0 + (fields["sur_bound"] - fields["rur_bound"]) / fields["eq19_bound"]
     return float(np.abs(value - identity)[defined].max(initial=0.0)), int(defined.sum())
 
 

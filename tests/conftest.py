@@ -101,6 +101,15 @@ def oracle_xi(r, s):
     return (2.0 * np.trace(r @ s) - np.trace(r) * np.trace(s)).real
 
 
+def oracle_entropies(rho, a, b):
+    """H(A) + H(B) in bits and log2(1/c), c the largest squared overlap of
+    the eigenvectors np.linalg.eigh gives for A and B."""
+    vecs_a, vecs_b = np.linalg.eigh(a)[1], np.linalg.eigh(b)[1]
+    probs = [np.abs(vecs.conj().T @ rho @ vecs).diagonal() for vecs in (vecs_a, vecs_b)]
+    entropy_sum = -sum(float(q @ np.log2(np.where(q > 0.0, q, 1.0))) for q in probs)
+    return entropy_sum, -math.log2(float((np.abs(vecs_a.conj().T @ vecs_b) ** 2).max()))
+
+
 def oracle_rk4_matrices(alpha, lam, omega, t_end, h):
     """Dense 2x2 RK4 of master_rhs on the step_times grid, one matrix per time.
 

@@ -18,13 +18,10 @@ from conftest import cli_outputs
 from qubitvar.core import (
     OBS_X,
     OBS_Z,
-    anticommutator_terms,
-    commutator_terms,
     mixedness_general,
     mixedness_values,
     random_bloch_vectors,
     random_density_matrix,
-    variances,
 )
 from qubitvar.errors import CollinearObservables
 from qubitvar.feedback import (
@@ -106,9 +103,8 @@ def test_criterion_02_pure_state_degenerates_to_sur():
     p = random_bloch_vectors(rng, 10_000, "pure")
     a = rng.uniform(-5, 5, size=(10_000, 4))
     b = rng.uniform(-5, 5, size=(10_000, 4))
-    product = variances(p, a) * variances(p, b)
-    sur = commutator_terms(p, a, b) + anticommutator_terms(p, a, b)
-    worst = float(np.abs(product - sur).max())
+    fields = reports(p, a, b)
+    worst = float(np.abs(fields["product"] - fields["sur_bound"]).max())
     assert worst < 1e-10
     report(2, "pure states saturate SUR", f"max |product - sur| {worst:.2e} over 1e4 pure states")
 

@@ -1,6 +1,7 @@
 """State/observable algebra: frozen examples plus representation properties."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,9 +32,7 @@ from qubitvar import core, feedback, relations, tightness
 from qubitvar.core import (
     OBS_X,
     OBS_Z,
-    anticommutator_terms,
     bloch_array,
-    commutator_terms,
     decompose_observable,
     density_matrices,
     matrix_to_bloch,
@@ -42,11 +41,21 @@ from qubitvar.core import (
     random_bloch_vectors,
     random_density_matrix,
     symmetrized_products,
-    variances,
     xi_values,
 )
-from qubitvar.errors import InvalidArgument
-from qubitvar.relations import high_outcome_probabilities
+from qubitvar.errors import DegenerateSpectrum, InvalidArgument
+from qubitvar.relations import high_outcome_probabilities, reports
+
+
+def fields_or_degenerate(p, a, b):
+    """reports(p, a, b), or None where it refuses A or B as proportional to
+    I: a Pauli part zero in double precision."""
+    try:
+        return reports(p, a, b)
+    except DegenerateSpectrum:
+        squares = [(np.asarray(x, dtype=float)[..., :3] ** 2).sum(axis=-1).min() for x in (a, b)]
+        assert min(squares) < sys.float_info.min
+        return None
 
 
 class TestRepresentations:
@@ -169,25 +178,27 @@ class TestMoments:
         assert mean([0.6, 0.0, 0.0], X + 2.0 * I) == pytest.approx(2.6, abs=1e-12)
 
     def test_variance_examples(self):
-        assert variances(Z_POLE, Z) == 0.0
-        assert variances(Z_POLE, X) == pytest.approx(1.0, abs=1e-15)
+        assert reports(Z_POLE, Z, X)["varA"] == 0.0
+        assert reports(Z_POLE, X, Z)["varA"] == pytest.approx(1.0, abs=1e-15)
         # identity shifts leave the variance unchanged
-        assert variances(Z_POLE, X + 2.0 * I) == pytest.approx(1.0, abs=1e-12)
+        assert reports(Z_POLE, X + 2.0 * I, Z)["varA"] == pytest.approx(1.0, abs=1e-12)
 
     def test_commutator_term_examples(self):
-        assert commutator_terms(ORIGIN, X, Z) == 0.0
+        assert reports(ORIGIN, X, Z)["rur_bound"] == 0.0
         # [sx, sy] = 2i sz and <sz> = 1 on |0><0|
-        assert commutator_terms(Z_POLE, X, Y) == pytest.approx(1.0, abs=1e-12)
+        assert reports(Z_POLE, X, Y)["rur_bound"] == pytest.approx(1.0, abs=1e-12)
         obs = [0.3, -1.2, 0.7, 0.1]
-        assert commutator_terms(Z_POLE, obs, obs) == 0.0
+        assert reports(Z_POLE, obs, obs)["rur_bound"] == 0.0
 
     def test_anticommutator_term_examples(self):
-        assert anticommutator_terms(ORIGIN, X, Z) == 0.0
+        # the anticommutator term is sur_bound - rur_bound
+        assert reports(ORIGIN, X, Z)["sur_bound"] == 0.0
         obs = [1.5, 0.0, -0.5, 2.0]
         p = [0.2, -0.4, 0.1]
-        assert anticommutator_terms(p, obs, obs) == pytest.approx(
-            variances(p, obs) ** 2, abs=1e-10
-        )
+        fields = reports(p, obs, obs)
+        assert fields["rur_bound"] == 0.0
+        variance = oracle_variance(oracle_state(*p), oracle_obs(*obs))
+        assert fields["sur_bound"] == pytest.approx(variance**2, abs=1e-10)
 
     def test_anticommutator_term_against_matrix_oracle(self):
         rho = oracle_state(0.6, 0.0, 0.0)
@@ -195,8 +206,8 @@ class TestMoments:
         b = oracle_obs(1, 0, 1, 0)
         sym = np.trace(rho @ (a @ b + b @ a)).real / 2
         want = (sym - np.trace(rho @ a).real * np.trace(rho @ b).real) ** 2
-        got = anticommutator_terms([0.6, 0.0, 0.0], X, X + Z)
-        assert got == pytest.approx(want, abs=1e-12)
+        fields = reports([0.6, 0.0, 0.0], X, X + Z)
+        assert fields["sur_bound"] - fields["rur_bound"] == pytest.approx(want, abs=1e-12)
 
     def test_xi_examples(self):
         assert xi_values(X, X) == pytest.approx(4.0, abs=1e-15)
@@ -208,16 +219,18 @@ class TestMoments:
     def test_closed_forms_match_matrix_route(self, p, a, b):
         rho = oracle_state(*p)
         a_mat, b_mat = oracle_obs(*a), oracle_obs(*b)
-        assert variances(p, a) == pytest.approx(
-            max(oracle_variance(rho, a_mat), 0.0), abs=1e-12
-        )
-        assert commutator_terms(p, a, b) == pytest.approx(
-            oracle_commutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
-        )
-        assert anticommutator_terms(p, a, b) == pytest.approx(
-            oracle_anticommutator_term(rho, a_mat, b_mat), rel=1e-10, abs=1e-11
-        )
         assert xi_values(a, b) == pytest.approx(oracle_xi(a_mat, b_mat), abs=1e-12)
+        fields = fields_or_degenerate(p, a, b)
+        if fields is None:
+            return
+        for key, mat in (("varA", a_mat), ("varB", b_mat)):
+            assert fields[key] == pytest.approx(max(oracle_variance(rho, mat), 0.0), abs=1e-12)
+        comm = oracle_commutator_term(rho, a_mat, b_mat)
+        anti = oracle_anticommutator_term(rho, a_mat, b_mat)
+        assert fields["rur_bound"] == pytest.approx(comm, rel=1e-10, abs=1e-11)
+        assert fields["sur_bound"] - fields["rur_bound"] == pytest.approx(
+            anti, rel=1e-10, abs=1e-11
+        )
 
     def test_linear_covariance_form_needs_outer_square(self):
         # the linear Bloch expression for the covariance term equals
@@ -234,13 +247,17 @@ class TestMoments:
                     (p[0] * p[2] * a[0] + p[1] * p[2] * a[1] + (p[2] ** 2 - 1) * a[2]) * b[2],
                 )
             )
-            assert anticommutator_terms(p, a, b) == pytest.approx(linear**2, abs=1e-10)
+            fields = reports(p, a, b)
+            anti = fields["sur_bound"] - fields["rur_bound"]
+            assert anti == pytest.approx(linear**2, abs=1e-10)
 
     @settings(deadline=None)
     @given(bloch_vectors(), observables(), st.floats(-10, 10, allow_nan=False))
     def test_variance_shift_invariance(self, p, a, shift):
         shifted = np.array([*a[:3], a[3] + shift])
-        assert variances(p, shifted) == pytest.approx(variances(p, a), abs=1e-12)
+        fields = fields_or_degenerate(p, a, X)
+        if fields is not None:
+            assert reports(p, shifted, X)["varA"] == pytest.approx(fields["varA"], abs=1e-12)
 
     @settings(deadline=None)
     @given(observables(), observables())
@@ -270,11 +287,11 @@ class TestArrayMoments:
     def test_row_width_refused(self):
         # 3 components a Bloch vector, 4 an observable, checked once per argument
         for call in (
-            lambda: variances([0.1, 0.0], X),
-            lambda: variances([0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),
-            lambda: variances([[0.1, 0.0, 0.0, 0.0]], X),
+            lambda: mixedness_values([0.1, 0.0]),
+            lambda: high_outcome_probabilities([0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            lambda: mixedness_values([[0.1, 0.0, 0.0, 0.0]]),
             lambda: symmetrized_products((1, 0, 0), (0, 1, 0)),
-            lambda: commutator_terms([0.0, 0.0, 0.0], X, [[0.0, 1.0, 0.0]]),
+            lambda: reports([0.0, 0.0, 0.0], X, [[0.0, 1.0, 0.0]]),
             lambda: xi_values(X, 1.0),
             lambda: bloch_array(0.5),
         ):
@@ -286,18 +303,18 @@ class TestArrayMoments:
         with pytest.raises(InvalidArgument, match=r"\|p\|\^2 = 1.01 exceeds"):
             bloch_array([[0.0, 0.0, 0.5], [1.0, 0.1, 0.0]])
         with pytest.raises(InvalidArgument, match=r"\|p\|\^2 = nan exceeds"):
-            variances([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0]], X)
+            mixedness_values([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0]])
 
     def test_variance_clamp_is_unit_free(self):
         # |p|^2 = 1 + 8e-13 passes the ball check; its excess is a variance of
         # -8e-13 |a|^2, clamped to 0 whatever the observable's units
         rows = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 4e-13]]
         for scale in (1.0, 1e3):
-            assert variances(rows, scale * Z).tolist() == [scale * scale, 0.0]
+            assert reports(rows, scale * Z, X)["varA"].tolist() == [scale * scale, 0.0]
         # beyond the tolerance the ball check refuses the row, at any scale
         for scale in (1.0, 1e3):
             with pytest.raises(InvalidArgument, match=r"\|p\|\^2 = 1.000000000002 exceeds"):
-                variances([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 1e-12]], scale * Z)
+                reports([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 1e-12]], scale * Z, X)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(bloch_vectors(), min_size=1, max_size=8), observables(), observables())
@@ -305,18 +322,16 @@ class TestArrayMoments:
         # one row through a function equals that row of the stacked call, bit for bit
         p = np.array(vectors)
         rows_a = np.stack([a + k for k in range(len(vectors))])  # one observable per row
-        functions = {
-            "variance": lambda p, a, b: variances(p, a),
-            "commutator": commutator_terms,
-            "anticommutator": anticommutator_terms,
-            "mixedness": lambda p, a, b: mixedness_values(p),
-        }
+        functions = {"mixedness": lambda p, a, b: {"mixedness": mixedness_values(p)}}
+        if fields_or_degenerate(p, rows_a, b) is not None:
+            functions["reports"] = reports
         for name, fn in functions.items():
             for a_in in (a, rows_a):
                 stacked = fn(p, a_in, b)
                 for i in range(len(vectors)):
                     one = fn(p[i], a_in if a_in.ndim == 1 else a_in[i], b)
-                    assert one.shape == () and one == stacked[i], (name, i)
+                    for key, value in one.items():
+                        assert value.shape == () and value == stacked[key][i], (name, key, i)
         assert xi_values(rows_a, b)[-1] == xi_values(rows_a[-1], b)
 
     def test_symmetrized_products_against_dense(self, rng):

@@ -10,29 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables, oracle_obs
+from conftest import (
+    ORIGIN, Z_POLE, I, X, Y, Z, bloch_vectors, observables, oracle_anticommutator_term,
+    oracle_commutator_term, oracle_entropies, oracle_obs, oracle_state, oracle_variance,
+    oracle_xi
+)
 import qubitvar.serialize  # the meter workload's read_one reads it
 from qubitvar import core, relations
 from qubitvar.core import (
     OBS_X,
     OBS_Z,
-    anticommutator_terms,
-    commutator_terms,
     mixedness_values,
     random_bloch_vectors,
     symmetrized_products,
-    variances,
 )
 from qubitvar.errors import (
     CollinearObservables, DegenerateSpectrum, InvalidArgument, QubitVarError
 )
 from qubitvar.relations import (
     MAX_SHOTS,
-    complementarities,
-    equality_remainders,
     gram_determinants,
     high_outcome_probabilities,
-    measurement_entropies,
     mixedness_estimates,
     mixedness_estimates_from_counts,
     reports,
@@ -60,39 +58,30 @@ def entropic_fields(p, a, b):
     return float(fields["entropy_sum"]), float(fields["entropy_bound"])
 
 
-def residual(p, a, b):
-    """varA varB - SUR - remainder: zero by the equality."""
-    return (
-        variances(p, a) * variances(p, b) - commutator_terms(p, a, b)
-        - anticommutator_terms(p, a, b) - equality_remainders(p, a, b)
-    )
-
-
 class TestProductBounds:
     def test_rur_examples(self):
         # the Robertson bound is the commutator term
-        assert commutator_terms(ORIGIN, X, Z) == 0.0
-        assert commutator_terms(Z_POLE, X, Y) == pytest.approx(1.0, abs=1e-12)
-        obs = [0.4, 1.0, -0.3, 0.2]
-        assert commutator_terms(ORIGIN, obs, obs) == 0.0
+        assert reports(ORIGIN, X, Z)["rur_bound"] == 0.0
         assert reports(Z_POLE, X, Y)["rur_bound"] == pytest.approx(1.0, abs=1e-12)
+        obs = [0.4, 1.0, -0.3, 0.2]
+        assert reports(ORIGIN, obs, obs)["rur_bound"] == 0.0
 
     def test_sur_trivial_examples(self):
         assert reports(ORIGIN, X, Z)["sur_bound"] == 0.0
         p, obs = [0.3, -0.2, 0.4], [1.2, 0.0, -0.7, 0.5]
         assert reports(p, obs, obs)["sur_bound"] == pytest.approx(
-            variances(p, obs) ** 2, abs=1e-10
+            oracle_variance(oracle_state(*p), oracle_obs(*obs)) ** 2, abs=1e-10
         )
 
     def test_remainder_maximally_mixed(self):
         # (1/8) * (1/2) * (4*4 - 0) = 1, term by term from the traces
-        assert equality_remainders(ORIGIN, X, Z) == pytest.approx(1.0, abs=1e-14)
+        assert reports(ORIGIN, X, Z)["remainder"] == pytest.approx(1.0, abs=1e-14)
 
     def test_remainder_trivial_cases(self, rng):
         for _ in range(200):
             p, a, b = random_triple(rng, kind="pure")
-            assert abs(equality_remainders(p, a, b)) <= 1e-12
-            assert equality_remainders(p, a, a) == pytest.approx(0.0, abs=1e-9)
+            assert abs(reports(p, a, b)["remainder"]) <= 1e-12
+            assert reports(p, a, a)["remainder"] == pytest.approx(0.0, abs=1e-9)
 
     def test_remainder_check_scales_with_gram(self):
         # worst absolute pure-state remainder here is 1.02e-12 at G ~ 1e4;
@@ -104,32 +93,37 @@ class TestProductBounds:
     def test_equality_examples(self):
         for p in (ORIGIN, Z_POLE):
             assert reports(p, X, Z)["equality_residual"] == pytest.approx(0.0, abs=1e-14)
-            assert residual(p, X, Z) == pytest.approx(0.0, abs=1e-14)
 
     @settings(deadline=None)
     @given(bloch_vectors(), observables(), observables())
     def test_equality_residual_property(self, p, a, b):
-        assert abs(residual(p, a, b)) <= 1e-10
+        try:
+            fields = reports(p, a, b)
+        except DegenerateSpectrum:
+            # A or B is proportional to I, its Pauli part zero in double precision
+            assert min(core._dot(a, a), core._dot(b, b)) < sys.float_info.min
+            return
+        assert abs(fields["product"] - fields["sur_bound"] - fields["remainder"]) <= 1e-10
+        assert abs(fields["equality_residual"]) <= 1e-10
 
     def test_mixedness_weighted_bound_examples(self):
-        assert reports(ORIGIN, X, Z)["eq19_bound"] == pytest.approx(1.0, abs=1e-14)
-        product = variances(ORIGIN, X) * variances(ORIGIN, Z)
-        assert product == pytest.approx(reports(ORIGIN, X, Z)["eq19_bound"], abs=1e-14)
+        fields = reports(ORIGIN, X, Z)
+        assert fields["eq19_bound"] == pytest.approx(1.0, abs=1e-14)
+        assert fields["product"] == pytest.approx(fields["eq19_bound"], abs=1e-14)
         # pure eigenstate of A with vanishing commutator expectation
         assert reports(Z_POLE, Z, X)["eq19_bound"] == pytest.approx(0.0, abs=1e-14)
 
     def test_mixedness_weighted_bound_never_exceeds_product(self, rng):
         for _ in range(2000):
             p, a, b = random_triple(rng)
-            product = variances(p, a) * variances(p, b)
-            assert reports(p, a, b)["eq19_bound"] <= product + 1e-10
+            fields = reports(p, a, b)
+            assert fields["eq19_bound"] <= fields["product"] + 1e-10
 
     def test_bound_chain(self, rng):
         for _ in range(2000):
             p, a, b = random_triple(rng)
-            product = variances(p, a) * variances(p, b)
-            rur = commutator_terms(p, a, b)
-            sur = rur + anticommutator_terms(p, a, b)
+            fields = reports(p, a, b)
+            product, rur, sur = fields["product"], fields["rur_bound"], fields["sur_bound"]
             assert product >= sur - 1e-10
             assert sur >= rur - 1e-10
 
@@ -141,8 +135,9 @@ class TestSumRelation:
         p = [0.3, 0.1, -0.5]
         obs = [0.7, -0.2, 1.1, 0.4]
         lhs, bound = sum_fields(p, obs, obs)
-        assert lhs == pytest.approx(2 * variances(p, obs), abs=1e-12)
-        assert bound == pytest.approx(2 * variances(p, obs), abs=1e-12)
+        variance = oracle_variance(oracle_state(*p), oracle_obs(*obs))
+        assert lhs == pytest.approx(2 * variance, abs=1e-12)
+        assert bound == pytest.approx(2 * variance, abs=1e-12)
 
     @settings(deadline=None)
     @given(bloch_vectors(), observables(), observables())
@@ -159,22 +154,23 @@ class TestSumRelation:
 
 class TestEntropic:
     def test_entropy_examples(self):
-        assert measurement_entropies(Z_POLE, Z) == 0.0
-        assert measurement_entropies(ORIGIN, Z) == pytest.approx(1.0, abs=1e-15)
-        assert measurement_entropies(Z_POLE, X) == pytest.approx(1.0, abs=1e-15)
+        # entropy_sum of a pair A = B is twice H(A)
+        assert reports(Z_POLE, Z, Z)["entropy_sum"] == 0.0
+        assert reports(ORIGIN, Z, Z)["entropy_sum"] == pytest.approx(2.0, abs=1e-15)
+        assert reports(Z_POLE, X, X)["entropy_sum"] == pytest.approx(2.0, abs=1e-15)
 
     def test_entropy_range(self, rng):
         for _ in range(500):
             p, a, _ = random_triple(rng)
             if np.linalg.norm(a[:3]) < 1e-6:
                 continue
-            assert 0.0 <= measurement_entropies(p, a) <= 1.0
+            assert 0.0 <= reports(p, a, a)["entropy_sum"] <= 2.0
 
     def test_degenerate_spectrum_raises(self):
         with pytest.raises(DegenerateSpectrum):
-            measurement_entropies(ORIGIN, I)
+            reports(ORIGIN, I, X)
         with pytest.raises(DegenerateSpectrum):
-            complementarities(I, X)
+            reports(ORIGIN, X, I)
 
     @pytest.mark.parametrize("stack, error, message", [
         # a NaN row is refused before any spectrum is looked at
@@ -201,25 +197,27 @@ class TestEntropic:
         for bad in (math.nan, math.inf, -math.inf):
             stack = [[1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0]]
             for call in (lambda: reports(p, stack, Z), lambda: ratios(p, X, stack),
-                         lambda: variances(p, stack), lambda: mixedness_estimates(p, stack, Z)):
+                         lambda: high_outcome_probabilities(p, stack),
+                         lambda: mixedness_estimates(p, stack, Z)):
                 with pytest.raises(InvalidArgument, match=f"^coefficients must be finite, got {bad}$"):
                     call()
 
     def test_complementarity_examples(self):
-        assert complementarities(X, Z) == pytest.approx(0.5, abs=1e-15)
-        assert complementarities(Z, Z + 3.0 * I) == pytest.approx(1.0, abs=1e-15)
+        # entropy_bound is log2(1/c), c the largest squared eigenvector overlap
+        assert entropic_fields(ORIGIN, X, Z)[1] == pytest.approx(1.0, abs=1e-15)
+        assert entropic_fields(ORIGIN, Z, Z + 3.0 * I)[1] == 0.0
         tilted = [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 0.0]
-        assert complementarities(Z, tilted) == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-12)
+        assert entropic_fields(ORIGIN, Z, tilted)[1] == pytest.approx(
+            -math.log2(math.cos(math.pi / 8) ** 2), abs=1e-12
+        )
 
     def test_complementarity_against_eigenvector_overlap(self, rng):
         for _ in range(300):
-            _, a, b = random_triple(rng, span=2.0)
+            p, a, b = random_triple(rng, span=2.0)
             if min(np.linalg.norm(a[:3]), np.linalg.norm(b[:3])) < 1e-3:
                 continue
-            _, vecs_a = np.linalg.eigh(oracle_obs(*a))
-            _, vecs_b = np.linalg.eigh(oracle_obs(*b))
-            overlap = np.abs(vecs_a.conj().T @ vecs_b) ** 2
-            assert complementarities(a, b) == pytest.approx(float(overlap.max()), abs=1e-10)
+            want = oracle_entropies(oracle_state(*p), oracle_obs(*a), oracle_obs(*b))
+            assert entropic_fields(p, a, b) == pytest.approx(want, abs=1e-10)
 
     def test_eur_examples(self):
         assert entropic_fields(ORIGIN, X, Z) == pytest.approx((2.0, 1.0), abs=1e-12)
@@ -808,10 +806,33 @@ def layout_triple(rng, layout):
     return p[0], rng.uniform(-2, 2, (n, 4)), rng.uniform(-2, 2, (n, 4))
 
 
+def dense_fields(p, a, b):
+    """The fields of reports, but for the ones its others combine, and the
+    mixedness, from dense matrices, on the broadcast rows of p, a and b."""
+    lead = np.broadcast_shapes(np.shape(p)[:-1], np.shape(a)[:-1], np.shape(b)[:-1])
+    p, a, b = (np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+               for x in map(np.asarray, (p, a, b)))
+    rows = []
+    for p_i, a_i, b_i in zip(p, a, b):
+        rho, a_mat, b_mat = oracle_state(*p_i), oracle_obs(*a_i), oracle_obs(*b_i)
+        comm = oracle_commutator_term(rho, a_mat, b_mat)
+        gram = oracle_xi(a_mat, a_mat) * oracle_xi(b_mat, b_mat) - oracle_xi(a_mat, b_mat) ** 2
+        mixedness = 1.0 - np.trace(rho @ rho).real
+        rows.append((
+            oracle_variance(rho, a_mat), oracle_variance(rho, b_mat), comm,
+            comm + oracle_anticommutator_term(rho, a_mat, b_mat), mixedness * gram / 8.0,
+            0.5 * oracle_variance(rho, a_mat + b_mat), *oracle_entropies(rho, a_mat, b_mat),
+            mixedness,
+        ))
+    keys = ("varA", "varB", "rur_bound", "sur_bound", "remainder", "sum_bound", "entropy_sum",
+            "entropy_bound", "mixedness")
+    return {key: np.reshape(column, lead) for key, column in zip(keys, zip(*rows))}
+
+
 class TestOneCheckPerCall:
     """reports, mixedness_estimates and ratios check the state once and read
-    every field from shared projections, bit for bit as the one-quantity
-    functions give it."""
+    every field from shared projections; the fields are the one-quantity
+    forms the dense oracles give."""
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_state_checked_once(self, rng, layout, monkeypatch):
@@ -834,23 +855,14 @@ class TestOneCheckPerCall:
     def test_fields_match_one_quantity_forms(self, rng, layout):
         p, a, b = layout_triple(rng, layout)
         fields = reports(p, a, b)
-        comm, anti = commutator_terms(p, a, b), anticommutator_terms(p, a, b)
-        var_a, var_b = variances(p, a), variances(p, b)
-        expected = {
-            "varA": var_a,
-            "varB": var_b,
-            "rur_bound": comm,
-            "sur_bound": comm + anti,
-            "remainder": equality_remainders(p, a, b),
-            "sum_bound": 0.5 * variances(p, a + b),
-            "entropy_sum": measurement_entropies(p, a) + measurement_entropies(p, b),
-            "entropy_bound": np.log2(1.0 / complementarities(a, b)),
-        }
-        for key, want in expected.items():
-            got = fields[key]
-            assert np.array_equal(got, np.broadcast_to(want, np.shape(got))), key
-        estimate = 8.0 * (var_a * var_b - comm - anti) / gram_determinants(a, b)
-        assert np.array_equal(mixedness_estimates(p, a, b), estimate)
+        expected = dense_fields(p, a, b)
+        for key in ("varA", "varB", "rur_bound", "sur_bound", "remainder", "sum_bound",
+                    "entropy_sum", "entropy_bound"):
+            assert fields[key].shape == expected[key].shape, key
+            np.testing.assert_allclose(fields[key], expected[key], rtol=0, atol=1e-12,
+                                       err_msg=key)
+        np.testing.assert_allclose(mixedness_estimates(p, a, b), expected["mixedness"],
+                                   rtol=0, atol=1e-12)
 
     def test_refusal_order(self):
         # the collinearity check comes before the state's; the state's
@@ -865,12 +877,9 @@ class TestOneCheckPerCall:
 # Every public array function of core, relations and tightness, with the
 # inputs it reads from a (p, a, b, counts_a, counts_b, counts_c) row.
 ARRAY_FUNCTIONS = [
-    (variances, "p a"), (commutator_terms, "p a b"), (anticommutator_terms, "p a b"),
     (mixedness_values, "p"), (core.xi_values, "a b"), (core.symmetrized_products, "a b"),
-    (gram_determinants, "a b"), (equality_remainders, "p a b"),
-    (high_outcome_probabilities, "p a"), (measurement_entropies, "p a"),
-    (complementarities, "a b"), (mixedness_estimates, "p a b"), (reports, "p a b"),
-    (ratios, "p a b"),
+    (gram_determinants, "a b"), (high_outcome_probabilities, "p a"),
+    (mixedness_estimates, "p a b"), (reports, "p a b"), (ratios, "p a b"),
     (relations.mixedness_estimates_from_counts, "counts_a counts_b counts_c a b"),
 ]
 
@@ -994,4 +1003,4 @@ class TestOneRowRoute:
         with pytest.raises(
             InvalidArgument, match=re.escape("rows of 4 components expected, got shape (3,)")
         ):
-            variances(state, state)
+            high_outcome_probabilities(state, state)

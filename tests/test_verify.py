@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qubitvar import verify
+from qubitvar import relations, verify
 from qubitvar.errors import InvalidArgument
 from qubitvar.verify import CHECKS
 
@@ -72,3 +72,24 @@ def test_run_all_refuses_fewer_than_two_samples(monkeypatch):
     for samples in (1, 0, -5):
         with pytest.raises(InvalidArgument):
             verify.run_all(samples=samples)
+
+
+
+def _scaled(fn):
+    """fn with its result scaled by 1 + 1e-9."""
+    return lambda *args: fn(*args) * (1.0 + 1e-9)
+
+
+def test_oracle_checks_read_the_report_route(monkeypatch):
+    # only relations._reports calls _entropy and _projection_block on a
+    # stack: checks of the route the commands run notice a change to either
+    def passed():
+        return [check(1000, 0).passed
+                for check in (verify.check_closed_forms, verify.check_equality_residual)]
+
+    assert passed() == [True, True]
+    with monkeypatch.context() as patch:
+        patch.setattr(relations, "_entropy", _scaled(relations._entropy))
+        assert passed()[0] is False
+    monkeypatch.setattr(relations, "_projection_block", _scaled(relations._projection_block))
+    assert passed() == [False, False]
