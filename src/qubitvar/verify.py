@@ -315,10 +315,8 @@ def check_remainder_sign(samples: int, seed: int) -> float:
     p, a, b = _sample_triples(rng, samples)
     pure = random_bloch_vectors(rng, samples, "pure")
     scale = 2.0 * (np.cross(a[:, :3], b[:, :3]) ** 2).sum(axis=1)  # G/8
-    return float(max(
-        (-relations.reports(p, a, b)["remainder"]).max(),
-        (np.abs(relations.reports(pure, a, b)["remainder"]) / scale).max(),
-    ))
+    remainder = relations.reports(np.stack([p, pure]), a, b)["remainder"]
+    return float(max((-remainder[0]).max(), (np.abs(remainder[1]) / scale).max()))
 
 
 @_check("pure_state_sur_saturation", 10_000, 1e-10)

@@ -74,7 +74,6 @@ def test_run_all_refuses_fewer_than_two_samples(monkeypatch):
             verify.run_all(samples=samples)
 
 
-
 def _scaled(fn):
     """fn with its result scaled by 1 + 1e-9."""
     return lambda *args: fn(*args) * (1.0 + 1e-9)
